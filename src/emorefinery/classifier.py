@@ -6,6 +6,9 @@ a staircase-exponential learning-rate decay, and early stopping on a
 held-out validation split made at the utterance level.
 """
 
+import contextlib
+import ctypes
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -146,6 +149,57 @@ def _validation_split(utterance_ids, fraction: float, rng: np.random.Generator):
     return np.array([uid in val_utts for uid in utterance_ids], dtype=bool)
 
 
+# (get, set) thread-count symbols: the scipy-openblas build numpy wheels
+# bundle, then a plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _single_thread_blas():
+    """Run OpenBLAS on one thread inside the block, then restore its count.
+
+    The network's GEMMs are too small to gain from a second thread, which
+    would only spin and double the CPU time. The count does not change
+    results. Without OpenBLAS this does nothing.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    get, set_ = lib
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _forward_in_batches(net: ConvNet, x: np.ndarray, batch_size: int) -> np.ndarray:
     outs = [net.forward(x[i : i + batch_size]) for i in range(0, x.shape[0], batch_size)]
     return np.concatenate(outs, axis=0)
@@ -157,6 +211,7 @@ def _mean_ce(net: ConvNet, x: np.ndarray, t: np.ndarray, batch_size: int) -> flo
     return float(-np.sum(t * np.log(p)) / x.shape[0])
 
 
+@_single_thread_blas()
 def train_segment_classifier(
     segments: list, targets: list, cfg: TrainConfig, generation: int = 1
 ) -> Model:
@@ -257,6 +312,7 @@ def train_segment_classifier(
     )
 
 
+@_single_thread_blas()
 def predict_batch(m: Model, segments: list, batch_size: int = 256) -> np.ndarray:
     """Class probabilities for many segments, shape (n, K), rows normalized."""
     for s in segments:

@@ -70,7 +70,6 @@ class Conv3x3:
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._cols = None
-        self._shape = None
 
     def _im2col(self, x):
         b, c, h, w = x.shape
@@ -86,27 +85,39 @@ class Conv3x3:
         b, c, h, w = x.shape
         cols = self._im2col(x)
         w2 = self.w.reshape(self.w.shape[0], -1)
-        out = np.matmul(w2, cols) + self.b[None, :, None]
+        out = np.matmul(w2, cols)
+        out += self.b[None, :, None]
         if train:
             self._cols = cols
-            self._shape = x.shape
         return out.reshape(b, self.w.shape[0], h, w)
 
-    def backward(self, g):
+    def backward(self, g, need_dx: bool = True):
+        """Set dw and db; return the input gradient, or None if not need_dx."""
         b, c_out, h, w = g.shape
         g2 = g.reshape(b, c_out, h * w)
         w2 = self.w.reshape(c_out, -1)
         self.dw = np.matmul(g2, self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
         self.db = g2.sum(axis=(0, 2))
-        dcols = np.matmul(w2.T, g2)  # (b, c_in*9, h*w)
-        _, c_in, hh, ww = self._shape
-        dcols = dcols.reshape(b, c_in, 3, 3, hh, ww)
-        dxp = np.zeros((b, c_in, hh + 2, ww + 2), dtype=g.dtype)
-        for dy in range(3):
-            for dx in range(3):
-                dxp[:, :, dy : dy + hh, dx : dx + ww] += dcols[:, :, dy, dx]
         self._cols = None
-        return dxp[:, :, 1:-1, 1:-1]
+        if not need_dx:
+            return None
+        # col2im on flat planes padded to width w + 2: each (dy, dx) shift is
+        # then one contiguous run per plane instead of h runs of length w.
+        # g gets two zero columns per row, so dcols has the same layout. Its
+        # real columns are the same dot products as without them; its zero
+        # columns land in the padding or add +-0.0 to sums that start at
+        # +0.0 and so are never -0.0. Each element still sums its terms in
+        # (dy, dx) order.
+        c_in = self.w.shape[1]
+        wp = w + 2
+        gp = np.zeros((b, c_out, h, wp), dtype=g.dtype)
+        gp[..., :w] = g
+        dcols = np.matmul(w2.T, gp.reshape(b, c_out, h * wp)).reshape(b, c_in, 9, h * wp)
+        dxp = np.zeros((b, c_in, (h + 2) * wp + 2), dtype=g.dtype)
+        for k in range(9):
+            start = (k // 3) * wp + k % 3
+            dxp[:, :, start : start + h * wp] += dcols[:, :, k]
+        return dxp[:, :, wp + 1 : wp + 1 + h * wp].reshape(b, c_in, h, wp)[..., :w]
 
     def params(self):
         return [self.w, self.b]
@@ -142,35 +153,81 @@ class MaxPool2x2:
     order within the window, so the gradient route is deterministic."""
 
     def __init__(self):
-        self._idx = None
-        self._shape = None
+        self._hits = None
 
     def forward(self, x, train: bool):
         b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ConfigError(f"max pool needs even spatial dims, got {h}x{w}")
-        r = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        r = r.reshape(b, c, h // 2, w // 2, 4)
-        idx = np.argmax(r, axis=-1)
-        out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+        q00, q01, q10, q11 = _window_views(x)
+        out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+        # np.maximum leaves open which of two equal operands it returns. Equal
+        # values differ in bits only as -0.0 against +0.0 or as NaNs, so only
+        # inputs holding those need the slower walk that keeps the first.
+        x_bits = _bits(x)
+        if np.isnan(out).any() or (
+            (x_bits == 0).any() and (x_bits == np.iinfo(x_bits.dtype).min).any()
+        ):
+            out = _first_max(x)
         if train:
-            self._idx = idx
-            self._shape = x.shape
+            self._hits = _first_hits(x_bits, _bits(out))
         return out
 
     def backward(self, g):
-        b, c, h, w = self._shape
-        z = np.zeros((b, c, h // 2, w // 2, 4), dtype=g.dtype)
-        np.put_along_axis(z, self._idx[..., None], g[..., None], axis=-1)
-        z = z.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        self._idx = None
-        return z.reshape(b, c, h, w)
+        b, c, h, w = g.shape
+        dx = np.empty((b, c, 2 * h, 2 * w), dtype=g.dtype)
+        # Multiplying g's bits by a hit mask writes +0.0 where it is False.
+        g_bits = _bits(g)
+        for hit, dq_bits in zip(self._hits, _window_views(_bits(dx))):
+            np.multiply(g_bits, hit, out=dq_bits)
+        self._hits = None
+        return dx
 
     def params(self):
         return []
 
     def grads(self):
         return []
+
+
+def _window_views(a):
+    """The four strided views of a's 2x2 windows, in row-major window order."""
+    return [a[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+
+
+def _first_hits(x_bits, out_bits):
+    """One mask per window position: True where that position is the first
+    in its window to hold the output's bits, that is, where forward took the
+    output from, NaN windows included. The output is one of the window's
+    elements, so the last position takes every window not yet matched.
+    """
+    first, *middle, _ = _window_views(x_bits)
+    hits = [first == out_bits]
+    taken = hits[0].copy()
+    for q_bits in middle:
+        hit = (q_bits == out_bits) & ~taken
+        taken |= hit
+        hits.append(hit)
+    hits.append(~taken)
+    return hits
+
+
+def _first_max(x):
+    """Each window's first maximal element in row-major order, bit for bit.
+
+    Each step is the one np.argmax makes: move on unless q <= the running
+    max, and never leave a NaN.
+    """
+    first, *rest = _window_views(x)
+    out = first.copy()
+    for q in rest:
+        np.copyto(out, q, where=~(q <= out) & (out == out))
+    return out
+
+
+def _bits(a):
+    """a reinterpreted as signed integers of the same width."""
+    return a.view(np.dtype(f"i{a.itemsize}"))
 
 
 class Flatten:
@@ -258,8 +315,10 @@ class ConvNet:
 
     def backward(self, dlogits: np.ndarray) -> None:
         g = dlogits.astype(self.arch.np_dtype, copy=False)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
+        # The first layer is a conv on the input image, whose gradient no one reads.
+        self.layers[0].backward(g, need_dx=False)
 
     def params(self) -> list:
         return [p for layer in self.layers for p in layer.params()]

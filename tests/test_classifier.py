@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from emorefinery import classifier
 from emorefinery.classifier import (
     EmotionDistribution,
     Model,
@@ -21,7 +22,7 @@ from emorefinery.classifier import (
     train_segment_classifier,
     uniform_distribution,
 )
-from emorefinery.errors import ConfigError, DataError
+from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
 from emorefinery.features import Segment
 from emorefinery.network import Architecture, ConvNet, batch_cross_entropy, softmax
 
@@ -206,6 +207,21 @@ class TestTraining:
         for p1, p2 in zip(m1.net.params(), m2.net.params()):
             np.testing.assert_array_equal(p1, p2)
 
+    def test_compact_float32_determinism_bit_identical(self):
+        rng = np.random.default_rng(22)
+        segs = make_segments(rng, 96, shape=(32, 32),
+                             utterance_ids=[f"u{i // 6:02d}" for i in range(96)])
+        targets = [random_distribution(rng, NAMES4) for _ in segs]
+        cfg = TrainConfig(max_epochs=4, batch_size=32, seed=8, validation_fraction=0.2,
+                          architecture="compact")
+        m1 = train_segment_classifier(segs, targets, cfg)
+        m2 = train_segment_classifier(segs, targets, cfg)
+        assert m1.history == m2.history
+        assert m1.history["n_val_segments"] > 0
+        for p1, p2 in zip(m1.net.params(), m2.net.params(), strict=True):
+            assert p1.dtype == np.float32
+            assert p1.tobytes() == p2.tobytes()
+
     def test_overfits_two_segments(self):
         rng = np.random.default_rng(33)
         segs = [
@@ -301,6 +317,69 @@ class TestPredict:
             # BLAS accumulates differently for different batch shapes, so
             # agreement is to rounding, not bit-exact.
             np.testing.assert_allclose(batch[i], predict(model, seg).probs, atol=1e-12)
+
+
+class TestBlasThreads:
+    """Training and prediction run OpenBLAS on one thread, and only while they run."""
+
+    @pytest.fixture
+    def openblas(self):
+        lib = classifier._openblas()
+        if lib is None:
+            pytest.skip("numpy does not use OpenBLAS here")
+        get, set_ = lib
+        before = get()
+        set_(2)
+        if get() != 2:
+            set_(before)
+            pytest.skip("this OpenBLAS cannot run two threads")
+        yield get
+        set_(before)
+
+    def data(self):
+        rng = np.random.default_rng(31)
+        segs = make_segments(rng, 24, shape=(32, 32))
+        return segs, [random_distribution(rng, NAMES4) for _ in segs]
+
+    def config(self):
+        return TrainConfig(max_epochs=2, batch_size=8, seed=4, architecture="compact")
+
+    def test_one_thread_inside_and_restored_after(self, openblas, monkeypatch):
+        seen = []
+        forward = ConvNet.forward
+
+        def spy(net, x, train=False):
+            seen.append(openblas())
+            return forward(net, x, train)
+
+        monkeypatch.setattr(ConvNet, "forward", spy)
+        segs, targets = self.data()
+        model = train_segment_classifier(segs, targets, self.config())
+        assert seen and set(seen) == {1}
+        assert openblas() == 2
+        seen.clear()
+        predict_batch(model, segs)
+        assert seen and set(seen) == {1}
+        assert openblas() == 2
+
+    def test_restored_after_divergence(self, openblas, monkeypatch):
+        def diverge(logits, targets):
+            return float("nan"), np.zeros_like(logits)
+
+        monkeypatch.setattr(classifier, "batch_cross_entropy", diverge)
+        segs, targets = self.data()
+        with pytest.raises(TrainingDivergedError):
+            train_segment_classifier(segs, targets, self.config())
+        assert openblas() == 2
+
+    def test_without_openblas_same_parameters(self, monkeypatch):
+        segs, targets = self.data()
+        pinned = train_segment_classifier(segs, targets, self.config())
+        monkeypatch.setattr(classifier, "_openblas", lambda: None)
+        unpinned = train_segment_classifier(segs, targets, self.config())
+        assert unpinned.history == pinned.history
+        for p1, p2 in zip(pinned.net.params(), unpinned.net.params(), strict=True):
+            assert p1.tobytes() == p2.tobytes()
 
 
 class TestPersistence:
