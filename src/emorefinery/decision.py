@@ -2,25 +2,20 @@
 
 CART trees with Gini-impurity splits on axis-aligned thresholds. Candidate
 thresholds are midpoints of consecutive sorted distinct feature values;
-samples with x <= threshold go left. Split ranking is exact: a float scan
-shortlists near-optimal candidates, then integer-count rationals decide
-order, so ties break reproducibly by (impurity, lowest feature index,
-lowest threshold).
+samples with x <= threshold go left. Split ranking is exact: one vectorized
+float pass over every candidate feature shortlists near-optimal cuts, then
+integer cross-multiplication decides their order, so ties break
+reproducibly by (impurity, lowest feature index, lowest threshold).
 """
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-FOREST_FORMAT = "emorefinery-forest"
-FOREST_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -63,19 +58,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.histogram is not None
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"histogram": [int(v) for v in self.histogram]}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
-        if "histogram" in d:
-            return TreeNode(histogram=np.asarray(d["histogram"], dtype=np.int64))
-        return TreeNode(feature=int(d["feature"]), threshold=float(d["threshold"]),
-                        left=TreeNode.from_dict(d["left"]), right=TreeNode.from_dict(d["right"]))
-
 
 @dataclass(frozen=True)
 class Forest:
@@ -90,47 +72,55 @@ def _as_matrix(X) -> np.ndarray:
     return np.stack(rows)
 
 
-def _purity_sum(counts) -> Fraction:
-    """Sum of squared class counts over the sample count, exactly."""
-    n = int(counts.sum())
-    return Fraction(int(np.sum(counts.astype(object) ** 2)), n)
+def _check_finite(x: np.ndarray, what: str) -> None:
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(f"{what} {row} holds the non-finite value {x[row, col]} "
+                        f"at feature {col}")
 
 
 def _best_split(x, y, k, features):
     """Exact Gini-optimal (feature, threshold) or None if nothing improves.
 
     Minimizing weighted child impurity equals maximizing
-    T = sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
-    a rational in the integer counts, so near-ties found by the float scan
-    are settled exactly.
+    T = A/n_l + B/n_r = (A*n_r + B*n_l) / (n_l*n_r), where A and B are the
+    sums of squared class counts left and right of the cut. One float pass
+    scores every (cut, feature) pair at once; the pairs near its maximum are
+    then ranked exactly by cross-multiplying Python ints, in (feature, cut)
+    order, so the first of equal candidates wins.
     """
     n = y.size
-    parent_t = _purity_sum(np.bincount(y, minlength=k))
-    best = None  # (T: Fraction, feature, threshold)
-    for f in sorted(int(v) for v in features):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        cuts = np.flatnonzero(xs[:-1] != xs[1:])
-        if cuts.size == 0:
-            continue
-        onehot = np.zeros((n, k), dtype=np.int64)
-        onehot[np.arange(n), y[order]] = 1
-        left = np.cumsum(onehot, axis=0)[cuts]
-        right = np.bincount(y, minlength=k) - left
-        n_left = (cuts + 1).astype(np.int64)
-        n_right = n - n_left
-        t_float = (left ** 2).sum(axis=1) / n_left + (right ** 2).sum(axis=1) / n_right
-        shortlist = np.flatnonzero(t_float >= t_float.max() - 1e-9 * max(1.0, t_float.max()))
-        for i in shortlist:
-            t_exact = (Fraction(int((left[i] ** 2).sum()), int(n_left[i]))
-                       + Fraction(int((right[i] ** 2).sum()), int(n_right[i])))
-            threshold = (xs[cuts[i]] + xs[cuts[i] + 1]) / 2
-            if (best is None or t_exact > best[0]
-                    or (t_exact == best[0] and (f, threshold) < (best[1], best[2]))):
-                best = (t_exact, f, threshold)
-    if best is None or best[0] <= parent_t:
+    feats = np.sort(features)
+    xf = x[:, feats]
+    order = np.argsort(xf, axis=0, kind="stable")
+    xs = xf[order, np.arange(feats.size)]
+    left = np.cumsum(y[order[:-1]][:, :, None] == np.arange(k), axis=0, dtype=np.int64)
+    total = np.bincount(y, minlength=k)
+    a = (left ** 2).sum(axis=2)
+    b = ((total - left) ** 2).sum(axis=2)
+    n_left = np.arange(1, n, dtype=np.int64)[:, None]
+    t_float = a / n_left + b / (n - n_left)
+    t_float[xs[:-1] == xs[1:]] = -np.inf
+    top = t_float.max()
+    if top == -np.inf:
         return None
-    return best[1], best[2]
+    cols, cuts = np.nonzero(t_float.T >= top - 1e-9 * max(1.0, top))
+    best = None  # (numerator, denominator, column, cut) of T
+    for j, c, a_c, b_c in zip(cols.tolist(), cuts.tolist(),
+                              a[cuts, cols].tolist(), b[cuts, cols].tolist()):
+        n_l, n_r = c + 1, n - c - 1
+        num, den = a_c * n_r + b_c * n_l, n_l * n_r
+        if best is None or num * best[1] > best[0] * den:
+            best = (num, den, j, c)
+    num, den, j, c = best
+    if num * n <= int((total ** 2).sum()) * den:
+        return None
+    # The midpoint can round onto hi or overflow; a threshold outside
+    # [lo, hi) would send every sample to one side.
+    lo, hi = float(xs[c, j]), float(xs[c + 1, j])
+    mid = (lo + hi) / 2
+    return int(feats[j]), mid if lo <= mid < hi else lo
 
 
 def _grow(x, y, k, cfg: ForestConfig, rng, depth: int) -> TreeNode:
@@ -159,6 +149,7 @@ def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
     if len(X) != len(y):
         raise DataError("features and labels differ in length")
     x = _as_matrix(X)
+    _check_finite(x, "training sample")
     labels = np.asarray(y, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= len(names)):
         raise DataError(f"labels must lie in 0..{len(names) - 1}")
@@ -178,43 +169,39 @@ def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
     return Forest(trees=tuple(trees), class_names=names, n_features=x.shape[1], seed=cfg.seed)
 
 
-def _tree_vote(node: TreeNode, row: np.ndarray) -> int:
+def _leaf(node: TreeNode, row: list) -> TreeNode:
     while not node.is_leaf:
         node = node.left if row[node.feature] <= node.threshold else node.right
-    return int(np.argmax(node.histogram))
+    return node
 
 
-def predict_forest(forest: Forest, x) -> int:
-    """Plurality vote over tree votes; ties break to the lowest class index."""
-    row = np.asarray(getattr(x, "features", x), dtype=np.float64)
-    if row.shape != (forest.n_features,):
-        raise DataError(f"feature vector has shape {row.shape}, "
-                        f"expected ({forest.n_features},)")
-    votes = np.bincount([_tree_vote(t, row) for t in forest.trees],
-                        minlength=len(forest.class_names))
-    return int(np.argmax(votes))
+def predict_forest(forest: Forest, x):
+    """Plurality vote over tree votes; ties break to the lowest class index.
+
+    `x` is one feature vector, giving one class index, or an (n, d) matrix
+    of them, giving an int64 array of n class indices. Rows walk the trees
+    as Python floats, which is cheaper than numpy index arrays at the few
+    dozen rows one evaluation fold holds; the votes are tallied at once.
+    """
+    rows = np.asarray(getattr(x, "features", x), dtype=np.float64)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != forest.n_features:
+        raise DataError(f"features have shape {rows.shape}, expected "
+                        f"({forest.n_features},) or (rows, {forest.n_features})")
+    matrix = rows.reshape(-1, forest.n_features)
+    _check_finite(matrix, "input row")
+    leaf_classes = np.array([[_leaf(tree, row).histogram.argmax() for tree in forest.trees]
+                             for row in matrix.tolist()], dtype=np.int64)
+    votes = (leaf_classes.reshape(len(matrix), len(forest.trees))[:, :, None]
+             == np.arange(len(forest.class_names))).sum(axis=1)
+    winners = np.argmax(votes, axis=1)
+    return int(winners[0]) if rows.ndim == 1 else winners
 
 
 def predict_forest_batch(forest: Forest, X) -> np.ndarray:
-    return np.array([predict_forest(forest, x) for x in X], dtype=np.int64)
-
-
-def save_forest(forest: Forest, path) -> None:
-    doc = {"format": FOREST_FORMAT, "version": FOREST_VERSION,
-           "class_names": list(forest.class_names), "n_features": forest.n_features,
-           "seed": forest.seed, "trees": [t.to_dict() for t in forest.trees]}
-    Path(path).write_text(json.dumps(doc) + "\n")
-
-
-def load_forest(path) -> Forest:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != FOREST_FORMAT:
-        raise DataError(f"{path} is not a forest checkpoint")
-    if doc.get("version") != FOREST_VERSION:
-        raise DataError(f"unsupported forest checkpoint version {doc.get('version')!r}")
-    return Forest(trees=tuple(TreeNode.from_dict(t) for t in doc["trees"]),
-                  class_names=tuple(doc["class_names"]),
-                  n_features=int(doc["n_features"]), seed=int(doc["seed"]))
+    """Class index for each of a sequence of feature vectors or representations."""
+    if len(X) == 0:
+        return np.zeros(0, dtype=np.int64)
+    return predict_forest(forest, _as_matrix(X))
 
 
 def write_predictions_csv(path, records) -> None:

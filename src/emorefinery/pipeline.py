@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .classifier import save_model
 from .config import ExperimentConfig, config_to_dict
-from .decision import predict_forest, train_forest, write_predictions_csv
+from .decision import predict_forest_batch, train_forest, write_predictions_csv
 from .errors import DataError, EmoRefineryError
 from .evaluation import (confusion_from_predictions, kfold_split, unweighted_accuracy,
                          weighted_accuracy, write_confusion_csv, write_metrics_report)
@@ -101,8 +101,9 @@ def cross_validated_predictions(reps, labels, class_names, forest_cfg, folds: in
         cfg = replace(forest_cfg, seed=derive_seed(forest_cfg.seed, fold))
         forest = train_forest([reps[u] for u in train_ids],
                               [labels[u] for u in train_ids], cfg, class_names)
-        for u in plan.members(fold):
-            predictions[u] = predict_forest(forest, reps[u])
+        members = plan.members(fold)
+        predicted = predict_forest_batch(forest, [reps[u] for u in members])
+        predictions.update(zip(members, predicted.tolist()))
     return predictions
 
 

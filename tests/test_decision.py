@@ -1,26 +1,30 @@
-"""Forest tests: an exhaustive split-search oracle, determinism, voting,
-degenerate cases, and persistence."""
+"""Forest tests: an exhaustive split-search oracle, a property test against
+the first Fraction-ranked implementation, determinism, voting, degenerate
+cases, and the predictions CSV."""
 
+import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emorefinery.decision import (
     Forest,
     ForestConfig,
     TreeNode,
-    load_forest,
     predict_forest,
     predict_forest_batch,
     read_predictions_csv,
-    save_forest,
     train_forest,
     write_predictions_csv,
 )
 from emorefinery.errors import ConfigError, DataError
 
 NAMES3 = ("a", "b", "c")
+EPS = np.finfo(np.float64).eps
 
 
 # --- independent oracle: exhaustive split enumeration with exact rationals ---
@@ -81,6 +85,126 @@ def single_tree_config(**kw):
     args = dict(n_trees=1, bootstrap=False, max_features=0, seed=0)
     args.update(kw)
     return ForestConfig(**args)
+
+
+def tree_signature(node: TreeNode):
+    """A tree as nested tuples: leaf histograms, and for each split its
+    feature and the bit pattern of its threshold."""
+    if node.is_leaf:
+        return tuple(int(v) for v in node.histogram)
+    return (node.feature, struct.pack("<d", node.threshold),
+            tree_signature(node.left), tree_signature(node.right))
+
+
+# --- reference: the first implementation, one feature at a time with
+# Fraction ranking; the vectorized split search must grow the same trees ---
+
+def reference_purity_sum(counts):
+    n = int(counts.sum())
+    return Fraction(int(np.sum(counts.astype(object) ** 2)), n)
+
+
+def reference_best_split(x, y, k, features):
+    n = y.size
+    parent_t = reference_purity_sum(np.bincount(y, minlength=k))
+    best = None  # (T: Fraction, feature, threshold)
+    for f in sorted(int(v) for v in features):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        cuts = np.flatnonzero(xs[:-1] != xs[1:])
+        if cuts.size == 0:
+            continue
+        onehot = np.zeros((n, k), dtype=np.int64)
+        onehot[np.arange(n), y[order]] = 1
+        left = np.cumsum(onehot, axis=0)[cuts]
+        right = np.bincount(y, minlength=k) - left
+        n_left = (cuts + 1).astype(np.int64)
+        n_right = n - n_left
+        t_float = (left ** 2).sum(axis=1) / n_left + (right ** 2).sum(axis=1) / n_right
+        shortlist = np.flatnonzero(t_float >= t_float.max() - 1e-9 * max(1.0, t_float.max()))
+        for i in shortlist:
+            t_exact = (Fraction(int((left[i] ** 2).sum()), int(n_left[i]))
+                       + Fraction(int((right[i] ** 2).sum()), int(n_right[i])))
+            threshold = (xs[cuts[i]] + xs[cuts[i] + 1]) / 2
+            if (best is None or t_exact > best[0]
+                    or (t_exact == best[0] and (f, threshold) < (best[1], best[2]))):
+                best = (t_exact, f, threshold)
+    if best is None or best[0] <= parent_t:
+        return None
+    return best[1], best[2]
+
+
+def reference_grow(x, y, k, cfg, rng, depth):
+    counts = np.bincount(y, minlength=k)
+    n, d = x.shape
+    if (np.count_nonzero(counts) <= 1 or n < cfg.min_samples_split
+            or depth == cfg.max_depth):
+        return TreeNode(histogram=counts)
+    mf = cfg.resolved_max_features(d)
+    features = np.arange(d) if mf == d else rng.choice(d, size=mf, replace=False)
+    split = reference_best_split(x, y, k, features)
+    if split is None:
+        return TreeNode(histogram=counts)
+    feature, threshold = split
+    mask = x[:, feature] <= threshold
+    return TreeNode(feature=feature, threshold=threshold,
+                    left=reference_grow(x[mask], y[mask], k, cfg, rng, depth + 1),
+                    right=reference_grow(x[~mask], y[~mask], k, cfg, rng, depth + 1))
+
+
+def reference_trees(x, y, k, cfg):
+    trees = []
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+        if cfg.bootstrap:
+            idx = rng.integers(0, x.shape[0], size=x.shape[0])
+            trees.append(reference_grow(x[idx], y[idx], k, cfg, rng, 0))
+        else:
+            trees.append(reference_grow(x, y, k, cfg, rng, 0))
+    return trees
+
+
+# Column kinds: coarse grids tie often, signed zeros compare equal but differ
+# in bits, constant columns have no cut, eighths are exact and spread out.
+COLUMN_VALUES = {
+    "grid": st.integers(0, 3).map(float),
+    "signed_zero": st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
+    "eighths": st.integers(-400, 400).map(lambda v: v / 8),
+}
+
+
+@st.composite
+def forest_cases(draw):
+    n = draw(st.integers(2, 80))
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 6))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(sorted(COLUMN_VALUES) + ["constant"]))
+        if kind == "constant":
+            columns.append([draw(COLUMN_VALUES["eighths"])] * n)
+        else:
+            columns.append(draw(st.lists(COLUMN_VALUES[kind], min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    cfg = ForestConfig(n_trees=draw(st.integers(1, 3)),
+                       max_features=draw(st.integers(0, d)),
+                       max_depth=draw(st.integers(-1, 5)),
+                       min_samples_split=draw(st.integers(2, 5)),
+                       bootstrap=draw(st.booleans()),
+                       seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return np.array(columns, dtype=np.float64).T, np.array(y, dtype=np.int64), k, cfg
+
+
+class TestReferenceEquivalence:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(forest_cases())
+    def test_trees_match_reference_node_for_node(self, case):
+        x, y, k, cfg = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # single-class draws
+            forest = train_forest(x, y, cfg, tuple("abcdef")[:k])
+        assert ([tree_signature(t) for t in forest.trees]
+                == [tree_signature(t) for t in reference_trees(x, y, k, cfg)])
 
 
 class TestOracleEquivalence:
@@ -167,9 +291,7 @@ class TestTraining:
         y = rng.integers(0, 3, 40)
         f1 = train_forest(x, y, ForestConfig(n_trees=10, seed=1), NAMES3)
         f2 = train_forest(x, y, ForestConfig(n_trees=10, seed=2), NAMES3)
-        t1 = [t.to_dict() for t in f1.trees]
-        t2 = [t.to_dict() for t in f2.trees]
-        assert t1 != t2
+        assert [tree_signature(t) for t in f1.trees] != [tree_signature(t) for t in f2.trees]
 
     def test_single_class_degenerates_with_warning(self):
         x = np.random.default_rng(11).uniform(0, 1, (8, 3))
@@ -184,6 +306,28 @@ class TestTraining:
         forest = train_forest(x, y, single_tree_config(max_depth=0, max_features=3), NAMES3)
         assert forest.trees[0].is_leaf
         assert predict_forest(forest, x[0]) == 1
+
+    @pytest.mark.parametrize("values, threshold", [
+        # (1+e + 1+2e)/2 rounds up onto 1+2e
+        ([1.0, 1.0 + EPS, 1.0 + 2 * EPS, 1.0 + 2 * EPS], 1.0 + EPS),
+        # the sum overflows to inf, or to -inf
+        ([1.7e308, 1.75e308], 1.7e308),
+        ([-1.75e308, -1.7e308], -1.75e308),
+    ])
+    def test_midpoint_outside_the_gap_falls_back_to_lower_value(self, values, threshold):
+        x = np.array(values)[:, None]
+        y = [0] * (len(values) // 2) + [1] * (len(values) - len(values) // 2)
+        forest = train_forest(x, y, single_tree_config(), ("a", "b"))
+        root = forest.trees[0]
+        assert root.threshold == threshold
+        assert root.left.is_leaf and root.right.is_leaf
+        assert predict_forest_batch(forest, x).tolist() == y
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.array([[0.0], [bad], [1.0], [2.0]])
+        with pytest.raises(DataError, match="sample 1 holds the non-finite value"):
+            train_forest(x, [0, 0, 1, 1], single_tree_config(), ("a", "b"))
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="no samples"):
@@ -225,6 +369,26 @@ class TestVoting:
         forest = self.leaf_forest([[1, 0, 0], [0, 0, 2]])
         # one vote each for a and c
         assert predict_forest(forest, np.zeros(2)) == 0
+        assert predict_forest_batch(forest, np.zeros((3, 2))).tolist() == [0, 0, 0]
+
+    def test_batch_matches_row_by_row(self):
+        rng = np.random.default_rng(16)
+        x = rng.integers(0, 3, (40, 5)).astype(np.float64)
+        y = rng.integers(0, 3, 40)
+        forest = train_forest(x, y, ForestConfig(n_trees=9, seed=6), NAMES3)
+        probe = np.concatenate([x, rng.integers(-1, 4, (30, 5)).astype(np.float64)])
+        batch = predict_forest_batch(forest, probe)
+        assert batch.dtype == np.int64
+        assert batch.tolist() == [predict_forest(forest, row) for row in probe]
+        assert predict_forest_batch(forest, []).tolist() == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        forest = self.leaf_forest([[1, 0, 0]])
+        with pytest.raises(DataError, match="row 0 holds the non-finite value"):
+            predict_forest(forest, np.array([0.0, bad]))
+        with pytest.raises(DataError, match="row 2 holds the non-finite value"):
+            predict_forest_batch(forest, [np.zeros(2), np.ones(2), np.array([bad, 0.0])])
 
     def test_identical_trees_vote_unanimously(self):
         rng = np.random.default_rng(14)
@@ -243,26 +407,6 @@ class TestVoting:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        x = rng.uniform(0, 1, (30, 5))
-        y = rng.integers(0, 3, 30)
-        forest = train_forest(x, y, ForestConfig(n_trees=12, seed=4), NAMES3)
-        path = tmp_path / "forest.json"
-        save_forest(forest, path)
-        loaded = load_forest(path)
-        assert loaded.class_names == forest.class_names
-        assert loaded.n_features == 5
-        probe = rng.uniform(0, 1, (20, 5))
-        np.testing.assert_array_equal(predict_forest_batch(forest, probe),
-                                      predict_forest_batch(loaded, probe))
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"format": "other"}\n')
-        with pytest.raises(DataError, match="not a forest"):
-            load_forest(path)
-
     def test_predictions_csv_round_trip(self, tmp_path):
         records = [("u1", "a", "a"), ("u2", "b", "c")]
         path = tmp_path / "preds.csv"
