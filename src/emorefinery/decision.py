@@ -80,8 +80,8 @@ def _check_finite(x: np.ndarray, what: str) -> None:
                         f"at feature {col}")
 
 
-def _best_split(x, y, k, features):
-    """Exact Gini-optimal (feature, threshold) or None if nothing improves.
+def _best_split(x, rows, y, k, features):
+    """Exact Gini-optimal (feature, threshold) over x[rows], or None if nothing improves.
 
     Minimizing weighted child impurity equals maximizing
     T = A/n_l + B/n_r = (A*n_r + B*n_l) / (n_l*n_r), where A and B are the
@@ -92,7 +92,7 @@ def _best_split(x, y, k, features):
     """
     n = y.size
     feats = np.sort(features)
-    xf = x[:, feats]
+    xf = x[rows[:, None], feats]
     order = np.argsort(xf, axis=0, kind="stable")
     xs = xf[order, np.arange(feats.size)]
     left = np.cumsum(y[order[:-1]][:, :, None] == np.arange(k), axis=0, dtype=np.int64)
@@ -123,22 +123,23 @@ def _best_split(x, y, k, features):
     return int(feats[j]), mid if lo <= mid < hi else lo
 
 
-def _grow(x, y, k, cfg: ForestConfig, rng, depth: int) -> TreeNode:
+def _grow(x, labels, rows, k, mf: int, cfg: ForestConfig, rng, depth: int) -> TreeNode:
+    """Tree over the samples x[rows]; `rows` keeps their order, repeats included."""
+    y = labels[rows]
     counts = np.bincount(y, minlength=k)
-    n, d = x.shape
-    if (np.count_nonzero(counts) <= 1 or n < cfg.min_samples_split
+    if (np.count_nonzero(counts) <= 1 or rows.size < cfg.min_samples_split
             or depth == cfg.max_depth):
         return TreeNode(histogram=counts)
-    mf = cfg.resolved_max_features(d)
+    d = x.shape[1]
     features = np.arange(d) if mf == d else rng.choice(d, size=mf, replace=False)
-    split = _best_split(x, y, k, features)
+    split = _best_split(x, rows, y, k, features)
     if split is None:
         return TreeNode(histogram=counts)
     feature, threshold = split
-    mask = x[:, feature] <= threshold
+    mask = x[rows, feature] <= threshold
     return TreeNode(feature=feature, threshold=threshold,
-                    left=_grow(x[mask], y[mask], k, cfg, rng, depth + 1),
-                    right=_grow(x[~mask], y[~mask], k, cfg, rng, depth + 1))
+                    left=_grow(x, labels, rows[mask], k, mf, cfg, rng, depth + 1),
+                    right=_grow(x, labels, rows[~mask], k, mf, cfg, rng, depth + 1))
 
 
 def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
@@ -156,16 +157,14 @@ def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
     if len(set(labels.tolist())) == 1:
         warnings.warn(f"single-class training set; forest degenerates to always "
                       f"predicting {names[labels[0]]!r}", RuntimeWarning)
-    cfg.resolved_max_features(x.shape[1])
+    mf = cfg.resolved_max_features(x.shape[1])
 
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
-        if cfg.bootstrap:
-            idx = rng.integers(0, x.shape[0], size=x.shape[0])
-            trees.append(_grow(x[idx], labels[idx], len(names), cfg, rng, 0))
-        else:
-            trees.append(_grow(x, labels, len(names), cfg, rng, 0))
+        n = x.shape[0]
+        rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        trees.append(_grow(x, labels, rows, len(names), mf, cfg, rng, 0))
     return Forest(trees=tuple(trees), class_names=names, n_features=x.shape[1], seed=cfg.seed)
 
 

@@ -8,7 +8,7 @@ point at either raw audio ("audio") or precomputed log-Mel spectrograms
 import csv
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,11 @@ class ManifestRow:
     observed_label: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str):
+                raise DataError(f"{self.utterance_id!r}: {f.name} must be a string, "
+                                f"not {value!r}")
         if self.kind not in ROW_KINDS:
             raise DataError(f"{self.utterance_id!r}: row kind must be one of {ROW_KINDS}")
 
@@ -98,16 +103,27 @@ def load_manifest(corpus_root) -> CorpusManifest:
     path = root / MANIFEST_NAME if root.is_dir() else root
     if not path.exists():
         raise DataError(f"no manifest at {path}")
-    doc = json.loads(path.read_text())
-    if doc.get("format") != CORPUS_FORMAT:
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
         raise DataError(f"{path} is not a corpus manifest")
     if doc.get("version") != CORPUS_VERSION:
-        raise DataError(f"unsupported corpus manifest version {doc.get('version')!r}")
-    rows = [ManifestRow(utterance_id=r["utterance_id"], path=r["path"], kind=r["kind"],
-                        label=r["label"], speaker=r.get("speaker", ""),
-                        observed_label=r.get("observed_label", ""))
-            for r in doc["rows"]]
-    return CorpusManifest(class_names=tuple(doc["class_names"]), rows=rows, root=path.parent)
+        raise DataError(f"{path}: unsupported corpus manifest version {doc.get('version')!r}")
+    try:
+        rows = [ManifestRow(utterance_id=r["utterance_id"], path=r["path"], kind=r["kind"],
+                            label=r["label"], speaker=r.get("speaker", ""),
+                            observed_label=r.get("observed_label", ""))
+                for r in doc["rows"]]
+        return CorpusManifest(class_names=tuple(doc["class_names"]), rows=rows,
+                              root=path.parent)
+    except KeyError as exc:
+        raise DataError(f"{path} lacks the key {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise DataError(f"{path} holds a malformed entry: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _parse_label_speaker_index(rel: Path):
@@ -183,14 +199,58 @@ def write_spectrogram_csv(path, s: LogMelSpectrogram) -> None:
                             + [f"{v:.17g}" for v in s.values[:, j]])
 
 
+def _parse_rows(lines) -> np.ndarray:
+    """numpy's C reader over comma-separated lines; blank lines are skipped.
+
+    Since numpy 1.23 each field goes through PyOS_string_to_double, the
+    conversion float() uses, so every value keeps the bits float() would
+    give it. Unlike float(), it rejects quotes and digit separators ("1_0").
+    """
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+
+def _is_number(field: str) -> bool:
+    try:
+        return bool(field) and _parse_rows([field]).size == 1
+    except ValueError:
+        return False
+
+
+def _bad_line(path, lines, width: int) -> str:
+    """Name the first of `lines` (file line 2 onward) that is not `width` numbers."""
+    for number, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        values = line.split(",")
+        if len(values) != width:
+            return (f"{path}, line {number}: {len(values)} values where the header "
+                    f"names {width} columns")
+        for field in values:
+            if not _is_number(field):
+                return f"{path}, line {number}: {field!r} is not a number"
+    return f"{path} does not hold {width} numbers per line"
+
+
 def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["frame_time_ms"]:
+    """Load a CSV written by write_spectrogram_csv, every value bit for bit.
+
+    A row that is not one number per header column raises a DataError
+    naming the file and the line.
+    """
+    with Path(path).open() as fh:
+        header = next(csv.reader([fh.readline()]))
+        body = fh.read()
+    if header[:1] != ["frame_time_ms"]:
         raise DataError(f"{path} is not a spectrogram CSV")
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
-    if data.size == 0:
+    if not body.strip():
         raise DataError(f"{path} holds no frames")
+    lines = body.split("\n")
+    try:
+        data = _parse_rows(lines)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
+        raise DataError(_bad_line(path, lines, len(header)))
     return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0],
                              utterance_id=utterance_id)
 

@@ -368,18 +368,24 @@ def write_ep_csv(path, eps) -> None:
 def read_ep_csv(path, class_names) -> dict:
     """Rebuild the utterance_id -> EmotionProfile map written by write_ep_csv."""
     names = tuple(class_names)
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:3] != ["utterance_id", "segment_index", "generation"]:
-        raise DataError(f"{path} is not an emotion profile CSV")
-    if len(rows[0]) != 3 + len(names):
-        raise DataError(f"{path} carries {len(rows[0]) - 3} classes, expected {len(names)}")
     columns = {}
     generations = {}
-    for row in rows[1:]:
-        uid, idx, gen = row[0], int(row[1]), int(row[2])
-        columns.setdefault(uid, {})[idx] = np.array([float(v) for v in row[3:]])
-        generations.setdefault(uid, set()).add(gen)
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[:3] != ["utterance_id", "segment_index", "generation"]:
+            raise DataError(f"{path} is not an emotion profile CSV")
+        if len(header) != 3 + len(names):
+            raise DataError(f"{path} carries {len(header) - 3} classes, expected {len(names)}")
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields where the header names {len(header)}")
+                uid, idx, gen = row[0], int(row[1]), int(row[2])
+                columns.setdefault(uid, {})[idx] = np.array([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+            generations.setdefault(uid, set()).add(gen)
     eps = {}
     for uid, cols in columns.items():
         if sorted(cols) != list(range(len(cols))):

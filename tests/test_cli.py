@@ -112,6 +112,33 @@ class TestRun:
         assert main(["run", "--config", str(workspace / "cfg.json"),
                      "--corpus", str(tmp_path / "nowhere")]) == 3
 
+    @pytest.mark.parametrize("text, what", [
+        ('{"format": "emorefinery-corpus", "version": 1, "rows": [', "is not valid JSON"),
+        ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"]}',
+         "lacks the key 'rows'"),
+    ])
+    def test_malformed_manifest_exits_3(self, workspace, tmp_path, capsys, text, what):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(tmp_path), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {manifest}")
+        assert what in err[0]
+
+    def test_truncated_eps_csv_exits_3(self, workspace, tmp_path, capsys):
+        args = ["run", "--config", str(workspace / "cfg.json"),
+                "--corpus", str(workspace / "corpus"), "--out", str(tmp_path / "run"),
+                "--generations", "1"]
+        assert main(args) == 0
+        eps = tmp_path / "run" / "generations" / "gen01" / "eps.csv"
+        text = eps.read_text()
+        eps.write_text(text[:text.rindex(",")])
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {eps}, line ")
+
     def test_conflicting_run_dir_exits_3(self, workspace, finished_run):
         assert main(["run", "--config", str(workspace / "cfg.json"),
                      "--corpus", str(workspace / "corpus"), "--seed", "6",

@@ -1,9 +1,14 @@
 """Corpus manifest and spectrogram store tests."""
 
+import csv
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus
 from emorefinery.errors import ConfigError, DataError
@@ -96,6 +101,28 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="not a corpus manifest"):
             load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("text, what", [
+        ('{"format": "emorefinery-corpus", "version": 1,', "is not valid JSON"),
+        ("[1, 2]", "is not a corpus manifest"),
+        ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"]}',
+         "lacks the key 'rows'"),
+        ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"], '
+         '"rows": [{"utterance_id": "u0"}]}', "lacks the key 'path'"),
+        ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"], '
+         '"rows": [7]}', "holds a malformed entry"),
+        ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"], '
+         '"rows": [{"utterance_id": "u0", "path": 5, "kind": "features", "label": "a"}]}',
+         "'u0': path must be a string, not 5"),
+        ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"], '
+         '"rows": []}', "has no utterances"),
+    ])
+    def test_malformed_manifest_names_file(self, tmp_path, text, what):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_manifest(tmp_path)
+        assert str(path) in str(err.value) and what in str(err.value)
+
     def test_rejects_unknown_version(self, tmp_path):
         (tmp_path / "manifest.json").write_text(
             json.dumps({"format": "emorefinery-corpus", "version": 99}))
@@ -121,6 +148,119 @@ class TestSpectrogramStore:
         (tmp_path / "s.csv").write_text("frame_time_ms,m_1\n")
         with pytest.raises(DataError, match="no frames"):
             read_spectrogram_csv(tmp_path / "s.csv", "u0")
+
+
+def reference_read_spectrogram_csv(path, utterance_id):
+    """The first reader: the csv module, then float() on every field."""
+    with Path(path).open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0][:1] != ["frame_time_ms"]:
+        raise DataError(f"{path} is not a spectrogram CSV")
+    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
+    if data.size == 0:
+        raise DataError(f"{path} holds no frames")
+    return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0],
+                             utterance_id=utterance_id)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.1]
+
+
+@st.composite
+def short_decimals(draw):
+    """Values whose shortest repr has 1 to 17 significant digits."""
+    digits = draw(st.integers(1, 17))
+    mantissa = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    sign = draw(st.sampled_from(["", "-"]))
+    return float(f"{sign}{mantissa}e{draw(st.integers(-30, 30))}")
+
+
+CSV_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    short_decimals(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def spectrogram_files(draw):
+    n_mels, n_frames = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    values = draw(st.lists(CSV_VALUES, min_size=n_mels * n_frames, max_size=n_mels * n_frames))
+    times = draw(st.lists(CSV_VALUES, min_size=n_frames, max_size=n_frames))
+    s = LogMelSpectrogram(values=np.array(values).reshape(n_mels, n_frames),
+                          frame_times=np.array(times), utterance_id="u0")
+    return s, draw(st.sampled_from([b"\r\n", b"\n", b"\r"]))
+
+
+class TestReaderOracle:
+    """read_spectrogram_csv against the first reader, byte for byte."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(spectrogram_files())
+    @example((LogMelSpectrogram(values=np.array([EDGE_VALUES[:8]]).T, frame_times=[-0.0],
+                                utterance_id="u0"), b"\n"))
+    @example((LogMelSpectrogram(values=np.array([[1.5, 2.0], [-3.0, 0.1]]),
+                                frame_times=[0.0, 10.0], utterance_id="u0"), b"\r\n"))
+    def test_bytes_match_reference(self, tmp_path_factory, case):
+        s, newline = case
+        path = tmp_path_factory.mktemp("oracle") / "s.csv"
+        write_spectrogram_csv(path, s)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", newline))
+        got = read_spectrogram_csv(path, "u0")
+        want = reference_read_spectrogram_csv(path, "u0")
+        assert got.values.tobytes() == want.values.tobytes() == s.values.tobytes()
+        assert got.frame_times.tobytes() == want.frame_times.tobytes() == s.frame_times.tobytes()
+        assert got.values.shape == want.values.shape
+
+    @pytest.mark.parametrize("body, line, what", [
+        ("0,1,2\n10,x,4\n", 3, "'x' is not a number"),
+        ("0,1,2\n\n10,x,4\n", 4, "'x' is not a number"),
+        ("0,1,2\n10,3\n20,5,6\n", 3, "2 values where the header names 3 columns"),
+        ("0,1,2,3\n", 2, "4 values where the header names 3 columns"),
+        ("0,1,\n", 2, "'' is not a number"),
+    ])
+    def test_malformed_rows_name_file_and_line(self, tmp_path, body, line, what):
+        path = tmp_path / "s.csv"
+        path.write_text("frame_time_ms,m_1,m_2\n" + body)
+        with pytest.raises(DataError) as err:
+            read_spectrogram_csv(path, "u0")
+        assert str(err.value) == f"{path}, line {line}: {what}"
+
+    def test_header_over_narrower_rows_rejected(self, tmp_path):
+        # Three mels named, one value per row: the first reader loaded this
+        # as a one-mel spectrogram.
+        path = tmp_path / "s.csv"
+        path.write_text("frame_time_ms,m_1,m_2,m_3\n0,1\n10,2\n")
+        assert reference_read_spectrogram_csv(path, "u0").n_mels == 1
+        with pytest.raises(DataError, match=r"line 2: 2 values where the header names 4"):
+            read_spectrogram_csv(path, "u0")
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+    def test_headers_only_warns_nothing(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_text("frame_time_ms,m_1\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"{path} holds no frames"):
+                read_spectrogram_csv(path, "u0")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("frame_time_ms,m_1\n0,1.5\n\n10,2.5\n")
+        with pytest.raises(ValueError):
+            reference_read_spectrogram_csv(path, "u0")
+        s = read_spectrogram_csv(path, "u0")
+        assert s.values.tolist() == [[1.5, 2.5]] and s.frame_times.tolist() == [0.0, 10.0]
+
+    @pytest.mark.parametrize("field", ['"1.5"', "1_0"])
+    def test_fields_float_alone_accepts_rejected(self, tmp_path, field):
+        path = tmp_path / "s.csv"
+        path.write_text(f"frame_time_ms,m_1\n0,{field}\n")
+        reference_read_spectrogram_csv(path, "u0")
+        with pytest.raises(DataError, match=f"line 2: {field!r} is not a number"):
+            read_spectrogram_csv(path, "u0")
 
 
 class TestSyntheticCorpusStore:

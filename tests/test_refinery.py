@@ -435,6 +435,32 @@ class TestEpCsv:
         write_ep_csv(p2, eps)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @staticmethod
+    def damage(text, field, value):
+        """Put `value` in place of field `field` of the first data row."""
+        lines = text.split("\n")
+        row = lines[1].split(",")
+        row[field] = value
+        lines[1] = ",".join(row)
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("damage, line, what", [
+        (lambda text: text[:text.rindex(",")], 6, "6 fields where the header names 7"),
+        (lambda text: text[:text.rindex("\n", 0, -2) + 1] + "utt_b", 6,
+         "1 fields where the header names 7"),
+        (lambda text: TestEpCsv.damage(text, 1, "x"), 2, "invalid literal for int"),
+        (lambda text: TestEpCsv.damage(text, 3, "junk"), 2,
+         "could not convert string to float: 'junk'"),
+    ])
+    def test_damaged_rows_name_file_and_line(self, tmp_path, damage, line, what):
+        path = tmp_path / "eps.csv"
+        write_ep_csv(path, self.make_eps(np.random.default_rng(21)))
+        path.write_bytes(damage(path.read_bytes().decode()).encode())
+        with pytest.raises(DataError) as err:
+            read_ep_csv(path, NAMES4)
+        assert str(err.value).startswith(f"{path}, line {line}: ")
+        assert what in str(err.value)
+
     def test_reject_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
