@@ -113,6 +113,25 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_types(cls, body: dict, prefix: str = "") -> None:
+    """Reject a value whose JSON type is not the field's declared type.
+
+    An integer may stand for a float; a bool never stands for an integer.
+    Fields of other types (sections, the architecture) have parsers of
+    their own.
+    """
+    for f in fields(cls):
+        if f.name not in body or f.type not in _JSON_KINDS:
+            continue
+        value = body[f.name]
+        if type(value) is not f.type and not (f.type is float and type(value) is int):
+            raise ConfigError(f"{prefix}{f.name} must be {_JSON_KINDS[f.type]}, "
+                              f"not {json.dumps(value)}")
+
+
 def _section_from_dict(section: str, body: dict):
     cls, excluded = _SECTIONS[section]
     if not isinstance(body, dict):
@@ -121,6 +140,7 @@ def _section_from_dict(section: str, body: dict):
     extra = set(body) - allowed
     if extra:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
+    _check_types(cls, body, f"{section}.")
     kwargs = dict(body)
     if "architecture" in kwargs:
         kwargs["architecture"] = _architecture_from_json(kwargs["architecture"])
@@ -139,6 +159,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     extra = set(doc) - {"schema_version", *_TOP_KEYS, *_SECTIONS}
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    _check_types(ExperimentConfig, doc)
     kwargs = {key: doc[key] for key in _TOP_KEYS if key in doc}
     for section in _SECTIONS:
         if section in doc:
@@ -154,7 +175,10 @@ def load_config(path) -> ExperimentConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    try:
+        return config_from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

@@ -6,6 +6,16 @@ samples with x <= threshold go left. Split ranking is exact: one vectorized
 float pass over every candidate feature shortlists near-optimal cuts, then
 integer cross-multiplication decides their order, so ties break
 reproducibly by (impurity, lowest feature index, lowest threshold).
+
+A forest's trees grow in lockstep, without recursion. Each tree keeps an
+explicit depth-first stack and its own rng; a step takes from every
+unfinished tree the next node that needs a split, closing leaves on the
+way, and one split search serves all of the step's nodes, their rows laid
+end to end. The rng of a tree draws its nodes' candidate features in
+depth-first preorder, so each tree is the one a recursive grower would
+build. A step stops taking nodes once their (node, feature) rows would
+pass _STEP_ROWS, and always takes one, which bounds its temporaries
+however many trees and samples the forest has.
 """
 
 import csv
@@ -80,66 +90,164 @@ def _check_finite(x: np.ndarray, what: str) -> None:
                         f"at feature {col}")
 
 
-def _best_split(x, rows, y, k, features):
-    """Exact Gini-optimal (feature, threshold) over x[rows], or None if nothing improves.
+# Rows of (node, feature) segments one split-search step may lay end to end:
+# the step's temporaries grow with this count, times the number of classes.
+_STEP_ROWS = 1 << 16
 
-    Minimizing weighted child impurity equals maximizing
-    T = A/n_l + B/n_r = (A*n_r + B*n_l) / (n_l*n_r), where A and B are the
-    sums of squared class counts left and right of the cut. One float pass
-    scores every (cut, feature) pair at once; the pairs near its maximum are
-    then ranked exactly by cross-multiplying Python ints, in (feature, cut)
-    order, so the first of equal candidates wins.
+
+def _column_ranks(x: np.ndarray) -> np.ndarray:
+    """Dense rank of each value within its column; equal values share a rank."""
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    steps = np.zeros(x.shape, dtype=np.int64)
+    steps[1:] = xs[1:] != xs[:-1]  # -0.0 and 0.0 compare equal
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0), axis=0)
+    return ranks
+
+
+def _best_splits(x, ranks, labels, rows, sizes, features, hists):
+    """Exact Gini-optimal (feature, threshold), or None, for each node of one step.
+
+    Node i holds the samples rows[i-th slice of `sizes`], the class counts
+    hists[i] and the sorted candidate columns features[i]. Each (node,
+    feature) pair is one segment of the laid-out samples, stably sorted by
+    value within the segment. Minimizing weighted child impurity equals
+    maximizing T = A/n_l + B/n_r = (A*n_r + B*n_l) / (n_l*n_r), where A and
+    B are the sums of squared class counts left and right of the cut. A
+    grows by 2c+1 with each sample, c being the samples of its class already
+    left of the cut, and B = P - 2S + A, where P is the node's sum of squared
+    class counts and S sums, over the samples left of the cut, the node's
+    count of each one's class. One float pass scores every cut; the cuts near
+    each node's maximum are then ranked exactly by cross-multiplying Python
+    ints, in (feature, cut) order, so the first of equal candidates wins.
     """
-    n = y.size
-    feats = np.sort(features)
-    xf = x[rows[:, None], feats]
-    order = np.argsort(xf, axis=0, kind="stable")
-    xs = xf[order, np.arange(feats.size)]
-    left = np.cumsum(y[order[:-1]][:, :, None] == np.arange(k), axis=0, dtype=np.int64)
-    total = np.bincount(y, minlength=k)
-    a = (left ** 2).sum(axis=2)
-    b = ((total - left) ** 2).sum(axis=2)
-    n_left = np.arange(1, n, dtype=np.int64)[:, None]
-    t_float = a / n_left + b / (n - n_left)
-    t_float[xs[:-1] == xs[1:]] = -np.inf
-    top = t_float.max()
-    if top == -np.inf:
-        return None
-    cols, cuts = np.nonzero(t_float.T >= top - 1e-9 * max(1.0, top))
-    best = None  # (numerator, denominator, column, cut) of T
-    for j, c, a_c, b_c in zip(cols.tolist(), cuts.tolist(),
-                              a[cuts, cols].tolist(), b[cuts, cols].tolist()):
-        n_l, n_r = c + 1, n - c - 1
+    m, mf = features.shape
+    k = hists.shape[1]
+    seg_len = np.repeat(sizes, mf)
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg = np.repeat(np.arange(m * mf), seg_len)
+    at = np.arange(seg.size)
+    local = at - seg_start[seg]
+    sample = rows[np.repeat(np.cumsum(sizes) - sizes, mf)[seg] + local]
+    rank = ranks[sample, features.ravel()[seg]]
+    order = np.argsort(seg * x.shape[0] + rank, kind="stable")
+    sample, rank = sample[order], rank[order]
+    y = labels[sample]
+
+    # Running counts over the whole layout with a leading zero; a segment's
+    # own counts are differences against its start.
+    seen = np.zeros((k, seg.size + 1), dtype=np.int64)
+    np.cumsum(y == np.arange(k)[:, None], axis=1, out=seen[:, 1:])
+    earlier = seen[y, at] - seen[y, seg_start[seg]]
+    node = seg // mf
+    run = np.zeros((2, seg.size + 1), dtype=np.int64)
+    np.cumsum(2 * earlier + 1, out=run[0, 1:])
+    np.cumsum(hists[node, y], out=run[1, 1:])
+
+    cut = np.flatnonzero(local < seg_len[seg] - 1)  # a cut after each of these
+    base = seg_start[seg[cut]]
+    a = run[0, cut + 1] - run[0, base]
+    parent_sq = (hists ** 2).sum(axis=1)
+    b = parent_sq[node[cut]] - 2 * (run[1, cut + 1] - run[1, base]) + a
+    n_left = local[cut] + 1
+    n_right = seg_len[seg[cut]] - n_left
+    t_float = a / n_left + b / n_right
+    t_float[rank[cut] == rank[cut + 1]] = -np.inf
+    node_cuts = (sizes - 1) * mf
+    top = np.maximum.reduceat(t_float, np.cumsum(node_cuts) - node_cuts)
+    floor = np.where(top == -np.inf, np.inf, top - 1e-9 * np.maximum(1.0, top))
+    shortlist = np.flatnonzero(t_float >= np.repeat(floor, node_cuts))
+
+    best = [None] * m  # per node: (numerator, denominator, layout position) of T
+    for i, p, a_c, b_c, n_l, n_r in zip(
+            node[cut[shortlist]].tolist(), cut[shortlist].tolist(), a[shortlist].tolist(),
+            b[shortlist].tolist(), n_left[shortlist].tolist(), n_right[shortlist].tolist()):
         num, den = a_c * n_r + b_c * n_l, n_l * n_r
-        if best is None or num * best[1] > best[0] * den:
-            best = (num, den, j, c)
-    num, den, j, c = best
-    if num * n <= int((total ** 2).sum()) * den:
-        return None
-    # The midpoint can round onto hi or overflow; a threshold outside
-    # [lo, hi) would send every sample to one side.
-    lo, hi = float(xs[c, j]), float(xs[c + 1, j])
-    mid = (lo + hi) / 2
-    return int(feats[j]), mid if lo <= mid < hi else lo
+        if best[i] is None or num * best[i][1] > best[i][0] * den:
+            best[i] = (num, den, p)
+    splits = []
+    for i, (n, psq, found) in enumerate(zip(sizes.tolist(), parent_sq.tolist(), best)):
+        if found is None or found[0] * n <= psq * found[1]:
+            splits.append(None)
+            continue
+        p = found[2]
+        feature = int(features[i, seg[p] % mf])
+        # The midpoint can round onto hi or overflow; a threshold outside
+        # [lo, hi) would send every sample to one side.
+        lo, hi = float(x[sample[p], feature]), float(x[sample[p + 1], feature])
+        mid = (lo + hi) / 2
+        splits.append((feature, mid if lo <= mid < hi else lo))
+    return splits
 
 
-def _grow(x, labels, rows, k, mf: int, cfg: ForestConfig, rng, depth: int) -> TreeNode:
-    """Tree over the samples x[rows]; `rows` keeps their order, repeats included."""
-    y = labels[rows]
-    counts = np.bincount(y, minlength=k)
-    if (np.count_nonzero(counts) <= 1 or rows.size < cfg.min_samples_split
-            or depth == cfg.max_depth):
-        return TreeNode(histogram=counts)
+def _needs_split(entry, cfg: ForestConfig) -> bool:
+    _, rows, _, present, depth = entry
+    return present > 1 and rows.size >= cfg.min_samples_split and depth != cfg.max_depth
+
+
+def _grow_in_lockstep(x, labels, k, mf: int, cfg: ForestConfig, stacks, rngs) -> None:
+    """Grow every tree from its depth-first stack, one split search per step.
+
+    A stack entry is (node, rows, histogram, classes present, depth): the
+    node is filled in place, `rows` indexes its samples in order, repeats
+    included. Each step takes from every unfinished tree the next node that
+    needs a split, closing leaves on the way, until the step's segments
+    would pass _STEP_ROWS; it always takes one. A tree's rng draws its
+    nodes' features in depth-first preorder, as a recursive grower would.
+    """
     d = x.shape[1]
-    features = np.arange(d) if mf == d else rng.choice(d, size=mf, replace=False)
-    split = _best_split(x, rows, y, k, features)
-    if split is None:
-        return TreeNode(histogram=counts)
-    feature, threshold = split
-    mask = x[rows, feature] <= threshold
-    return TreeNode(feature=feature, threshold=threshold,
-                    left=_grow(x, labels, rows[mask], k, mf, cfg, rng, depth + 1),
-                    right=_grow(x, labels, rows[~mask], k, mf, cfg, rng, depth + 1))
+    ranks = _column_ranks(x)
+    live = list(range(len(stacks)))
+    while live:
+        taken = []  # (stack, node, rows, histogram, depth, features)
+        laid = 0
+        for t in live:
+            stack = stacks[t]
+            while stack and not _needs_split(stack[-1], cfg):
+                node, _, hist, _, _ = stack.pop()
+                node.histogram = hist
+            if not stack:
+                continue
+            size = stack[-1][1].size * mf
+            if taken and laid + size > _STEP_ROWS:
+                break
+            node, rows, hist, _, depth = stack.pop()
+            features = np.arange(d) if mf == d else rngs[t].choice(d, size=mf, replace=False)
+            taken.append((stack, node, rows, hist, depth, features))
+            laid += size
+        if taken:
+            _split_step(x, ranks, labels, k, taken)
+        live = [t for t in live if stacks[t]]
+
+
+def _split_step(x, ranks, labels, k, taken) -> None:
+    """One split search over the nodes `taken`; push the children of each split."""
+    m = len(taken)
+    sizes = np.array([entry[2].size for entry in taken])
+    rows = np.concatenate([entry[2] for entry in taken])
+    features = np.sort(np.array([entry[5] for entry in taken]), axis=1)
+    splits = _best_splits(x, ranks, labels, rows, sizes, features,
+                          np.array([entry[3] for entry in taken]))
+
+    node_of_row = np.repeat(np.arange(m), sizes)
+    columns = np.array([s[0] if s else 0 for s in splits])
+    thresholds = np.array([s[1] if s else 0.0 for s in splits])
+    child = 2 * node_of_row + (x[rows, columns[node_of_row]] > thresholds[node_of_row])
+    child_rows = rows[np.argsort(child, kind="stable")]
+    hists = np.bincount(child * k + labels[rows], minlength=2 * m * k).reshape(2 * m, k)
+    present = np.count_nonzero(hists, axis=1).tolist()
+    ends = np.cumsum(hists.sum(axis=1)).tolist()
+    for i, ((stack, node, _, hist, depth, _), split) in enumerate(zip(taken, splits)):
+        if split is None:
+            node.histogram = hist
+            continue
+        node.feature, node.threshold = split
+        node.left, node.right = TreeNode(), TreeNode()
+        lo, mid, hi = (ends[2 * i - 1] if i else 0), ends[2 * i], ends[2 * i + 1]
+        stack.append((node.right, child_rows[mid:hi], hists[2 * i + 1], present[2 * i + 1],
+                      depth + 1))
+        stack.append((node.left, child_rows[lo:mid], hists[2 * i], present[2 * i], depth + 1))
 
 
 def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
@@ -159,12 +267,16 @@ def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
                       f"predicting {names[labels[0]]!r}", RuntimeWarning)
     mf = cfg.resolved_max_features(x.shape[1])
 
-    trees = []
+    n, k = x.shape[0], len(names)
+    trees, stacks, rngs = [], [], []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
-        n = x.shape[0]
         rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        trees.append(_grow(x, labels, rows, len(names), mf, cfg, rng, 0))
+        hist = np.bincount(labels[rows], minlength=k)
+        trees.append(TreeNode())
+        stacks.append([(trees[-1], rows, hist, int(np.count_nonzero(hist)), 0)])
+        rngs.append(rng)
+    _grow_in_lockstep(x, labels, k, mf, cfg, stacks, rngs)
     return Forest(trees=tuple(trees), class_names=names, n_features=x.shape[1], seed=cfg.seed)
 
 

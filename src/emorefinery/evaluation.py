@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,7 +169,11 @@ def metrics_summary(cm: ConfusionMatrix) -> dict:
 
 
 def write_metrics_report(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    """Write the report to a temporary file, then move it into place."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 def read_metrics_report(path) -> dict:

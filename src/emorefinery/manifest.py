@@ -234,8 +234,8 @@ def _bad_line(path, lines, width: int) -> str:
 def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
     """Load a CSV written by write_spectrogram_csv, every value bit for bit.
 
-    A row that is not one number per header column raises a DataError
-    naming the file and the line.
+    A row that is not one finite number per header column raises a
+    DataError naming the file and the line.
     """
     with Path(path).open() as fh:
         header = next(csv.reader([fh.readline()]))
@@ -251,6 +251,12 @@ def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
         data = None
     if data is None or data.shape[1] != len(header):
         raise DataError(_bad_line(path, lines, len(header)))
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        number, line = [(n, text) for n, text in enumerate(lines, start=2) if text][row]
+        raise DataError(f"{path}, line {number}: {line.split(',')[column]!r} "
+                        "is not a finite number")
     return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0],
                              utterance_id=utterance_id)
 

@@ -4,7 +4,8 @@ A run directory accumulates one subdirectory per refinement generation,
 each holding the fold-out emotion profiles, the fold models, the derived
 utterance representations, cross-validated forest predictions, and a
 metrics report. Generations are written atomically (tmp dir then rename)
-so an interrupted run resumes at the first missing generation.
+so an interrupted run resumes at the first missing generation; the run
+manifest and the run's metrics report are replaced atomically as well.
 """
 
 import json
@@ -175,12 +176,19 @@ def _check_run_manifest(run_dir: Path, cfg: ExperimentConfig, manifest: CorpusMa
         "label_noise_present": manifest.has_label_noise(),
     }
     if path.exists():
-        previous = json.loads(path.read_text())
+        try:
+            previous = json.loads(path.read_text())
+        except ValueError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(previous, dict):
+            raise DataError(f"{path} is not a run manifest")
         if previous.get("config") != doc["config"]:
             raise DataError(
                 f"{run_dir} holds a run with a different config; "
                 "pass a fresh output directory or disable resume")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,

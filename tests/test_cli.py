@@ -108,6 +108,32 @@ class TestRun:
         assert main(["run", "--config", str(bad),
                      "--corpus", str(workspace / "corpus")]) == 2
 
+    @pytest.mark.parametrize("override, key", [
+        ({"generations": "2"}, "generations"),
+        ({"forest": {"n_trees": "5"}}, "forest.n_trees"),
+    ])
+    def test_wrongly_typed_config_value_exits_2(self, workspace, tmp_path, capsys,
+                                                override, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**RUN_CONFIG, **override}))
+        assert main(["run", "--config", str(bad), "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: {key} must be ")
+
+    def test_damaged_run_manifest_exits_3(self, workspace, tmp_path, capsys):
+        args = ["run", "--config", str(workspace / "cfg.json"),
+                "--corpus", str(workspace / "corpus"), "--out", str(tmp_path / "run"),
+                "--generations", "1"]
+        assert main(args) == 0
+        manifest = tmp_path / "run" / "run_manifest.json"
+        text = manifest.read_text()
+        manifest.write_text(text[:len(text) // 2])
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {manifest} is not valid JSON")
+
     def test_missing_corpus_exits_3(self, workspace, tmp_path):
         assert main(["run", "--config", str(workspace / "cfg.json"),
                      "--corpus", str(tmp_path / "nowhere")]) == 3

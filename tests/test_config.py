@@ -99,6 +99,29 @@ class TestValidation:
             config_from_dict({"train": {"architecture": {"name": "x", "conv_stages": [[4]],
                                                          "pool": 3}}})
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"generations": "2"}, "generations must be an integer"),
+        ({"folds": True}, "folds must be an integer"),
+        ({"folds": 3.0}, "folds must be an integer"),
+        ({"group_by_speaker": 1}, "group_by_speaker must be true or false"),
+        ({"mode": None}, "mode must be a string"),
+        ({"forest": {"n_trees": "5"}}, "forest.n_trees must be an integer"),
+        ({"forest": {"bootstrap": "yes"}}, "forest.bootstrap must be true or false"),
+        ({"frame": {"win_ms": "25"}}, "frame.win_ms must be a number"),
+        ({"train": {"initial_lr": False}}, "train.initial_lr must be a number"),
+    ])
+    def test_wrong_value_types_name_file_and_key(self, tmp_path, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: {key}, not ")
+
+    def test_integers_stand_for_floats(self):
+        cfg = config_from_dict({"frame": {"win_ms": 30, "hop_ms": 10},
+                                "train": {"initial_lr": 1, "validation_fraction": 0.25}})
+        assert (cfg.frame.win_ms, cfg.train.initial_lr) == (30, 1)
+
     def test_bad_json_file(self, tmp_path):
         (tmp_path / "cfg.json").write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emorefinery import decision
 from emorefinery.decision import (
     Forest,
     ForestConfig,
@@ -186,7 +187,7 @@ def forest_cases(draw):
         else:
             columns.append(draw(st.lists(COLUMN_VALUES[kind], min_size=n, max_size=n)))
     y = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    cfg = ForestConfig(n_trees=draw(st.integers(1, 3)),
+    cfg = ForestConfig(n_trees=draw(st.integers(1, 8)),
                        max_features=draw(st.integers(0, d)),
                        max_depth=draw(st.integers(-1, 5)),
                        min_samples_split=draw(st.integers(2, 5)),
@@ -196,6 +197,8 @@ def forest_cases(draw):
 
 
 class TestReferenceEquivalence:
+    # Forests of several trees put nodes of different trees and sizes into
+    # one split-search step.
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(forest_cases())
     def test_trees_match_reference_node_for_node(self, case):
@@ -203,6 +206,28 @@ class TestReferenceEquivalence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # single-class draws
             forest = train_forest(x, y, cfg, tuple("abcdef")[:k])
+        assert ([tree_signature(t) for t in forest.trees]
+                == [tree_signature(t) for t in reference_trees(x, y, k, cfg)])
+
+    # A small row budget splits the steps, down to one node per step; a step
+    # passes the budget only when it holds a single node.
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(forest_cases(), st.integers(1, 100))
+    def test_split_steps_match_reference_node_for_node(self, case, step_rows):
+        x, y, k, cfg = case
+        steps = []
+        search = decision._best_splits
+
+        def recording_search(x, ranks, labels, rows, sizes, features, hists):
+            steps.append((sizes.size, int(sizes.sum()) * features.shape[1]))
+            return search(x, ranks, labels, rows, sizes, features, hists)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(decision, "_STEP_ROWS", step_rows)
+            mp.setattr(decision, "_best_splits", recording_search)
+            warnings.simplefilter("ignore", RuntimeWarning)  # single-class draws
+            forest = train_forest(x, y, cfg, tuple("abcdef")[:k])
+        assert all(nodes == 1 or laid <= step_rows for nodes, laid in steps)
         assert ([tree_signature(t) for t in forest.trees]
                 == [tree_signature(t) for t in reference_trees(x, y, k, cfg)])
 
@@ -253,6 +278,21 @@ class TestTraining:
         y = rng.integers(0, 3, 40)
         forest = train_forest(x, y, single_tree_config(max_features=5), NAMES3)
         assert (predict_forest_batch(forest, x) == y).all()
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # Alternating labels on one feature: each split cuts one sample off
+        # an end, so the tree is a chain 1,499 splits deep.
+        x = np.arange(1500, dtype=np.float64)[:, None]
+        y = np.arange(1500) % 2
+        forest = train_forest(x, y, single_tree_config(max_features=1), ("a", "b"))
+        deepest, stack = 0, [(forest.trees[0], 0)]
+        while stack:
+            node, depth = stack.pop()
+            deepest = max(deepest, depth)
+            if not node.is_leaf:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        assert deepest == 1499
+        assert predict_forest_batch(forest, x).tolist() == y.tolist()
 
     def test_impurity_strictly_decreases_along_tree(self):
         rng = np.random.default_rng(8)

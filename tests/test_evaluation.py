@@ -10,9 +10,11 @@ from emorefinery.evaluation import (
     kfold_split,
     metrics_summary,
     read_confusion_csv,
+    read_metrics_report,
     unweighted_accuracy,
     weighted_accuracy,
     write_confusion_csv,
+    write_metrics_report,
 )
 
 
@@ -160,3 +162,23 @@ class TestConfusionCsv:
         assert s["wa"] == pytest.approx(11 / 15)
         assert s["ua"] == pytest.approx(0.65)
         assert s["total"] == 15
+
+
+class TestMetricsReport:
+    def test_round_trip_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        write_metrics_report(path, {"wa": 0.5, "generations": [1, 2]})
+        assert read_metrics_report(path) == {"wa": 0.5, "generations": [1, 2]}
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.json"
+        write_metrics_report(path, {"wa": 0.5})
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr("emorefinery.evaluation.os.replace", interrupted)
+        with pytest.raises(OSError):
+            write_metrics_report(path, {"wa": 0.75})
+        assert read_metrics_report(path) == {"wa": 0.5}

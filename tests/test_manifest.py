@@ -220,6 +220,10 @@ class TestReaderOracle:
         ("0,1,2\n10,3\n20,5,6\n", 3, "2 values where the header names 3 columns"),
         ("0,1,2,3\n", 2, "4 values where the header names 3 columns"),
         ("0,1,\n", 2, "'' is not a number"),
+        ("0,1,2\n10,nan,4\n", 3, "'nan' is not a finite number"),
+        ("0,1,2\n\n10,3,-inf\n", 4, "'-inf' is not a finite number"),
+        ("inf,1,2\n", 2, "'inf' is not a finite number"),
+        ("0,1,2\n10,1e999,4\n", 3, "'1e999' is not a finite number"),
     ])
     def test_malformed_rows_name_file_and_line(self, tmp_path, body, line, what):
         path = tmp_path / "s.csv"

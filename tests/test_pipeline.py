@@ -1,6 +1,7 @@
 """Pipeline orchestration tests: featurizing, run artifacts, resume, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ class TestRunExperiment:
         run_experiment(corpus, fast_config(), run_dir=tmp_path / "r")
         with pytest.raises(DataError, match="different config"):
             run_experiment(corpus, fast_config(master_seed=6), run_dir=tmp_path / "r")
+
+    @pytest.mark.parametrize("text, what", [
+        ('{"format": "emorefinery-run", "con', "is not valid JSON"),
+        ("\xff\xfe", "is not valid JSON"),
+        ("[]", "is not a run manifest"),
+    ])
+    def test_damaged_run_manifest_rejected(self, corpus, tmp_path, text, what):
+        (tmp_path / "r").mkdir()
+        manifest = tmp_path / "r" / "run_manifest.json"
+        manifest.write_text(text, encoding="latin-1")
+        with pytest.raises(DataError, match=f"^{re.escape(str(manifest))} {what}"):
+            run_experiment(corpus, fast_config(), run_dir=tmp_path / "r")
+
+    def test_run_files_leave_no_temporaries(self, finished_run):
+        run_dir, _ = finished_run
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "generations", "metrics.json", "run_manifest.json"]
 
     def test_no_resume_recomputes(self, corpus, tmp_path, monkeypatch):
         cfg = fast_config()
