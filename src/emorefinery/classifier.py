@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .features import Segment
 from .network import Adam, Architecture, ConvNet, batch_cross_entropy, resolve_architecture, softmax
 
 logger = logging.getLogger(__name__)
@@ -60,11 +59,6 @@ def one_hot(class_index: int, class_names) -> EmotionDistribution:
     p = np.zeros(len(names))
     p[class_index] = 1.0
     return EmotionDistribution(probs=p, class_names=names)
-
-
-def uniform_distribution(class_names) -> EmotionDistribution:
-    names = tuple(class_names)
-    return EmotionDistribution(probs=np.full(len(names), 1.0 / len(names)), class_names=names)
 
 
 def entropy(dist: EmotionDistribution) -> float:
@@ -129,24 +123,19 @@ class Model:
         return len(self.class_names)
 
 
-def _validation_split(utterance_ids, fraction: float, rng: np.random.Generator):
+def _validation_split(utterance_ids: np.ndarray, fraction: float, rng: np.random.Generator):
     """Seeded utterance-level split; returns boolean mask of validation rows.
 
-    If the dataset has too few utterances for a non-empty validation set,
-    everything stays in training and the mask is all-False.
+    Utterances are shuffled in order of first appearance. If the dataset has
+    too few utterances for a non-empty validation set, everything stays in
+    training and the mask is all-False.
     """
-    order = []
-    seen = set()
-    for uid in utterance_ids:
-        if uid not in seen:
-            seen.add(uid)
-            order.append(uid)
+    _, first = np.unique(utterance_ids, return_index=True)
+    order = utterance_ids[np.sort(first)]
     n_val = int(np.floor(fraction * len(order)))
     if n_val == 0:
         return np.zeros(len(utterance_ids), dtype=bool)
-    shuffled = [order[i] for i in rng.permutation(len(order))]
-    val_utts = set(shuffled[:n_val])
-    return np.array([uid in val_utts for uid in utterance_ids], dtype=bool)
+    return np.isin(utterance_ids, order[rng.permutation(len(order))[:n_val]])
 
 
 # (get, set) thread-count symbols: the scipy-openblas build numpy wheels
@@ -212,36 +201,35 @@ def _mean_ce(net: ConvNet, x: np.ndarray, t: np.ndarray, batch_size: int) -> flo
 
 
 @_single_thread_blas()
-def train_segment_classifier(
-    segments: list, targets: list, cfg: TrainConfig, generation: int = 1
-) -> Model:
-    """Train a classifier on (segment, soft target) pairs.
+def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainConfig,
+                             generation: int = 1) -> Model:
+    """Train a classifier on segments x (n, n_mels, seg_frames) with soft targets (n, K).
 
-    Returns the parameter snapshot with the best monitored loss: validation
-    cross-entropy when an utterance-level validation split is possible,
-    otherwise the running training loss. Deterministic given cfg.seed and
-    the input order.
+    `utterance_ids[j]` names segment j's utterance, so that the validation
+    split holds out whole utterances. Returns the parameter snapshot with the
+    best monitored loss: validation cross-entropy when an utterance-level
+    validation split is possible, otherwise the running training loss.
+    Deterministic given cfg.seed and the input order.
     """
-    if len(segments) == 0:
+    x, targets, utterance_ids = np.asarray(x), np.asarray(targets), np.asarray(utterance_ids)
+    class_names = tuple(class_names)
+    if x.shape[0] == 0:
         raise DataError("empty training set")
-    if len(segments) != len(targets):
-        raise DataError(f"{len(segments)} segments but {len(targets)} targets")
-    class_names = targets[0].class_names
-    for t in targets:
-        if t.class_names != class_names:
-            raise DataError("targets disagree on class names")
-    input_shape = segments[0].values.shape
-    for s in segments:
-        if s.values.shape != input_shape:
-            raise DataError(f"segment shape {s.values.shape} != {input_shape}")
+    if not len(targets) == len(utterance_ids) == x.shape[0]:
+        raise DataError(f"{x.shape[0]} segments but {len(targets)} targets "
+                        f"and {len(utterance_ids)} utterance ids")
+    if x.ndim != 3 or targets.shape[1:] != (len(class_names),):
+        raise DataError(f"segments of shape {x.shape} and targets of shape {targets.shape} "
+                        f"are not (n, n_mels, seg_frames) and (n, {len(class_names)})")
+    input_shape = x.shape[1:]
 
     arch = cfg.resolved_architecture()
-    x = np.stack([s.values for s in segments]).astype(arch.np_dtype)
-    t = np.stack([tg.probs for tg in targets]).astype(arch.np_dtype)
+    x = x.astype(arch.np_dtype, copy=False)
+    t = targets.astype(arch.np_dtype)
     k = len(class_names)
 
     rng = np.random.default_rng(cfg.seed)
-    val_mask = _validation_split([s.utterance_id for s in segments], cfg.validation_fraction, rng)
+    val_mask = _validation_split(utterance_ids, cfg.validation_fraction, rng)
     x_train, t_train = x[~val_mask], t[~val_mask]
     x_val, t_val = x[val_mask], t[val_mask]
     if x_train.shape[0] == 0:
@@ -255,7 +243,6 @@ def train_segment_classifier(
     epochs_since_best = 0
     n_train = x_train.shape[0]
     history = {
-        "initial_train_ce": _mean_ce(net, x_train, t64[~val_mask], cfg.batch_size),
         "train_ce": [],
         "monitor": [],
         "n_train_segments": int(n_train),
@@ -313,21 +300,15 @@ def train_segment_classifier(
 
 
 @_single_thread_blas()
-def predict_batch(m: Model, segments: list, batch_size: int = 256) -> np.ndarray:
-    """Class probabilities for many segments, shape (n, K), rows normalized."""
-    for s in segments:
-        if s.values.shape != m.input_shape:
-            raise DataError(f"segment shape {s.values.shape} != model input {m.input_shape}")
-    x = np.stack([s.values for s in segments]).astype(m.architecture.np_dtype)
+def predict_batch(m: Model, x, batch_size: int = 256) -> np.ndarray:
+    """Class probabilities (n, K), rows normalized, of segments x (n, n_mels, seg_frames)."""
+    x = np.asarray(x)
+    if x.shape[1:] != m.input_shape:
+        raise DataError(f"segment shape {x.shape[1:]} != model input {m.input_shape}")
+    x = x.astype(m.architecture.np_dtype, copy=False)
     logits = _forward_in_batches(m.net, x, batch_size)
     p = softmax(logits).astype(np.float64)
     return p / p.sum(axis=1, keepdims=True)
-
-
-def predict(m: Model, s: Segment) -> EmotionDistribution:
-    """Softmax output distribution for one segment."""
-    probs = predict_batch(m, [s])[0]
-    return EmotionDistribution(probs=probs, class_names=m.class_names)
 
 
 def save_model(m: Model, path) -> None:

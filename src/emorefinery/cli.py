@@ -95,6 +95,15 @@ def _apply_run_overrides(cfg, args):
     return replace(cfg, **updates) if updates else cfg
 
 
+def _print_generations(reports) -> None:
+    for gen in reports:
+        line = (f"gen {gen['generation']}: WA {gen['wa']:.4f} UA {gen['ua']:.4f} "
+                f"mean EP entropy {gen['mean_ep_entropy']:.4f}")
+        if "wa_clean" in gen:
+            line += f" (clean-label WA {gen['wa_clean']:.4f} UA {gen['ua_clean']:.4f})"
+        print(line)
+
+
 def cmd_run(args) -> int:
     cfg = _apply_run_overrides(load_config(args.config), args)
     if args.describe:
@@ -103,12 +112,7 @@ def cmd_run(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     metrics = run_experiment(args.corpus, cfg, resume=not args.no_resume)
-    for gen in metrics["generations"]:
-        line = (f"gen {gen['generation']}: WA {gen['wa']:.4f} UA {gen['ua']:.4f} "
-                f"mean EP entropy {gen['mean_ep_entropy']:.4f}")
-        if "wa_clean" in gen:
-            line += f" (clean-label WA {gen['wa_clean']:.4f} UA {gen['ua_clean']:.4f})"
-        print(line)
+    _print_generations(metrics["generations"])
     print(f"run artifacts in {cfg.output_dir}")
     return EXIT_OK
 
@@ -124,12 +128,7 @@ def cmd_eval(args) -> int:
         if not generations:
             raise DataError(f"run has no generation {args.generation}")
     print(f"mode {metrics['mode']}, classes: {', '.join(metrics['class_names'])}")
-    for gen in generations:
-        line = (f"gen {gen['generation']}: WA {gen['wa']:.4f} UA {gen['ua']:.4f} "
-                f"mean EP entropy {gen['mean_ep_entropy']:.4f}")
-        if "wa_clean" in gen:
-            line += f" (clean-label WA {gen['wa_clean']:.4f} UA {gen['ua_clean']:.4f})"
-        print(line)
+    _print_generations(generations)
     return EXIT_OK
 
 

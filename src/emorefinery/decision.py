@@ -78,8 +78,7 @@ class Forest:
 
 
 def _as_matrix(X) -> np.ndarray:
-    rows = [np.asarray(getattr(x, "features", x), dtype=np.float64) for x in X]
-    return np.stack(rows)
+    return np.stack([np.asarray(x, dtype=np.float64) for x in X])
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -294,7 +293,7 @@ def predict_forest(forest: Forest, x):
     as Python floats, which is cheaper than numpy index arrays at the few
     dozen rows one evaluation fold holds; the votes are tallied at once.
     """
-    rows = np.asarray(getattr(x, "features", x), dtype=np.float64)
+    rows = np.asarray(x, dtype=np.float64)
     if rows.ndim not in (1, 2) or rows.shape[-1] != forest.n_features:
         raise DataError(f"features have shape {rows.shape}, expected "
                         f"({forest.n_features},) or (rows, {forest.n_features})")
@@ -309,7 +308,7 @@ def predict_forest(forest: Forest, x):
 
 
 def predict_forest_batch(forest: Forest, X) -> np.ndarray:
-    """Class index for each of a sequence of feature vectors or representations."""
+    """Class index for each of a sequence of feature vectors."""
     if len(X) == 0:
         return np.zeros(0, dtype=np.int64)
     return predict_forest(forest, _as_matrix(X))

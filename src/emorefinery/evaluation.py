@@ -146,28 +146,6 @@ def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
             writer.writerow([name] + [int(v) for v in cm.counts[i]])
 
 
-def read_confusion_csv(path) -> ConfusionMatrix:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["true"]:
-        raise DataError(f"{path} is not a confusion matrix CSV")
-    names = tuple(rows[0][1:])
-    counts = np.array([[int(v) for v in row[1:]] for row in rows[1:]], dtype=np.int64)
-    if len(rows) - 1 != len(names):
-        raise DataError(f"{path} has {len(rows) - 1} rows for {len(names)} classes")
-    return ConfusionMatrix(counts=counts, class_names=names)
-
-
-def metrics_summary(cm: ConfusionMatrix) -> dict:
-    return {
-        "wa": weighted_accuracy(cm),
-        "ua": unweighted_accuracy(cm),
-        "total": cm.total,
-        "class_names": list(cm.class_names),
-        "confusion_matrix": cm.counts.tolist(),
-    }
-
-
 def write_metrics_report(path, report: dict) -> None:
     """Write the report to a temporary file, then move it into place."""
     path = Path(path)

@@ -266,6 +266,8 @@ def load_wav(path, utterance_id: str | None = None) -> AudioClip:
         raise DataError(f"{path}: unsupported sample format {data.dtype}; use int16 or float32")
     if data.size == 0:
         raise DataError(f"{path}: empty audio file")
+    if not np.all(np.isfinite(samples)):
+        raise DataError(f"{path}: non-finite samples")
     if utterance_id is None:
         import os
 

@@ -24,9 +24,8 @@ from .evaluation import (confusion_from_predictions, kfold_split, unweighted_acc
 from .features import log_mel_spectrogram, load_wav, segment_spectrogram
 from .manifest import (CorpusManifest, load_manifest, read_spectrogram_csv,
                        save_manifest, write_spectrogram_csv)
-from .refinery import (LabeledUtterance, derive_seed, foldout_purity_violations,
-                       generate_eps_foldout, initial_labels, mean_ep_entropy,
-                       next_targets, read_ep_csv, write_ep_csv)
+from .refinery import (LabeledUtterance, StackedDataset, derive_seed, read_ep_csv,
+                       run_refinery, write_ep_csv)
 from .representation import representations_for, write_representation_csv
 
 logger = logging.getLogger(__name__)
@@ -108,7 +107,7 @@ def cross_validated_predictions(reps, labels, class_names, forest_cfg, folds: in
     return predictions
 
 
-def _generation_metrics(eps, reps, manifest, cfg: ExperimentConfig, generation: int):
+def _generation_metrics(foldout, reps, manifest, cfg: ExperimentConfig, generation: int):
     observed = manifest.observed_labels()
     groups = None
     if cfg.group_by_speaker:
@@ -124,7 +123,7 @@ def _generation_metrics(eps, reps, manifest, cfg: ExperimentConfig, generation: 
         "mode": cfg.mode,
         "wa": weighted_accuracy(cm),
         "ua": unweighted_accuracy(cm),
-        "mean_ep_entropy": mean_ep_entropy(eps),
+        "mean_ep_entropy": foldout.mean_entropy(),
         "n_utterances": len(ids),
         "confusion_matrix": cm.counts.tolist(),
     }
@@ -138,8 +137,9 @@ def _generation_metrics(eps, reps, manifest, cfg: ExperimentConfig, generation: 
     return report, predictions, cm
 
 
-def _write_generation_dir(tmp: Path, foldout, reps, report, predictions, cm, manifest):
-    write_ep_csv(tmp / "eps.csv", foldout.eps)
+def _write_generation_dir(tmp: Path, foldout, ids, offsets, reps, report, predictions, cm,
+                          manifest):
+    write_ep_csv(tmp / "eps.csv", foldout.eps, ids, offsets, foldout.generation)
     write_representation_csv(tmp / "representations.csv", reps)
     names = manifest.class_names
     observed = manifest.observed_labels()
@@ -153,11 +153,31 @@ def _write_generation_dir(tmp: Path, foldout, reps, report, predictions, cm, man
     audit = {
         "generation": foldout.generation,
         "folds": len(foldout.models),
-        "fold_of": {u: int(f) for u, f in sorted(foldout.fold_of.items())},
-        "training_segments_per_fold": [len(keys) for keys in foldout.training_keys],
+        "fold_of": dict(sorted(zip(ids, foldout.fold_of.tolist()))),
+        "training_segments_per_fold": [len(rows) for rows in foldout.training_rows],
         "violations": [],
     }
     (tmp / "foldout.json").write_text(json.dumps(audit, indent=2, sort_keys=True) + "\n")
+
+
+def _read_generation_dir(gen_dir: Path, t: int, ids, offsets, names):
+    """Generation t's stored EPs and report, checked before they are reused."""
+    try:
+        eps = read_ep_csv(gen_dir / "eps.csv", names, ids, offsets, t)
+        path = gen_dir / METRICS_NAME
+        try:
+            report = json.loads(path.read_text())
+        except ValueError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from exc
+        if not (isinstance(report, dict) and report.get("generation") == t
+                and all(isinstance(report.get(key), (int, float))
+                        for key in ("wa", "ua", "mean_ep_entropy"))):
+            raise DataError(f"{path} is not the report of generation {t} "
+                            "with numbers for wa, ua and mean_ep_entropy")
+    except (DataError, OSError, ValueError) as exc:
+        raise DataError(f"{exc}; generation {t} cannot be reused, "
+                        "rerun with --no-resume to recompute it") from exc
+    return eps, report
 
 
 def generation_dir(run_dir, t: int) -> Path:
@@ -208,41 +228,42 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
         raise DataError(f"{len(errors)} utterance(s) failed to featurize: {listing}")
 
     names = manifest.class_names
-    rcfg = cfg.refinery_config()
-    targets = {}
-    for u in dataset:
-        for i, dist in enumerate(initial_labels(u.label, u.n_segments, names)):
-            targets[(u.utterance_id, i)] = dist
-
+    data = StackedDataset(dataset, names)
+    del dataset  # data stacks the segments once and then releases these copies
+    ids, offsets = data.utterance_ids, data.offsets
     gen_reports = []
-    for t in range(1, cfg.generations + 1):
-        gen_dir = generation_dir(run_dir, t)
-        if resume and gen_dir.exists():
-            logger.info("generation %d/%d already present, reusing", t, cfg.generations)
-            eps = read_ep_csv(gen_dir / "eps.csv", names)
-            report = json.loads((gen_dir / METRICS_NAME).read_text())
-        else:
-            logger.info("generation %d/%d: training %d fold models",
-                        t, cfg.generations, cfg.folds)
-            foldout = generate_eps_foldout(dataset, targets, rcfg, names, generation=t)
-            violations = foldout_purity_violations(foldout, dataset)
-            if violations:
-                raise DataError(f"fold-out purity violated for {sorted(violations)}")
-            eps = foldout.eps
-            reps = representations_for(eps)
-            report, predictions, cm = _generation_metrics(eps, reps, manifest, cfg, t)
-            tmp = gen_dir.parent / f".gen{t:02d}.tmp"
-            if tmp.exists():
-                shutil.rmtree(tmp)
-            tmp.mkdir(parents=True)
-            _write_generation_dir(tmp, foldout, reps, report, predictions, cm, manifest)
-            os.replace(tmp, gen_dir)
+
+    def keep(t, report):
         logger.info("generation %d: WA %.4f UA %.4f entropy %.4f",
                     t, report["wa"], report["ua"], report["mean_ep_entropy"])
         gen_reports.append(report)
-        if t < cfg.generations:
-            targets = next_targets(eps, dataset, cfg.mode, names)
 
+    def load_generation(t):
+        gen_dir = generation_dir(run_dir, t)
+        if not (resume and gen_dir.exists()):
+            logger.info("generation %d/%d: training %d fold models",
+                        t, cfg.generations, cfg.folds)
+            return None
+        logger.info("generation %d/%d already present, reusing", t, cfg.generations)
+        eps, report = _read_generation_dir(gen_dir, t, ids, offsets, names)
+        keep(t, report)
+        return eps
+
+    def on_generation(t, foldout, targets):
+        reps = dict(zip(ids, representations_for(foldout.eps, offsets)))
+        report, predictions, cm = _generation_metrics(foldout, reps, manifest, cfg, t)
+        gen_dir = generation_dir(run_dir, t)
+        tmp = gen_dir.parent / f".gen{t:02d}.tmp"
+        if tmp.exists():
+            shutil.rmtree(tmp)
+        tmp.mkdir(parents=True)
+        _write_generation_dir(tmp, foldout, ids, offsets, reps, report, predictions, cm,
+                              manifest)
+        os.replace(tmp, gen_dir)
+        keep(t, report)
+
+    run_refinery(data, cfg.refinery_config(), on_generation=on_generation,
+                 load_generation=load_generation)
     metrics = {
         "format": "emorefinery-metrics",
         "version": RUN_VERSION,

@@ -1,12 +1,14 @@
 """Iterative refinement of segment-level emotion targets.
 
 Each generation trains fold-out segment classifiers on the current targets,
-assembles a per-utterance emotion profile (EP) from held-out predictions,
-and derives the next generation's targets from those profiles. Four target
-rules are supported: pass the fold-out prediction through unchanged (sEPR),
-average it with the utterance's one-hot label (pEPR), snap it to a one-hot
-at its argmax (hard-dynamic), or share the utterance-mean prediction across
-all segments (soft-static).
+predicts every utterance's emotion profile (EP) with the model that held it
+out, and derives the next generation's targets from those profiles. Targets
+and EPs are (n_segments, K) float64 arrays in dataset order; utterance i
+owns rows offsets[i]:offsets[i + 1]. Four target rules are supported: pass
+the fold-out prediction through unchanged (sEPR), average it with the
+utterance's one-hot label (pEPR), snap it to a one-hot at its argmax
+(hard-dynamic), or share the utterance-mean prediction across all segments
+(soft-static).
 """
 
 import csv
@@ -16,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (
-    EmotionDistribution,
-    TrainConfig,
-    one_hot,
-    predict_batch,
-    train_segment_classifier,
-)
+from .classifier import TrainConfig, predict_batch, train_segment_classifier
 from .errors import ConfigError, DataError
 from .evaluation import kfold_split
 
@@ -72,59 +68,6 @@ class LabeledUtterance:
 
 
 @dataclass(frozen=True)
-class EmotionProfile:
-    """K x N matrix; column i is segment i's class distribution."""
-
-    values: np.ndarray
-    utterance_id: str
-    generation: int
-    class_names: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        if self.values.ndim != 2:
-            raise DataError("emotion profile values must be a K x N matrix")
-        k, n = self.values.shape
-        if k != len(self.class_names) or k < 2:
-            raise DataError(f"profile has {k} rows for {len(self.class_names)} classes")
-        if n < 1:
-            raise DataError("emotion profile needs at least one segment column")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise DataError("profile entries must be finite and non-negative")
-        sums = self.values.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise DataError("every profile column must sum to 1")
-        if self.generation < 1:
-            raise DataError("generation index must be >= 1")
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_segments(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, i: int) -> EmotionDistribution:
-        return EmotionDistribution(probs=self.values[:, i].copy(), class_names=self.class_names)
-
-
-@dataclass(frozen=True)
-class RefineryGeneration:
-    """Targets used to train generation t, keyed by (utterance_id, segment_index)."""
-
-    t: int
-    targets: dict
-    mode: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", normalize_mode(self.mode))
-        if self.t < 1:
-            raise DataError("generation index must be >= 1")
-
-
-@dataclass(frozen=True)
 class RefineryConfig:
     generations: int = 1
     mode: str = "pEPR"
@@ -145,254 +88,271 @@ class RefineryConfig:
             raise ConfigError("mode 'none' performs no refinement; use generations=1")
 
 
-def initial_labels(utterance_label: int, n_segments: int, class_names) -> list:
-    """Pseudo one-hot targets: the utterance label copied to every segment."""
-    if n_segments < 1:
-        raise DataError("n_segments must be >= 1")
-    return [one_hot(utterance_label, class_names) for _ in range(n_segments)]
+class StackedDataset:
+    """A checked dataset: utterance offsets, ids, labels and speakers, and
+    every segment stacked into one (n_segments, n_mels, seg_frames) array.
 
+    Utterance i owns rows offsets[i]:offsets[i + 1] of `x` and of every
+    target or EP array. `x` is stacked when it is first read, which a run
+    that reuses every stored generation never does; the per-segment arrays
+    are then released, so a caller that keeps no other reference to them
+    does not hold the segments twice.
+    """
 
-def build_ep(predictions, utterance_id: str = "", generation: int = 1) -> EmotionProfile:
-    """Stack per-segment distributions (ordered by segment index) into a profile."""
-    if not predictions:
-        raise DataError("cannot build an emotion profile from no predictions")
-    names = predictions[0].class_names
-    for p in predictions[1:]:
-        if p.class_names != names:
-            raise DataError("predictions mix different class sets")
-    values = np.stack([p.probs for p in predictions], axis=1)
-    return EmotionProfile(values=values, utterance_id=utterance_id, generation=generation, class_names=names)
+    def __init__(self, dataset, class_names):
+        if not dataset:
+            raise DataError("dataset is empty")
+        seen = set()
+        for u in dataset:
+            if u.utterance_id in seen:
+                raise DataError(f"duplicate utterance id {u.utterance_id!r}")
+            seen.add(u.utterance_id)
+            if u.label >= len(class_names):
+                raise DataError(f"utterance {u.utterance_id!r} label {u.label} "
+                                "exceeds class count")
+        shapes = {seg.values.shape for u in dataset for seg in u.segments}
+        if len(shapes) != 1:
+            raise DataError(f"segments differ in shape: {sorted(shapes)}")
+        self.offsets = np.cumsum([0] + [u.n_segments for u in dataset])
+        self.utterance_ids = tuple(u.utterance_id for u in dataset)
+        self.labels = np.array([u.label for u in dataset], dtype=np.int64)
+        self.speakers = tuple(u.speaker for u in dataset)
+        self.class_names = tuple(class_names)
+        self._segments = [seg.values for u in dataset for seg in u.segments]
+        self._x = None
 
+    @property
+    def x(self) -> np.ndarray:
+        if self._x is None:
+            self._x, self._segments = np.stack(self._segments), None
+        return self._x
 
-def refine_standard(pred: EmotionDistribution) -> EmotionDistribution:
-    """sEPR target: the fold-out prediction itself."""
-    return pred
-
-
-def combine_with_hard(pred: EmotionDistribution, hard: EmotionDistribution) -> EmotionDistribution:
-    """pEPR target: (prediction + one-hot label) / 2."""
-    if pred.class_names != hard.class_names:
-        raise DataError("prediction and hard label use different class sets")
-    if np.count_nonzero(hard.probs) != 1 or hard.probs.max() != 1.0:
-        raise DataError("hard label must be one-hot")
-    return EmotionDistribution(probs=(pred.probs + hard.probs) / 2, class_names=pred.class_names)
-
-
-def hard_dynamic_label(pred: EmotionDistribution) -> EmotionDistribution:
-    """One-hot at the prediction's argmax; ties break to the lowest class."""
-    return one_hot(pred.argmax(), pred.class_names)
-
-
-def soft_static_label(preds) -> EmotionDistribution:
-    """Elementwise mean of all segment predictions of one utterance."""
-    if not preds:
-        raise DataError("cannot average an empty prediction list")
-    names = preds[0].class_names
-    for p in preds[1:]:
-        if p.class_names != names:
-            raise DataError("predictions mix different class sets")
-    mean = np.mean(np.stack([p.probs for p in preds]), axis=0)
-    return EmotionDistribution(probs=mean, class_names=names)
+    def utterance_of_row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.utterance_ids)), np.diff(self.offsets))
 
 
 @dataclass(frozen=True)
 class FoldOutGeneration:
-    """EPs for one generation plus the bookkeeping proving fold-out purity."""
+    """EPs for one generation plus the bookkeeping proving fold-out purity.
+
+    `fold_of[i]` is the fold that held out utterance i, `training_rows[f]`
+    the segment rows fold f's model trained on, and `prediction_order` the
+    rows in the order their EPs were predicted: fold by fold, utterances in
+    dataset order within a fold.
+    """
 
     generation: int
-    eps: dict
-    fold_of: dict
-    training_keys: tuple
+    eps: np.ndarray
+    fold_of: np.ndarray
+    training_rows: tuple
+    prediction_order: np.ndarray
     models: tuple
 
-
-def _check_dataset(dataset, class_names) -> None:
-    if not dataset:
-        raise DataError("dataset is empty")
-    seen = set()
-    for u in dataset:
-        if u.utterance_id in seen:
-            raise DataError(f"duplicate utterance id {u.utterance_id!r}")
-        seen.add(u.utterance_id)
-        if u.label >= len(class_names):
-            raise DataError(f"utterance {u.utterance_id!r} label {u.label} exceeds class count")
+    def mean_entropy(self) -> float:
+        return mean_ep_entropy(self.eps[self.prediction_order])
 
 
-def generate_eps_foldout(dataset, targets, cfg: RefineryConfig, class_names, generation: int = 1) -> FoldOutGeneration:
+def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
+                         generation: int = 1) -> FoldOutGeneration:
     """Train one model per fold and predict EPs for that fold's held-out utterances.
 
     Every utterance's EP comes from a model whose training set excluded all
-    of that utterance's segments; `training_keys` records the training
-    (utterance_id, segment_index) pairs per fold for auditing.
+    of that utterance's segments.
     """
-    _check_dataset(dataset, class_names)
-    for u in dataset:
-        for seg in u.segments:
-            if (u.utterance_id, seg.index) not in targets:
-                raise DataError(f"missing target for segment {(u.utterance_id, seg.index)!r}")
-
-    labels = {u.utterance_id: u.label for u in dataset}
-    groups = {u.utterance_id: u.speaker for u in dataset} if cfg.group_by_speaker else None
+    class_names = data.class_names
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (data.offsets[-1], len(class_names)):
+        raise DataError(f"targets have shape {targets.shape}, expected "
+                        f"({data.offsets[-1]}, {len(class_names)}): one row per segment")
+    labels = dict(zip(data.utterance_ids, data.labels.tolist()))
+    groups = dict(zip(data.utterance_ids, data.speakers)) if cfg.group_by_speaker else None
     grouping = "speaker" if cfg.group_by_speaker else "utterance"
     plan = kfold_split(labels, cfg.folds, derive_seed(cfg.seed, _STREAM_FOLD_PLAN, generation),
                        groups=groups, grouping=grouping)
+    fold_of = np.array([plan.assignments[u] for u in data.utterance_ids], dtype=np.int64)
+    row_utterance = data.utterance_of_row()
 
-    eps = {}
-    training_keys = []
+    eps = np.empty(targets.shape)
+    training_rows = []
+    order = []
     models = []
     for fold in range(cfg.folds):
-        train_utts = [u for u in dataset if plan.assignments[u.utterance_id] != fold]
-        held_utts = [u for u in dataset if plan.assignments[u.utterance_id] == fold]
-        present = {u.label for u in train_utts}
+        present = set(data.labels[fold_of != fold].tolist())
         missing = [class_names[c] for c in range(len(class_names)) if c not in present]
         if missing:
             warnings.warn(f"generation {generation} fold {fold}: no training utterances "
                           f"of class(es) {missing}", RuntimeWarning)
-        segs = [seg for u in train_utts for seg in u.segments]
-        segs_targets = [targets[(u.utterance_id, seg.index)] for u in train_utts for seg in u.segments]
+        rows = np.flatnonzero(fold_of[row_utterance] != fold)
         train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, _STREAM_MODEL, generation, fold))
-        model = train_segment_classifier(segs, segs_targets, train_cfg, generation=generation)
-        for u in held_utts:
-            probs = predict_batch(model, list(u.segments))
-            eps[u.utterance_id] = EmotionProfile(values=probs.T, utterance_id=u.utterance_id,
-                                                 generation=generation, class_names=tuple(class_names))
-        training_keys.append(frozenset((u.utterance_id, seg.index) for u in train_utts for seg in u.segments))
+        model = train_segment_classifier(data.x[rows], targets[rows], row_utterance[rows],
+                                         class_names, train_cfg, generation=generation)
+        for i in np.flatnonzero(fold_of == fold):
+            a, b = data.offsets[i], data.offsets[i + 1]
+            eps[a:b] = predict_batch(model, data.x[a:b])
+            order.append(np.arange(a, b))
+        training_rows.append(rows)
         models.append(model)
-    return FoldOutGeneration(generation=generation, eps=eps, fold_of=dict(plan.assignments),
-                             training_keys=tuple(training_keys), models=tuple(models))
+    return FoldOutGeneration(generation=generation, eps=eps, fold_of=fold_of,
+                             training_rows=tuple(training_rows),
+                             prediction_order=np.concatenate(order), models=tuple(models))
 
 
-def foldout_purity_violations(result: FoldOutGeneration, dataset) -> list:
+def foldout_purity_violations(foldout: FoldOutGeneration, data: StackedDataset) -> list:
     """Utterance ids whose EP model saw any of their segments in training."""
-    violations = []
-    for u in dataset:
-        keys = {(u.utterance_id, seg.index) for seg in u.segments}
-        if keys & result.training_keys[result.fold_of[u.utterance_id]]:
-            violations.append(u.utterance_id)
-    return violations
+    row_utterance = data.utterance_of_row()
+    row_fold = foldout.fold_of[row_utterance]
+    leaked = np.zeros(len(row_fold), dtype=bool)
+    for fold, rows in enumerate(foldout.training_rows):
+        leaked[rows[row_fold[rows] == fold]] = True
+    return [data.utterance_ids[i] for i in sorted(set(row_utterance[leaked].tolist()))]
 
 
-def next_targets(eps, dataset, mode: str, class_names) -> dict:
-    """Targets for generation t+1 from generation t's fold-out EPs."""
+def next_targets(eps, labels, offsets, mode: str) -> np.ndarray:
+    """Targets for generation t+1 from generation t's (n_segments, K) fold-out EPs.
+
+    `labels[i]` is utterance i's class; it owns rows offsets[i]:offsets[i + 1].
+    """
     mode = normalize_mode(mode)
     if mode == "none":
         raise ConfigError("mode 'none' produces no refined targets")
-    targets = {}
-    for u in dataset:
-        ep = eps[u.utterance_id]
-        if mode == "soft-static":
-            shared = soft_static_label([ep.column(i) for i in range(ep.n_segments)])
-            for i in range(ep.n_segments):
-                targets[(u.utterance_id, i)] = shared
-            continue
-        hard = one_hot(u.label, class_names)
-        for i in range(ep.n_segments):
-            col = ep.column(i)
-            if mode == "sEPR":
-                targets[(u.utterance_id, i)] = refine_standard(col)
-            elif mode == "pEPR":
-                targets[(u.utterance_id, i)] = combine_with_hard(col, hard)
-            else:
-                targets[(u.utterance_id, i)] = hard_dynamic_label(col)
-    return targets
+    counts = np.diff(offsets)
+    if eps.ndim != 2 or len(labels) != len(counts) or offsets[-1] != len(eps):
+        raise DataError(f"EPs of shape {eps.shape} do not match {len(labels)} utterances "
+                        f"of {offsets[-1]} segments")
+    eye = np.eye(eps.shape[1])
+    if mode == "sEPR":
+        return eps
+    if mode == "pEPR":
+        return (eps + eye[np.repeat(labels, counts)]) / 2
+    if mode == "hard-dynamic":
+        return eye[eps.argmax(axis=1)]
+    means = [eps[a:b].mean(axis=0) for a, b in zip(offsets[:-1], offsets[1:])]
+    return np.repeat(means, counts, axis=0)
 
 
 @dataclass(frozen=True)
 class RefineryResult:
+    """Per-generation EPs and training targets; a generation that
+    `load_generation` supplied has no foldout (None)."""
+
     eps_by_generation: tuple
-    generations: tuple
+    targets_by_generation: tuple
     foldouts: tuple
 
-    @property
-    def final_generation(self) -> RefineryGeneration:
-        return self.generations[-1]
 
+def run_refinery(data: StackedDataset, cfg: RefineryConfig, on_generation=None,
+                 load_generation=None) -> RefineryResult:
+    """Run T generations; generation 1 trains on the utterance labels as one-hot targets.
 
-def run_refinery(dataset, class_names, cfg: RefineryConfig, on_generation=None) -> RefineryResult:
-    """Run T generations; generation 1 trains on pseudo one-hot labels.
-
-    `on_generation(t, foldout, generation)` is invoked after each generation,
-    letting callers persist EPs and models as they appear.
+    `load_generation(t)` may return generation t's stored (n_segments, K)
+    EPs, which are then used instead of training it; None trains it.
+    `on_generation(t, foldout, targets)` is invoked after each trained
+    generation has passed its fold-out purity audit, letting callers
+    persist EPs and models as they appear.
     """
-    _check_dataset(dataset, class_names)
-    targets = {}
-    for u in dataset:
-        for i, dist in enumerate(initial_labels(u.label, u.n_segments, class_names)):
-            targets[(u.utterance_id, i)] = dist
-
-    eps_by_generation = []
-    generations = []
-    foldouts = []
+    targets = np.eye(len(data.class_names))[np.repeat(data.labels, np.diff(data.offsets))]
+    eps_by_generation, targets_by_generation, foldouts = [], [], []
     for t in range(1, cfg.generations + 1):
-        gen = RefineryGeneration(t=t, targets=targets, mode=cfg.mode)
-        foldout = generate_eps_foldout(dataset, targets, cfg, class_names, generation=t)
-        eps_by_generation.append(foldout.eps)
-        generations.append(gen)
+        foldout = None
+        eps = load_generation(t) if load_generation is not None else None
+        if eps is None:
+            foldout = generate_eps_foldout(data, targets, cfg, generation=t)
+            violations = foldout_purity_violations(foldout, data)
+            if violations:
+                raise DataError(f"fold-out purity violated for {violations}")
+            if on_generation is not None:
+                on_generation(t, foldout, targets)
+            eps = foldout.eps
+        elif eps.shape != targets.shape:
+            raise DataError(f"stored generation {t} EPs have shape {eps.shape}, "
+                            f"expected {targets.shape}")
+        eps_by_generation.append(eps)
+        targets_by_generation.append(targets)
         foldouts.append(foldout)
-        if on_generation is not None:
-            on_generation(t, foldout, gen)
         if t < cfg.generations:
-            targets = next_targets(foldout.eps, dataset, cfg.mode, class_names)
+            targets = next_targets(eps, data.labels, data.offsets, cfg.mode)
     return RefineryResult(eps_by_generation=tuple(eps_by_generation),
-                          generations=tuple(generations), foldouts=tuple(foldouts))
+                          targets_by_generation=tuple(targets_by_generation),
+                          foldouts=tuple(foldouts))
 
 
 def mean_ep_entropy(eps) -> float:
-    """Mean Shannon entropy (nats) over every column of every profile."""
-    if not eps:
+    """Mean Shannon entropy (nats) over the rows of an (n_segments, K) EP array.
+
+    The mean's rounding depends on the row order; the pipeline averages in
+    prediction order (FoldOutGeneration.mean_entropy).
+    """
+    if eps.ndim != 2 or eps.shape[0] == 0:
         raise DataError("no emotion profiles")
-    cols = np.concatenate([ep.values for ep in eps.values()], axis=1)
+    cols = eps.T
     plogp = np.zeros_like(cols)
     nz = cols > 0
     plogp[nz] = cols[nz] * np.log(cols[nz])
     return float(-plogp.sum(axis=0).mean())
 
 
-def write_ep_csv(path, eps) -> None:
-    """EP export: one row per segment, probabilities at full float precision."""
-    if not eps:
+_EP_HEADER = ["utterance_id", "segment_index", "generation"]
+
+
+def write_ep_csv(path, eps, utterance_ids, offsets, generation: int) -> None:
+    """EP export: one row per segment, utterances sorted by id, probabilities
+    at full float precision."""
+    if len(utterance_ids) == 0:
         raise DataError("no emotion profiles to write")
-    k = next(iter(eps.values())).k
+    rows = eps.tolist()
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["utterance_id", "segment_index", "generation"]
-                        + [f"p_{i + 1}" for i in range(k)])
-        for uid in sorted(eps):
-            ep = eps[uid]
-            if ep.k != k:
-                raise DataError("profiles mix different class counts")
-            for i in range(ep.n_segments):
-                writer.writerow([uid, i, ep.generation] + [f"{v:.17g}" for v in ep.values[:, i]])
+        writer.writerow(_EP_HEADER + [f"p_{i + 1}" for i in range(eps.shape[1])])
+        for i in sorted(range(len(utterance_ids)), key=utterance_ids.__getitem__):
+            uid = utterance_ids[i]
+            for index, r in enumerate(range(offsets[i], offsets[i + 1])):
+                writer.writerow([uid, index, generation] + [f"{v:.17g}" for v in rows[r]])
 
 
-def read_ep_csv(path, class_names) -> dict:
-    """Rebuild the utterance_id -> EmotionProfile map written by write_ep_csv."""
-    names = tuple(class_names)
-    columns = {}
-    generations = {}
+def read_ep_csv(path, class_names, utterance_ids, offsets, generation: int) -> np.ndarray:
+    """The (n_segments, K) EPs written by write_ep_csv, in dataset order.
+
+    The file must hold exactly one row for every segment of the given
+    utterances, every row tagged with `generation`, and every row a
+    distribution: finite, non-negative and summing to 1 within 1e-6.
+    """
+    k = len(class_names)
+    position = {uid: i for i, uid in enumerate(utterance_ids)}
+    eps = np.zeros((int(offsets[-1]), k))
+    filled = np.zeros(len(eps), dtype=bool)
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if header[:3] != ["utterance_id", "segment_index", "generation"]:
+        if header[:3] != _EP_HEADER:
             raise DataError(f"{path} is not an emotion profile CSV")
-        if len(header) != 3 + len(names):
-            raise DataError(f"{path} carries {len(header) - 3} classes, expected {len(names)}")
+        if len(header) != 3 + k:
+            raise DataError(f"{path} carries {len(header) - 3} classes, expected {k}")
         for row in reader:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields where the header names {len(header)}")
-                uid, idx, gen = row[0], int(row[1]), int(row[2])
-                columns.setdefault(uid, {})[idx] = np.array([float(v) for v in row[3:]])
+                uid, index, gen = row[0], int(row[1]), int(row[2])
+                values = [float(v) for v in row[3:]]
+                if uid not in position:
+                    raise ValueError(f"utterance {uid!r} is not in the dataset")
+                i = position[uid]
+                if not 0 <= index < offsets[i + 1] - offsets[i]:
+                    raise ValueError(f"utterance {uid!r} has no segment {index}")
+                r = offsets[i] + index
+                if filled[r]:
+                    raise ValueError(f"segment {index} of {uid!r} appears twice")
+                if gen != generation:
+                    raise ValueError(f"generation {gen} in the file of generation {generation}")
             except ValueError as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
-            generations.setdefault(uid, set()).add(gen)
-    eps = {}
-    for uid, cols in columns.items():
-        if sorted(cols) != list(range(len(cols))):
-            raise DataError(f"utterance {uid!r} segment indices are not contiguous")
-        if len(generations[uid]) != 1:
-            raise DataError(f"utterance {uid!r} mixes generations in one file")
-        values = np.stack([cols[i] for i in range(len(cols))], axis=1)
-        eps[uid] = EmotionProfile(values=values, utterance_id=uid,
-                                  generation=generations[uid].pop(), class_names=names)
+            eps[r] = values
+            filled[r] = True
+    if not filled.all():
+        r = int(np.argmin(filled))
+        i = int(np.searchsorted(offsets, r, side="right")) - 1
+        raise DataError(f"{path}: no row for segment {r - offsets[i]} of {utterance_ids[i]!r}")
+    if not np.all(np.isfinite(eps)) or np.any(eps < 0):
+        raise DataError(f"{path}: profile entries must be finite and non-negative")
+    if np.any(np.abs(eps.sum(axis=1) - 1.0) > 1e-6):
+        raise DataError(f"{path}: every profile row must sum to 1")
     return eps

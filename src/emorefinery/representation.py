@@ -7,81 +7,37 @@ maxs, ranges) for a length of exactly 5K.
 """
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .refinery import EmotionProfile
 
 STATISTICS = ("mean", "std", "min", "max", "range")
 
 
-@dataclass(frozen=True)
-class UtteranceRepresentation:
-    """5K feature vector summarizing one utterance's emotion profile."""
-
-    features: np.ndarray
-    utterance_id: str
-    generation: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 1:
-            raise DataError("representation features must be a flat vector")
-        if self.features.shape[0] % len(STATISTICS) != 0 or self.features.shape[0] == 0:
-            raise DataError(f"feature length must be a positive multiple of {len(STATISTICS)}")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError("representation features must be finite")
-
-    @property
-    def k(self) -> int:
-        return self.features.shape[0] // len(STATISTICS)
-
-    def statistic(self, name: str) -> np.ndarray:
-        """The K-vector block for one statistic."""
-        i = STATISTICS.index(name)
-        return self.features[i * self.k:(i + 1) * self.k]
+def ep_statistics(profile: np.ndarray) -> np.ndarray:
+    """The 5K statistics of a K x N profile, one column per segment."""
+    mins = profile.min(axis=1)
+    maxs = profile.max(axis=1)
+    return np.concatenate([profile.mean(axis=1), profile.std(axis=1), mins, maxs, maxs - mins])
 
 
-def ep_statistics(ep: EmotionProfile) -> UtteranceRepresentation:
-    """Summarize each profile row over its N columns."""
-    v = ep.values
-    mins = v.min(axis=1)
-    maxs = v.max(axis=1)
-    features = np.concatenate([v.mean(axis=1), v.std(axis=1), mins, maxs, maxs - mins])
-    return UtteranceRepresentation(features=features, utterance_id=ep.utterance_id,
-                                   generation=ep.generation)
-
-
-def representations_for(eps) -> dict:
-    """utterance_id -> UtteranceRepresentation for a map of profiles."""
-    return {uid: ep_statistics(ep) for uid, ep in eps.items()}
+def representations_for(eps: np.ndarray, offsets) -> np.ndarray:
+    """(n_utterances, 5K) statistics of (n_segments, K) EPs; utterance i owns
+    rows offsets[i]:offsets[i + 1]."""
+    return np.stack([ep_statistics(eps[a:b].T) for a, b in zip(offsets[:-1], offsets[1:])])
 
 
 def write_representation_csv(path, reps) -> None:
+    """One row per utterance id of the map `reps`, sorted by id."""
     if not reps:
         raise DataError("no representations to write")
-    d = next(iter(reps.values())).features.shape[0]
+    d = len(next(iter(reps.values())))
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utterance_id"] + [f"f_{i + 1}" for i in range(d)])
         for uid in sorted(reps):
-            rep = reps[uid]
-            if rep.features.shape[0] != d:
+            if len(reps[uid]) != d:
                 raise DataError("representations mix different feature lengths")
-            writer.writerow([uid] + [f"{v:.17g}" for v in rep.features])
-
-
-def read_representation_csv(path, generation: int = 1) -> dict:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["utterance_id"]:
-        raise DataError(f"{path} is not a representation CSV")
-    reps = {}
-    for row in rows[1:]:
-        reps[row[0]] = UtteranceRepresentation(
-            features=np.array([float(v) for v in row[1:]]),
-            utterance_id=row[0], generation=generation)
-    return reps
+            writer.writerow([uid] + [f"{v:.17g}" for v in reps[uid]])

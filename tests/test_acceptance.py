@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from emorefinery.classifier import (EmotionDistribution, TrainConfig, cross_entropy,
-                                    entropy, kl_divergence, one_hot)
+                                    entropy, kl_divergence)
 from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import (SyntheticCorpusSpec, generate_synthetic_corpus,
                                  to_labeled_utterance)
@@ -25,9 +25,8 @@ from emorefinery.manifest import write_synthetic_corpus
 from emorefinery.network import Architecture, ConvNet, batch_cross_entropy, softmax
 from emorefinery.pipeline import (cross_validated_predictions, generation_dir,
                                   run_experiment)
-from emorefinery.refinery import (RefineryConfig, combine_with_hard,
-                                  foldout_purity_violations, run_refinery,
-                                  mean_ep_entropy)
+from emorefinery.refinery import (RefineryConfig, StackedDataset, foldout_purity_violations,
+                                  next_targets, run_refinery)
 from emorefinery.representation import representations_for
 
 # ---------------------------------------------------------------------------
@@ -187,23 +186,20 @@ def test_criterion_02_loss_identity_and_gradients(announce):
 # --------------------------------------------------------------------- 3 ---
 
 def test_criterion_03_pepr_combination(announce):
-    names = ("a", "b", "c", "d")
-    pred = EmotionDistribution(probs=np.array([0.6, 0.1, 0.1, 0.2]), class_names=names)
-    combined = combine_with_hard(pred, one_hot(0, names))
-    exact = bool(np.array_equal(combined.probs, np.array([0.8, 0.05, 0.05, 0.1])))
+    # One utterance of one segment: its EP row, its class, its row offsets.
+    combined = next_targets(np.array([[0.6, 0.1, 0.1, 0.2]]), [0], [0, 1], "pEPR")[0]
+    exact = bool(np.array_equal(combined, np.array([0.8, 0.05, 0.05, 0.1])))
 
     rng = np.random.default_rng(303)
     valid = True
     min_hard_mass = 1.0
     for _ in range(10000):
         k = int(rng.integers(2, 9))
-        names_k = tuple(f"c{i}" for i in range(k))
         pred = dirichlet_distribution(rng, k)
         hard_class = int(rng.integers(k))
-        out = combine_with_hard(pred, one_hot(hard_class, names_k))
-        valid &= bool(np.all(out.probs >= 0.0)
-                      and abs(float(out.probs.sum()) - 1.0) <= 1e-12)
-        min_hard_mass = min(min_hard_mass, float(out.probs[hard_class]))
+        out = next_targets(pred.probs[None], [hard_class], [0, 1], "pEPR")[0]
+        valid &= bool(np.all(out >= 0.0) and abs(float(out.sum()) - 1.0) <= 1e-12)
+        min_hard_mass = min(min_hard_mass, float(out[hard_class]))
 
     ok = exact and valid and min_hard_mass >= 0.5
     announce(ok, "criterion 3 (pEPR combination)",
@@ -220,15 +216,14 @@ def collapse_runs():
     dataset = [to_labeled_utterance(u, spec) for u in generated]
     names = spec.class_names
     train = TrainConfig(**COLLAPSE_TRAIN)
-    out = {"dataset": dataset, "names": names}
+    out = {"dataset": dataset, "names": names, "data": StackedDataset(dataset, names)}
     for mode in ("sEPR", "pEPR"):
         cfg = RefineryConfig(generations=3, mode=mode, folds=COLLAPSE_FOLDS,
                              seed=COLLAPSE_SEED, train=train)
         started = time.time()
-        result = run_refinery(dataset, names, cfg)
+        result = run_refinery(out["data"], cfg)
         out[mode] = result
-        out[f"{mode}_entropies"] = [mean_ep_entropy(eps)
-                                    for eps in result.eps_by_generation]
+        out[f"{mode}_entropies"] = [f.mean_entropy() for f in result.foldouts]
         out[f"{mode}_elapsed"] = time.time() - started
     return out
 
@@ -248,11 +243,11 @@ def test_criterion_04_sepr_collapse(collapse_runs, announce):
 
 
 def test_criterion_05_pepr_anti_collapse(collapse_runs, announce):
-    dataset = {u.utterance_id: u.label for u in collapse_runs["dataset"]}
+    data = collapse_runs["data"]
+    row_labels = np.repeat(data.labels, np.diff(data.offsets))
     min_mass = 1.0
-    for gen in collapse_runs["pEPR"].generations:
-        for (uid, _), dist in gen.targets.items():
-            min_mass = min(min_mass, float(dist.probs[dataset[uid]]))
+    for targets in collapse_runs["pEPR"].targets_by_generation:
+        min_mass = min(min_mass, float(targets[np.arange(len(targets)), row_labels].min()))
     pepr3 = collapse_runs["pEPR_entropies"][2]
     sepr3 = collapse_runs["sEPR_entropies"][2]
     ok = min_mass >= 0.5 and pepr3 < sepr3
@@ -274,9 +269,10 @@ def noise_runs():
         clean = {u.utterance_id: u.label for u in generated}
         observed = {u.utterance_id: u.observed_label for u in generated}
         names = spec.class_names
+        data = StackedDataset(dataset, names)
 
         def clean_wa(eps):
-            reps = representations_for(eps)
+            reps = dict(zip(data.utterance_ids, representations_for(eps, data.offsets)))
             preds = cross_validated_predictions(
                 reps, observed, names, ForestConfig(n_trees=100, seed=master_seed),
                 NOISE_FOLDS, master_seed)
@@ -285,11 +281,11 @@ def noise_runs():
                                             [preds[u] for u in ids], names)
             return weighted_accuracy(cm)
 
-        base = run_refinery(dataset, names,
+        base = run_refinery(data,
                             RefineryConfig(generations=1, mode="none",
                                            folds=NOISE_FOLDS, seed=master_seed,
                                            train=train))
-        pepr = run_refinery(dataset, names,
+        pepr = run_refinery(data,
                             RefineryConfig(generations=2, mode="pEPR",
                                            folds=NOISE_FOLDS, seed=master_seed,
                                            train=train))
@@ -461,7 +457,7 @@ def test_criterion_10_foldout_purity(collapse_runs, pipeline_twins, announce):
     violations = []
     for mode in ("sEPR", "pEPR"):
         for foldout in collapse_runs[mode].foldouts:
-            violations += foldout_purity_violations(foldout, collapse_runs["dataset"])
+            violations += foldout_purity_violations(foldout, collapse_runs["data"])
             audited += 1
     for t in (1, 2):
         stored = json.loads(

@@ -14,16 +14,15 @@ from emorefinery.classifier import (
     cross_entropy,
     entropy,
     kl_divergence,
+    _mean_ce,
+    _validation_split,
     load_model,
     one_hot,
-    predict,
     predict_batch,
     save_model,
     train_segment_classifier,
-    uniform_distribution,
 )
 from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
-from emorefinery.features import Segment
 from emorefinery.network import Architecture, ConvNet, batch_cross_entropy, softmax
 
 NAMES4 = ("angry", "happy", "neutral", "sad")
@@ -35,13 +34,19 @@ def random_distribution(rng, names):
     return EmotionDistribution(p / p.sum(), names)
 
 
-def make_segments(rng, n, shape=(64, 32), utterance_ids=None):
+def random_targets(rng, n, names):
+    return np.stack([random_distribution(rng, names).probs for _ in range(n)])
+
+
+def make_segments(rng, n, shape=(64, 32)):
+    return np.stack([rng.standard_normal(shape) for _ in range(n)])
+
+
+def train(x, targets, cfg, utterance_ids=None, names=NAMES4, **kw):
+    """Train on segments x; by default every segment is its own utterance."""
     if utterance_ids is None:
-        utterance_ids = [f"u{i:03d}" for i in range(n)]
-    return [
-        Segment(values=rng.standard_normal(shape), utterance_id=uid, index=0)
-        for i, uid in zip(range(n), utterance_ids)
-    ]
+        utterance_ids = [f"u{i:03d}" for i in range(len(x))]
+    return train_segment_classifier(x, targets, utterance_ids, names, cfg, **kw)
 
 
 class TestEmotionDistribution:
@@ -63,7 +68,7 @@ class TestEmotionDistribution:
         assert entropy(d) == 0.0
 
     def test_uniform(self):
-        d = uniform_distribution(NAMES6)
+        d = EmotionDistribution(np.full(6, 1 / 6), NAMES6)
         np.testing.assert_allclose(d.probs, 1 / 6)
         assert abs(entropy(d) - math.log(6)) < 1e-12
 
@@ -80,7 +85,7 @@ class TestLosses:
         assert cross_entropy(pred, target) == pytest.approx(0.22314, abs=5e-6)
 
     def test_ce_uniform_uniform(self):
-        u = uniform_distribution(NAMES4)
+        u = EmotionDistribution(np.full(4, 0.25), NAMES4)
         assert cross_entropy(u, u) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_ce_at_least_target_entropy(self):
@@ -200,22 +205,23 @@ class TestTraining:
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(21)
         segs = make_segments(rng, 12, shape=(16, 8))
-        targets = [random_distribution(np.random.default_rng(i), NAMES4) for i in range(12)]
+        targets = np.stack([random_distribution(np.random.default_rng(i), NAMES4).probs
+                            for i in range(12)])
         cfg = overfit_config(max_epochs=3)
-        m1 = train_segment_classifier(segs, targets, cfg)
-        m2 = train_segment_classifier(segs, targets, cfg)
+        m1 = train(segs, targets, cfg)
+        m2 = train(segs, targets, cfg)
         for p1, p2 in zip(m1.net.params(), m2.net.params()):
             np.testing.assert_array_equal(p1, p2)
 
     def test_compact_float32_determinism_bit_identical(self):
         rng = np.random.default_rng(22)
-        segs = make_segments(rng, 96, shape=(32, 32),
-                             utterance_ids=[f"u{i // 6:02d}" for i in range(96)])
-        targets = [random_distribution(rng, NAMES4) for _ in segs]
+        segs = make_segments(rng, 96, shape=(32, 32))
+        ids = [f"u{i // 6:02d}" for i in range(96)]
+        targets = random_targets(rng, 96, NAMES4)
         cfg = TrainConfig(max_epochs=4, batch_size=32, seed=8, validation_fraction=0.2,
                           architecture="compact")
-        m1 = train_segment_classifier(segs, targets, cfg)
-        m2 = train_segment_classifier(segs, targets, cfg)
+        m1 = train(segs, targets, cfg, ids)
+        m2 = train(segs, targets, cfg, ids)
         assert m1.history == m2.history
         assert m1.history["n_val_segments"] > 0
         for p1, p2 in zip(m1.net.params(), m2.net.params(), strict=True):
@@ -224,54 +230,57 @@ class TestTraining:
 
     def test_overfits_two_segments(self):
         rng = np.random.default_rng(33)
-        segs = [
-            Segment(rng.standard_normal((16, 8)), "same_utt", 0),
-            Segment(rng.standard_normal((16, 8)), "same_utt", 1),
-        ]
-        targets = [one_hot(0, NAMES4), one_hot(2, NAMES4)]
-        model = train_segment_classifier(segs, targets, overfit_config())
+        segs = make_segments(rng, 2, shape=(16, 8))
+        targets = np.stack([one_hot(0, NAMES4).probs, one_hot(2, NAMES4).probs])
+        model = train(segs, targets, overfit_config(), ["same_utt"] * 2)
         for seg, tgt in zip(segs, targets):
-            np.testing.assert_allclose(predict(model, seg).probs, tgt.probs, atol=0.05)
+            np.testing.assert_allclose(predict_batch(model, seg[None])[0], tgt, atol=0.05)
 
     def test_overfit_argmax_matches_target(self):
         rng = np.random.default_rng(33)
-        segs = [
-            Segment(rng.standard_normal((16, 8)), "same_utt", 0),
-            Segment(rng.standard_normal((16, 8)), "same_utt", 1),
-        ]
-        targets = [one_hot(0, NAMES4), one_hot(2, NAMES4)]
-        model = train_segment_classifier(segs, targets, overfit_config())
-        assert predict(model, segs[0]).argmax() == 0
-        assert predict(model, segs[1]).argmax() == 2
+        segs = make_segments(rng, 2, shape=(16, 8))
+        targets = np.stack([one_hot(0, NAMES4).probs, one_hot(2, NAMES4).probs])
+        model = train(segs, targets, overfit_config(), ["same_utt"] * 2)
+        assert predict_batch(model, segs[:1])[0].argmax() == 0
+        assert predict_batch(model, segs[1:])[0].argmax() == 2
 
     def test_training_ce_descends(self):
         rng = np.random.default_rng(44)
         segs = make_segments(rng, 64, shape=(16, 8))
-        targets = [random_distribution(rng, NAMES4) for _ in range(64)]
-        model = train_segment_classifier(segs, targets, overfit_config(max_epochs=10))
-        assert model.history["train_ce"][-1] < model.history["initial_train_ce"]
+        targets = random_targets(rng, 64, NAMES4)
+        cfg = overfit_config(max_epochs=10)
+        model = train(segs, targets, cfg)
+        # The untrained net, built the way training builds it from the same seed.
+        init_rng = np.random.default_rng(cfg.seed)
+        ids = np.array([f"u{i:03d}" for i in range(64)])
+        train_rows = ~_validation_split(ids, cfg.validation_fraction, init_rng)
+        untrained = ConvNet(cfg.resolved_architecture(), (16, 8), 4, init_rng)
+        initial_ce = _mean_ce(untrained, segs[train_rows], targets[train_rows], cfg.batch_size)
+        assert model.history["n_train_segments"] == train_rows.sum()
+        assert model.history["train_ce"][-1] < initial_ce
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            train_segment_classifier([], [], overfit_config())
+            train(np.zeros((0, 16, 8)), np.zeros((0, 4)), overfit_config())
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(0)
         segs = make_segments(rng, 3, shape=(16, 8))
         with pytest.raises(DataError, match="targets"):
-            train_segment_classifier(segs, [one_hot(0, NAMES4)], overfit_config())
+            train(segs, one_hot(0, NAMES4).probs[None], overfit_config())
 
     def test_validation_split_is_utterance_level(self):
         # 10 utterances x 4 segments; with fraction 0.25 some utterances
         # must be fully held out, never partially.
         rng = np.random.default_rng(55)
-        segs = []
-        for u in range(10):
-            for i in range(4):
-                segs.append(Segment(rng.standard_normal((16, 8)), f"utt{u}", i))
-        targets = [random_distribution(rng, NAMES4) for _ in segs]
+        segs = make_segments(rng, 40, shape=(16, 8))
+        ids = [f"utt{u}" for u in range(10) for _ in range(4)]
+        targets = random_targets(rng, 40, NAMES4)
         cfg = overfit_config(max_epochs=1, validation_fraction=0.25)
-        model = train_segment_classifier(segs, targets, cfg)
+        mask = _validation_split(np.array(ids), cfg.validation_fraction,
+                                 np.random.default_rng(cfg.seed))
+        assert all(len(set(mask[4 * u:4 * u + 4])) == 1 for u in range(10))
+        model = train(segs, targets, cfg, ids)
         assert model.history["n_val_segments"] == 8  # 2 of 10 utterances
         assert model.history["n_train_segments"] == 32
 
@@ -280,9 +289,9 @@ class TestPredict:
     def test_valid_distribution(self):
         rng = np.random.default_rng(1)
         segs = make_segments(rng, 4, shape=(16, 8))
-        targets = [random_distribution(rng, NAMES4) for _ in range(4)]
-        model = train_segment_classifier(segs, targets, overfit_config(max_epochs=1))
-        d = predict(model, segs[0])
+        targets = random_targets(rng, 4, NAMES4)
+        model = train(segs, targets, overfit_config(max_epochs=1))
+        d = EmotionDistribution(predict_batch(model, segs[:1])[0], model.class_names)
         assert d.k == 4
         assert abs(d.probs.sum() - 1.0) < 1e-6
         assert np.all(d.probs >= 0)
@@ -290,33 +299,33 @@ class TestPredict:
     def test_collapsed_model_predicts_uniform(self):
         rng = np.random.default_rng(2)
         segs = make_segments(rng, 4, shape=(16, 8))
-        targets = [random_distribution(rng, NAMES6) for _ in range(4)]
-        model = train_segment_classifier(segs, targets, overfit_config(max_epochs=1))
+        targets = random_targets(rng, 4, NAMES6)
+        model = train(segs, targets, overfit_config(max_epochs=1), names=NAMES6)
         head = model.net.layers[-1]
         head.w[...] = 0.0
         head.b[...] = 0.0
-        d = predict(model, segs[0])
-        np.testing.assert_allclose(d.probs, 1 / 6, atol=1e-12)
-        assert abs(d.probs[0] - 0.1667) < 1e-3
+        probs = predict_batch(model, segs[:1])[0]
+        np.testing.assert_allclose(probs, 1 / 6, atol=1e-12)
+        assert abs(probs[0] - 0.1667) < 1e-3
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         segs = make_segments(rng, 4, shape=(16, 8))
-        targets = [random_distribution(rng, NAMES4) for _ in range(4)]
-        model = train_segment_classifier(segs, targets, overfit_config(max_epochs=1))
+        targets = random_targets(rng, 4, NAMES4)
+        model = train(segs, targets, overfit_config(max_epochs=1))
         with pytest.raises(DataError, match="shape"):
-            predict(model, Segment(np.zeros((8, 8)), "x", 0))
+            predict_batch(model, np.zeros((1, 8, 8)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(4)
         segs = make_segments(rng, 6, shape=(16, 8))
-        targets = [random_distribution(rng, NAMES4) for _ in range(6)]
-        model = train_segment_classifier(segs, targets, overfit_config(max_epochs=2))
+        targets = random_targets(rng, 6, NAMES4)
+        model = train(segs, targets, overfit_config(max_epochs=2))
         batch = predict_batch(model, segs)
         for i, seg in enumerate(segs):
             # BLAS accumulates differently for different batch shapes, so
             # agreement is to rounding, not bit-exact.
-            np.testing.assert_allclose(batch[i], predict(model, seg).probs, atol=1e-12)
+            np.testing.assert_allclose(batch[i], predict_batch(model, seg[None])[0], atol=1e-12)
 
 
 class TestBlasThreads:
@@ -339,7 +348,7 @@ class TestBlasThreads:
     def data(self):
         rng = np.random.default_rng(31)
         segs = make_segments(rng, 24, shape=(32, 32))
-        return segs, [random_distribution(rng, NAMES4) for _ in segs]
+        return segs, random_targets(rng, 24, NAMES4)
 
     def config(self):
         return TrainConfig(max_epochs=2, batch_size=8, seed=4, architecture="compact")
@@ -354,7 +363,7 @@ class TestBlasThreads:
 
         monkeypatch.setattr(ConvNet, "forward", spy)
         segs, targets = self.data()
-        model = train_segment_classifier(segs, targets, self.config())
+        model = train(segs, targets, self.config())
         assert seen and set(seen) == {1}
         assert openblas() == 2
         seen.clear()
@@ -369,14 +378,14 @@ class TestBlasThreads:
         monkeypatch.setattr(classifier, "batch_cross_entropy", diverge)
         segs, targets = self.data()
         with pytest.raises(TrainingDivergedError):
-            train_segment_classifier(segs, targets, self.config())
+            train(segs, targets, self.config())
         assert openblas() == 2
 
     def test_without_openblas_same_parameters(self, monkeypatch):
         segs, targets = self.data()
-        pinned = train_segment_classifier(segs, targets, self.config())
+        pinned = train(segs, targets, self.config())
         monkeypatch.setattr(classifier, "_openblas", lambda: None)
-        unpinned = train_segment_classifier(segs, targets, self.config())
+        unpinned = train(segs, targets, self.config())
         assert unpinned.history == pinned.history
         for p1, p2 in zip(pinned.net.params(), unpinned.net.params(), strict=True):
             assert p1.tobytes() == p2.tobytes()
@@ -386,8 +395,8 @@ class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(6)
         segs = make_segments(rng, 8, shape=(16, 8))
-        targets = [random_distribution(rng, NAMES4) for _ in range(8)]
-        model = train_segment_classifier(segs, targets, overfit_config(max_epochs=2), generation=3)
+        targets = random_targets(rng, 8, NAMES4)
+        model = train(segs, targets, overfit_config(max_epochs=2), generation=3)
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)

@@ -165,6 +165,32 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {eps}, line ")
 
+    @pytest.mark.parametrize("name, damage, what", [
+        ("metrics.json", lambda text: text[:len(text) // 2], "is not valid JSON"),
+        ("metrics.json", lambda text: json.dumps({"generation": 1, "wa": 0.5, "ua": 0.5}),
+         "is not the report of generation 1 with numbers for wa, ua and mean_ep_entropy"),
+        ("metrics.json", lambda text: json.dumps({"wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1}),
+         "is not the report of generation 1"),
+        ("metrics.json", lambda text: text.replace('"wa": ', '"wa": "x", "_": '),
+         "is not the report of generation 1"),
+        ("eps.csv", lambda text: "".join(line for line in text.splitlines(keepends=True)
+                                         if not line.startswith("u0001_c0,")),
+         ": no row for segment 0 of 'u0001_c0'"),
+    ])
+    def test_damaged_generation_exits_3(self, workspace, tmp_path, capsys, name, damage, what):
+        args = ["run", "--config", str(workspace / "cfg.json"),
+                "--corpus", str(workspace / "corpus"), "--out", str(tmp_path / "run"),
+                "--generations", "1"]
+        assert main(args) == 0
+        path = tmp_path / "run" / "generations" / "gen01" / name
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}")
+        assert what in err[0] and err[0].endswith("rerun with --no-resume to recompute it")
+        assert main(args + ["--no-resume"]) == 0
+
     def test_conflicting_run_dir_exits_3(self, workspace, finished_run):
         assert main(["run", "--config", str(workspace / "cfg.json"),
                      "--corpus", str(workspace / "corpus"), "--seed", "6",

@@ -1,5 +1,7 @@
 """Feature extraction tests, checked against brute-force DSP oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,17 @@ class TestWavLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_wav(tmp_path / "nope.wav")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_samples_name_the_file(self, tmp_path, bad):
+        from scipy.io import wavfile
+
+        data = np.linspace(-0.9, 0.9, 2000).astype(np.float32)
+        data[1234] = bad
+        path = tmp_path / "u7.wav"
+        wavfile.write(path, 16000, data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite samples$"):
+            load_wav(path, utterance_id="u7")
 
 
 class TestHannWindow:

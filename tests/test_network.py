@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from emorefinery import network
-from emorefinery.classifier import EmotionDistribution, TrainConfig, train_segment_classifier
-from emorefinery.features import Segment
+from emorefinery.classifier import TrainConfig, train_segment_classifier
 from emorefinery.network import ARCHITECTURES, Conv3x3, ConvNet, MaxPool2x2
 
 
@@ -234,14 +233,16 @@ def test_pool_relu_output_matches():
 
 def test_two_epochs_of_compact_training_match_oracle(monkeypatch):
     rng = np.random.default_rng(12)
-    segs = [Segment(rng.standard_normal((32, 32)), f"u{i // 4}", i % 4) for i in range(40)]
+    segs = np.stack([rng.standard_normal((32, 32)) for _ in range(40)])
+    ids = [f"u{i // 4}" for i in range(40)]
     probs = rng.uniform(0.01, 1.0, (40, 4))
-    targets = [EmotionDistribution(p / p.sum(), ("a", "b", "c", "d")) for p in probs]
+    targets = probs / probs.sum(axis=1, keepdims=True)
+    names = ("a", "b", "c", "d")
     cfg = TrainConfig(max_epochs=2, batch_size=16, seed=5, validation_fraction=0.2,
                       architecture="compact")
-    new = train_segment_classifier(segs, targets, cfg)
+    new = train_segment_classifier(segs, targets, ids, names, cfg)
     with oracle_layers(monkeypatch):
-        old = train_segment_classifier(segs, targets, cfg)
+        old = train_segment_classifier(segs, targets, ids, names, cfg)
     assert new.history == old.history
     for p_new, p_old in zip(new.net.params(), old.net.params(), strict=True):
         assert_bytes_equal(p_new, p_old)

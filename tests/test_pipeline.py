@@ -21,7 +21,7 @@ from emorefinery.pipeline import (
     run_experiment,
     utterances_from_manifest,
 )
-from emorefinery.refinery import read_ep_csv
+from emorefinery.refinery import StackedDataset, read_ep_csv
 from emorefinery.representation import representations_for
 
 SPEC = SyntheticCorpusSpec(n_classes=3, utterances_per_class=4, segments_range=(3, 4),
@@ -100,16 +100,13 @@ class TestCrossValidatedPredictions:
         m = load_manifest(corpus)
         utts, _ = utterances_from_manifest(m, FrameSpec(), SEGMENT)
         rng = np.random.default_rng(0)
-        from emorefinery.refinery import build_ep
-        from emorefinery.classifier import EmotionDistribution
-        eps = {}
+        eps = []
         for u in utts:
             cols = rng.uniform(0.05, 1.0, (len(m.class_names), u.n_segments))
-            cols /= cols.sum(axis=0)
-            eps[u.utterance_id] = build_ep(
-                [EmotionDistribution(probs=cols[:, i], class_names=m.class_names)
-                 for i in range(u.n_segments)], utterance_id=u.utterance_id)
-        reps = representations_for(eps)
+            eps.append((cols / cols.sum(axis=0)).T)
+        data = StackedDataset(utts, m.class_names)
+        reps = dict(zip(data.utterance_ids,
+                        representations_for(np.concatenate(eps), data.offsets)))
         labels = m.observed_labels()
         first = cross_validated_predictions(reps, labels, m.class_names,
                                             ForestConfig(n_trees=10, seed=3), 3, 17)
@@ -149,13 +146,18 @@ class TestRunExperiment:
             assert audit["generation"] == t
             assert sorted(audit["fold_of"].values()) != []
 
-    def test_eps_readable_and_generation_tagged(self, finished_run):
+    def test_eps_readable_and_generation_tagged(self, finished_run, corpus):
         run_dir, _ = finished_run
         names = ("class_0", "class_1", "class_2")
+        utts, _ = utterances_from_manifest(load_manifest(corpus), FrameSpec(), SEGMENT)
+        data = StackedDataset(utts, names)
+        ids, offsets = data.utterance_ids, data.offsets
         for t in (1, 2):
-            eps = read_ep_csv(generation_dir(run_dir, t) / "eps.csv", names)
-            assert len(eps) == 12
-            assert all(ep.generation == t for ep in eps.values())
+            path = generation_dir(run_dir, t) / "eps.csv"
+            eps = read_ep_csv(path, names, ids, offsets, t)
+            assert eps.shape == (offsets[-1], 3)
+            with pytest.raises(DataError, match=f"generation {t} in the file of generation"):
+                read_ep_csv(path, names, ids, offsets, 3 - t)
 
     def test_twin_runs_byte_identical(self, corpus, tmp_path):
         cfg = fast_config()
@@ -173,7 +175,7 @@ class TestRunExperiment:
         def boom(*args, **kwargs):
             raise AssertionError("resume must not retrain")
 
-        monkeypatch.setattr("emorefinery.pipeline.generate_eps_foldout", boom)
+        monkeypatch.setattr("emorefinery.refinery.generate_eps_foldout", boom)
         again = run_experiment(corpus, cfg, run_dir=tmp_path / "r")
         assert again == before
 
@@ -182,9 +184,19 @@ class TestRunExperiment:
         cfg = fast_config()
         run_experiment(corpus, cfg, run_dir=tmp_path / "r")
         reference = (tmp_path / "r" / "metrics.json").read_bytes()
-        shutil.rmtree(generation_dir(tmp_path / "r", 2))
+        gen2 = generation_dir(tmp_path / "r", 2)
+        files = sorted(p.relative_to(gen2) for p in gen2.rglob("*") if p.is_file())
+        assert [str(p) for p in files] == [
+            "confusion.csv", "eps.csv", "foldout.json", "metrics.json",
+            "models/fold00.npz", "models/fold01.npz", "models/fold02.npz",
+            "predictions.csv", "representations.csv"]
+        uninterrupted = {p: (gen2 / p).read_bytes() for p in files}
+        shutil.rmtree(gen2)
         run_experiment(corpus, cfg, run_dir=tmp_path / "r")
         assert (tmp_path / "r" / "metrics.json").read_bytes() == reference
+        assert sorted(p.relative_to(gen2) for p in gen2.rglob("*") if p.is_file()) == files
+        for p in files:
+            assert (gen2 / p).read_bytes() == uninterrupted[p], p
 
     def test_config_change_on_existing_run_dir_rejected(self, corpus, tmp_path):
         run_experiment(corpus, fast_config(), run_dir=tmp_path / "r")
@@ -212,13 +224,13 @@ class TestRunExperiment:
         cfg = fast_config()
         run_experiment(corpus, cfg, run_dir=tmp_path / "r")
         calls = []
-        from emorefinery.pipeline import generate_eps_foldout as real
+        from emorefinery.refinery import generate_eps_foldout as real
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr("emorefinery.pipeline.generate_eps_foldout", counting)
+        monkeypatch.setattr("emorefinery.refinery.generate_eps_foldout", counting)
         run_experiment(corpus, cfg, run_dir=tmp_path / "r", resume=False)
         assert len(calls) == 2
 
@@ -251,13 +263,13 @@ class TestLabelNoiseReporting:
 class TestExportEp:
     def test_rows_cover_all_generations(self, finished_run, tmp_path):
         run_dir, _ = finished_run
-        eps = read_ep_csv(generation_dir(run_dir, 1) / "eps.csv",
-                          ("class_0", "class_1", "class_2"))
-        uid = sorted(eps)[0]
+        lines = (generation_dir(run_dir, 1) / "eps.csv").read_text().splitlines()
+        uid = lines[1].split(",")[0]
+        n_segments = sum(1 for line in lines if line.startswith(f"{uid},"))
         out = tmp_path / "ep.csv"
         n = export_ep_evolution(run_dir, uid, out)
         lines = out.read_text().splitlines()
-        assert n == 2 * eps[uid].n_segments
+        assert n == 2 * n_segments
         assert len(lines) == n + 1
         assert lines[0].startswith("utterance_id,segment_index,generation,")
         generations = {line.split(",")[2] for line in lines[1:]}

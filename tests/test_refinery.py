@@ -1,31 +1,27 @@
 """Refinery tests: target rules with worked examples, fold-out EP generation,
 purity auditing, and the multi-generation loop."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from emorefinery.classifier import EmotionDistribution, TrainConfig, one_hot, uniform_distribution
+from emorefinery.classifier import TrainConfig, predict_batch
 from emorefinery.errors import ConfigError, DataError
 from emorefinery.features import Segment
 from emorefinery.network import Architecture
 from emorefinery.refinery import (
-    EmotionProfile,
     LabeledUtterance,
     RefineryConfig,
-    build_ep,
-    combine_with_hard,
+    StackedDataset,
     foldout_purity_violations,
     generate_eps_foldout,
-    hard_dynamic_label,
-    initial_labels,
     mean_ep_entropy,
     next_targets,
     read_ep_csv,
-    refine_standard,
     run_refinery,
-    soft_static_label,
     write_ep_csv,
 )
 
@@ -34,8 +30,29 @@ NAMES6 = ("angry", "fear", "happy", "neutral", "sad", "surprise")
 TINY = Architecture(name="tiny", conv_stages=((2,), (2,)), dtype="float64")
 
 
-def dist(values, names=NAMES4):
-    return EmotionDistribution(probs=np.asarray(values, dtype=np.float64), class_names=names)
+def rows(*values):
+    return np.array(values, dtype=np.float64)
+
+
+def pepr(pred, label):
+    """pEPR target of one segment predicted `pred` in an utterance of class `label`."""
+    return next_targets(rows(pred), [label], [0, 1], "pEPR")[0]
+
+
+def hard_dynamic(pred):
+    return next_targets(rows(pred), [0], [0, 1], "hard-dynamic")[0]
+
+
+def soft_static(preds):
+    """The soft-static target shared by the segments of one utterance."""
+    out = next_targets(rows(*preds), [0], [0, len(preds)], "soft-static")
+    np.testing.assert_array_equal(out, np.tile(out[0], (len(preds), 1)))
+    return out[0]
+
+
+def random_rows(rng, n, k):
+    v = rng.uniform(0.05, 1.0, (n, k))
+    return v / v.sum(axis=1, keepdims=True)
 
 
 def tiny_corpus(rng, n_utts=9, n_segments=2, n_classes=4):
@@ -55,145 +72,106 @@ def fast_config(**kw):
     return RefineryConfig(**args)
 
 
+def initial_targets(labels, n_segments, names):
+    """Generation 1's targets, from a run whose one generation is loaded, not trained."""
+    rng = np.random.default_rng(0)
+    corpus = [LabeledUtterance(f"u{i}", label,
+                               [Segment(rng.standard_normal((4, 4)), f"u{i}", j)
+                                for j in range(n_segments)])
+              for i, label in enumerate(labels)]
+    stored = np.full((len(labels) * n_segments, len(names)), 1 / len(names))
+    result = run_refinery(StackedDataset(corpus, names), fast_config(),
+                          load_generation=lambda t: stored)
+    assert result.foldouts == (None,)
+    return result.targets_by_generation[0]
+
+
 class TestInitialLabels:
     def test_three_copies(self):
-        labels = initial_labels(0, 3, NAMES4)
-        assert len(labels) == 3
-        for lab in labels:
-            np.testing.assert_array_equal(lab.probs, [1, 0, 0, 0])
+        np.testing.assert_array_equal(initial_targets([0], 3, NAMES4), [[1, 0, 0, 0]] * 3)
 
     def test_six_class_single_segment(self):
-        labels = initial_labels(2, 1, NAMES6)
-        np.testing.assert_array_equal(labels[0].probs, [0, 0, 1, 0, 0, 0])
+        np.testing.assert_array_equal(initial_targets([2], 1, NAMES6), [[0, 0, 1, 0, 0, 0]])
 
     def test_entropy_zero(self):
-        from emorefinery.classifier import entropy
-
-        for lab in initial_labels(1, 5, NAMES4):
-            assert entropy(lab) == 0.0
+        assert mean_ep_entropy(initial_targets([1, 3], 5, NAMES4)) == 0.0
 
     def test_bad_class_index(self):
-        with pytest.raises(DataError):
-            initial_labels(4, 2, NAMES4)
-
-
-class TestBuildEp:
-    def test_columns_in_order(self):
-        ep = build_ep([dist([1, 0], ("a", "b")), dist([0, 1], ("a", "b"))], "u1", 2)
-        np.testing.assert_array_equal(ep.values, [[1, 0], [0, 1]])
-        assert ep.utterance_id == "u1"
-        assert ep.generation == 2
-
-    def test_single_prediction(self):
-        d = dist([0.25, 0.25, 0.25, 0.25])
-        ep = build_ep([d])
-        assert ep.values.shape == (4, 1)
-        np.testing.assert_array_equal(ep.values[:, 0], d.probs)
-
-    def test_round_trip_bit_equal(self):
-        rng = np.random.default_rng(0)
-        preds = []
-        for _ in range(5):
-            p = rng.uniform(0.05, 1.0, 4)
-            preds.append(dist(p / p.sum()))
-        ep = build_ep(preds)
-        for i, p in enumerate(preds):
-            np.testing.assert_array_equal(ep.column(i).probs, p.probs)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError, match="no predictions"):
-            build_ep([])
-
-    def test_mixed_classes_rejected(self):
-        with pytest.raises(DataError, match="mix"):
-            build_ep([dist([0.5, 0.5], ("a", "b")), dist([0.5, 0.5], ("x", "y"))])
+        with pytest.raises(DataError, match="exceeds class count"):
+            initial_targets([4], 2, NAMES4)
 
 
 class TestTargetRules:
     def test_refine_standard_passthrough(self):
-        for p in ([0.6, 0.1, 0.1, 0.2], [1, 0, 0, 0], [0.25] * 4):
-            d = dist(p)
-            assert refine_standard(d) is d
+        eps = rows([0.6, 0.1, 0.1, 0.2], [1, 0, 0, 0], [0.25] * 4)
+        assert next_targets(eps, [0, 2], [0, 1, 3], "sEPR") is eps
 
     def test_combine_worked_example_exact(self):
-        out = combine_with_hard(dist([0.6, 0.1, 0.1, 0.2]), one_hot(0, NAMES4))
-        np.testing.assert_array_equal(out.probs, [0.8, 0.05, 0.05, 0.1])
+        np.testing.assert_array_equal(pepr([0.6, 0.1, 0.1, 0.2], 0), [0.8, 0.05, 0.05, 0.1])
 
     def test_combine_fixed_point(self):
-        h = one_hot(1, NAMES4)
-        np.testing.assert_array_equal(combine_with_hard(h, h).probs, h.probs)
+        np.testing.assert_array_equal(pepr([0, 1, 0, 0], 1), [0, 1, 0, 0])
 
     def test_combine_uniform(self):
-        out = combine_with_hard(uniform_distribution(NAMES4), one_hot(0, NAMES4))
-        np.testing.assert_array_equal(out.probs, [0.625, 0.125, 0.125, 0.125])
-
-    def test_combine_rejects_soft_hard_label(self):
-        with pytest.raises(DataError, match="one-hot"):
-            combine_with_hard(dist([0.25] * 4), dist([0.5, 0.5, 0, 0]))
+        np.testing.assert_array_equal(pepr([0.25] * 4, 0), [0.625, 0.125, 0.125, 0.125])
 
     def test_combine_hard_mass_bound(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             p = rng.uniform(0, 1, 6)
-            pred = dist(p / p.sum(), NAMES6)
+            pred = p / p.sum()
             c = rng.integers(0, 6)
-            out = combine_with_hard(pred, one_hot(c, NAMES6))
-            assert out.probs[c] >= max(0.5, pred.probs[c]) - 1e-15
+            out = pepr(pred, c)
+            assert out[c] >= max(0.5, pred[c]) - 1e-15
             assert out.argmax() == c
-            assert abs(out.probs.sum() - 1.0) < 1e-12
+            assert abs(out.sum() - 1.0) < 1e-12
 
     def test_hard_dynamic(self):
-        np.testing.assert_array_equal(hard_dynamic_label(dist([0.6, 0.1, 0.1, 0.2])).probs,
-                                      [1, 0, 0, 0])
+        np.testing.assert_array_equal(hard_dynamic([0.6, 0.1, 0.1, 0.2]), [1, 0, 0, 0])
 
     def test_hard_dynamic_idempotent(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = rng.uniform(0, 1, 4)
-            once = hard_dynamic_label(dist(p / p.sum()))
-            np.testing.assert_array_equal(hard_dynamic_label(once).probs, once.probs)
+            once = hard_dynamic(p / p.sum())
+            np.testing.assert_array_equal(hard_dynamic(once), once)
 
     def test_hard_dynamic_tie_to_lowest(self):
-        out = hard_dynamic_label(dist([0.5, 0.5], ("a", "b")))
-        np.testing.assert_array_equal(out.probs, [1, 0])
+        np.testing.assert_array_equal(hard_dynamic([0.5, 0.5]), [1, 0])
 
     def test_soft_static_mean(self):
-        out = soft_static_label([dist([1, 0], ("a", "b")), dist([0, 1], ("a", "b"))])
-        np.testing.assert_array_equal(out.probs, [0.5, 0.5])
+        np.testing.assert_array_equal(soft_static([[1, 0], [0, 1]]), [0.5, 0.5])
 
     def test_soft_static_constant_inputs(self):
-        d = dist([0.7, 0.1, 0.1, 0.1])
-        out = soft_static_label([d] * 4)
-        np.testing.assert_allclose(out.probs, d.probs, atol=1e-15)
+        d = [0.7, 0.1, 0.1, 0.1]
+        np.testing.assert_allclose(soft_static([d] * 4), d, atol=1e-15)
 
     def test_soft_static_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        preds = []
-        for _ in range(7):
-            p = rng.uniform(0, 1, 6)
-            preds.append(dist(p / p.sum(), NAMES6))
-        assert abs(soft_static_label(preds).probs.sum() - 1.0) < 1e-9
-
-    def test_soft_static_empty_rejected(self):
-        with pytest.raises(DataError):
-            soft_static_label([])
+        preds = random_rows(np.random.default_rng(3), 7, 6)
+        assert abs(soft_static(preds).sum() - 1.0) < 1e-9
 
 
 class TestEmotionProfile:
-    def test_invalid_column_sum(self):
+    """read_ep_csv checks every stored profile row the way training produces it."""
+
+    def load(self, tmp_path, values, names=("a", "b")):
+        path = tmp_path / "eps.csv"
+        header = ",".join(f"p_{i + 1}" for i in range(len(values[0])))
+        path.write_text(f"utterance_id,segment_index,generation,{header}\n" + "".join(
+            f"u,{i},1," + ",".join(map(str, row)) + "\n" for i, row in enumerate(values)))
+        return read_ep_csv(path, names, ["u"], [0, len(values)], 1)
+
+    def test_invalid_column_sum(self, tmp_path):
         with pytest.raises(DataError, match="sum"):
-            EmotionProfile(values=np.array([[0.5, 0.2], [0.3, 0.2]]),
-                           utterance_id="u", generation=1, class_names=("a", "b"))
+            self.load(tmp_path, [[0.5, 0.3], [0.2, 0.2]])
 
-    def test_negative_entry(self):
-        with pytest.raises(DataError):
-            EmotionProfile(values=np.array([[1.2], [-0.2]]),
-                           utterance_id="u", generation=1, class_names=("a", "b"))
+    def test_negative_entry(self, tmp_path):
+        with pytest.raises(DataError, match="non-negative"):
+            self.load(tmp_path, [[1.2, -0.2]])
 
-    def test_row_count_must_match_names(self):
-        with pytest.raises(DataError):
-            EmotionProfile(values=np.array([[0.5], [0.5]]),
-                           utterance_id="u", generation=1, class_names=("a", "b", "c"))
+    def test_row_count_must_match_names(self, tmp_path):
+        with pytest.raises(DataError, match="carries 2 classes, expected 3"):
+            self.load(tmp_path, [[0.5, 0.5]], names=("a", "b", "c"))
 
 
 class TestRefineryConfig:
@@ -217,69 +195,63 @@ class TestRefineryConfig:
             RefineryConfig(folds=1)
 
 
+def initial(corpus, names):
+    data = StackedDataset(corpus, names)
+    return data, np.eye(len(names))[np.repeat(data.labels, np.diff(data.offsets))]
+
+
 class TestFoldOutGeneration:
     def test_singleton_folds(self):
         rng = np.random.default_rng(4)
         corpus = tiny_corpus(rng, n_utts=10, n_classes=2)
         names = ("angry", "happy")
-        cfg = fast_config(folds=10)
-        targets = {}
-        for u in corpus:
-            for i, lab in enumerate(initial_labels(u.label, u.n_segments, names)):
-                targets[(u.utterance_id, i)] = lab
-        result = generate_eps_foldout(corpus, targets, cfg, names)
-        fold_sizes = np.bincount(list(result.fold_of.values()), minlength=10)
-        np.testing.assert_array_equal(fold_sizes, np.ones(10))
+        data, targets = initial(corpus, names)
+        result = generate_eps_foldout(data, targets, fast_config(folds=10))
+        np.testing.assert_array_equal(np.bincount(result.fold_of, minlength=10), np.ones(10))
         assert len(result.models) == 10
 
     def test_ep_columns_valid_and_cover_corpus(self):
         rng = np.random.default_rng(5)
         corpus = tiny_corpus(rng)
-        targets = {}
-        for u in corpus:
-            for i, lab in enumerate(initial_labels(u.label, u.n_segments, NAMES4)):
-                targets[(u.utterance_id, i)] = lab
-        result = generate_eps_foldout(corpus, targets, fast_config(), NAMES4)
-        assert set(result.eps) == {u.utterance_id for u in corpus}
-        for u in corpus:
-            ep = result.eps[u.utterance_id]
-            assert ep.n_segments == u.n_segments
-            for i in range(ep.n_segments):
-                col = ep.column(i)
-                assert abs(col.probs.sum() - 1.0) < 1e-6
+        data, targets = initial(corpus, NAMES4)
+        result = generate_eps_foldout(data, targets, fast_config())
+        assert result.eps.shape == (sum(u.n_segments for u in corpus), 4)
+        np.testing.assert_allclose(result.eps.sum(axis=1), 1.0, atol=1e-6)
+        assert sorted(result.prediction_order) == list(range(len(result.eps)))
+        for i, u in enumerate(corpus):
+            a, b = data.offsets[i], data.offsets[i + 1]
+            model = result.models[result.fold_of[i]]
+            np.testing.assert_array_equal(result.eps[a:b],
+                                          predict_batch(model, [s.values for s in u.segments]))
 
     def test_foldout_purity(self):
         rng = np.random.default_rng(6)
         corpus = tiny_corpus(rng)
-        targets = {}
-        for u in corpus:
-            for i, lab in enumerate(initial_labels(u.label, u.n_segments, NAMES4)):
-                targets[(u.utterance_id, i)] = lab
-        result = generate_eps_foldout(corpus, targets, fast_config(), NAMES4)
-        assert foldout_purity_violations(result, corpus) == []
-        # held-out segment keys must not appear in that fold's training set
-        for u in corpus:
-            fold = result.fold_of[u.utterance_id]
-            assert (u.utterance_id, 0) not in result.training_keys[fold]
+        data, targets = initial(corpus, NAMES4)
+        result = generate_eps_foldout(data, targets, fast_config())
+        assert foldout_purity_violations(result, data) == []
+        # held-out segment rows must not appear in that fold's training set
+        for i in range(len(corpus)):
+            assert data.offsets[i] not in result.training_rows[result.fold_of[i]]
+        leaky = result.training_rows[:1] + result.training_rows[1:2] * 2
+        leaked = foldout_purity_violations(
+            dataclasses.replace(result, training_rows=leaky), data)
+        assert leaked == [u for u, f in zip(data.utterance_ids, result.fold_of) if f == 2]
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
         corpus = tiny_corpus(rng)
-        targets = {}
-        for u in corpus:
-            for i, lab in enumerate(initial_labels(u.label, u.n_segments, NAMES4)):
-                targets[(u.utterance_id, i)] = lab
-        r1 = generate_eps_foldout(corpus, targets, fast_config(), NAMES4)
-        r2 = generate_eps_foldout(corpus, targets, fast_config(), NAMES4)
-        assert r1.fold_of == r2.fold_of
-        for uid in r1.eps:
-            np.testing.assert_array_equal(r1.eps[uid].values, r2.eps[uid].values)
+        data, targets = initial(corpus, NAMES4)
+        r1 = generate_eps_foldout(data, targets, fast_config())
+        r2 = generate_eps_foldout(data, targets, fast_config())
+        np.testing.assert_array_equal(r1.fold_of, r2.fold_of)
+        assert r1.eps.tobytes() == r2.eps.tobytes()
 
     def test_missing_target_rejected(self):
         rng = np.random.default_rng(8)
-        corpus = tiny_corpus(rng)
-        with pytest.raises(DataError, match="missing target"):
-            generate_eps_foldout(corpus, {}, fast_config(), NAMES4)
+        data, targets = initial(tiny_corpus(rng), NAMES4)
+        with pytest.raises(DataError, match="one row per segment"):
+            generate_eps_foldout(data, targets[:-1], fast_config())
 
 
 class TestRunRefinery:
@@ -287,152 +259,169 @@ class TestRunRefinery:
         rng = np.random.default_rng(9)
         corpus = tiny_corpus(rng)
         cfg = fast_config(generations=1)
-        result = run_refinery(corpus, NAMES4, cfg)
-        targets = {}
-        for u in corpus:
-            for i, lab in enumerate(initial_labels(u.label, u.n_segments, NAMES4)):
-                targets[(u.utterance_id, i)] = lab
-        direct = generate_eps_foldout(corpus, targets, cfg, NAMES4, generation=1)
+        result = run_refinery(StackedDataset(corpus, NAMES4), cfg)
+        direct = generate_eps_foldout(*initial(corpus, NAMES4), cfg, generation=1)
         assert len(result.eps_by_generation) == 1
-        for uid in direct.eps:
-            np.testing.assert_array_equal(result.eps_by_generation[0][uid].values,
-                                          direct.eps[uid].values)
+        assert result.eps_by_generation[0].tobytes() == direct.eps.tobytes()
 
     def test_pepr_targets_keep_half_mass_on_label(self):
         rng = np.random.default_rng(10)
         corpus = tiny_corpus(rng)
-        cfg = fast_config(generations=2, mode="pEPR")
-        result = run_refinery(corpus, NAMES4, cfg)
-        gen2 = result.generations[1]
-        assert gen2.t == 2
-        label_of = {u.utterance_id: u.label for u in corpus}
-        for (uid, _), target in gen2.targets.items():
-            assert target.probs[label_of[uid]] >= 0.5
+        result = run_refinery(StackedDataset(corpus, NAMES4),
+                              fast_config(generations=2, mode="pEPR"))
+        gen2 = result.targets_by_generation[1]
+        row_labels = np.repeat([u.label for u in corpus], [u.n_segments for u in corpus])
+        assert np.all(gen2[np.arange(len(gen2)), row_labels] >= 0.5)
 
     def test_trains_generations_times_folds_models(self):
         rng = np.random.default_rng(11)
         corpus = tiny_corpus(rng)
         cfg = fast_config(generations=2, folds=3)
-        result = run_refinery(corpus, NAMES4, cfg)
+        result = run_refinery(StackedDataset(corpus, NAMES4), cfg)
         assert sum(len(f.models) for f in result.foldouts) == 6
 
     def test_generation_callback(self):
         rng = np.random.default_rng(12)
         corpus = tiny_corpus(rng)
         seen = []
-        run_refinery(corpus, NAMES4, fast_config(generations=2),
-                     on_generation=lambda t, fo, gen: seen.append((t, fo.generation, gen.t)))
-        assert seen == [(1, 1, 1), (2, 2, 2)]
+        result = run_refinery(
+            StackedDataset(corpus, NAMES4), fast_config(generations=2),
+            on_generation=lambda t, fo, targets: seen.append((t, fo.generation, targets)))
+        assert [(t, g) for t, g, _ in seen] == [(1, 1), (2, 2)]
+        assert all(s[2] is tg for s, tg in zip(seen, result.targets_by_generation))
+
+    def test_loaded_generation_replaces_training(self):
+        rng = np.random.default_rng(12)
+        corpus = tiny_corpus(rng)
+        cfg = fast_config(generations=2)
+        full = run_refinery(StackedDataset(corpus, NAMES4), cfg)
+        seen = []
+        resumed = run_refinery(
+            StackedDataset(corpus, NAMES4), cfg,
+            on_generation=lambda t, fo, targets: seen.append(t),
+            load_generation=lambda t: full.eps_by_generation[0] if t == 1 else None)
+        assert seen == [2]
+        assert resumed.foldouts[0] is None
+        assert resumed.eps_by_generation[1].tobytes() == full.eps_by_generation[1].tobytes()
+        with pytest.raises(DataError, match="stored generation 1"):
+            run_refinery(StackedDataset(corpus, NAMES4), cfg,
+                         load_generation=lambda t: np.zeros((2, 4)))
+
+    def test_purity_violation_stops_the_run(self, monkeypatch):
+        import emorefinery.refinery as refinery
+
+        real = refinery.generate_eps_foldout
+
+        def leaky(data, *args, **kwargs):
+            result = real(data, *args, **kwargs)
+            everything = np.arange(len(result.eps))
+            return dataclasses.replace(result, training_rows=(everything,) * 3)
+
+        monkeypatch.setattr(refinery, "generate_eps_foldout", leaky)
+        seen = []
+        with pytest.raises(DataError, match="purity violated"):
+            run_refinery(StackedDataset(tiny_corpus(np.random.default_rng(12)), NAMES4),
+                         fast_config(), on_generation=lambda *args: seen.append(args))
+        assert seen == []
 
     def test_soft_static_targets_shared_within_utterance(self):
         rng = np.random.default_rng(13)
         corpus = tiny_corpus(rng, n_segments=3)
-        cfg = fast_config(generations=2, mode="soft-static")
-        result = run_refinery(corpus, NAMES4, cfg)
-        gen2 = result.generations[1]
-        for u in corpus:
-            first = gen2.targets[(u.utterance_id, 0)].probs
-            for i in range(1, u.n_segments):
-                np.testing.assert_array_equal(gen2.targets[(u.utterance_id, i)].probs, first)
+        result = run_refinery(StackedDataset(corpus, NAMES4),
+                              fast_config(generations=2, mode="soft-static"))
+        gen2 = result.targets_by_generation[1]
+        for i in range(len(corpus)):
+            block = gen2[3 * i:3 * i + 3]
+            np.testing.assert_array_equal(block, np.tile(block[0], (3, 1)))
 
     def test_hard_dynamic_targets_are_one_hot(self):
         rng = np.random.default_rng(14)
         corpus = tiny_corpus(rng)
-        cfg = fast_config(generations=2, mode="hard-dynamic")
-        result = run_refinery(corpus, NAMES4, cfg)
-        for target in result.generations[1].targets.values():
-            assert np.count_nonzero(target.probs) == 1
-            assert target.probs.max() == 1.0
+        result = run_refinery(StackedDataset(corpus, NAMES4),
+                              fast_config(generations=2, mode="hard-dynamic"))
+        gen2 = result.targets_by_generation[1]
+        assert np.all(np.count_nonzero(gen2, axis=1) == 1)
+        assert np.all(gen2.max(axis=1) == 1.0)
 
     def test_duplicate_utterance_rejected(self):
         rng = np.random.default_rng(15)
         corpus = tiny_corpus(rng, n_utts=4)
         with pytest.raises(DataError, match="duplicate"):
-            run_refinery(corpus + [corpus[0]], NAMES4, fast_config())
+            StackedDataset(corpus + [corpus[0]], NAMES4)
 
 
 class TestNextTargets:
     def test_sepr_targets_are_ep_columns(self):
         rng = np.random.default_rng(16)
         corpus = tiny_corpus(rng, n_utts=4, n_classes=2)
-        eps = {}
-        for u in corpus:
-            v = rng.uniform(0.1, 1.0, (4, u.n_segments))
-            eps[u.utterance_id] = EmotionProfile(values=v / v.sum(axis=0),
-                                                 utterance_id=u.utterance_id,
-                                                 generation=1, class_names=NAMES4)
-        targets = next_targets(eps, corpus, "sEPR", NAMES4)
-        for u in corpus:
-            for i in range(u.n_segments):
-                np.testing.assert_array_equal(targets[(u.utterance_id, i)].probs,
-                                              eps[u.utterance_id].values[:, i])
+        data = StackedDataset(corpus, NAMES4)
+        eps = random_rows(rng, len(data.x), 4)
+        targets = next_targets(eps, data.labels, data.offsets, "sEPR")
+        np.testing.assert_array_equal(targets, eps)
 
     def test_none_mode_rejected(self):
         with pytest.raises(ConfigError):
-            next_targets({}, [], "none", NAMES4)
+            next_targets(np.zeros((0, 4)), [], [0], "none")
 
 
 class TestMeanEpEntropy:
-    def ep_of(self, values, names=NAMES4):
-        return EmotionProfile(values=np.asarray(values, dtype=np.float64),
-                              utterance_id="u", generation=1, class_names=names)
-
     def test_one_hot_columns(self):
-        ep = self.ep_of(np.eye(4)[:, :3])
-        assert mean_ep_entropy({"u": ep}) == 0.0
+        assert mean_ep_entropy(np.eye(4)[:3]) == 0.0
 
     def test_uniform_six_classes(self):
-        ep = self.ep_of(np.full((6, 5), 1 / 6), NAMES6)
-        assert mean_ep_entropy({"u": ep}) == pytest.approx(math.log(6), abs=1e-12)
-        assert mean_ep_entropy({"u": ep}) == pytest.approx(1.79176, abs=5e-6)
+        eps = np.full((5, 6), 1 / 6)
+        assert mean_ep_entropy(eps) == pytest.approx(math.log(6), abs=1e-12)
+        assert mean_ep_entropy(eps) == pytest.approx(1.79176, abs=5e-6)
 
     def test_near_uniform_within_two_hundredths_of_max(self):
         rng = np.random.default_rng(17)
         v = 1 / 6 + rng.uniform(-0.007, 0.007, (6, 40))
         v /= v.sum(axis=0)
-        assert mean_ep_entropy({"u": self.ep_of(v, NAMES6)}) > math.log(6) - 0.02
+        assert mean_ep_entropy(v.T.copy()) > math.log(6) - 0.02
 
     def test_mixed_hand_value(self):
-        ep = self.ep_of(np.array([[1.0, 0.5], [0.0, 0.5]]), ("a", "b"))
-        assert mean_ep_entropy({"u": ep}) == pytest.approx(math.log(2) / 2, abs=1e-12)
+        eps = np.array([[1.0, 0.0], [0.5, 0.5]])
+        assert mean_ep_entropy(eps) == pytest.approx(math.log(2) / 2, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            mean_ep_entropy({})
+            mean_ep_entropy(np.zeros((0, 4)))
 
 
 class TestEpCsv:
+    IDS = ("utt_b", "utt_a")
+    OFFSETS = (0, 3, 5)
+
     def make_eps(self, rng):
-        eps = {}
-        for uid, n in (("utt_b", 3), ("utt_a", 2)):
-            v = rng.uniform(0.01, 1.0, (4, n))
-            eps[uid] = EmotionProfile(values=v / v.sum(axis=0), utterance_id=uid,
-                                      generation=2, class_names=NAMES4)
-        return eps
+        return random_rows(rng, 5, 4)
+
+    def write(self, path, eps):
+        write_ep_csv(path, eps, self.IDS, self.OFFSETS, 2)
+
+    def read(self, path):
+        return read_ep_csv(path, NAMES4, self.IDS, self.OFFSETS, 2)
 
     def test_round_trip_bit_exact(self, tmp_path):
         eps = self.make_eps(np.random.default_rng(18))
         path = tmp_path / "eps.csv"
-        write_ep_csv(path, eps)
-        loaded = read_ep_csv(path, NAMES4)
-        assert set(loaded) == set(eps)
-        for uid in eps:
-            np.testing.assert_array_equal(loaded[uid].values, eps[uid].values)
-            assert loaded[uid].generation == 2
+        self.write(path, eps)
+        assert self.read(path).tobytes() == eps.tobytes()
 
     def test_header_and_sorting(self, tmp_path):
         eps = self.make_eps(np.random.default_rng(19))
         path = tmp_path / "eps.csv"
-        write_ep_csv(path, eps)
+        self.write(path, eps)
         lines = path.read_text().splitlines()
         assert lines[0] == "utterance_id,segment_index,generation,p_1,p_2,p_3,p_4"
-        assert lines[1].startswith("utt_a,0,2,")
+        assert lines[1] == "utt_a,0,2," + ",".join(f"{v:.17g}" for v in eps[3])
+        assert [line[:9] for line in lines[1:]] == [
+            "utt_a,0,2", "utt_a,1,2", "utt_b,0,2", "utt_b,1,2", "utt_b,2,2"]
 
     def test_rewrite_byte_identical(self, tmp_path):
         eps = self.make_eps(np.random.default_rng(20))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ep_csv(p1, eps)
-        write_ep_csv(p2, eps)
+        self.write(p1, eps)
+        self.write(p2, eps)
         assert p1.read_bytes() == p2.read_bytes()
 
     @staticmethod
@@ -454,15 +443,34 @@ class TestEpCsv:
     ])
     def test_damaged_rows_name_file_and_line(self, tmp_path, damage, line, what):
         path = tmp_path / "eps.csv"
-        write_ep_csv(path, self.make_eps(np.random.default_rng(21)))
+        self.write(path, self.make_eps(np.random.default_rng(21)))
         path.write_bytes(damage(path.read_bytes().decode()).encode())
         with pytest.raises(DataError) as err:
-            read_ep_csv(path, NAMES4)
+            self.read(path)
         assert str(err.value).startswith(f"{path}, line {line}: ")
         assert what in str(err.value)
+
+    @pytest.mark.parametrize("damage, what", [
+        (lambda text: text.replace("utt_a,1,2", "utt_c,1,2"),
+         "line 3: utterance 'utt_c' is not in the dataset"),
+        (lambda text: text.replace("utt_a,1,2", "utt_a,2,2"),
+         "line 3: utterance 'utt_a' has no segment 2"),
+        (lambda text: text.replace("utt_a,1,2", "utt_a,0,2"),
+         "line 3: segment 0 of 'utt_a' appears twice"),
+        (lambda text: text.replace("utt_b,2,2", "utt_b,2,1"),
+         "line 6: generation 1 in the file of generation 2"),
+        (lambda text: "\n".join(line for line in text.split("\n") if "utt_b,1," not in line),
+         ": no row for segment 1 of 'utt_b'"),
+    ])
+    def test_rows_must_cover_the_dataset(self, tmp_path, damage, what):
+        path = tmp_path / "eps.csv"
+        self.write(path, self.make_eps(np.random.default_rng(22)))
+        path.write_bytes(damage(path.read_bytes().decode()).encode())
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}.*{re.escape(what)}"):
+            self.read(path)
 
     def test_reject_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(DataError, match="not an emotion profile"):
-            read_ep_csv(path, NAMES4)
+            self.read(path)
