@@ -118,10 +118,6 @@ class Model:
     net: ConvNet = field(repr=False)
     history: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def k(self) -> int:
-        return len(self.class_names)
-
 
 def _validation_split(utterance_ids: np.ndarray, fraction: float, rng: np.random.Generator):
     """Seeded utterance-level split; returns boolean mask of validation rows.

@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=None, help="override refinement fold count")
     p.add_argument("--mode", default=None, help="override the refinement mode")
     p.add_argument("--no-resume", action="store_true",
-                   help="recompute every generation even if artifacts exist")
+                   help="start the run directory over, recomputing every generation")
     p.add_argument("--describe", action="store_true",
                    help="print the resolved config and derived seeds, then exit")
     p.set_defaults(func=cmd_run)

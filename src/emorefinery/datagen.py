@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import EmotionDistribution, one_hot
 from .errors import ConfigError, DataError
 from .features import FrameSpec, LogMelSpectrogram, SegmentSpec, segment_spectrogram
-from .refinery import LabeledUtterance
+from .refinery import StackedDataset
 
 MIXTURE_MODES = ("pure", "blended")
 
@@ -188,13 +188,17 @@ def segmentation_for(spec: SyntheticCorpusSpec) -> SegmentSpec:
                        seg_hop_ms=spec.seg_frames * FrameSpec().hop_ms)
 
 
-def to_labeled_utterance(u: SyntheticUtterance, spec: SyntheticCorpusSpec,
-                         use_observed: bool = True) -> LabeledUtterance:
-    """Slice the spectrogram back into segments and attach the training label."""
-    segments = segment_spectrogram(u.spectrogram, segmentation_for(spec))
-    if len(segments) != u.n_segments:
-        raise DataError(f"{u.utterance_id}: segmentation yields {len(segments)} "
-                        f"segments for {u.n_segments} ground-truth entries")
-    label = u.observed_label if use_observed else u.label
-    return LabeledUtterance(utterance_id=u.utterance_id, label=label,
-                            segments=segments, speaker=u.speaker)
+def to_stacked_dataset(utterances, spec: SyntheticCorpusSpec) -> StackedDataset:
+    """The generated utterances as a training dataset: every spectrogram
+    sliced back into its segments and labelled with its observed label."""
+    segmentation = segmentation_for(spec)
+    segments = []
+    for u in utterances:
+        x = segment_spectrogram(u.spectrogram, segmentation)
+        if len(x) != u.n_segments:
+            raise DataError(f"{u.utterance_id}: segmentation yields {len(x)} "
+                            f"segments for {u.n_segments} ground-truth entries")
+        segments.append(x)
+    return StackedDataset([u.utterance_id for u in utterances],
+                          [u.observed_label for u in utterances],
+                          [u.speaker for u in utterances], spec.class_names, segments)

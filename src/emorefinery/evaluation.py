@@ -18,8 +18,6 @@ class FoldPlan:
 
     k: int
     assignments: dict
-    seed: int
-    grouping: str = "utterance"
 
     def __post_init__(self):
         if self.k < 2:
@@ -40,7 +38,7 @@ def _group_label(member_labels: list) -> int:
     return int(np.argmax(counts))
 
 
-def kfold_split(labels, k: int, seed: int, groups=None, grouping: str = "utterance") -> FoldPlan:
+def kfold_split(labels, k: int, seed: int, groups=None) -> FoldPlan:
     """Stratified seeded k-fold assignment of utterances.
 
     `labels` maps utterance_id -> class index. With `groups` (utterance_id ->
@@ -76,7 +74,7 @@ def kfold_split(labels, k: int, seed: int, groups=None, grouping: str = "utteran
             for u in members[class_groups[j]]:
                 assignments[u] = fold
             next_fold += 1
-    return FoldPlan(k=k, assignments=assignments, seed=seed, grouping=grouping)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,6 @@ class ConfusionMatrix:
             raise DataError("confusion matrix size does not match class names")
         if np.any(self.counts < 0):
             raise DataError("confusion matrix entries must be non-negative")
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
 
     @property
     def total(self) -> int:
@@ -154,5 +148,36 @@ def write_metrics_report(path, report: dict) -> None:
     os.replace(tmp, path)
 
 
-def read_metrics_report(path) -> dict:
-    return json.loads(Path(path).read_text())
+def _is_generation_report(report) -> bool:
+    """An object with an integer generation and numbers for wa, ua and
+    mean_ep_entropy, and for wa_clean and ua_clean if either is present."""
+    if not isinstance(report, dict):
+        return False
+    keys = ["wa", "ua", "mean_ep_entropy"]
+    if "wa_clean" in report or "ua_clean" in report:
+        keys += ["wa_clean", "ua_clean"]
+    return type(report.get("generation")) is int and all(
+        type(report.get(key)) in (int, float) for key in keys)
+
+
+def read_metrics_report(path, generation: int | None = None) -> dict:
+    """A stored metrics report, checked before it is used: the report of
+    `generation`, or without one a run's report of all its generations."""
+    path = Path(path)
+    try:
+        report = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    numbers = ("with numbers for wa, ua and mean_ep_entropy "
+               "(and for wa_clean and ua_clean if present)")
+    if generation is not None:
+        if not (_is_generation_report(report) and report["generation"] == generation):
+            raise DataError(f"{path} is not the report of generation {generation} {numbers}")
+    elif not (isinstance(report, dict) and isinstance(report.get("mode"), str)
+              and isinstance(report.get("class_names"), list)
+              and all(isinstance(name, str) for name in report["class_names"])
+              and isinstance(report.get("generations"), list)
+              and all(_is_generation_report(g) for g in report["generations"])):
+        raise DataError(f"{path} is not a run's report: a mode, class_names and a "
+                        f"list of generation reports {numbers}")
+    return report

@@ -112,24 +112,6 @@ class SegmentSpec:
         return h
 
 
-@dataclass
-class Segment:
-    """One n_mels x seg_frames slice of an utterance's spectrogram."""
-
-    values: np.ndarray
-    utterance_id: str
-    index: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DataError(f"{self.utterance_id}[{self.index}]: segment must be 2-D")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError(f"{self.utterance_id}[{self.index}]: non-finite segment values")
-        if self.index < 0:
-            raise DataError(f"{self.utterance_id}: segment index must be >= 0")
-
-
 def frame_count(n_samples: int, sample_rate: int, spec: FrameSpec) -> int:
     """Number of full analysis windows that fit; tail samples are dropped."""
     win = spec.win_samples(sample_rate)
@@ -219,8 +201,8 @@ def segment_span_ms(frame: FrameSpec, seg: SegmentSpec) -> float:
 
 def segment_spectrogram(
     s: LogMelSpectrogram, seg: SegmentSpec, frame: FrameSpec = FrameSpec()
-) -> list[Segment]:
-    """Slice a spectrogram into overlapping seg_frames-wide segments.
+) -> np.ndarray:
+    """Read-only (n, n_mels, seg_frames) view of a spectrogram's segments.
 
     Segment i covers frames [i*h, i*h + seg_frames) where h is the segment
     hop in frames; the spectrogram tail that does not fill a segment is
@@ -233,14 +215,9 @@ def segment_spectrogram(
             f"({s.n_frames} frames < {seg.seg_frames})"
         )
     n = (s.n_frames - seg.seg_frames) // h + 1
-    return [
-        Segment(
-            values=s.values[:, i * h : i * h + seg.seg_frames].copy(),
-            utterance_id=s.utterance_id,
-            index=i,
-        )
-        for i in range(n)
-    ]
+    row, col = s.values.strides
+    return np.lib.stride_tricks.as_strided(
+        s.values, (n, s.n_mels, seg.seg_frames), (h * col, row, col), writeable=False)
 
 
 def load_wav(path, utterance_id: str | None = None) -> AudioClip:

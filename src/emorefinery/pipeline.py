@@ -8,6 +8,7 @@ so an interrupted run resumes at the first missing generation; the run
 manifest and the run's metrics report are replaced atomically as well.
 """
 
+import hashlib
 import json
 import logging
 import os
@@ -19,13 +20,13 @@ from .classifier import save_model
 from .config import ExperimentConfig, config_to_dict
 from .decision import predict_forest_batch, train_forest, write_predictions_csv
 from .errors import DataError, EmoRefineryError
-from .evaluation import (confusion_from_predictions, kfold_split, unweighted_accuracy,
-                         weighted_accuracy, write_confusion_csv, write_metrics_report)
+from .evaluation import (confusion_from_predictions, kfold_split, read_metrics_report,
+                         unweighted_accuracy, weighted_accuracy, write_confusion_csv,
+                         write_metrics_report)
 from .features import log_mel_spectrogram, load_wav, segment_spectrogram
 from .manifest import (CorpusManifest, load_manifest, read_spectrogram_csv,
                        save_manifest, write_spectrogram_csv)
-from .refinery import (LabeledUtterance, StackedDataset, derive_seed, read_ep_csv,
-                       run_refinery, write_ep_csv)
+from .refinery import StackedDataset, derive_seed, read_ep_csv, run_refinery, write_ep_csv
 from .representation import representations_for, write_representation_csv
 
 logger = logging.getLogger(__name__)
@@ -44,22 +45,27 @@ def _read_row_spectrogram(manifest: CorpusManifest, row, frame):
     return read_spectrogram_csv(src, row.utterance_id)
 
 
-def utterances_from_manifest(manifest: CorpusManifest, frame, segment,
-                             use_observed: bool = True):
-    """Segment every corpus row; returns (utterances, per-utterance errors)."""
-    utterances = []
+def utterances_from_manifest(manifest: CorpusManifest, frame, segment):
+    """Segment every corpus row; returns (dataset, per-utterance errors).
+
+    The dataset holds the rows that could be segmented, labelled with their
+    training labels; it is None when no row could.
+    """
+    rows, segments = [], []
     errors = {}
     for row in manifest.rows:
         try:
             s = _read_row_spectrogram(manifest, row, frame)
-            segments = segment_spectrogram(s, segment, frame)
-            name = row.training_label if use_observed else row.label
-            utterances.append(LabeledUtterance(
-                utterance_id=row.utterance_id, label=manifest.label_index(name),
-                segments=tuple(segments), speaker=row.speaker))
+            segments.append(segment_spectrogram(s, segment, frame))
+            rows.append(row)
         except (EmoRefineryError, OSError, ValueError) as exc:
             errors[row.utterance_id] = str(exc)
-    return utterances, errors
+    if not rows:
+        return None, errors
+    data = StackedDataset([r.utterance_id for r in rows],
+                          [manifest.label_index(r.training_label) for r in rows],
+                          [r.speaker for r in rows], manifest.class_names, segments)
+    return data, errors
 
 
 def featurize_corpus(manifest: CorpusManifest, frame, out_root):
@@ -92,8 +98,7 @@ def cross_validated_predictions(reps, labels, class_names, forest_cfg, folds: in
     generations evaluated with the same seed share test folds and their
     accuracies are directly comparable.
     """
-    plan = kfold_split(labels, folds, seed, groups=groups,
-                       grouping="speaker" if groups else "utterance")
+    plan = kfold_split(labels, folds, seed, groups=groups)
     predictions = {}
     ids = sorted(labels)
     for fold in range(folds):
@@ -164,16 +169,7 @@ def _read_generation_dir(gen_dir: Path, t: int, ids, offsets, names):
     """Generation t's stored EPs and report, checked before they are reused."""
     try:
         eps = read_ep_csv(gen_dir / "eps.csv", names, ids, offsets, t)
-        path = gen_dir / METRICS_NAME
-        try:
-            report = json.loads(path.read_text())
-        except ValueError as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from exc
-        if not (isinstance(report, dict) and report.get("generation") == t
-                and all(isinstance(report.get(key), (int, float))
-                        for key in ("wa", "ua", "mean_ep_entropy"))):
-            raise DataError(f"{path} is not the report of generation {t} "
-                            "with numbers for wa, ua and mean_ep_entropy")
+        report = read_metrics_report(gen_dir / METRICS_NAME, generation=t)
     except (DataError, OSError, ValueError) as exc:
         raise DataError(f"{exc}; generation {t} cannot be reused, "
                         "rerun with --no-resume to recompute it") from exc
@@ -184,52 +180,74 @@ def generation_dir(run_dir, t: int) -> Path:
     return Path(run_dir) / GENERATIONS_DIR / f"gen{t:02d}"
 
 
-def _check_run_manifest(run_dir: Path, cfg: ExperimentConfig, manifest: CorpusManifest):
+def _corpus_sha256(manifest: CorpusManifest, data: StackedDataset) -> str:
+    """sha256 over the manifest's classes and labelled rows, not its root,
+    and over the segment tensor's layout and bytes."""
+    table = {
+        "class_names": list(manifest.class_names),
+        "rows": [[r.utterance_id, r.label, r.observed_label, r.speaker]
+                 for r in manifest.rows],
+        "offsets": data.offsets.tolist(),
+        "shape": list(data.x.shape),
+    }
+    digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode())
+    digest.update(data.x)
+    return digest.hexdigest()
+
+
+def _check_resumable(path: Path, doc: dict) -> None:
+    """Refuse to resume the generations beside `path` unless it records
+    `doc`'s config and corpus."""
+    start_over = "pass a fresh output directory or rerun with --no-resume to start it over"
+    try:
+        previous = json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"{path} cannot be read ({exc.strerror}); {start_over}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}; {start_over}") from exc
+    if not isinstance(previous, dict):
+        raise DataError(f"{path} is not a run manifest; {start_over}")
+    for key in ("config", "corpus_sha256"):
+        if previous.get(key) != doc[key]:
+            raise DataError(f"{path} records {'a different' if key in previous else 'no'} "
+                            f"{key}, so its run cannot be resumed; {start_over}")
+
+
+def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
+                   resume: bool = True) -> dict:
+    """Full pipeline on a corpus directory; returns the metrics report.
+
+    With `resume`, generations already in `run_dir` are checked and reused,
+    provided its run manifest records the same config and corpus; without,
+    `run_dir` is started over.
+    """
+    manifest = load_manifest(corpus_root)
+    data, errors = utterances_from_manifest(manifest, cfg.frame, cfg.segment)
+    if errors:
+        listing = "; ".join(f"{u}: {msg}" for u, msg in sorted(errors.items()))
+        raise DataError(f"{len(errors)} utterance(s) failed to featurize: {listing}")
+
+    names = manifest.class_names
+    run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
     path = run_dir / RUN_MANIFEST_NAME
     doc = {
         "format": RUN_FORMAT,
         "version": RUN_VERSION,
         "config": config_to_dict(cfg),
         "derived_seeds": cfg.derived_seeds(),
-        "class_names": list(manifest.class_names),
+        "class_names": list(names),
         "n_utterances": len(manifest.rows),
         "label_noise_present": manifest.has_label_noise(),
+        "corpus_sha256": _corpus_sha256(manifest, data),
     }
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except ValueError as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(previous, dict):
-            raise DataError(f"{path} is not a run manifest")
-        if previous.get("config") != doc["config"]:
-            raise DataError(
-                f"{run_dir} holds a run with a different config; "
-                "pass a fresh output directory or disable resume")
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    generations = run_dir / GENERATIONS_DIR
+    if resume and (path.exists() or generations.exists()):
+        _check_resumable(path, doc)
+    elif not resume and generations.exists():
+        shutil.rmtree(generations)
+    generations.mkdir(parents=True, exist_ok=True)
+    write_metrics_report(path, doc)
 
-
-def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
-                   resume: bool = True) -> dict:
-    """Full pipeline on a corpus directory; returns the metrics report."""
-    manifest = load_manifest(corpus_root)
-    run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    if not resume and (run_dir / GENERATIONS_DIR).exists():
-        shutil.rmtree(run_dir / GENERATIONS_DIR)
-    _check_run_manifest(run_dir, cfg, manifest)
-    (run_dir / GENERATIONS_DIR).mkdir(exist_ok=True)
-
-    dataset, errors = utterances_from_manifest(manifest, cfg.frame, cfg.segment)
-    if errors:
-        listing = "; ".join(f"{u}: {msg}" for u, msg in sorted(errors.items()))
-        raise DataError(f"{len(errors)} utterance(s) failed to featurize: {listing}")
-
-    names = manifest.class_names
-    data = StackedDataset(dataset, names)
-    del dataset  # data stacks the segments once and then releases these copies
     ids, offsets = data.utterance_ids, data.offsets
     gen_reports = []
 

@@ -42,32 +42,6 @@ def derive_seed(*parts) -> int:
 
 
 @dataclass(frozen=True)
-class LabeledUtterance:
-    """One utterance: class label plus its segments in index order."""
-
-    utterance_id: str
-    label: int
-    segments: tuple
-    speaker: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
-            raise DataError(f"utterance {self.utterance_id!r} has no segments")
-        if self.label < 0:
-            raise DataError(f"utterance {self.utterance_id!r} has negative label")
-        for i, seg in enumerate(self.segments):
-            if seg.utterance_id != self.utterance_id:
-                raise DataError(f"segment of {seg.utterance_id!r} filed under {self.utterance_id!r}")
-            if seg.index != i:
-                raise DataError(f"utterance {self.utterance_id!r} segment indices must run 0..N-1")
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
-
-
-@dataclass(frozen=True)
 class RefineryConfig:
     generations: int = 1
     mode: str = "pEPR"
@@ -89,43 +63,46 @@ class RefineryConfig:
 
 
 class StackedDataset:
-    """A checked dataset: utterance offsets, ids, labels and speakers, and
-    every segment stacked into one (n_segments, n_mels, seg_frames) array.
+    """A checked dataset: utterance ids, labels and speakers, and every
+    segment in one (n_segments, n_mels, seg_frames) float64 array `x`.
 
-    Utterance i owns rows offsets[i]:offsets[i + 1] of `x` and of every
-    target or EP array. `x` is stacked when it is first read, which a run
-    that reuses every stored generation never does; the per-segment arrays
-    are then released, so a caller that keeps no other reference to them
-    does not hold the segments twice.
+    `segments[i]` is utterance i's (n_i, n_mels, seg_frames) array, such as
+    a `features.segment_spectrogram` view; concatenating them into `x` is
+    the only copy of the segment values. Utterance i owns rows
+    offsets[i]:offsets[i + 1] of `x` and of every target or EP array.
     """
 
-    def __init__(self, dataset, class_names):
-        if not dataset:
-            raise DataError("dataset is empty")
-        seen = set()
-        for u in dataset:
-            if u.utterance_id in seen:
-                raise DataError(f"duplicate utterance id {u.utterance_id!r}")
-            seen.add(u.utterance_id)
-            if u.label >= len(class_names):
-                raise DataError(f"utterance {u.utterance_id!r} label {u.label} "
-                                "exceeds class count")
-        shapes = {seg.values.shape for u in dataset for seg in u.segments}
-        if len(shapes) != 1:
-            raise DataError(f"segments differ in shape: {sorted(shapes)}")
-        self.offsets = np.cumsum([0] + [u.n_segments for u in dataset])
-        self.utterance_ids = tuple(u.utterance_id for u in dataset)
-        self.labels = np.array([u.label for u in dataset], dtype=np.int64)
-        self.speakers = tuple(u.speaker for u in dataset)
+    def __init__(self, utterance_ids, labels, speakers, class_names, segments):
+        self.utterance_ids = tuple(utterance_ids)
+        self.labels = np.array(labels, dtype=np.int64)
+        self.speakers = tuple(speakers)
         self.class_names = tuple(class_names)
-        self._segments = [seg.values for u in dataset for seg in u.segments]
-        self._x = None
-
-    @property
-    def x(self) -> np.ndarray:
-        if self._x is None:
-            self._x, self._segments = np.stack(self._segments), None
-        return self._x
+        ids = self.utterance_ids
+        if not ids:
+            raise DataError("dataset is empty")
+        if not len(ids) == len(self.labels) == len(self.speakers) == len(segments):
+            raise DataError(f"{len(ids)} utterance ids for {len(self.labels)} labels, "
+                            f"{len(self.speakers)} speakers and {len(segments)} segment arrays")
+        if len(set(ids)) != len(ids):
+            raise DataError(f"duplicate utterance id {next(u for u in ids if ids.count(u) > 1)!r}")
+        shapes = sorted({a.shape[1:] for a in segments})
+        if len(shapes) != 1 or len(shapes[0]) != 2:
+            raise DataError(f"segment arrays must share one (n_mels, seg_frames) shape, "
+                            f"not {shapes}")
+        k = len(self.class_names)
+        for uid, label, a in zip(ids, self.labels.tolist(), segments):
+            if not 0 <= label < k:
+                raise DataError(f"utterance {uid!r} has label {label}, "
+                                f"not a class index 0..{k - 1}")
+            if len(a) == 0:
+                raise DataError(f"utterance {uid!r} has no segments")
+        self.offsets = np.cumsum([0] + [len(a) for a in segments])
+        self.x = np.concatenate(segments, out=np.empty((self.offsets[-1],) + shapes[0]))
+        bad = np.flatnonzero(~np.isfinite(self.x).all(axis=(1, 2)))
+        if len(bad):
+            i = self.utterance_of_row()[bad[0]]
+            raise DataError(f"utterance {ids[i]!r} segment {bad[0] - self.offsets[i]} "
+                            "has non-finite values")
 
     def utterance_of_row(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.utterance_ids)), np.diff(self.offsets))
@@ -166,9 +143,8 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
                         f"({data.offsets[-1]}, {len(class_names)}): one row per segment")
     labels = dict(zip(data.utterance_ids, data.labels.tolist()))
     groups = dict(zip(data.utterance_ids, data.speakers)) if cfg.group_by_speaker else None
-    grouping = "speaker" if cfg.group_by_speaker else "utterance"
     plan = kfold_split(labels, cfg.folds, derive_seed(cfg.seed, _STREAM_FOLD_PLAN, generation),
-                       groups=groups, grouping=grouping)
+                       groups=groups)
     fold_of = np.array([plan.assignments[u] for u in data.utterance_ids], dtype=np.int64)
     row_utterance = data.utterance_of_row()
 

@@ -14,8 +14,7 @@ import pytest
 from emorefinery.classifier import (EmotionDistribution, TrainConfig, cross_entropy,
                                     entropy, kl_divergence)
 from emorefinery.config import ExperimentConfig
-from emorefinery.datagen import (SyntheticCorpusSpec, generate_synthetic_corpus,
-                                 to_labeled_utterance)
+from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus, to_stacked_dataset
 from emorefinery.decision import ForestConfig, predict_forest_batch, train_forest
 from emorefinery.evaluation import (ConfusionMatrix, confusion_from_predictions,
                                     unweighted_accuracy, weighted_accuracy)
@@ -25,8 +24,8 @@ from emorefinery.manifest import write_synthetic_corpus
 from emorefinery.network import Architecture, ConvNet, batch_cross_entropy, softmax
 from emorefinery.pipeline import (cross_validated_predictions, generation_dir,
                                   run_experiment)
-from emorefinery.refinery import (RefineryConfig, StackedDataset, foldout_purity_violations,
-                                  next_targets, run_refinery)
+from emorefinery.refinery import (RefineryConfig, foldout_purity_violations, next_targets,
+                                  run_refinery)
 from emorefinery.representation import representations_for
 
 # ---------------------------------------------------------------------------
@@ -212,11 +211,8 @@ def test_criterion_03_pepr_combination(announce):
 @pytest.fixture(scope="session")
 def collapse_runs():
     spec = SyntheticCorpusSpec(**COLLAPSE_CORPUS)
-    generated = generate_synthetic_corpus(spec)
-    dataset = [to_labeled_utterance(u, spec) for u in generated]
-    names = spec.class_names
     train = TrainConfig(**COLLAPSE_TRAIN)
-    out = {"dataset": dataset, "names": names, "data": StackedDataset(dataset, names)}
+    out = {"data": to_stacked_dataset(generate_synthetic_corpus(spec), spec)}
     for mode in ("sEPR", "pEPR"):
         cfg = RefineryConfig(generations=3, mode=mode, folds=COLLAPSE_FOLDS,
                              seed=COLLAPSE_SEED, train=train)
@@ -231,8 +227,9 @@ def collapse_runs():
 def test_criterion_04_sepr_collapse(collapse_runs, announce):
     e1, _, e3 = collapse_runs["sEPR_entropies"]
     target = 0.8 * np.log(6.0)
-    n_utts = len(collapse_runs["dataset"])
-    n_segs = min(u.n_segments for u in collapse_runs["dataset"])
+    segments_per_utterance = np.diff(collapse_runs["data"].offsets)
+    n_utts = len(segments_per_utterance)
+    n_segs = segments_per_utterance.min()
     elapsed = collapse_runs["sEPR_elapsed"]
     ok = (n_utts >= 60 and n_segs >= 20 and e3 >= e1 and e3 >= target
           and elapsed < COLLAPSE_RUNTIME_LIMIT_S)
@@ -265,11 +262,10 @@ def noise_runs():
     for corpus_seed, master_seed in NOISE_CONFIGS:
         spec = SyntheticCorpusSpec(seed=corpus_seed, **NOISE_CORPUS)
         generated = generate_synthetic_corpus(spec)
-        dataset = [to_labeled_utterance(u, spec) for u in generated]
         clean = {u.utterance_id: u.label for u in generated}
         observed = {u.utterance_id: u.observed_label for u in generated}
         names = spec.class_names
-        data = StackedDataset(dataset, names)
+        data = to_stacked_dataset(generated, spec)
 
         def clean_wa(eps):
             reps = dict(zip(data.utterance_ids, representations_for(eps, data.offsets)))

@@ -1,6 +1,7 @@
 """Command line interface tests: workflows and exit codes."""
 
 import json
+import shutil
 
 import pytest
 
@@ -197,6 +198,108 @@ class TestRun:
                      "--out", str(finished_run)]) == 3
 
 
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def same_run(a, b):
+    """Run directories identical byte for byte, but for the output_dir they record."""
+    files_a, files_b = tree_bytes(a), tree_bytes(b)
+    manifests = [json.loads(files.pop("run_manifest.json")) for files in (files_a, files_b)]
+    assert manifests[0]["config"].pop("output_dir") == str(a)
+    assert manifests[1]["config"].pop("output_dir") == str(b)
+    return files_a == files_b and manifests[0] == manifests[1]
+
+
+def one_error(capsys, path):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}")
+    return err[0]
+
+
+class TestResume:
+    def gen_corpus(self, ws, seed):
+        spec = ws / "same_shape.json"
+        spec.write_text(json.dumps({**CORPUS_SPEC, "segments_range": [3, 3]}))
+        out = ws / f"corpus{seed}"
+        assert main(["gen-data", "--spec", str(spec), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        return out
+
+    def run_args(self, workspace, corpus, run_dir):
+        return ["run", "--config", str(workspace / "cfg.json"), "--corpus", str(corpus),
+                "--out", str(run_dir)]
+
+    def test_refuses_another_corpus(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(self.run_args(workspace, self.gen_corpus(tmp_path, 9), run_dir)) == 0
+        shutil.rmtree(run_dir / "generations" / "gen02")
+        other = self.run_args(workspace, self.gen_corpus(tmp_path, 10), run_dir)
+        capsys.readouterr()
+        assert main(other) == 3
+        err = one_error(capsys, run_dir / "run_manifest.json")
+        assert "records a different corpus_sha256" in err and "--no-resume" in err
+        assert sorted(p.name for p in (run_dir / "generations").iterdir()) == ["gen01"]
+        assert main(other + ["--no-resume"]) == 0
+        assert main(self.run_args(workspace, self.gen_corpus(tmp_path, 10),
+                                  tmp_path / "fresh")) == 0
+        assert same_run(run_dir, tmp_path / "fresh")
+
+    def test_refuses_a_run_manifest_without_fingerprint(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        args = self.run_args(workspace, workspace / "corpus", run_dir) + ["--generations", "1"]
+        assert main(args) == 0
+        path = run_dir / "run_manifest.json"
+        doc = json.loads(path.read_text())
+        assert len(doc.pop("corpus_sha256")) == 64
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(args) == 3
+        assert "records no corpus_sha256" in one_error(capsys, path)
+
+    def test_refuses_generations_without_run_manifest(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        args = self.run_args(workspace, workspace / "corpus", run_dir) + ["--generations", "1"]
+        assert main(args) == 0
+        (run_dir / "run_manifest.json").unlink()
+        capsys.readouterr()
+        assert main(args) == 3
+        assert "cannot be read" in one_error(capsys, run_dir / "run_manifest.json")
+        assert main(args + ["--no-resume"]) == 0
+
+    def test_no_resume_starts_a_changed_config_over(self, workspace, tmp_path):
+        args = self.run_args(workspace, workspace / "corpus", tmp_path / "run")
+        assert main(args + ["--generations", "1"]) == 0
+        assert main(args + ["--seed", "6", "--no-resume"]) == 0
+        fresh = self.run_args(workspace, workspace / "corpus", tmp_path / "fresh")
+        assert main(fresh + ["--seed", "6"]) == 0
+        assert same_run(tmp_path / "run", tmp_path / "fresh")
+
+    def test_resume_with_a_changed_config_keeps_the_run(self, workspace, finished_run,
+                                                        capsys):
+        before = tree_bytes(finished_run)
+        assert sorted(p.name for p in (finished_run / "generations").iterdir()) == \
+            ["gen01", "gen02"]
+        capsys.readouterr()
+        assert main(self.run_args(workspace, workspace / "corpus", finished_run)
+                    + ["--seed", "6"]) == 3
+        assert "records a different config" in one_error(capsys, finished_run / "run_manifest.json")
+        assert tree_bytes(finished_run) == before
+
+    def test_damaged_clean_accuracy_exits_3(self, workspace, tmp_path, capsys):
+        args = self.run_args(workspace, workspace / "corpus", tmp_path / "run") + [
+            "--generations", "1"]
+        assert main(args) == 0
+        path = tmp_path / "run" / "generations" / "gen01" / "metrics.json"
+        report = json.loads(path.read_text())
+        path.write_text(json.dumps({**report, "wa_clean": "x", "ua_clean": 0.5}))
+        capsys.readouterr()
+        assert main(args) == 3
+        err = one_error(capsys, path)
+        assert "is not the report of generation 1" in err and "--no-resume" in err
+
+
 class TestEvalAndExport:
     def test_eval_prints_generations(self, finished_run, capsys):
         assert main(["eval", "--run", str(finished_run)]) == 0
@@ -213,6 +316,22 @@ class TestEvalAndExport:
 
     def test_eval_missing_run_exits_3(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],
+        lambda text: "[]",
+        lambda text: text.replace('"mode": ', '"mode": 1, "_": '),
+        lambda text: text.replace('"generations": [', '"generations": [{}, '),
+        lambda text: text.replace('"wa": ', '"wa": "x", "_": ', 1),
+    ], ids=["truncated", "empty-list", "numeric-mode", "empty-generation", "string-wa"])
+    def test_eval_damaged_report_exits_3(self, finished_run, tmp_path, capsys, damage):
+        run_dir = tmp_path / "copy"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "metrics.json"
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path} is not ")
 
     def test_export_ep(self, finished_run, tmp_path, capsys):
         out = tmp_path / "ep.csv"

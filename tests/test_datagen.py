@@ -10,7 +10,7 @@ from emorefinery.datagen import (
     class_templates,
     generate_synthetic_corpus,
     segmentation_for,
-    to_labeled_utterance,
+    to_stacked_dataset,
 )
 from emorefinery.decision import ForestConfig, predict_forest_batch, train_forest
 from emorefinery.errors import ConfigError, DataError
@@ -183,24 +183,36 @@ class TestLabelNoise:
         assert [u.observed_label for u in c1] == [u.observed_label for u in c2]
 
 
-class TestToLabeledUtterance:
+class TestToStackedDataset:
     def test_segments_match_spectrogram_blocks(self):
         spec = small_spec()
         corpus = generate_synthetic_corpus(spec)
-        for u in corpus[:4]:
-            lab = to_labeled_utterance(u, spec)
-            assert lab.n_segments == u.n_segments
-            for i, seg in enumerate(lab.segments):
+        data = to_stacked_dataset(corpus, spec)
+        assert data.utterance_ids == tuple(u.utterance_id for u in corpus)
+        assert data.speakers == tuple(u.speaker for u in corpus)
+        assert data.class_names == spec.class_names
+        np.testing.assert_array_equal(np.diff(data.offsets), [u.n_segments for u in corpus])
+        for i, u in enumerate(corpus):
+            for j, seg in enumerate(data.x[data.offsets[i]:data.offsets[i + 1]]):
                 np.testing.assert_array_equal(
-                    seg.values,
-                    u.spectrogram.values[:, i * spec.seg_frames:(i + 1) * spec.seg_frames])
+                    seg, u.spectrogram.values[:, j * spec.seg_frames:(j + 1) * spec.seg_frames])
 
-    def test_observed_vs_clean_label(self):
+    def test_trains_on_observed_labels(self):
         spec = small_spec(utterances_per_class=10, label_noise=0.3)
         corpus = generate_synthetic_corpus(spec)
-        flipped = next(u for u in corpus if u.observed_label != u.label)
-        assert to_labeled_utterance(flipped, spec, use_observed=True).label == flipped.observed_label
-        assert to_labeled_utterance(flipped, spec, use_observed=False).label == flipped.label
+        assert any(u.observed_label != u.label for u in corpus)
+        data = to_stacked_dataset(corpus, spec)
+        assert data.labels.tolist() == [u.observed_label for u in corpus]
+
+    def test_segment_count_must_match_ground_truth(self):
+        spec = small_spec()
+        u = generate_synthetic_corpus(spec)[0]
+        short = SyntheticUtterance(
+            utterance_id=u.utterance_id, label=u.label, observed_label=u.label,
+            speaker=u.speaker, spectrogram=u.spectrogram,
+            segment_truth=u.segment_truth + u.segment_truth[:1])
+        with pytest.raises(DataError, match="segmentation yields"):
+            to_stacked_dataset([short], spec)
 
     def test_segmentation_is_non_overlapping(self):
         spec = small_spec()

@@ -1,5 +1,7 @@
 """Fold-plan and metrics tests with hand-counted expected values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ class TestKFoldSplit:
                 uid = f"spk{s}_utt{i}"
                 labels[uid] = s % 3
                 groups[uid] = f"spk{s}"
-        plan = kfold_split(labels, k=3, seed=5, groups=groups, grouping="speaker")
+        plan = kfold_split(labels, k=3, seed=5, groups=groups)
         for s in range(6):
             folds = {plan.assignments[f"spk{s}_utt{i}"] for i in range(4)}
             assert len(folds) == 1
@@ -158,21 +160,54 @@ class TestConfusionCsv:
         assert lines[1] == "a,9,1"
 
 
+def run_report(wa):
+    return {"mode": "pEPR", "class_names": ["a", "b"],
+            "generations": [{"generation": 1, "wa": wa, "ua": 0.5, "mean_ep_entropy": 0.7}]}
+
+
 class TestMetricsReport:
     def test_round_trip_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "metrics.json"
-        write_metrics_report(path, {"wa": 0.5, "generations": [1, 2]})
-        assert read_metrics_report(path) == {"wa": 0.5, "generations": [1, 2]}
+        write_metrics_report(path, run_report(0.5))
+        assert read_metrics_report(path) == run_report(0.5)
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
         path = tmp_path / "metrics.json"
-        write_metrics_report(path, {"wa": 0.5})
+        write_metrics_report(path, run_report(0.5))
 
         def interrupted(src, dst):
             raise OSError("interrupted")
 
         monkeypatch.setattr("emorefinery.evaluation.os.replace", interrupted)
         with pytest.raises(OSError):
-            write_metrics_report(path, {"wa": 0.75})
-        assert read_metrics_report(path) == {"wa": 0.5}
+            write_metrics_report(path, run_report(0.75))
+        assert read_metrics_report(path) == run_report(0.5)
+
+    @pytest.mark.parametrize("report, generation", [
+        ({"generation": 1, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1}, 1),
+        ({"generation": 1, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1,
+          "wa_clean": 0.25, "ua_clean": 0.5}, 1),
+        (run_report(1), None),
+    ])
+    def test_accepts_reports(self, tmp_path, report, generation):
+        path = tmp_path / "metrics.json"
+        write_metrics_report(path, report)
+        assert read_metrics_report(path, generation) == report
+
+    @pytest.mark.parametrize("report, generation", [
+        ({"generation": 2, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1}, 1),
+        ({"generation": True, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1}, 1),
+        ({"generation": 1, "wa": True, "ua": 0.5, "mean_ep_entropy": 1}, 1),
+        ({"generation": 1, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1, "ua_clean": 0.5}, 1),
+        ([], None),
+        ({**run_report(0.5), "generations": {}}, None),
+        ({**run_report(0.5), "class_names": "ab"}, None),
+        ({**run_report(0.5), "mode": None}, None),
+        (run_report("x"), None),
+    ])
+    def test_rejects_malformed_reports(self, tmp_path, report, generation):
+        path = tmp_path / "metrics.json"
+        write_metrics_report(path, report)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not "):
+            read_metrics_report(path, generation)

@@ -168,14 +168,16 @@ class TestSegmentation:
         spec = self._spec(98)
         seg_spec = SegmentSpec(seg_hop_ms=30.0)
         h = seg_spec.hop_frames(SPEC)
-        for seg in segment_spectrogram(spec, seg_spec, SPEC):
-            start = seg.index * h
-            np.testing.assert_array_equal(seg.values, spec.values[:, start : start + 32])
-            assert seg.values.shape == (64, 32)
+        segs = segment_spectrogram(spec, seg_spec, SPEC)
+        assert segs.shape == (23, 64, 32)
+        for i, seg in enumerate(segs):
+            np.testing.assert_array_equal(seg, spec.values[:, i * h : i * h + 32])
 
-    def test_indices_are_contiguous(self):
-        segs = segment_spectrogram(self._spec(98), SegmentSpec(seg_hop_ms=30.0), SPEC)
-        assert [s.index for s in segs] == list(range(len(segs)))
+    def test_segments_are_a_read_only_view(self):
+        spec = self._spec(98)
+        segs = segment_spectrogram(spec, SegmentSpec(seg_hop_ms=30.0), SPEC)
+        assert np.shares_memory(segs, spec.values)
+        assert not segs.flags.writeable
 
     def test_too_few_frames(self):
         with pytest.raises(DataError, match="too short for one segment"):

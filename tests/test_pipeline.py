@@ -12,7 +12,7 @@ from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus
 from emorefinery.decision import ForestConfig, read_predictions_csv
 from emorefinery.errors import DataError
 from emorefinery.features import FrameSpec, SegmentSpec
-from emorefinery.manifest import load_manifest, write_synthetic_corpus
+from emorefinery.manifest import load_manifest, read_spectrogram_csv, write_synthetic_corpus
 from emorefinery.pipeline import (
     cross_validated_predictions,
     export_ep_evolution,
@@ -21,7 +21,7 @@ from emorefinery.pipeline import (
     run_experiment,
     utterances_from_manifest,
 )
-from emorefinery.refinery import StackedDataset, read_ep_csv
+from emorefinery.refinery import read_ep_csv
 from emorefinery.representation import representations_for
 
 SPEC = SyntheticCorpusSpec(n_classes=3, utterances_per_class=4, segments_range=(3, 4),
@@ -57,22 +57,39 @@ def finished_run(tmp_path_factory, corpus):
 class TestUtterancesFromManifest:
     def test_segments_and_labels(self, corpus):
         m = load_manifest(corpus)
-        utts, errors = utterances_from_manifest(m, FrameSpec(), SEGMENT)
+        data, errors = utterances_from_manifest(m, FrameSpec(), SEGMENT)
         assert not errors
-        assert len(utts) == 12
-        labels = {u.utterance_id: u.label for u in utts}
-        assert labels == m.observed_labels()
-        assert all(3 <= u.n_segments <= 4 for u in utts)
+        assert data.utterance_ids == tuple(r.utterance_id for r in m.rows)
+        assert dict(zip(data.utterance_ids, data.labels.tolist())) == m.observed_labels()
+        assert data.speakers == tuple(r.speaker for r in m.rows)
+        assert all(3 <= n <= 4 for n in np.diff(data.offsets))
+        assert data.x.shape == (data.offsets[-1], 8, 4)
+
+    def test_segments_are_the_spectrogram_windows(self, corpus):
+        m = load_manifest(corpus)
+        data, _ = utterances_from_manifest(m, FrameSpec(), SEGMENT)
+        for i, row in enumerate(m.rows):
+            values = read_spectrogram_csv(corpus / row.path, row.utterance_id).values
+            for j, seg in enumerate(data.x[data.offsets[i]:data.offsets[i + 1]]):
+                assert seg.tobytes() == values[:, 4 * j:4 * j + 4].copy().tobytes()
 
     def test_collects_errors_per_utterance(self, corpus, tmp_path):
         out = tmp_path / "broken"
         m, _ = featurize_corpus(load_manifest(corpus), FrameSpec(), out)
         bad = sorted(out.glob("features/*.csv"))[0]
         bad.write_text("frame_time_ms,m_1\n")
-        utts, errors = utterances_from_manifest(load_manifest(out), FrameSpec(), SEGMENT)
-        assert len(utts) == 11
+        data, errors = utterances_from_manifest(load_manifest(out), FrameSpec(), SEGMENT)
+        assert len(data.utterance_ids) == 11 and bad.stem not in data.utterance_ids
         assert list(errors) == [bad.stem]
         assert "no frames" in errors[bad.stem]
+
+    def test_no_readable_row_gives_no_dataset(self, corpus, tmp_path):
+        out = tmp_path / "broken"
+        featurize_corpus(load_manifest(corpus), FrameSpec(), out)
+        for path in out.glob("features/*.csv"):
+            path.write_text("frame_time_ms,m_1\n")
+        data, errors = utterances_from_manifest(load_manifest(out), FrameSpec(), SEGMENT)
+        assert data is None and len(errors) == 12
 
 
 class TestFeaturizeCorpus:
@@ -98,13 +115,12 @@ class TestFeaturizeCorpus:
 class TestCrossValidatedPredictions:
     def test_every_utterance_predicted_once_and_deterministically(self, corpus):
         m = load_manifest(corpus)
-        utts, _ = utterances_from_manifest(m, FrameSpec(), SEGMENT)
+        data, _ = utterances_from_manifest(m, FrameSpec(), SEGMENT)
         rng = np.random.default_rng(0)
         eps = []
-        for u in utts:
-            cols = rng.uniform(0.05, 1.0, (len(m.class_names), u.n_segments))
+        for n in np.diff(data.offsets):
+            cols = rng.uniform(0.05, 1.0, (len(m.class_names), n))
             eps.append((cols / cols.sum(axis=0)).T)
-        data = StackedDataset(utts, m.class_names)
         reps = dict(zip(data.utterance_ids,
                         representations_for(np.concatenate(eps), data.offsets)))
         labels = m.observed_labels()
@@ -149,8 +165,7 @@ class TestRunExperiment:
     def test_eps_readable_and_generation_tagged(self, finished_run, corpus):
         run_dir, _ = finished_run
         names = ("class_0", "class_1", "class_2")
-        utts, _ = utterances_from_manifest(load_manifest(corpus), FrameSpec(), SEGMENT)
-        data = StackedDataset(utts, names)
+        data, _ = utterances_from_manifest(load_manifest(corpus), FrameSpec(), SEGMENT)
         ids, offsets = data.utterance_ids, data.offsets
         for t in (1, 2):
             path = generation_dir(run_dir, t) / "eps.csv"

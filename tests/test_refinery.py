@@ -10,10 +10,8 @@ import pytest
 
 from emorefinery.classifier import TrainConfig, predict_batch
 from emorefinery.errors import ConfigError, DataError
-from emorefinery.features import Segment
 from emorefinery.network import Architecture
 from emorefinery.refinery import (
-    LabeledUtterance,
     RefineryConfig,
     StackedDataset,
     foldout_purity_violations,
@@ -55,14 +53,11 @@ def random_rows(rng, n, k):
     return v / v.sum(axis=1, keepdims=True)
 
 
-def tiny_corpus(rng, n_utts=9, n_segments=2, n_classes=4):
-    corpus = []
-    for i in range(n_utts):
-        uid = f"utt{i:02d}"
-        segs = [Segment(rng.standard_normal((16, 8)), uid, j) for j in range(n_segments)]
-        corpus.append(LabeledUtterance(utterance_id=uid, label=i % n_classes,
-                                       segments=segs, speaker=f"spk{i % 2}"))
-    return corpus
+def tiny_corpus(rng, n_utts=9, n_segments=2, n_classes=4, names=NAMES4):
+    return StackedDataset([f"utt{i:02d}" for i in range(n_utts)],
+                          [i % n_classes for i in range(n_utts)],
+                          [f"spk{i % 2}" for i in range(n_utts)], names,
+                          [rng.standard_normal((n_segments, 16, 8)) for _ in range(n_utts)])
 
 
 def fast_config(**kw):
@@ -75,12 +70,10 @@ def fast_config(**kw):
 def initial_targets(labels, n_segments, names):
     """Generation 1's targets, from a run whose one generation is loaded, not trained."""
     rng = np.random.default_rng(0)
-    corpus = [LabeledUtterance(f"u{i}", label,
-                               [Segment(rng.standard_normal((4, 4)), f"u{i}", j)
-                                for j in range(n_segments)])
-              for i, label in enumerate(labels)]
+    data = StackedDataset([f"u{i}" for i in range(len(labels))], labels, [""] * len(labels),
+                          names, [rng.standard_normal((n_segments, 4, 4)) for _ in labels])
     stored = np.full((len(labels) * n_segments, len(names)), 1 / len(names))
-    result = run_refinery(StackedDataset(corpus, names), fast_config(),
+    result = run_refinery(data, fast_config(),
                           load_generation=lambda t: stored)
     assert result.foldouts == (None,)
     return result.targets_by_generation[0]
@@ -97,7 +90,7 @@ class TestInitialLabels:
         assert mean_ep_entropy(initial_targets([1, 3], 5, NAMES4)) == 0.0
 
     def test_bad_class_index(self):
-        with pytest.raises(DataError, match="exceeds class count"):
+        with pytest.raises(DataError, match="not a class index"):
             initial_targets([4], 2, NAMES4)
 
 
@@ -195,43 +188,38 @@ class TestRefineryConfig:
             RefineryConfig(folds=1)
 
 
-def initial(corpus, names):
-    data = StackedDataset(corpus, names)
-    return data, np.eye(len(names))[np.repeat(data.labels, np.diff(data.offsets))]
+def initial(data):
+    return data, np.eye(len(data.class_names))[np.repeat(data.labels, np.diff(data.offsets))]
 
 
 class TestFoldOutGeneration:
     def test_singleton_folds(self):
         rng = np.random.default_rng(4)
-        corpus = tiny_corpus(rng, n_utts=10, n_classes=2)
-        names = ("angry", "happy")
-        data, targets = initial(corpus, names)
+        data, targets = initial(tiny_corpus(rng, n_utts=10, n_classes=2,
+                                            names=("angry", "happy")))
         result = generate_eps_foldout(data, targets, fast_config(folds=10))
         np.testing.assert_array_equal(np.bincount(result.fold_of, minlength=10), np.ones(10))
         assert len(result.models) == 10
 
     def test_ep_columns_valid_and_cover_corpus(self):
         rng = np.random.default_rng(5)
-        corpus = tiny_corpus(rng)
-        data, targets = initial(corpus, NAMES4)
+        data, targets = initial(tiny_corpus(rng))
         result = generate_eps_foldout(data, targets, fast_config())
-        assert result.eps.shape == (sum(u.n_segments for u in corpus), 4)
+        assert result.eps.shape == (18, 4)
         np.testing.assert_allclose(result.eps.sum(axis=1), 1.0, atol=1e-6)
         assert sorted(result.prediction_order) == list(range(len(result.eps)))
-        for i, u in enumerate(corpus):
+        for i in range(9):
             a, b = data.offsets[i], data.offsets[i + 1]
             model = result.models[result.fold_of[i]]
-            np.testing.assert_array_equal(result.eps[a:b],
-                                          predict_batch(model, [s.values for s in u.segments]))
+            np.testing.assert_array_equal(result.eps[a:b], predict_batch(model, data.x[a:b]))
 
     def test_foldout_purity(self):
         rng = np.random.default_rng(6)
-        corpus = tiny_corpus(rng)
-        data, targets = initial(corpus, NAMES4)
+        data, targets = initial(tiny_corpus(rng))
         result = generate_eps_foldout(data, targets, fast_config())
         assert foldout_purity_violations(result, data) == []
         # held-out segment rows must not appear in that fold's training set
-        for i in range(len(corpus)):
+        for i in range(len(data.utterance_ids)):
             assert data.offsets[i] not in result.training_rows[result.fold_of[i]]
         leaky = result.training_rows[:1] + result.training_rows[1:2] * 2
         leaked = foldout_purity_violations(
@@ -240,8 +228,7 @@ class TestFoldOutGeneration:
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
-        corpus = tiny_corpus(rng)
-        data, targets = initial(corpus, NAMES4)
+        data, targets = initial(tiny_corpus(rng))
         r1 = generate_eps_foldout(data, targets, fast_config())
         r2 = generate_eps_foldout(data, targets, fast_config())
         np.testing.assert_array_equal(r1.fold_of, r2.fold_of)
@@ -249,7 +236,7 @@ class TestFoldOutGeneration:
 
     def test_missing_target_rejected(self):
         rng = np.random.default_rng(8)
-        data, targets = initial(tiny_corpus(rng), NAMES4)
+        data, targets = initial(tiny_corpus(rng))
         with pytest.raises(DataError, match="one row per segment"):
             generate_eps_foldout(data, targets[:-1], fast_config())
 
@@ -257,55 +244,51 @@ class TestFoldOutGeneration:
 class TestRunRefinery:
     def test_single_generation_equals_plain_foldout(self):
         rng = np.random.default_rng(9)
-        corpus = tiny_corpus(rng)
+        data = tiny_corpus(rng)
         cfg = fast_config(generations=1)
-        result = run_refinery(StackedDataset(corpus, NAMES4), cfg)
-        direct = generate_eps_foldout(*initial(corpus, NAMES4), cfg, generation=1)
+        result = run_refinery(data, cfg)
+        direct = generate_eps_foldout(*initial(data), cfg, generation=1)
         assert len(result.eps_by_generation) == 1
         assert result.eps_by_generation[0].tobytes() == direct.eps.tobytes()
 
     def test_pepr_targets_keep_half_mass_on_label(self):
         rng = np.random.default_rng(10)
-        corpus = tiny_corpus(rng)
-        result = run_refinery(StackedDataset(corpus, NAMES4),
-                              fast_config(generations=2, mode="pEPR"))
+        data = tiny_corpus(rng)
+        result = run_refinery(data, fast_config(generations=2, mode="pEPR"))
         gen2 = result.targets_by_generation[1]
-        row_labels = np.repeat([u.label for u in corpus], [u.n_segments for u in corpus])
+        row_labels = np.repeat(data.labels, np.diff(data.offsets))
         assert np.all(gen2[np.arange(len(gen2)), row_labels] >= 0.5)
 
     def test_trains_generations_times_folds_models(self):
         rng = np.random.default_rng(11)
-        corpus = tiny_corpus(rng)
         cfg = fast_config(generations=2, folds=3)
-        result = run_refinery(StackedDataset(corpus, NAMES4), cfg)
+        result = run_refinery(tiny_corpus(rng), cfg)
         assert sum(len(f.models) for f in result.foldouts) == 6
 
     def test_generation_callback(self):
         rng = np.random.default_rng(12)
-        corpus = tiny_corpus(rng)
         seen = []
         result = run_refinery(
-            StackedDataset(corpus, NAMES4), fast_config(generations=2),
+            tiny_corpus(rng), fast_config(generations=2),
             on_generation=lambda t, fo, targets: seen.append((t, fo.generation, targets)))
         assert [(t, g) for t, g, _ in seen] == [(1, 1), (2, 2)]
         assert all(s[2] is tg for s, tg in zip(seen, result.targets_by_generation))
 
     def test_loaded_generation_replaces_training(self):
         rng = np.random.default_rng(12)
-        corpus = tiny_corpus(rng)
+        data = tiny_corpus(rng)
         cfg = fast_config(generations=2)
-        full = run_refinery(StackedDataset(corpus, NAMES4), cfg)
+        full = run_refinery(data, cfg)
         seen = []
         resumed = run_refinery(
-            StackedDataset(corpus, NAMES4), cfg,
+            data, cfg,
             on_generation=lambda t, fo, targets: seen.append(t),
             load_generation=lambda t: full.eps_by_generation[0] if t == 1 else None)
         assert seen == [2]
         assert resumed.foldouts[0] is None
         assert resumed.eps_by_generation[1].tobytes() == full.eps_by_generation[1].tobytes()
         with pytest.raises(DataError, match="stored generation 1"):
-            run_refinery(StackedDataset(corpus, NAMES4), cfg,
-                         load_generation=lambda t: np.zeros((2, 4)))
+            run_refinery(data, cfg, load_generation=lambda t: np.zeros((2, 4)))
 
     def test_purity_violation_stops_the_run(self, monkeypatch):
         import emorefinery.refinery as refinery
@@ -320,41 +303,78 @@ class TestRunRefinery:
         monkeypatch.setattr(refinery, "generate_eps_foldout", leaky)
         seen = []
         with pytest.raises(DataError, match="purity violated"):
-            run_refinery(StackedDataset(tiny_corpus(np.random.default_rng(12)), NAMES4),
-                         fast_config(), on_generation=lambda *args: seen.append(args))
+            run_refinery(tiny_corpus(np.random.default_rng(12)), fast_config(),
+                         on_generation=lambda *args: seen.append(args))
         assert seen == []
 
     def test_soft_static_targets_shared_within_utterance(self):
         rng = np.random.default_rng(13)
-        corpus = tiny_corpus(rng, n_segments=3)
-        result = run_refinery(StackedDataset(corpus, NAMES4),
+        result = run_refinery(tiny_corpus(rng, n_segments=3),
                               fast_config(generations=2, mode="soft-static"))
         gen2 = result.targets_by_generation[1]
-        for i in range(len(corpus)):
+        for i in range(9):
             block = gen2[3 * i:3 * i + 3]
             np.testing.assert_array_equal(block, np.tile(block[0], (3, 1)))
 
     def test_hard_dynamic_targets_are_one_hot(self):
         rng = np.random.default_rng(14)
-        corpus = tiny_corpus(rng)
-        result = run_refinery(StackedDataset(corpus, NAMES4),
-                              fast_config(generations=2, mode="hard-dynamic"))
+        result = run_refinery(tiny_corpus(rng), fast_config(generations=2, mode="hard-dynamic"))
         gen2 = result.targets_by_generation[1]
         assert np.all(np.count_nonzero(gen2, axis=1) == 1)
         assert np.all(gen2.max(axis=1) == 1.0)
 
-    def test_duplicate_utterance_rejected(self):
-        rng = np.random.default_rng(15)
-        corpus = tiny_corpus(rng, n_utts=4)
-        with pytest.raises(DataError, match="duplicate"):
-            StackedDataset(corpus + [corpus[0]], NAMES4)
+
+
+def stacked(ids=("a", "b"), labels=(0, 1), segments=None):
+    rng = np.random.default_rng(15)
+    if segments is None:
+        segments = [rng.standard_normal((2, 4, 3)) for _ in ids]
+    return StackedDataset(ids, labels, ["spk"] * len(ids), NAMES4, segments)
+
+
+def with_nan(a):
+    a = a.copy()
+    a[1, 2, 0] = np.nan
+    return a
+
+
+class TestStackedDataset:
+    def test_concatenates_the_segment_arrays_once(self):
+        rng = np.random.default_rng(16)
+        # transposed views, laid out like features.segment_spectrogram's windows
+        segments = [rng.standard_normal((4, n, 3)).transpose(1, 0, 2) for n in (2, 1, 3)]
+        data = StackedDataset(["a", "b", "c"], [0, 3, 1], ["s0", "s1", "s0"], NAMES4, segments)
+        np.testing.assert_array_equal(data.offsets, [0, 2, 3, 6])
+        assert data.x.tobytes() == np.concatenate(segments).tobytes()
+        assert data.x.flags.c_contiguous
+        assert not any(np.shares_memory(data.x, a) for a in segments)
+        np.testing.assert_array_equal(data.utterance_of_row(), [0, 0, 1, 2, 2, 2])
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: stacked(ids=(), labels=()), "dataset is empty"),
+        (lambda: stacked(segments=[np.zeros((2, 4, 3)), np.zeros((0, 4, 3))]),
+         "utterance 'b' has no segments"),
+        (lambda: stacked(ids=("a", "a")), "duplicate utterance id 'a'"),
+        (lambda: stacked(labels=(0, 4)), "'b' has label 4, not a class index 0..3"),
+        (lambda: stacked(labels=(-1, 0)), "'a' has label -1, not a class index 0..3"),
+        (lambda: stacked(segments=[np.zeros((2, 4, 3)), np.zeros((2, 4, 2))]),
+         "share one \\(n_mels, seg_frames\\) shape"),
+        (lambda: stacked(segments=[np.zeros((2, 4)), np.zeros((2, 4))]),
+         "share one \\(n_mels, seg_frames\\) shape"),
+        (lambda: stacked(segments=[np.zeros((2, 4, 3)), with_nan(np.zeros((2, 4, 3)))]),
+         "utterance 'b' segment 1 has non-finite values"),
+        (lambda: stacked(labels=(0,)), "2 utterance ids for 1 labels"),
+    ], ids=["empty", "no-segments", "duplicate-id", "label-too-large", "negative-label",
+            "shape-mismatch", "not-3d", "non-finite", "length-mismatch"])
+    def test_rejects(self, build, what):
+        with pytest.raises(DataError, match=what):
+            build()
 
 
 class TestNextTargets:
     def test_sepr_targets_are_ep_columns(self):
         rng = np.random.default_rng(16)
-        corpus = tiny_corpus(rng, n_utts=4, n_classes=2)
-        data = StackedDataset(corpus, NAMES4)
+        data = tiny_corpus(rng, n_utts=4, n_classes=2)
         eps = random_rows(rng, len(data.x), 4)
         targets = next_targets(eps, data.labels, data.offsets, "sEPR")
         np.testing.assert_array_equal(targets, eps)
