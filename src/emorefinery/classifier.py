@@ -281,6 +281,9 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
             if epochs_since_best >= cfg.early_stop_patience:
                 break
 
+    if not all(np.isfinite(p).all() for p in best_params):
+        raise TrainingDivergedError(
+            f"parameters became non-finite in training (initial_lr={cfg.initial_lr:g})")
     net.restore(best_params)
     history["best_monitor"] = float(best_loss)
     history["epochs_run"] = len(history["train_ce"])
@@ -333,12 +336,7 @@ def load_model(path) -> Model:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format") != "emorefinery-model":
             raise DataError(f"{path}: not a model checkpoint")
-        arch = Architecture(
-            name=meta["architecture"]["name"],
-            conv_stages=tuple(tuple(s) for s in meta["architecture"]["conv_stages"]),
-            dense=tuple(meta["architecture"]["dense"]),
-            dtype=meta["architecture"]["dtype"],
-        )
+        arch = Architecture(**meta["architecture"])
         input_shape = tuple(meta["input_shape"])
         class_names = tuple(meta["class_names"])
         net = ConvNet(arch, input_shape, len(class_names), np.random.default_rng(0))

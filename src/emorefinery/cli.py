@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import config_to_dict, load_config
+from .config import _check_types, config_to_dict, load_config, load_json_file
 from .datagen import SyntheticCorpusSpec, generate_synthetic_corpus, segmentation_for
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .evaluation import read_metrics_report
@@ -30,29 +30,18 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-def _load_corpus_spec(path) -> SyntheticCorpusSpec:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no corpus spec at {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+def _corpus_spec_from_dict(doc) -> SyntheticCorpusSpec:
     if not isinstance(doc, dict):
         raise ConfigError("corpus spec must be a JSON object")
-    allowed = {f.name for f in fields(SyntheticCorpusSpec)}
-    extra = set(doc) - allowed
+    extra = set(doc) - {f.name for f in fields(SyntheticCorpusSpec)}
     if extra:
         raise ConfigError(f"unknown corpus spec keys: {sorted(extra)}")
-    kwargs = dict(doc)
-    for key in ("segments_range", "class_names"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return SyntheticCorpusSpec(**kwargs)
+    _check_types(SyntheticCorpusSpec, doc)
+    return SyntheticCorpusSpec(**doc)
 
 
 def cmd_gen_data(args) -> int:
-    spec = _load_corpus_spec(args.spec)
+    spec = load_json_file(args.spec, _corpus_spec_from_dict, "corpus spec")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     utterances = generate_synthetic_corpus(spec)

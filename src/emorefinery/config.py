@@ -6,6 +6,7 @@ needs to be stated twice.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -81,11 +82,7 @@ def _architecture_from_json(value):
             raise ConfigError(f"unknown architecture keys {sorted(extra)}")
         if "name" not in value or "conv_stages" not in value:
             raise ConfigError("inline architecture needs name and conv_stages")
-        return Architecture(
-            name=value["name"],
-            conv_stages=tuple(tuple(int(c) for c in s) for s in value["conv_stages"]),
-            dense=tuple(int(d) for d in value.get("dense", [])),
-            dtype=value.get("dtype", "float32"))
+        return Architecture(**value)
     raise ConfigError("architecture must be a name or an inline object")
 
 
@@ -120,8 +117,10 @@ def _check_types(cls, body: dict, prefix: str = "") -> None:
     """Reject a value whose JSON type is not the field's declared type.
 
     An integer may stand for a float; a bool never stands for an integer.
-    Fields of other types (sections, the architecture) have parsers of
-    their own.
+    A float must be finite: JSON's NaN, Infinity, overflowing literals such
+    as 1e999 and integers beyond the float range are rejected. Fields of
+    other types (sections, tuples, the architecture) are checked by their
+    own parsers or dataclasses.
     """
     for f in fields(cls):
         if f.name not in body or f.type not in _JSON_KINDS:
@@ -129,6 +128,10 @@ def _check_types(cls, body: dict, prefix: str = "") -> None:
         value = body[f.name]
         if type(value) is not f.type and not (f.type is float and type(value) is int):
             raise ConfigError(f"{prefix}{f.name} must be {_JSON_KINDS[f.type]}, "
+                              f"not {json.dumps(value)}")
+        # NaN fails both comparisons; so does an integer too large for a float.
+        if f.type is float and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{prefix}{f.name} must be a finite number, "
                               f"not {json.dumps(value)}")
 
 
@@ -144,9 +147,6 @@ def _section_from_dict(section: str, body: dict):
     kwargs = dict(body)
     if "architecture" in kwargs:
         kwargs["architecture"] = _architecture_from_json(kwargs["architecture"])
-    for key in ("conv_stages", "dense"):
-        if key in kwargs:  # pragma: no cover - sections hold no bare tuples today
-            kwargs[key] = tuple(kwargs[key])
     return cls(**kwargs)
 
 
@@ -167,18 +167,25 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_json_file(path, parse, what: str = "config file"):
+    """parse(document) of the JSON file at `path`; every ConfigError names the file."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"no config file at {path}")
+        raise ConfigError(f"no {what} at {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path} cannot be read ({exc.strerror})") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        return config_from_dict(doc)
+        return parse(doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    return load_json_file(path, config_from_dict)
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

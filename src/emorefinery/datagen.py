@@ -43,7 +43,13 @@ class SyntheticCorpusSpec:
     class_names: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "segments_range", tuple(int(v) for v in self.segments_range))
+        if not (isinstance(self.segments_range, (tuple, list)) and len(self.segments_range) == 2
+                and all(type(v) is int for v in self.segments_range)):
+            raise ConfigError(f"segments_range must be two integers, not {self.segments_range!r}")
+        if not (isinstance(self.class_names, (tuple, list))
+                and all(isinstance(name, str) for name in self.class_names)):
+            raise ConfigError(f"class_names must be a list of strings, not {self.class_names!r}")
+        object.__setattr__(self, "segments_range", tuple(self.segments_range))
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
         if self.utterances_per_class < 1:

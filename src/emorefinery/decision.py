@@ -77,10 +77,6 @@ class Forest:
     seed: int
 
 
-def _as_matrix(X) -> np.ndarray:
-    return np.stack([np.asarray(x, dtype=np.float64) for x in X])
-
-
 def _check_finite(x: np.ndarray, what: str) -> None:
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:
@@ -256,7 +252,7 @@ def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
         raise DataError("cannot train a forest on no samples")
     if len(X) != len(y):
         raise DataError("features and labels differ in length")
-    x = _as_matrix(X)
+    x = np.asarray(X, dtype=np.float64)
     _check_finite(x, "training sample")
     labels = np.asarray(y, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= len(names)):
@@ -307,13 +303,6 @@ def predict_forest(forest: Forest, x):
     return int(winners[0]) if rows.ndim == 1 else winners
 
 
-def predict_forest_batch(forest: Forest, X) -> np.ndarray:
-    """Class index for each of a sequence of feature vectors."""
-    if len(X) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return predict_forest(forest, _as_matrix(X))
-
-
 def write_predictions_csv(path, records) -> None:
     """Rows of (utterance_id, true class name, predicted class name)."""
     with Path(path).open("w", newline="") as fh:
@@ -321,11 +310,3 @@ def write_predictions_csv(path, records) -> None:
         writer.writerow(["utterance_id", "true", "pred"])
         for uid, true_name, pred_name in records:
             writer.writerow([uid, true_name, pred_name])
-
-
-def read_predictions_csv(path) -> list:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["utterance_id", "true", "pred"]:
-        raise DataError(f"{path} is not a predictions CSV")
-    return [tuple(row) for row in rows[1:]]

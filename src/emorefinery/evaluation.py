@@ -12,69 +12,46 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Seeded partition of utterances into k folds."""
+def kfold_split(utterance_ids, labels, k: int, seed: int, groups=None) -> np.ndarray:
+    """Stratified seeded k-fold assignment: the fold of each utterance, by position.
 
-    k: int
-    assignments: dict
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError("fold count must be >= 2")
-        if not self.assignments:
-            raise DataError("fold plan covers no utterances")
-        for uid, fold in self.assignments.items():
-            if not 0 <= fold < self.k:
-                raise DataError(f"utterance {uid!r} assigned to fold {fold} outside 0..{self.k - 1}")
-
-    def members(self, fold: int) -> list:
-        return sorted(u for u, f in self.assignments.items() if f == fold)
-
-
-def _group_label(member_labels: list) -> int:
-    """Majority class of a group; ties break to the lowest class index."""
-    counts = np.bincount(member_labels)
-    return int(np.argmax(counts))
-
-
-def kfold_split(labels, k: int, seed: int, groups=None) -> FoldPlan:
-    """Stratified seeded k-fold assignment of utterances.
-
-    `labels` maps utterance_id -> class index. With `groups` (utterance_id ->
-    group key, e.g. speaker) all utterances sharing a key land in one fold.
-    Groups are shuffled within each class, then dealt round-robin with a
-    rolling fold counter so fold sizes stay balanced across classes.
+    `labels` and `groups` are aligned with `utterance_ids`. With `groups`
+    (e.g. speakers) all utterances sharing a key land in one fold; without,
+    each utterance is its own group. A group's class is its majority label,
+    ties to the lowest class index. Groups are shuffled within each class,
+    then dealt round-robin with a rolling fold counter so fold sizes stay
+    balanced across classes. The plan depends on the ids, not on their order.
     """
     if k < 2:
         raise ConfigError("fold count must be >= 2")
-    if not labels:
+    ids = list(utterance_ids)
+    if not ids:
         raise DataError("no utterances to split")
-    ids = sorted(labels)
-    if groups is None:
-        groups = {u: u for u in ids}
+    labels = np.asarray(labels, dtype=np.int64)
+    groups = ids if groups is None else list(groups)
+    if not len(ids) == len(labels) == len(groups):
+        raise DataError(f"{len(ids)} utterance ids for {len(labels)} labels "
+                        f"and {len(groups)} groups")
     members = {}
-    for u in ids:
-        members.setdefault(groups[u], []).append(u)
+    for i in sorted(range(len(ids)), key=ids.__getitem__):
+        members.setdefault(groups[i], []).append(i)
     group_keys = sorted(members)
     if k > len(group_keys):
         raise ConfigError(f"{k} folds requested but only {len(group_keys)} groups available")
 
     by_class = {}
     for g in group_keys:
-        by_class.setdefault(_group_label([labels[u] for u in members[g]]), []).append(g)
+        by_class.setdefault(int(np.argmax(np.bincount(labels[members[g]]))), []).append(g)
 
     rng = np.random.default_rng(seed)
-    assignments = {}
+    fold_of = np.empty(len(ids), dtype=np.int64)
     next_fold = 0
     for c in sorted(by_class):
         class_groups = by_class[c]
         for j in rng.permutation(len(class_groups)):
-            fold = next_fold % k
-            for u in members[class_groups[j]]:
-                assignments[u] = fold
+            fold_of[members[class_groups[j]]] = next_fold % k
             next_fold += 1
-    return FoldPlan(k=k, assignments=assignments)
+    return fold_of
 
 
 @dataclass(frozen=True)

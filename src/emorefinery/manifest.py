@@ -72,11 +72,9 @@ class CorpusManifest:
     def label_index(self, name: str) -> int:
         return self.class_names.index(name)
 
-    def clean_labels(self) -> dict:
-        return {r.utterance_id: self.label_index(r.label) for r in self.rows}
-
-    def observed_labels(self) -> dict:
-        return {r.utterance_id: self.label_index(r.training_label) for r in self.rows}
+    def clean_labels(self) -> np.ndarray:
+        """The clean label's class index of each row, in row order."""
+        return np.array([self.label_index(r.label) for r in self.rows], dtype=np.int64)
 
     def has_label_noise(self) -> bool:
         return any(r.training_label != r.label for r in self.rows)

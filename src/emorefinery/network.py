@@ -13,6 +13,11 @@ import numpy as np
 from .errors import ConfigError
 
 
+def _positive_ints(value) -> bool:
+    """A list or tuple of positive Python ints."""
+    return isinstance(value, (tuple, list)) and all(type(v) is int and v > 0 for v in value)
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Network shape descriptor.
@@ -28,10 +33,19 @@ class Architecture:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if not self.conv_stages:
-            raise ConfigError("architecture needs at least one conv stage")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"architecture name must be a string, not {self.name!r}")
+        stages = self.conv_stages
+        if not (isinstance(stages, (tuple, list)) and stages
+                and all(s and _positive_ints(s) for s in stages)):
+            raise ConfigError("conv_stages must be a non-empty list of non-empty lists of "
+                              f"positive channel widths, not {stages!r}")
+        if not _positive_ints(self.dense):
+            raise ConfigError(f"dense must be a list of positive widths, not {self.dense!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"unsupported dtype {self.dtype!r}")
+        object.__setattr__(self, "conv_stages", tuple(tuple(s) for s in stages))
+        object.__setattr__(self, "dense", tuple(self.dense))
 
     @property
     def np_dtype(self):

@@ -16,9 +16,11 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .classifier import save_model
 from .config import ExperimentConfig, config_to_dict
-from .decision import predict_forest_batch, train_forest, write_predictions_csv
+from .decision import predict_forest, train_forest, write_predictions_csv
 from .errors import DataError, EmoRefineryError
 from .evaluation import (confusion_from_predictions, kfold_split, read_metrics_report,
                          unweighted_accuracy, weighted_accuracy, write_confusion_csv,
@@ -90,65 +92,58 @@ def featurize_corpus(manifest: CorpusManifest, frame, out_root):
     return out, errors
 
 
-def cross_validated_predictions(reps, labels, class_names, forest_cfg, folds: int,
-                                seed: int, groups=None) -> dict:
-    """Out-of-fold forest predictions for every utterance.
+def cross_validated_predictions(data: StackedDataset, reps, forest_cfg, folds: int,
+                                seed: int, groups=None) -> np.ndarray:
+    """Out-of-fold forest predictions of every utterance, in dataset order.
 
-    The fold plan depends only on (labels, folds, seed), so refinement
-    generations evaluated with the same seed share test folds and their
-    accuracies are directly comparable.
+    `reps` holds the (n_utterances, 5K) representations in dataset order.
+    The fold plan depends only on the ids, labels, folds and seed, so
+    refinement generations evaluated with the same seed share test folds
+    and their accuracies are directly comparable. Each fold's forest trains
+    on its rows in sorted-id order, which fixes its bootstrap draws.
     """
-    plan = kfold_split(labels, folds, seed, groups=groups)
-    predictions = {}
-    ids = sorted(labels)
+    ids = data.utterance_ids
+    fold_of = kfold_split(ids, data.labels, folds, seed, groups=groups)
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+    predictions = np.empty(len(ids), dtype=np.int64)
     for fold in range(folds):
-        train_ids = [u for u in ids if plan.assignments[u] != fold]
+        train = by_id[fold_of[by_id] != fold]
         cfg = replace(forest_cfg, seed=derive_seed(forest_cfg.seed, fold))
-        forest = train_forest([reps[u] for u in train_ids],
-                              [labels[u] for u in train_ids], cfg, class_names)
-        members = plan.members(fold)
-        predicted = predict_forest_batch(forest, [reps[u] for u in members])
-        predictions.update(zip(members, predicted.tolist()))
+        forest = train_forest(reps[train], data.labels[train], cfg, data.class_names)
+        test = fold_of == fold
+        predictions[test] = predict_forest(forest, reps[test])
     return predictions
 
 
-def _generation_metrics(foldout, reps, manifest, cfg: ExperimentConfig, generation: int):
-    observed = manifest.observed_labels()
-    groups = None
-    if cfg.group_by_speaker:
-        groups = {r.utterance_id: r.speaker for r in manifest.rows}
+def _generation_metrics(foldout, reps, data: StackedDataset, clean, cfg: ExperimentConfig,
+                        generation: int):
     predictions = cross_validated_predictions(
-        reps, observed, manifest.class_names, cfg.forest_config(),
-        cfg.eval_folds, cfg.eval_seed(), groups=groups)
-    ids = sorted(observed)
-    cm = confusion_from_predictions([observed[u] for u in ids],
-                                    [predictions[u] for u in ids], manifest.class_names)
+        data, reps, cfg.forest_config(), cfg.eval_folds, cfg.eval_seed(),
+        groups=data.speakers if cfg.group_by_speaker else None)
+    cm = confusion_from_predictions(data.labels, predictions, data.class_names)
     report = {
         "generation": generation,
         "mode": cfg.mode,
         "wa": weighted_accuracy(cm),
         "ua": unweighted_accuracy(cm),
         "mean_ep_entropy": foldout.mean_entropy(),
-        "n_utterances": len(ids),
+        "n_utterances": len(data.utterance_ids),
         "confusion_matrix": cm.counts.tolist(),
     }
-    if manifest.has_label_noise():
-        clean = manifest.clean_labels()
-        cm_clean = confusion_from_predictions([clean[u] for u in ids],
-                                              [predictions[u] for u in ids],
-                                              manifest.class_names)
+    if clean is not None:
+        cm_clean = confusion_from_predictions(clean, predictions, data.class_names)
         report["wa_clean"] = weighted_accuracy(cm_clean)
         report["ua_clean"] = unweighted_accuracy(cm_clean)
     return report, predictions, cm
 
 
-def _write_generation_dir(tmp: Path, foldout, ids, offsets, reps, report, predictions, cm,
-                          manifest):
-    write_ep_csv(tmp / "eps.csv", foldout.eps, ids, offsets, foldout.generation)
-    write_representation_csv(tmp / "representations.csv", reps)
-    names = manifest.class_names
-    observed = manifest.observed_labels()
-    records = [(u, names[observed[u]], names[predictions[u]]) for u in sorted(predictions)]
+def _write_generation_dir(tmp: Path, foldout, data: StackedDataset, reps, report,
+                          predictions, cm):
+    ids, names = data.utterance_ids, data.class_names
+    write_ep_csv(tmp / "eps.csv", foldout.eps, ids, data.offsets, foldout.generation)
+    write_representation_csv(tmp / "representations.csv", ids, reps)
+    records = [(u, names[t], names[p])
+               for u, t, p in sorted(zip(ids, data.labels.tolist(), predictions.tolist()))]
     write_predictions_csv(tmp / "predictions.csv", records)
     write_confusion_csv(tmp / "confusion.csv", cm)
     write_metrics_report(tmp / METRICS_NAME, report)
@@ -228,6 +223,7 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
         raise DataError(f"{len(errors)} utterance(s) failed to featurize: {listing}")
 
     names = manifest.class_names
+    clean = manifest.clean_labels() if manifest.has_label_noise() else None
     run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
     path = run_dir / RUN_MANIFEST_NAME
     doc = {
@@ -237,7 +233,7 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
         "derived_seeds": cfg.derived_seeds(),
         "class_names": list(names),
         "n_utterances": len(manifest.rows),
-        "label_noise_present": manifest.has_label_noise(),
+        "label_noise_present": clean is not None,
         "corpus_sha256": _corpus_sha256(manifest, data),
     }
     generations = run_dir / GENERATIONS_DIR
@@ -268,15 +264,14 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
         return eps
 
     def on_generation(t, foldout, targets):
-        reps = dict(zip(ids, representations_for(foldout.eps, offsets)))
-        report, predictions, cm = _generation_metrics(foldout, reps, manifest, cfg, t)
+        reps = representations_for(foldout.eps, offsets)
+        report, predictions, cm = _generation_metrics(foldout, reps, data, clean, cfg, t)
         gen_dir = generation_dir(run_dir, t)
         tmp = gen_dir.parent / f".gen{t:02d}.tmp"
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
-        _write_generation_dir(tmp, foldout, ids, offsets, reps, report, predictions, cm,
-                              manifest)
+        _write_generation_dir(tmp, foldout, data, reps, report, predictions, cm)
         os.replace(tmp, gen_dir)
         keep(t, report)
 

@@ -141,11 +141,9 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
     if targets.shape != (data.offsets[-1], len(class_names)):
         raise DataError(f"targets have shape {targets.shape}, expected "
                         f"({data.offsets[-1]}, {len(class_names)}): one row per segment")
-    labels = dict(zip(data.utterance_ids, data.labels.tolist()))
-    groups = dict(zip(data.utterance_ids, data.speakers)) if cfg.group_by_speaker else None
-    plan = kfold_split(labels, cfg.folds, derive_seed(cfg.seed, _STREAM_FOLD_PLAN, generation),
-                       groups=groups)
-    fold_of = np.array([plan.assignments[u] for u in data.utterance_ids], dtype=np.int64)
+    fold_of = kfold_split(data.utterance_ids, data.labels, cfg.folds,
+                          derive_seed(cfg.seed, _STREAM_FOLD_PLAN, generation),
+                          groups=data.speakers if cfg.group_by_speaker else None)
     row_utterance = data.utterance_of_row()
 
     eps = np.empty(targets.shape)

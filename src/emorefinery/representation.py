@@ -11,8 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-
 STATISTICS = ("mean", "std", "min", "max", "range")
 
 
@@ -29,15 +27,10 @@ def representations_for(eps: np.ndarray, offsets) -> np.ndarray:
     return np.stack([ep_statistics(eps[a:b].T) for a, b in zip(offsets[:-1], offsets[1:])])
 
 
-def write_representation_csv(path, reps) -> None:
-    """One row per utterance id of the map `reps`, sorted by id."""
-    if not reps:
-        raise DataError("no representations to write")
-    d = len(next(iter(reps.values())))
+def write_representation_csv(path, utterance_ids, reps) -> None:
+    """One row per utterance of the (n_utterances, 5K) array `reps`, sorted by id."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["utterance_id"] + [f"f_{i + 1}" for i in range(d)])
-        for uid in sorted(reps):
-            if len(reps[uid]) != d:
-                raise DataError("representations mix different feature lengths")
-            writer.writerow([uid] + [f"{v:.17g}" for v in reps[uid]])
+        writer.writerow(["utterance_id"] + [f"f_{i + 1}" for i in range(reps.shape[1])])
+        for uid, row in sorted(zip(utterance_ids, reps.tolist())):
+            writer.writerow([uid] + [f"{v:.17g}" for v in row])

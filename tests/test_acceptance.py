@@ -15,7 +15,7 @@ from emorefinery.classifier import (EmotionDistribution, TrainConfig, cross_entr
                                     entropy, kl_divergence)
 from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus, to_stacked_dataset
-from emorefinery.decision import ForestConfig, predict_forest_batch, train_forest
+from emorefinery.decision import ForestConfig, predict_forest, train_forest
 from emorefinery.evaluation import (ConfusionMatrix, confusion_from_predictions,
                                     unweighted_accuracy, weighted_accuracy)
 from emorefinery.features import (AudioClip, FrameSpec, SegmentSpec, log_mel_spectrogram,
@@ -262,20 +262,14 @@ def noise_runs():
     for corpus_seed, master_seed in NOISE_CONFIGS:
         spec = SyntheticCorpusSpec(seed=corpus_seed, **NOISE_CORPUS)
         generated = generate_synthetic_corpus(spec)
-        clean = {u.utterance_id: u.label for u in generated}
-        observed = {u.utterance_id: u.observed_label for u in generated}
-        names = spec.class_names
+        clean = np.array([u.label for u in generated])
         data = to_stacked_dataset(generated, spec)
 
         def clean_wa(eps):
-            reps = dict(zip(data.utterance_ids, representations_for(eps, data.offsets)))
             preds = cross_validated_predictions(
-                reps, observed, names, ForestConfig(n_trees=100, seed=master_seed),
-                NOISE_FOLDS, master_seed)
-            ids = sorted(clean)
-            cm = confusion_from_predictions([clean[u] for u in ids],
-                                            [preds[u] for u in ids], names)
-            return weighted_accuracy(cm)
+                data, representations_for(eps, data.offsets),
+                ForestConfig(n_trees=100, seed=master_seed), NOISE_FOLDS, master_seed)
+            return weighted_accuracy(confusion_from_predictions(clean, preds, data.class_names))
 
         base = run_refinery(data,
                             RefineryConfig(generations=1, mode="none",
@@ -287,7 +281,7 @@ def noise_runs():
                                            train=train))
         results.append({
             "config": (corpus_seed, master_seed),
-            "flips": sum(1 for u in clean if clean[u] != observed[u]),
+            "flips": int(np.count_nonzero(clean != data.labels)),
             "baseline_wa": clean_wa(base.eps_by_generation[0]),
             "pepr_wa": clean_wa(pepr.eps_by_generation[1]),
         })
@@ -394,14 +388,14 @@ def test_criterion_08_forest_oracle(announce):
     y = rng.integers(0, 3, size=30)
     tree_cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=3, seed=1)
     tree = train_forest(x, y, tree_cfg, ("a", "b", "c"))
-    train_acc = float(np.mean(predict_forest_batch(tree, x) == y))
+    train_acc = float(np.mean(predict_forest(tree, x) == y))
 
     centers = np.array([[-3.0, -3.0], [3.0, 3.0]])
     labels = rng.integers(0, 2, size=200)
     points = centers[labels] + rng.standard_normal((200, 2)) * 0.5
     forest = train_forest(points[:100], labels[:100],
                           ForestConfig(n_trees=50, seed=2), ("neg", "pos"))
-    test_acc = float(np.mean(predict_forest_batch(forest, points[100:]) == labels[100:]))
+    test_acc = float(np.mean(predict_forest(forest, points[100:]) == labels[100:]))
 
     ok = oracle_matches == trials and train_acc == 1.0 and test_acc >= 0.95
     announce(ok, "criterion 8 (forest oracle)",

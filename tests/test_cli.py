@@ -1,11 +1,25 @@
 """Command line interface tests: workflows and exit codes."""
 
+import contextlib
+import io
 import json
 import shutil
+import sys
+import tempfile
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emorefinery.classifier import TrainConfig
 from emorefinery.cli import main
+from emorefinery.config import ExperimentConfig
+from emorefinery.datagen import SyntheticCorpusSpec
+from emorefinery.decision import ForestConfig
+from emorefinery.features import FrameSpec, SegmentSpec
 
 CORPUS_SPEC = {
     "n_classes": 3, "utterances_per_class": 4, "segments_range": [3, 4],
@@ -62,6 +76,21 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "c")]) == 2
 
+    @pytest.mark.parametrize("text, what", [
+        ('{"segments_range": 5}', "segments_range must be two integers"),
+        ('{"segments_range": [1, 2, 3]}', "segments_range must be two integers"),
+        ('{"class_names": 5}', "class_names must be a list of strings"),
+        ('{"n_classes": "3"}', "n_classes must be an integer"),
+        ('{"noise_level": "x"}', "noise_level must be a number"),
+        ('{"seed": 1.5}', "seed must be an integer"),
+        ('{"noise_level": NaN}', "noise_level must be a finite number"),
+    ])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, text, what):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["gen-data", "--spec", str(bad), "--out", str(tmp_path / "c")]) == 2
+        assert what in one_error(capsys, bad)
+
 
 class TestFeaturize:
     def test_copies_feature_corpus(self, workspace, tmp_path):
@@ -112,6 +141,11 @@ class TestRun:
     @pytest.mark.parametrize("override, key", [
         ({"generations": "2"}, "generations"),
         ({"forest": {"n_trees": "5"}}, "forest.n_trees"),
+        # json.dumps spells these Infinity and NaN; 1e999 also parses to inf.
+        ({"segment": {"seg_frames": 4, "seg_hop_ms": float("inf")}}, "segment.seg_hop_ms"),
+        ({"segment": {"seg_frames": 4, "seg_hop_ms": float("nan")}}, "segment.seg_hop_ms"),
+        ({"frame": {"win_ms": float("nan")}}, "frame.win_ms"),
+        ({"frame": {"win_ms": 10 ** 400}}, "frame.win_ms"),
     ])
     def test_wrongly_typed_config_value_exits_2(self, workspace, tmp_path, capsys,
                                                 override, key):
@@ -121,6 +155,42 @@ class TestRun:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: {key} must be ")
+
+    @pytest.mark.parametrize("architecture, what", [
+        ({"name": "x", "conv_stages": "ab"}, "conv_stages must be"),
+        ({"name": "x", "conv_stages": [[2]], "dense": "a"}, "dense must be"),
+        ({"name": "x", "conv_stages": [[0]]}, "conv_stages must be"),
+        ({"name": "x", "conv_stages": [[]]}, "conv_stages must be"),
+        ({"name": 3, "conv_stages": [[2]]}, "name must be a string"),
+    ])
+    def test_bad_inline_architecture_exits_2(self, workspace, tmp_path, capsys,
+                                             architecture, what):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**RUN_CONFIG, "train": {"architecture": architecture}}))
+        assert main(["run", "--config", str(bad), "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert what in one_error(capsys, bad)
+
+    def test_diverging_training_exits_4(self, tmp_path, capsys):
+        # Too few utterances per fold for a validation split: the monitored
+        # loss is the epoch's loss before its last step, which overflows.
+        spec = {"n_classes": 3, "utterances_per_class": 3, "segments_range": [2, 3],
+                "n_mels": 8, "seg_frames": 4, "seed": 1}
+        cfg = {"generations": 1, "folds": 2, "eval_folds": 2,
+               "segment": {"seg_frames": 4, "seg_hop_ms": 40.0},
+               "train": {"initial_lr": 1e308, "max_epochs": 1, "architecture": "tiny"},
+               "forest": {"n_trees": 2}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["gen-data", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "corpus")]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing Adam step
+            code = main(["run", "--config", str(tmp_path / "cfg.json"),
+                         "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "parameters became non-finite" in capsys.readouterr().err
 
     def test_damaged_run_manifest_exits_3(self, workspace, tmp_path, capsys):
         args = ["run", "--config", str(workspace / "cfg.json"),
@@ -344,6 +414,72 @@ class TestEvalAndExport:
     def test_export_unknown_utterance_exits_3(self, finished_run, tmp_path):
         assert main(["export-ep", "--run", str(finished_run),
                      "--utterance", "ghost", "--out", str(tmp_path / "x.csv")]) == 3
+
+
+def typed_fields(cls, excluded=()):
+    """(name, type) of the fields of a dataclass that hold one JSON scalar."""
+    return [(f.name, f.type) for f in fields(cls)
+            if f.type in (bool, int, float, str) and f.name not in excluded]
+
+
+SECTIONS = {"frame": FrameSpec, "segment": SegmentSpec, "train": TrainConfig,
+            "forest": ForestConfig}
+# (file kind, config section or None, field name, declared type); a section
+# has no seed of its own.
+TYPED_FIELDS = ([("config", None, *f) for f in typed_fields(ExperimentConfig)]
+                + [("config", section, *f) for section, cls in SECTIONS.items()
+                   for f in typed_fields(cls, ("seed",))]
+                + [("spec", None, *f) for f in typed_fields(SyntheticCorpusSpec)])
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10 ** 400), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def wrong_value(kind):
+    """A JSON value that is not of the kind, or for a float one that is not
+    a finite float."""
+    if kind is float:
+        return JSON_VALUES.filter(lambda v: type(v) not in (int, float)
+                                  or not -sys.float_info.max <= v <= sys.float_info.max)
+    return JSON_VALUES.filter(lambda v: type(v) is not kind)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data())
+def test_wrongly_typed_or_non_finite_field_exits_2(data):
+    file_kind, section, name, kind = data.draw(st.sampled_from(TYPED_FIELDS))
+    value = data.draw(wrong_value(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{file_kind}.json"
+        if file_kind == "spec":
+            doc = {name: value}
+            args = ["gen-data", "--spec", str(path), "--out", str(Path(tmp) / "corpus")]
+        else:
+            doc = dict(RUN_CONFIG)
+            if section is None:
+                doc[name] = value
+            else:
+                doc[section] = {**doc.get(section, {}), name: value}
+            args = ["run", "--config", str(path), "--corpus", str(Path(tmp) / "corpus"),
+                    "--out", str(Path(tmp) / "run")]
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    key = name if section is None else f"{section}.{name}"
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: {key} must be ")
+
+
+@pytest.mark.parametrize("command", ["gen-data --spec", "run --corpus corpus --config"])
+@pytest.mark.parametrize("make", [lambda path: path.write_bytes(b"\xff{}"), Path.mkdir])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, make):
+    path = tmp_path / "input.json"
+    make(path)
+    assert main(command.split() + [str(path), "--out", str(tmp_path / "out")]) == 2
+    one_error(capsys, path)
 
 
 class TestParser:

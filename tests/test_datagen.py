@@ -12,7 +12,7 @@ from emorefinery.datagen import (
     segmentation_for,
     to_stacked_dataset,
 )
-from emorefinery.decision import ForestConfig, predict_forest_batch, train_forest
+from emorefinery.decision import ForestConfig, predict_forest, train_forest
 from emorefinery.errors import ConfigError, DataError
 
 
@@ -69,7 +69,7 @@ class TestPureMode:
         y = np.array([u.label for u in corpus])
         forest = train_forest(x, y, ForestConfig(n_trees=5, max_depth=3, seed=0),
                               spec.class_names)
-        assert (predict_forest_batch(forest, x) == y).all()
+        assert (predict_forest(forest, x) == y).all()
 
 
 class TestBalanceAndDeterminism:

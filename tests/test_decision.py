@@ -2,6 +2,7 @@
 the first Fraction-ranked implementation, determinism, voting, degenerate
 cases, and the predictions CSV."""
 
+import csv
 import struct
 import warnings
 from fractions import Fraction
@@ -17,8 +18,6 @@ from emorefinery.decision import (
     ForestConfig,
     TreeNode,
     predict_forest,
-    predict_forest_batch,
-    read_predictions_csv,
     train_forest,
     write_predictions_csv,
 )
@@ -238,7 +237,7 @@ class TestOracleEquivalence:
         y = [0, 0, 1, 1]
         cfg = single_tree_config(max_features=2)
         forest = train_forest(x, y, cfg, ("a", "b"))
-        assert predict_forest_batch(forest, x).tolist() == y
+        assert predict_forest(forest, x).tolist() == y
         assert_same_tree(forest.trees[0], oracle_grow(x, np.array(y), 2, 0, -1))
 
     def test_random_small_datasets_match_oracle(self):
@@ -277,7 +276,7 @@ class TestTraining:
         x = rng.uniform(0, 1, (40, 5))
         y = rng.integers(0, 3, 40)
         forest = train_forest(x, y, single_tree_config(max_features=5), NAMES3)
-        assert (predict_forest_batch(forest, x) == y).all()
+        assert (predict_forest(forest, x) == y).all()
 
     def test_chain_deeper_than_the_recursion_limit(self):
         # Alternating labels on one feature: each split cuts one sample off
@@ -292,7 +291,7 @@ class TestTraining:
             if not node.is_leaf:
                 stack += [(node.left, depth + 1), (node.right, depth + 1)]
         assert deepest == 1499
-        assert predict_forest_batch(forest, x).tolist() == y.tolist()
+        assert predict_forest(forest, x).tolist() == y.tolist()
 
     def test_impurity_strictly_decreases_along_tree(self):
         rng = np.random.default_rng(8)
@@ -322,8 +321,8 @@ class TestTraining:
         cfg = ForestConfig(n_trees=15, seed=5)
         f1 = train_forest(x, y, cfg, NAMES3)
         f2 = train_forest(x, y, cfg, NAMES3)
-        np.testing.assert_array_equal(predict_forest_batch(f1, probe),
-                                      predict_forest_batch(f2, probe))
+        np.testing.assert_array_equal(predict_forest(f1, probe),
+                                      predict_forest(f2, probe))
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(10)
@@ -361,7 +360,7 @@ class TestTraining:
         root = forest.trees[0]
         assert root.threshold == threshold
         assert root.left.is_leaf and root.right.is_leaf
-        assert predict_forest_batch(forest, x).tolist() == y
+        assert predict_forest(forest, x).tolist() == y
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
@@ -391,7 +390,7 @@ class TestTraining:
                             for c in range(3)])
         y = np.repeat(np.arange(3), 20)
         forest = train_forest(x, y, ForestConfig(n_trees=25, seed=3), NAMES3)
-        acc = (predict_forest_batch(forest, x) == y).mean()
+        acc = (predict_forest(forest, x) == y).mean()
         assert acc >= 0.95
 
 
@@ -409,7 +408,7 @@ class TestVoting:
         forest = self.leaf_forest([[1, 0, 0], [0, 0, 2]])
         # one vote each for a and c
         assert predict_forest(forest, np.zeros(2)) == 0
-        assert predict_forest_batch(forest, np.zeros((3, 2))).tolist() == [0, 0, 0]
+        assert predict_forest(forest, np.zeros((3, 2))).tolist() == [0, 0, 0]
 
     def test_batch_matches_row_by_row(self):
         rng = np.random.default_rng(16)
@@ -417,10 +416,10 @@ class TestVoting:
         y = rng.integers(0, 3, 40)
         forest = train_forest(x, y, ForestConfig(n_trees=9, seed=6), NAMES3)
         probe = np.concatenate([x, rng.integers(-1, 4, (30, 5)).astype(np.float64)])
-        batch = predict_forest_batch(forest, probe)
+        batch = predict_forest(forest, probe)
         assert batch.dtype == np.int64
         assert batch.tolist() == [predict_forest(forest, row) for row in probe]
-        assert predict_forest_batch(forest, []).tolist() == []
+        assert predict_forest(forest, probe[:0]).tolist() == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
@@ -428,7 +427,7 @@ class TestVoting:
         with pytest.raises(DataError, match="row 0 holds the non-finite value"):
             predict_forest(forest, np.array([0.0, bad]))
         with pytest.raises(DataError, match="row 2 holds the non-finite value"):
-            predict_forest_batch(forest, [np.zeros(2), np.ones(2), np.array([bad, 0.0])])
+            predict_forest(forest, np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0]]))
 
     def test_identical_trees_vote_unanimously(self):
         rng = np.random.default_rng(14)
@@ -437,8 +436,8 @@ class TestVoting:
         single = train_forest(x, y, single_tree_config(max_features=4), NAMES3)
         many = train_forest(x, y, single_tree_config(n_trees=7, max_features=4), NAMES3)
         probe = rng.uniform(0, 1, (15, 4))
-        np.testing.assert_array_equal(predict_forest_batch(single, probe),
-                                      predict_forest_batch(many, probe))
+        np.testing.assert_array_equal(predict_forest(single, probe),
+                                      predict_forest(many, probe))
 
     def test_dimension_mismatch_rejected(self):
         forest = self.leaf_forest([[1, 0, 0]])
@@ -451,5 +450,6 @@ class TestPersistence:
         records = [("u1", "a", "a"), ("u2", "b", "c")]
         path = tmp_path / "preds.csv"
         write_predictions_csv(path, records)
-        assert read_predictions_csv(path) == records
+        with path.open(newline="") as fh:
+            assert [tuple(row) for row in csv.reader(fh)][1:] == records
         assert path.read_text().splitlines()[0] == "utterance_id,true,pred"

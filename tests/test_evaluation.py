@@ -19,63 +19,70 @@ from emorefinery.evaluation import (
 
 
 def balanced_labels(n_classes, per_class):
-    return {f"u{c}_{i}": c for c in range(n_classes) for i in range(per_class)}
+    """(ids, labels) of per_class utterances of each class."""
+    ids = [f"u{c}_{i}" for c in range(n_classes) for i in range(per_class)]
+    return ids, np.repeat(np.arange(n_classes), per_class)
 
 
 class TestKFoldSplit:
     def test_singleton_folds(self):
-        labels = {f"u{i}": i % 2 for i in range(10)}
-        plan = kfold_split(labels, k=10, seed=0)
-        sizes = [len(plan.members(f)) for f in range(10)]
-        assert sizes == [1] * 10
+        fold_of = kfold_split([f"u{i}" for i in range(10)], np.arange(10) % 2, k=10, seed=0)
+        assert np.bincount(fold_of).tolist() == [1] * 10
 
     def test_balanced_stratification(self):
-        labels = balanced_labels(4, 25)
-        plan = kfold_split(labels, k=10, seed=7)
+        ids, labels = balanced_labels(4, 25)
+        fold_of = kfold_split(ids, labels, k=10, seed=7)
         for f in range(10):
-            members = plan.members(f)
-            assert len(members) == 10
-            per_class = np.bincount([labels[u] for u in members], minlength=4)
-            assert per_class.min() >= 2
+            assert np.count_nonzero(fold_of == f) == 10
+            assert np.bincount(labels[fold_of == f], minlength=4).min() >= 2
 
     def test_partition(self):
-        labels = balanced_labels(3, 7)
-        plan = kfold_split(labels, k=4, seed=3)
-        assert set(plan.assignments) == set(labels)
-        assert set(plan.assignments.values()) <= set(range(4))
+        ids, labels = balanced_labels(3, 7)
+        fold_of = kfold_split(ids, labels, k=4, seed=3)
+        assert fold_of.dtype == np.int64 and fold_of.shape == (21,)
+        assert set(fold_of.tolist()) == set(range(4))
 
     def test_same_seed_identical(self):
-        labels = balanced_labels(4, 10)
-        p1 = kfold_split(labels, k=5, seed=42)
-        p2 = kfold_split(labels, k=5, seed=42)
-        assert p1.assignments == p2.assignments
+        ids, labels = balanced_labels(4, 10)
+        np.testing.assert_array_equal(kfold_split(ids, labels, k=5, seed=42),
+                                      kfold_split(ids, labels, k=5, seed=42))
 
     def test_different_seed_differs(self):
-        labels = balanced_labels(4, 10)
-        p1 = kfold_split(labels, k=5, seed=1)
-        p2 = kfold_split(labels, k=5, seed=2)
-        assert p1.assignments != p2.assignments
+        ids, labels = balanced_labels(4, 10)
+        assert not np.array_equal(kfold_split(ids, labels, k=5, seed=1),
+                                  kfold_split(ids, labels, k=5, seed=2))
 
     def test_speaker_grouping(self):
-        labels = {}
-        groups = {}
+        ids = [f"spk{s}_utt{i}" for s in range(6) for i in range(4)]
+        labels = np.repeat(np.arange(6) % 3, 4)
+        speakers = [u.split("_")[0] for u in ids]
+        fold_of = kfold_split(ids, labels, k=3, seed=5, groups=speakers)
         for s in range(6):
-            for i in range(4):
-                uid = f"spk{s}_utt{i}"
-                labels[uid] = s % 3
-                groups[uid] = f"spk{s}"
-        plan = kfold_split(labels, k=3, seed=5, groups=groups)
-        for s in range(6):
-            folds = {plan.assignments[f"spk{s}_utt{i}"] for i in range(4)}
-            assert len(folds) == 1
+            assert len(set(fold_of[4 * s:4 * s + 4].tolist())) == 1
+
+    def test_plan_follows_ids_not_positions(self):
+        ids, labels = balanced_labels(3, 6)
+        speakers = [f"s{i % 4}" for i in range(len(ids))]
+        perm = np.random.default_rng(0).permutation(len(ids))
+        for groups in (None, speakers):
+            fold_of = kfold_split(ids, labels, k=3, seed=9, groups=groups)
+            permuted = kfold_split([ids[i] for i in perm], labels[perm], k=3, seed=9,
+                                   groups=None if groups is None else [groups[i] for i in perm])
+            np.testing.assert_array_equal(permuted, fold_of[perm])
 
     def test_too_many_folds(self):
         with pytest.raises(ConfigError, match="folds"):
-            kfold_split({"a": 0, "b": 1}, k=3, seed=0)
+            kfold_split(["a", "b"], [0, 1], k=3, seed=0)
 
     def test_k_below_two(self):
         with pytest.raises(ConfigError):
-            kfold_split({"a": 0, "b": 1}, k=1, seed=0)
+            kfold_split(["a", "b"], [0, 1], k=1, seed=0)
+
+    def test_misaligned_inputs_rejected(self):
+        with pytest.raises(DataError, match="2 utterance ids for 3 labels"):
+            kfold_split(["a", "b"], [0, 1, 1], k=2, seed=0)
+        with pytest.raises(DataError, match="no utterances"):
+            kfold_split([], [], k=2, seed=0)
 
 
 def hand_matrix():

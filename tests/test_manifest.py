@@ -70,8 +70,8 @@ class TestCorpusManifest:
         m = CorpusManifest(class_names=NAMES,
                            rows=[row("u0"), row("u1", label="happy", observed="neutral")],
                            root=".")
-        assert m.clean_labels() == {"u0": 0, "u1": 1}
-        assert m.observed_labels() == {"u0": 0, "u1": 2}
+        assert m.clean_labels().tolist() == [0, 1]
+        assert [m.label_index(r.training_label) for r in m.rows] == [0, 2]
         assert m.has_label_noise()
 
 
@@ -84,7 +84,8 @@ class TestSaveLoad:
         loaded = load_manifest(tmp_path)
         assert loaded.class_names == NAMES
         assert {r.utterance_id for r in loaded.rows} == {"u0", "u1"}
-        assert loaded.observed_labels() == m.observed_labels()
+        assert ({r.utterance_id: r.training_label for r in loaded.rows}
+                == {r.utterance_id: r.training_label for r in m.rows})
         assert loaded.root == tmp_path
 
     def test_load_accepts_manifest_path_or_directory(self, tmp_path):

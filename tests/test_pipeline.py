@@ -1,5 +1,6 @@
 """Pipeline orchestration tests: featurizing, run artifacts, resume, determinism."""
 
+import csv
 import json
 import re
 
@@ -9,7 +10,7 @@ import pytest
 from emorefinery.classifier import TrainConfig
 from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus
-from emorefinery.decision import ForestConfig, read_predictions_csv
+from emorefinery.decision import ForestConfig
 from emorefinery.errors import DataError
 from emorefinery.features import FrameSpec, SegmentSpec
 from emorefinery.manifest import load_manifest, read_spectrogram_csv, write_synthetic_corpus
@@ -21,7 +22,7 @@ from emorefinery.pipeline import (
     run_experiment,
     utterances_from_manifest,
 )
-from emorefinery.refinery import read_ep_csv
+from emorefinery.refinery import StackedDataset, read_ep_csv
 from emorefinery.representation import representations_for
 
 SPEC = SyntheticCorpusSpec(n_classes=3, utterances_per_class=4, segments_range=(3, 4),
@@ -60,7 +61,7 @@ class TestUtterancesFromManifest:
         data, errors = utterances_from_manifest(m, FrameSpec(), SEGMENT)
         assert not errors
         assert data.utterance_ids == tuple(r.utterance_id for r in m.rows)
-        assert dict(zip(data.utterance_ids, data.labels.tolist())) == m.observed_labels()
+        assert data.labels.tolist() == [m.label_index(r.training_label) for r in m.rows]
         assert data.speakers == tuple(r.speaker for r in m.rows)
         assert all(3 <= n <= 4 for n in np.diff(data.offsets))
         assert data.x.shape == (data.offsets[-1], 8, 4)
@@ -112,24 +113,41 @@ class TestFeaturizeCorpus:
         load_manifest(tmp_path / "second")
 
 
+def dataset_and_reps(corpus):
+    data, _ = utterances_from_manifest(load_manifest(corpus), FrameSpec(), SEGMENT)
+    rng = np.random.default_rng(0)
+    eps = []
+    for n in np.diff(data.offsets):
+        cols = rng.uniform(0.05, 1.0, (len(data.class_names), n))
+        eps.append((cols / cols.sum(axis=0)).T)
+    return data, representations_for(np.concatenate(eps), data.offsets)
+
+
 class TestCrossValidatedPredictions:
     def test_every_utterance_predicted_once_and_deterministically(self, corpus):
-        m = load_manifest(corpus)
-        data, _ = utterances_from_manifest(m, FrameSpec(), SEGMENT)
-        rng = np.random.default_rng(0)
-        eps = []
-        for n in np.diff(data.offsets):
-            cols = rng.uniform(0.05, 1.0, (len(m.class_names), n))
-            eps.append((cols / cols.sum(axis=0)).T)
-        reps = dict(zip(data.utterance_ids,
-                        representations_for(np.concatenate(eps), data.offsets)))
-        labels = m.observed_labels()
-        first = cross_validated_predictions(reps, labels, m.class_names,
-                                            ForestConfig(n_trees=10, seed=3), 3, 17)
-        second = cross_validated_predictions(reps, labels, m.class_names,
-                                             ForestConfig(n_trees=10, seed=3), 3, 17)
-        assert sorted(first) == sorted(labels)
-        assert first == second
+        data, reps = dataset_and_reps(corpus)
+        first = cross_validated_predictions(data, reps, ForestConfig(n_trees=10, seed=3), 3, 17)
+        second = cross_validated_predictions(data, reps, ForestConfig(n_trees=10, seed=3), 3, 17)
+        assert first.dtype == np.int64 and first.shape == (len(data.utterance_ids),)
+        assert set(first.tolist()) <= set(range(len(data.class_names)))
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("by_speaker", [False, True])
+    def test_permuting_the_dataset_permutes_the_predictions(self, corpus, by_speaker):
+        # Each fold's forest trains on its rows in sorted-id order, whatever
+        # the dataset's order, so its bootstrap draws pick the same rows.
+        data, reps = dataset_and_reps(corpus)
+        perm = np.random.default_rng(1).permutation(len(data.utterance_ids))
+        permuted = StackedDataset(
+            [data.utterance_ids[i] for i in perm], data.labels[perm],
+            [data.speakers[i] for i in perm], data.class_names,
+            [data.x[data.offsets[i]:data.offsets[i + 1]] for i in perm])
+        cfg = ForestConfig(n_trees=10, seed=3)
+        expected = cross_validated_predictions(
+            data, reps, cfg, 2, 17, groups=data.speakers if by_speaker else None)
+        got = cross_validated_predictions(
+            permuted, reps[perm], cfg, 2, 17, groups=permuted.speakers if by_speaker else None)
+        np.testing.assert_array_equal(got, expected[perm])
 
 
 class TestRunExperiment:
@@ -251,7 +269,8 @@ class TestRunExperiment:
 
     def test_predictions_csv_uses_class_names(self, finished_run):
         run_dir, _ = finished_run
-        rows = read_predictions_csv(generation_dir(run_dir, 1) / "predictions.csv")
+        with (generation_dir(run_dir, 1) / "predictions.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 12
         names = {"class_0", "class_1", "class_2"}
         assert {r[1] for r in rows} <= names

@@ -93,19 +93,21 @@ class TestRepresentationType:
 class TestRepresentationCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        reps = {f"u{i}": ep_statistics(random_ep(rng)) for i in range(3)}
+        ids = ["u2", "u0", "u1"]
+        reps = np.stack([ep_statistics(random_ep(rng)) for _ in ids])
         path = tmp_path / "reps.csv"
-        write_representation_csv(path, reps)
+        write_representation_csv(path, ids, reps)
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        assert [row[0] for row in rows] == sorted(reps)
+        assert [row[0] for row in rows] == sorted(ids)
         for row in rows:
-            assert np.array([float(v) for v in row[1:]]).tobytes() == reps[row[0]].tobytes()
+            values = np.array([float(v) for v in row[1:]])
+            assert values.tobytes() == reps[ids.index(row[0])].tobytes()
 
     def test_header(self, tmp_path):
-        reps = {"u0": ep_statistics(random_ep(np.random.default_rng(6), k=2))}
+        reps = ep_statistics(random_ep(np.random.default_rng(6), k=2))[None]
         path = tmp_path / "reps.csv"
-        write_representation_csv(path, reps)
+        write_representation_csv(path, ["u0"], reps)
         assert path.read_text().splitlines()[0] == "utterance_id," + ",".join(
             f"f_{i + 1}" for i in range(10))
 
