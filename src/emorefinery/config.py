@@ -117,7 +117,8 @@ def _check_types(cls, body: dict, prefix: str = "") -> None:
     """Reject a value whose JSON type is not the field's declared type.
 
     An integer may stand for a float; a bool never stands for an integer.
-    A float must be finite: JSON's NaN, Infinity, overflowing literals such
+    An integer must fit in a signed 64-bit integer, as numpy sizes must. A
+    float must be finite: JSON's NaN, Infinity, overflowing literals such
     as 1e999 and integers beyond the float range are rejected. Fields of
     other types (sections, tuples, the architecture) are checked by their
     own parsers or dataclasses.
@@ -132,6 +133,9 @@ def _check_types(cls, body: dict, prefix: str = "") -> None:
         # NaN fails both comparisons; so does an integer too large for a float.
         if f.type is float and not -sys.float_info.max <= value <= sys.float_info.max:
             raise ConfigError(f"{prefix}{f.name} must be a finite number, "
+                              f"not {json.dumps(value)}")
+        if f.type is int and not -2**63 <= value < 2**63:
+            raise ConfigError(f"{prefix}{f.name} must be an integer from -2**63 to 2**63 - 1, "
                               f"not {json.dumps(value)}")
 
 

@@ -143,6 +143,8 @@ def read_metrics_report(path, generation: int | None = None) -> dict:
     path = Path(path)
     try:
         report = json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
     except ValueError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     numbers = ("with numbers for wa, ua and mean_ep_entropy "

@@ -51,6 +51,23 @@ class Architecture:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
+    def conv_shapes(self, input_shape) -> list:
+        """The conv stack's walk over one input of (h, w): per stage, the h
+        and w its convolutions see and the (c_in, c_out) of each of them."""
+        h, w = input_shape
+        c = 1
+        stages = []
+        for stage in self.conv_stages:
+            stages.append((h, w, list(zip((c,) + stage[:-1], stage))))
+            c = stage[-1]
+            h, w = h // 2, w // 2
+        return stages
+
+    def conv_macs(self, input_shape) -> int:
+        """Multiply-adds of the conv layers for one input of (h, w)."""
+        return sum(9 * c_in * c_out * h * w
+                   for h, w, convs in self.conv_shapes(input_shape) for c_in, c_out in convs)
+
 
 ARCHITECTURES = {
     "compact": Architecture(name="compact", conv_stages=((16,), (32,), (64,), (64,))),
@@ -74,6 +91,12 @@ def resolve_architecture(arch) -> Architecture:
         raise ConfigError(f"unknown architecture {arch!r}; known: {sorted(ARCHITECTURES)}") from None
 
 
+# Samples per im2col block. Both passes rebuild the columns of one block at
+# a time from the layer's input, so a layer holds one block's columns, not
+# the batch's, and a block's columns stay in cache for its GEMM.
+_CONV_BLOCK = 8
+
+
 class Conv3x3:
     """3x3 convolution, stride 1, zero same-padding."""
 
@@ -83,7 +106,7 @@ class Conv3x3:
         self.b = np.zeros(c_out, dtype=dtype)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._cols = None
+        self._x = None
 
     def _im2col(self, x):
         b, c, h, w = x.shape
@@ -97,32 +120,60 @@ class Conv3x3:
 
     def forward(self, x, train: bool):
         b, c, h, w = x.shape
-        cols = self._im2col(x)
         w2 = self.w.reshape(self.w.shape[0], -1)
-        out = np.matmul(w2, cols)
+        out = np.empty((b, w2.shape[0], h * w), dtype=np.result_type(w2, x))
+        # Each sample is its own GEMM, so blocking leaves every output as it was.
+        for lo in range(0, b, _CONV_BLOCK):
+            np.matmul(w2, self._im2col(x[lo : lo + _CONV_BLOCK]), out=out[lo : lo + _CONV_BLOCK])
         out += self.b[None, :, None]
         if train:
-            self._cols = cols
+            self._x = x
         return out.reshape(b, self.w.shape[0], h, w)
 
     def backward(self, g, need_dx: bool = True):
         """Set dw and db; return the input gradient, or None if not need_dx."""
+        x, self._x = self._x, None
         b, c_out, h, w = g.shape
         g2 = g.reshape(b, c_out, h * w)
         w2 = self.w.reshape(c_out, -1)
-        self.dw = np.matmul(g2, self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
+        # dW is the sum over samples of per-sample products. An axis-0 sum
+        # adds rows in order, so carrying the running sum in row 0 of the
+        # next block's products gives the bits of one sum over all samples.
+        prods = np.empty((min(b, _CONV_BLOCK) + 1, c_out, w2.shape[1]),
+                         dtype=np.result_type(g, x))
+        dw = None
+        for lo in range(0, b, _CONV_BLOCK):
+            cols = self._im2col(x[lo : lo + _CONV_BLOCK])
+            block = prods[: len(cols) + 1]
+            np.matmul(g2[lo : lo + _CONV_BLOCK], cols.transpose(0, 2, 1), out=block[1:])
+            if dw is None:
+                block = block[1:]
+            else:
+                block[0] = dw
+            dw = block.sum(axis=0)
+        self.dw = dw.reshape(self.w.shape)
         self.db = g2.sum(axis=(0, 2))
-        self._cols = None
         if not need_dx:
             return None
-        # col2im on flat planes padded to width w + 2: each (dy, dx) shift is
-        # then one contiguous run per plane instead of h runs of length w.
-        # g gets two zero columns per row, so dcols has the same layout. Its
-        # real columns are the same dot products as without them; its zero
-        # columns land in the padding or add +-0.0 to sums that start at
-        # +0.0 and so are never -0.0. Each element still sums its terms in
-        # (dy, dx) order.
-        c_in = self.w.shape[1]
+        dx = np.empty((b, self.w.shape[1], h, w), dtype=g.dtype)
+        for lo in range(0, b, _CONV_BLOCK):
+            dx[lo : lo + _CONV_BLOCK] = self._col2im(w2, g[lo : lo + _CONV_BLOCK])
+        return dx
+
+    @staticmethod
+    def _col2im(w2, g):
+        """The input gradient of the samples of g, as a view.
+
+        col2im on flat planes padded to width w + 2: each (dy, dx) shift is
+        then one contiguous run per plane instead of h runs of length w.
+        g gets two zero columns per row, so dcols has the same layout. Its
+        real columns are the same dot products as without them; its zero
+        columns land in the padding or add +-0.0 to sums that start at
+        +0.0 and so are never -0.0. Each element still sums its terms in
+        (dy, dx) order.
+        """
+        b, c_out, h, w = g.shape
+        c_in = w2.shape[1] // 9
         wp = w + 2
         gp = np.zeros((b, c_out, h, wp), dtype=g.dtype)
         gp[..., :w] = g
@@ -297,22 +348,18 @@ class ConvNet:
         self.input_shape = tuple(input_shape)  # (n_mels, seg_frames)
         self.k = k
         dtype = arch.np_dtype
-        h, w = input_shape
         layers = []
-        c = 1
-        for stage in arch.conv_stages:
-            for width in stage:
-                layers.append(Conv3x3(c, width, rng, dtype))
+        for h, w, convs in arch.conv_shapes(input_shape):
+            for c_in, c_out in convs:
+                layers.append(Conv3x3(c_in, c_out, rng, dtype))
                 layers.append(ReLU())
-                c = width
             if h % 2 or w % 2:
                 raise ConfigError(
                     f"architecture {arch.name!r} pools {h}x{w} below even dims for input {input_shape}"
                 )
             layers.append(MaxPool2x2())
-            h, w = h // 2, w // 2
         layers.append(Flatten())
-        n_in = c * h * w
+        n_in = c_out * (h // 2) * (w // 2)
         for width in arch.dense:
             layers.append(Dense(n_in, width, rng, dtype))
             layers.append(ReLU())

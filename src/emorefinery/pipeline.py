@@ -303,7 +303,11 @@ def export_ep_evolution(run_dir, utterance_id: str, out_path) -> int:
     header = None
     rows = []
     for gen_dir in gen_dirs:
-        lines = (gen_dir / "eps.csv").read_text().splitlines()
+        path = gen_dir / "eps.csv"
+        try:
+            lines = path.read_text().splitlines()
+        except OSError as exc:
+            raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
         if header is None:
             header = lines[0]
         elif lines[0] != header:

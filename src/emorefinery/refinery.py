@@ -12,13 +12,14 @@ utterance's one-hot label (pEPR), snap it to a one-hot at its argmax
 """
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import TrainConfig, predict_batch, train_segment_classifier
+from .classifier import TrainConfig, _single_thread_blas, predict_batch, train_segment_classifier
 from .errors import ConfigError, DataError
 from .evaluation import kfold_split
 
@@ -134,7 +135,9 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
     """Train one model per fold and predict EPs for that fold's held-out utterances.
 
     Every utterance's EP comes from a model whose training set excluded all
-    of that utterance's segments.
+    of that utterance's segments. Folds are planned in order on the calling
+    thread, then trained on up to `_fold_workers` threads; each fold writes
+    only its own EP rows, so the result does not depend on the thread count.
     """
     class_names = data.class_names
     targets = np.asarray(targets, dtype=np.float64)
@@ -146,29 +149,65 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
                           groups=data.speakers if cfg.group_by_speaker else None)
     row_utterance = data.utterance_of_row()
 
-    eps = np.empty(targets.shape)
-    training_rows = []
-    order = []
-    models = []
+    training_rows, train_cfgs = [], []
     for fold in range(cfg.folds):
         present = set(data.labels[fold_of != fold].tolist())
         missing = [class_names[c] for c in range(len(class_names)) if c not in present]
         if missing:
             warnings.warn(f"generation {generation} fold {fold}: no training utterances "
                           f"of class(es) {missing}", RuntimeWarning)
-        rows = np.flatnonzero(fold_of[row_utterance] != fold)
-        train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, _STREAM_MODEL, generation, fold))
+        training_rows.append(np.flatnonzero(fold_of[row_utterance] != fold))
+        train_cfgs.append(replace(cfg.train,
+                                  seed=derive_seed(cfg.seed, _STREAM_MODEL, generation, fold)))
+
+    eps = np.empty(targets.shape)
+
+    def train_and_predict(fold):
+        rows = training_rows[fold]
         model = train_segment_classifier(data.x[rows], targets[rows], row_utterance[rows],
-                                         class_names, train_cfg, generation=generation)
+                                         class_names, train_cfgs[fold], generation=generation)
         for i in np.flatnonzero(fold_of == fold):
             a, b = data.offsets[i], data.offsets[i + 1]
             eps[a:b] = predict_batch(model, data.x[a:b])
-            order.append(np.arange(a, b))
-        training_rows.append(rows)
-        models.append(model)
+        return model
+
+    workers = _fold_workers(cfg, data.x.shape[1:])
+    if workers == 1:
+        models = [train_and_predict(fold) for fold in range(cfg.folds)]
+    else:
+        # Imported here, so that runs which train no fold on threads, such as
+        # a resume, do not hold the module's memory.
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Each call pins OpenBLAS to one thread and restores the count it
+        # found; pinning around the pool makes that count 1 while any fold runs.
+        with _single_thread_blas(), ThreadPoolExecutor(workers) as pool:
+            models = list(pool.map(train_and_predict, range(cfg.folds)))
+    # Rows in prediction order: fold by fold, and by row within a fold.
+    prediction_order = np.argsort(fold_of[row_utterance], kind="stable")
     return FoldOutGeneration(generation=generation, eps=eps, fold_of=fold_of,
                              training_rows=tuple(training_rows),
-                             prediction_order=np.concatenate(order), models=tuple(models))
+                             prediction_order=prediction_order, models=tuple(models))
+
+
+# Per-segment conv multiply-adds from which folds train on threads. Below
+# it a fold's numpy calls are too short to release the GIL for long, and
+# two threads mostly contend for it.
+_THREADED_FOLD_MACS = 1_000_000
+# The most folds in flight; there are always at least two folds. Wall time,
+# CPU time and peak memory have been measured at two. Each fold in flight
+# holds its own training copy, net and optimizer state, so a wider pool
+# needs its own measurement first.
+_MAX_FOLD_THREADS = 2
+
+
+def _fold_workers(cfg: RefineryConfig, input_shape) -> int:
+    """How many folds train at once: one per usable CPU, up to
+    _MAX_FOLD_THREADS, for a large enough net, else one."""
+    if cfg.train.resolved_architecture().conv_macs(input_shape) < _THREADED_FOLD_MACS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, _MAX_FOLD_THREADS)
 
 
 def foldout_purity_violations(foldout: FoldOutGeneration, data: StackedDataset) -> list:

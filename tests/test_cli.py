@@ -84,6 +84,8 @@ class TestGenData:
         ('{"noise_level": "x"}', "noise_level must be a number"),
         ('{"seed": 1.5}', "seed must be an integer"),
         ('{"noise_level": NaN}', "noise_level must be a finite number"),
+        ('{"seg_frames": 1%s}' % ("0" * 400), "seg_frames must be an integer from -2**63"),
+        ('{"seg_frames": -1%s}' % ("0" * 400), "seg_frames must be an integer from -2**63"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text, what):
         bad = tmp_path / "bad.json"
@@ -146,6 +148,8 @@ class TestRun:
         ({"segment": {"seg_frames": 4, "seg_hop_ms": float("nan")}}, "segment.seg_hop_ms"),
         ({"frame": {"win_ms": float("nan")}}, "frame.win_ms"),
         ({"frame": {"win_ms": 10 ** 400}}, "frame.win_ms"),
+        ({"segment": {"seg_frames": 10 ** 400}}, "segment.seg_frames"),
+        ({"master_seed": -10 ** 400}, "master_seed"),
     ])
     def test_wrongly_typed_config_value_exits_2(self, workspace, tmp_path, capsys,
                                                 override, key):
@@ -402,6 +406,27 @@ class TestEvalAndExport:
         capsys.readouterr()
         assert main(["eval", "--run", str(run_dir)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {path} is not ")
+
+    def test_eval_unreadable_report_exits_3(self, finished_run, tmp_path, capsys):
+        run_dir = tmp_path / "copy"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "metrics.json"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir)]) == 3
+        assert "cannot be read" in one_error(capsys, path)
+
+    def test_export_unreadable_eps_exits_3(self, finished_run, tmp_path, capsys):
+        run_dir = tmp_path / "copy"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "generations" / "gen02" / "eps.csv"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert main(["export-ep", "--run", str(run_dir),
+                     "--utterance", "u0000_c0", "--out", str(tmp_path / "x.csv")]) == 3
+        assert "cannot be read" in one_error(capsys, path)
 
     def test_export_ep(self, finished_run, tmp_path, capsys):
         out = tmp_path / "ep.csv"

@@ -109,6 +109,9 @@ class TestValidation:
         ({"forest": {"bootstrap": "yes"}}, "forest.bootstrap must be true or false"),
         ({"frame": {"win_ms": "25"}}, "frame.win_ms must be a number"),
         ({"train": {"initial_lr": False}}, "train.initial_lr must be a number"),
+        ({"segment": {"seg_frames": 10**400}}, "segment.seg_frames must be an integer from -2**63 to 2**63 - 1"),
+        ({"master_seed": -10**400}, "master_seed must be an integer from -2**63 to 2**63 - 1"),
+        ({"folds": 2**63}, "folds must be an integer from -2**63 to 2**63 - 1"),
     ])
     def test_wrong_value_types_name_file_and_key(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"

@@ -155,19 +155,44 @@ def test_net_forward_and_parameter_gradients_match_oracle(arch, monkeypatch):
         assert_bytes_equal(g_new, g_old)
 
 
-def test_conv_skipping_input_gradient_keeps_parameter_gradients():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((5, 3, 8, 4)).astype(np.float32)
-    g = rng.standard_normal((5, 6, 8, 4)).astype(np.float32)
-    layer = Conv3x3(3, 6, np.random.default_rng(1), np.float32)
-    oracle = OracleConv3x3(3, 6, np.random.default_rng(1), np.float32)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 5, 7, 8, 9, 17])
+def test_conv_skipping_input_gradient_keeps_parameter_gradients(batch, dtype):
+    # Batches below, at and across the conv's block of 8 samples.
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 3, 8, 4)).astype(dtype)
+    g = rng.standard_normal((batch, 6, 8, 4)).astype(dtype)
+    layer = Conv3x3(3, 6, np.random.default_rng(1), dtype)
+    oracle = OracleConv3x3(3, 6, np.random.default_rng(1), dtype)
     assert_bytes_equal(layer.forward(x, True), oracle.forward(x, True))
     assert_bytes_equal(layer.backward(g), oracle.backward(g))
-    dw, db = layer.dw, layer.db
+    assert_bytes_equal(layer.dw, oracle.dw)
+    assert_bytes_equal(layer.db, oracle.db)
     layer.forward(x, True)
     assert layer.backward(g, need_dx=False) is None
-    assert_bytes_equal(layer.dw, dw)
-    assert_bytes_equal(layer.db, db)
+    assert_bytes_equal(layer.dw, oracle.dw)
+    assert_bytes_equal(layer.db, oracle.db)
+
+
+@pytest.mark.parametrize("arch", [
+    ARCHITECTURES["compact"], ARCHITECTURES["tiny"],
+    network.Architecture("two", conv_stages=((4, 5), (6,)), dense=(3,))])
+def test_conv_shapes_walk_the_layers_convnet_builds(arch):
+    net = ConvNet(arch, (32, 16), 4, np.random.default_rng(0))
+    convs = [layer for layer in net.layers if isinstance(layer, Conv3x3)]
+    walk = [(c_in, c_out) for _, _, stage in arch.conv_shapes((32, 16)) for c_in, c_out in stage]
+    assert [layer.w.shape[1::-1] for layer in convs] == walk
+    dense = next(layer for layer in net.layers if isinstance(layer, network.Dense))
+    h, w, _ = arch.conv_shapes((32, 16))[-1]
+    assert dense.w.shape[1] == walk[-1][1] * (h // 2) * (w // 2)
+
+
+def test_conv_macs_per_segment():
+    assert ARCHITECTURES["compact"].conv_macs((32, 32)) == 3_096_576
+    assert ARCHITECTURES["tiny"].conv_macs((32, 32)) == 27_648
+    # Stage 2 sees 16 x 8 after one pool of 32 x 16.
+    two = network.Architecture("two", conv_stages=((4, 5), (6,)))
+    assert two.conv_macs((32, 16)) == 9 * (1 * 4 + 4 * 5) * 32 * 16 + 9 * 5 * 6 * 16 * 8
 
 
 def windows(*quads, dtype=np.float32):

@@ -4,13 +4,17 @@ purity auditing, and the multi-generation loop."""
 import dataclasses
 import math
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from emorefinery import classifier, refinery
 from emorefinery.classifier import TrainConfig, predict_batch
-from emorefinery.errors import ConfigError, DataError
-from emorefinery.network import Architecture
+from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
+from emorefinery.network import Architecture, ConvNet
 from emorefinery.refinery import (
     RefineryConfig,
     StackedDataset,
@@ -239,6 +243,148 @@ class TestFoldOutGeneration:
         data, targets = initial(tiny_corpus(rng))
         with pytest.raises(DataError, match="one row per segment"):
             generate_eps_foldout(data, targets[:-1], fast_config())
+
+
+class TestFoldThreads:
+    """Folds trained on two threads give the bytes, models and warnings of one."""
+
+    def inputs(self):
+        # Six utterances over four classes in four folds: the folds that hold
+        # out the only "neutral" or "sad" utterance warn about coverage.
+        data, targets = initial(tiny_corpus(np.random.default_rng(16), n_utts=6))
+        cfg = fast_config(folds=4, train=TrainConfig(max_epochs=2, batch_size=4,
+                                                     architecture=TINY, seed=0))
+        return data, targets, cfg
+
+    def run(self, monkeypatch, width, spy=None):
+        monkeypatch.setattr(refinery, "_fold_workers", lambda cfg, input_shape: width)
+        if spy is not None:
+            monkeypatch.setattr(refinery, "train_segment_classifier", spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = generate_eps_foldout(*self.inputs())
+        return result, [str(w.message) for w in caught]
+
+    def test_two_threads_same_bytes_as_one(self, monkeypatch):
+        serial, serial_warnings = self.run(monkeypatch, 1)
+        # Each pair of folds meets at the barrier, so two really train at once.
+        barrier = threading.Barrier(2, timeout=30)
+        train = refinery.train_segment_classifier
+
+        def meet(*args, **kwargs):
+            barrier.wait()
+            return train(*args, **kwargs)
+
+        threaded, threaded_warnings = self.run(monkeypatch, 2, meet)
+        assert len(serial_warnings) == 2 and threaded_warnings == serial_warnings
+        for name in ("eps", "fold_of", "prediction_order"):
+            assert_bytes_equal(getattr(threaded, name), getattr(serial, name))
+        for a, b in zip(threaded.training_rows, serial.training_rows, strict=True):
+            assert_bytes_equal(a, b)
+        for m1, m2 in zip(threaded.models, serial.models, strict=True):
+            assert (m1.seed, m1.history) == (m2.seed, m2.history)
+            for p1, p2 in zip(m1.net.params(), m2.net.params(), strict=True):
+                assert_bytes_equal(p1, p2)
+
+    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
+        serial, _ = self.run(monkeypatch, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, _ = self.run(monkeypatch, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bytes_equal(threaded.eps, serial.eps)
+
+    def test_prediction_order_is_fold_by_fold(self, monkeypatch):
+        result, _ = self.run(monkeypatch, 2)
+        data = self.inputs()[0]
+        expected = [np.arange(data.offsets[i], data.offsets[i + 1])
+                    for fold in range(4) for i in np.flatnonzero(result.fold_of == fold)]
+        assert_bytes_equal(result.prediction_order, np.concatenate(expected))
+
+    def test_worker_divergence_reaches_caller_as_itself(self, monkeypatch):
+        error = TrainingDivergedError("fold 2 diverged")
+        fold2_seed = refinery.derive_seed(7, refinery._STREAM_MODEL, 1, 2)
+        train = refinery.train_segment_classifier
+
+        def diverge(x, targets, ids, names, cfg, **kwargs):
+            if cfg.seed == fold2_seed:
+                raise error
+            return train(x, targets, ids, names, cfg, **kwargs)
+
+        with pytest.raises(TrainingDivergedError) as raised:
+            self.run(monkeypatch, 2, diverge)
+        assert raised.value is error
+
+    @pytest.fixture
+    def openblas(self):
+        lib = classifier._openblas()
+        if lib is None:
+            pytest.skip("numpy does not use OpenBLAS here")
+        get, set_ = lib
+        before = get()
+        set_(2)
+        if get() != 2:
+            set_(before)
+            pytest.skip("this OpenBLAS cannot run two threads")
+        yield get
+        set_(before)
+
+    def test_one_blas_thread_inside_and_restored_after(self, openblas, monkeypatch):
+        # Fold 1 starts training once fold 0 has, and runs its first forward
+        # pass only after fold 0's training call has returned and restored
+        # the thread count it found on entry. That count must still be 1.
+        fold_of_seed = {refinery.derive_seed(7, refinery._STREAM_MODEL, 1, f): f
+                        for f in range(4)}
+        fold_of_thread = {}
+        started, returned = threading.Event(), threading.Event()
+        seen = []
+        train, forward = refinery.train_segment_classifier, ConvNet.forward
+
+        def ordered_train(x, targets, ids, names, cfg, **kwargs):
+            fold = fold_of_seed[cfg.seed]
+            fold_of_thread[threading.get_ident()] = fold
+            if fold == 1:
+                assert started.wait(30)
+            model = train(x, targets, ids, names, cfg, **kwargs)
+            if fold == 0:
+                returned.set()
+            return model
+
+        def spy(net, x, train=False):
+            fold = fold_of_thread[threading.get_ident()]
+            if fold == 0:
+                started.set()
+            elif fold == 1:
+                assert returned.wait(30)
+            seen.append(openblas())
+            return forward(net, x, train)
+
+        monkeypatch.setattr(ConvNet, "forward", spy)
+        self.run(monkeypatch, 2, ordered_train)
+        assert seen and set(seen) == {1}
+        assert openblas() == 2
+
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("diverged")
+
+        with pytest.raises(TrainingDivergedError):
+            self.run(monkeypatch, 2, diverge)
+        assert openblas() == 2
+
+    def test_width_follows_net_size_and_cpus_up_to_two(self, monkeypatch):
+        compact = fast_config(folds=10, train=TrainConfig(architecture="compact"))
+        monkeypatch.setattr(refinery.os, "sched_getaffinity", lambda pid: set(range(16)))
+        assert refinery._fold_workers(compact, (32, 32)) == 2
+        assert refinery._fold_workers(fast_config(), (32, 32)) == 1  # the tiny net
+        monkeypatch.setattr(refinery.os, "sched_getaffinity", lambda pid: {0})
+        assert refinery._fold_workers(compact, (32, 32)) == 1
+
+
+def assert_bytes_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 class TestRunRefinery:
