@@ -16,70 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .network import Adam, Architecture, ConvNet, batch_cross_entropy, resolve_architecture, softmax
+from .network import (Adam, Architecture, ConvNet, batch_cross_entropy, cross_entropy,
+                      resolve_architecture, softmax)
 
 logger = logging.getLogger(__name__)
-
-PROB_EPS = 1e-12
-
-
-@dataclass
-class EmotionDistribution:
-    """K-vector of class probabilities."""
-
-    probs: np.ndarray
-    class_names: tuple
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.class_names = tuple(self.class_names)
-        k = self.probs.shape[0] if self.probs.ndim == 1 else 0
-        if k < 2:
-            raise DataError("distribution needs at least 2 classes")
-        if len(self.class_names) != k:
-            raise DataError(f"{k} probabilities but {len(self.class_names)} class names")
-        if np.any(self.probs < 0) or not np.all(np.isfinite(self.probs)):
-            raise DataError("probabilities must be finite and non-negative")
-        if abs(self.probs.sum() - 1.0) > 1e-6:
-            raise DataError(f"probabilities sum to {self.probs.sum()!r}, not 1")
-
-    @property
-    def k(self) -> int:
-        return self.probs.shape[0]
-
-    def argmax(self) -> int:
-        """Most likely class; ties break to the lowest index."""
-        return int(np.argmax(self.probs))
-
-
-def one_hot(class_index: int, class_names) -> EmotionDistribution:
-    names = tuple(class_names)
-    if not 0 <= class_index < len(names):
-        raise DataError(f"class index {class_index} out of range for {len(names)} classes")
-    p = np.zeros(len(names))
-    p[class_index] = 1.0
-    return EmotionDistribution(probs=p, class_names=names)
-
-
-def entropy(dist: EmotionDistribution) -> float:
-    """Shannon entropy in nats; 0*ln(0) counts as 0."""
-    p = dist.probs
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
-
-
-def cross_entropy(pred: EmotionDistribution, target: EmotionDistribution) -> float:
-    """-sum_k target_k * ln(pred_k), with pred clamped at 1e-12."""
-    p = np.maximum(pred.probs, PROB_EPS)
-    return float(-np.sum(target.probs * np.log(p)))
-
-
-def kl_divergence(pred: EmotionDistribution, target: EmotionDistribution) -> float:
-    """sum_k target_k * ln(target_k / pred_k); zero target terms contribute 0."""
-    t = target.probs
-    p = np.maximum(pred.probs, PROB_EPS)
-    nz = t > 0
-    return float(np.sum(t[nz] * np.log(t[nz] / p[nz])))
 
 
 @dataclass(frozen=True)
@@ -192,8 +132,7 @@ def _forward_in_batches(net: ConvNet, x: np.ndarray, batch_size: int) -> np.ndar
 
 def _mean_ce(net: ConvNet, x: np.ndarray, t: np.ndarray, batch_size: int) -> float:
     logits = _forward_in_batches(net, x, batch_size)
-    p = np.maximum(softmax(logits).astype(np.float64), PROB_EPS)
-    return float(-np.sum(t * np.log(p)) / x.shape[0])
+    return float(cross_entropy(softmax(logits).astype(np.float64), t) / x.shape[0])
 
 
 @_single_thread_blas()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmotionDistribution, one_hot
 from .errors import ConfigError, DataError
 from .features import FrameSpec, LogMelSpectrogram, SegmentSpec, segment_spectrogram
 from .refinery import StackedDataset
@@ -84,14 +83,12 @@ class SyntheticUtterance:
     observed_label: int
     speaker: str
     spectrogram: LogMelSpectrogram
-    segment_truth: tuple
+    segment_truth: np.ndarray  # (n_segments, K) class probabilities, one row per segment
 
     def __post_init__(self):
-        object.__setattr__(self, "segment_truth", tuple(self.segment_truth))
-        if not self.segment_truth:
+        if len(self.segment_truth) == 0:
             raise DataError(f"{self.utterance_id}: no ground-truth distributions")
-        mean = np.mean(np.stack([d.probs for d in self.segment_truth]), axis=0)
-        if int(np.argmax(mean)) != self.label:
+        if int(np.argmax(self.segment_truth.mean(axis=0))) != self.label:
             raise DataError(f"{self.utterance_id}: averaged ground truth does not "
                             f"peak at the utterance label")
 
@@ -121,15 +118,15 @@ def class_templates(spec: SyntheticCorpusSpec) -> np.ndarray:
     return templates
 
 
-def _segment_truth(spec: SyntheticCorpusSpec, label: int, rng) -> EmotionDistribution:
+def _segment_truth(spec: SyntheticCorpusSpec, label: int, rng) -> np.ndarray:
     if spec.mixture_mode == "pure" or spec.off_class_mass == 0.0:
-        return one_hot(label, spec.class_names)
+        return np.eye(spec.n_classes)[label]
     off = rng.uniform(0.0, spec.off_class_mass)
     probs = np.zeros(spec.n_classes)
     probs[label] = 1.0 - off
     others = [c for c in range(spec.n_classes) if c != label]
     probs[others] = off * rng.dirichlet(np.ones(spec.n_classes - 1))
-    return EmotionDistribution(probs=probs, class_names=spec.class_names)
+    return probs
 
 
 def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> list:
@@ -151,8 +148,9 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> list:
             if spec.utterance_noise_level > 0.0:
                 offset = spec.utterance_noise_level * rng.standard_normal((spec.n_mels, 1))
             blocks = []
+            # One product per segment: a single GEMM of all rows may round differently.
             for truth in truths:
-                clean = truth.probs @ templates
+                clean = truth @ templates
                 block = clean[:, None] + offset + spec.noise_level * rng.standard_normal(
                     (spec.n_mels, spec.seg_frames))
                 blocks.append(block)
@@ -164,7 +162,7 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> list:
             utterances.append(SyntheticUtterance(
                 utterance_id=uid, label=label, observed_label=label,
                 speaker=f"spk{index % spec.n_speakers}",
-                spectrogram=spectrogram, segment_truth=truths))
+                spectrogram=spectrogram, segment_truth=np.stack(truths)))
             index += 1
     if spec.label_noise > 0.0:
         utterances = _flip_labels(utterances, spec)

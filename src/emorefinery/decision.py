@@ -74,7 +74,6 @@ class Forest:
     trees: tuple
     class_names: tuple
     n_features: int
-    seed: int
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -272,7 +271,7 @@ def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
         stacks.append([(trees[-1], rows, hist, int(np.count_nonzero(hist)), 0)])
         rngs.append(rng)
     _grow_in_lockstep(x, labels, k, mf, cfg, stacks, rngs)
-    return Forest(trees=tuple(trees), class_names=names, n_features=x.shape[1], seed=cfg.seed)
+    return Forest(trees=tuple(trees), class_names=names, n_features=x.shape[1])
 
 
 def _leaf(node: TreeNode, row: list) -> TreeNode:
@@ -281,26 +280,23 @@ def _leaf(node: TreeNode, row: list) -> TreeNode:
     return node
 
 
-def predict_forest(forest: Forest, x):
+def predict_forest(forest: Forest, x) -> np.ndarray:
     """Plurality vote over tree votes; ties break to the lowest class index.
 
-    `x` is one feature vector, giving one class index, or an (n, d) matrix
-    of them, giving an int64 array of n class indices. Rows walk the trees
-    as Python floats, which is cheaper than numpy index arrays at the few
-    dozen rows one evaluation fold holds; the votes are tallied at once.
+    `x` is an (n, d) matrix of feature rows; returns an int64 array of n
+    class indices. Rows walk the trees as Python floats, which is cheaper
+    than numpy index arrays at the few dozen rows one evaluation fold
+    holds; the votes are tallied at once.
     """
     rows = np.asarray(x, dtype=np.float64)
-    if rows.ndim not in (1, 2) or rows.shape[-1] != forest.n_features:
-        raise DataError(f"features have shape {rows.shape}, expected "
-                        f"({forest.n_features},) or (rows, {forest.n_features})")
-    matrix = rows.reshape(-1, forest.n_features)
-    _check_finite(matrix, "input row")
+    if rows.ndim != 2 or rows.shape[1] != forest.n_features:
+        raise DataError(f"features have shape {rows.shape}, expected (rows, {forest.n_features})")
+    _check_finite(rows, "input row")
     leaf_classes = np.array([[_leaf(tree, row).histogram.argmax() for tree in forest.trees]
-                             for row in matrix.tolist()], dtype=np.int64)
-    votes = (leaf_classes.reshape(len(matrix), len(forest.trees))[:, :, None]
+                             for row in rows.tolist()], dtype=np.int64)
+    votes = (leaf_classes.reshape(len(rows), len(forest.trees))[:, :, None]
              == np.arange(len(forest.class_names))).sum(axis=1)
-    winners = np.argmax(votes, axis=1)
-    return int(winners[0]) if rows.ndim == 1 else winners
+    return np.argmax(votes, axis=1)
 
 
 def write_predictions_csv(path, records) -> None:

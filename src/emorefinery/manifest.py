@@ -103,7 +103,9 @@ def load_manifest(corpus_root) -> CorpusManifest:
         raise DataError(f"no manifest at {path}")
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:
+    except OSError as exc:
+        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
         raise DataError(f"{path} is not a corpus manifest")
@@ -235,9 +237,12 @@ def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
     A row that is not one finite number per header column raises a
     DataError naming the file and the line.
     """
-    with Path(path).open() as fh:
-        header = next(csv.reader([fh.readline()]))
-        body = fh.read()
+    try:
+        with Path(path).open() as fh:
+            header = next(csv.reader([fh.readline()]))
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if header[:1] != ["frame_time_ms"]:
         raise DataError(f"{path} is not a spectrogram CSV")
     if not body.strip():

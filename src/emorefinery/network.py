@@ -346,7 +346,6 @@ class ConvNet:
     def __init__(self, arch: Architecture, input_shape: tuple, k: int, rng: np.random.Generator):
         self.arch = arch
         self.input_shape = tuple(input_shape)  # (n_mels, seg_frames)
-        self.k = k
         dtype = arch.np_dtype
         layers = []
         for h, w, convs in arch.conv_shapes(input_shape):
@@ -402,13 +401,38 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def batch_cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean soft-target cross-entropy and its gradient w.r.t. the logits.
+# Floor of a predicted probability inside the log, for stability.
+PROB_EPS = 1e-12
 
-    Probabilities are clamped at 1e-12 inside the log for stability.
+
+def entropy(p: np.ndarray):
+    """Shannon entropy in nats of a distribution, summed over rows if p
+    holds several; 0*ln(0) counts as 0."""
+    nz = p > 0
+    return -np.sum(p[nz] * np.log(p[nz]))
+
+
+def cross_entropy(pred: np.ndarray, target: np.ndarray):
+    """-sum target * ln(pred) over every entry, with pred clamped at PROB_EPS.
+
+    Returns the numpy sum in the inputs' dtype, so that a float32 loss stays
+    float32 until its caller divides it.
     """
+    return -np.sum(target * np.log(np.maximum(pred, PROB_EPS)))
+
+
+def kl_divergence(pred: np.ndarray, target: np.ndarray):
+    """sum target * ln(target / pred) over every entry, with pred clamped at
+    PROB_EPS; zero target entries contribute 0."""
+    p = np.maximum(pred, PROB_EPS)
+    nz = target > 0
+    return np.sum(target[nz] * np.log(target[nz] / p[nz]))
+
+
+def batch_cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean soft-target cross-entropy and its gradient w.r.t. the logits."""
     p = softmax(logits)
-    loss = float(-np.sum(targets * np.log(np.maximum(p, 1e-12))) / logits.shape[0])
+    loss = float(cross_entropy(p, targets) / logits.shape[0])
     dlogits = (p - targets) / logits.shape[0]
     return loss, dlogits
 

@@ -165,7 +165,7 @@ def _read_generation_dir(gen_dir: Path, t: int, ids, offsets, names):
     try:
         eps = read_ep_csv(gen_dir / "eps.csv", names, ids, offsets, t)
         report = read_metrics_report(gen_dir / METRICS_NAME, generation=t)
-    except (DataError, OSError, ValueError) as exc:
+    except DataError as exc:
         raise DataError(f"{exc}; generation {t} cannot be reused, "
                         "rerun with --no-resume to recompute it") from exc
     return eps, report
@@ -308,10 +308,14 @@ def export_ep_evolution(run_dir, utterance_id: str, out_path) -> int:
             lines = path.read_text().splitlines()
         except OSError as exc:
             raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+        if not lines:
+            raise DataError(f"{path} is empty")
         if header is None:
-            header = lines[0]
+            header, first = lines[0], path
         elif lines[0] != header:
-            raise DataError(f"{gen_dir} EP header differs from earlier generations")
+            raise DataError(f"{path} has another EP header than {first}")
         rows.extend(line for line in lines[1:]
                     if line.split(",", 1)[0] == utterance_id)
     if not rows:

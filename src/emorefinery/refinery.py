@@ -12,6 +12,7 @@ utterance's one-hot label (pEPR), snap it to a one-hot at its argmax
 """
 
 import csv
+import io
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -333,33 +334,39 @@ def read_ep_csv(path, class_names, utterance_ids, offsets, generation: int) -> n
     position = {uid: i for i, uid in enumerate(utterance_ids)}
     eps = np.zeros((int(offsets[-1]), k))
     filled = np.zeros(len(eps), dtype=bool)
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != _EP_HEADER:
-            raise DataError(f"{path} is not an emotion profile CSV")
-        if len(header) != 3 + k:
-            raise DataError(f"{path} carries {len(header) - 3} classes, expected {k}")
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields where the header names {len(header)}")
-                uid, index, gen = row[0], int(row[1]), int(row[2])
-                values = [float(v) for v in row[3:]]
-                if uid not in position:
-                    raise ValueError(f"utterance {uid!r} is not in the dataset")
-                i = position[uid]
-                if not 0 <= index < offsets[i + 1] - offsets[i]:
-                    raise ValueError(f"utterance {uid!r} has no segment {index}")
-                r = offsets[i] + index
-                if filled[r]:
-                    raise ValueError(f"segment {index} of {uid!r} appears twice")
-                if gen != generation:
-                    raise ValueError(f"generation {gen} in the file of generation {generation}")
-            except ValueError as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
-            eps[r] = values
-            filled[r] = True
+    try:
+        with Path(path).open(newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    if header[:3] != _EP_HEADER:
+        raise DataError(f"{path} is not an emotion profile CSV")
+    if len(header) != 3 + k:
+        raise DataError(f"{path} carries {len(header) - 3} classes, expected {k}")
+    for row in reader:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields where the header names {len(header)}")
+            uid, index, gen = row[0], int(row[1]), int(row[2])
+            values = [float(v) for v in row[3:]]
+            if uid not in position:
+                raise ValueError(f"utterance {uid!r} is not in the dataset")
+            i = position[uid]
+            if not 0 <= index < offsets[i + 1] - offsets[i]:
+                raise ValueError(f"utterance {uid!r} has no segment {index}")
+            r = offsets[i] + index
+            if filled[r]:
+                raise ValueError(f"segment {index} of {uid!r} appears twice")
+            if gen != generation:
+                raise ValueError(f"generation {gen} in the file of generation {generation}")
+        except ValueError as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+        eps[r] = values
+        filled[r] = True
     if not filled.all():
         r = int(np.argmin(filled))
         i = int(np.searchsorted(offsets, r, side="right")) - 1

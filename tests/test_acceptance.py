@@ -11,8 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from emorefinery.classifier import (EmotionDistribution, TrainConfig, cross_entropy,
-                                    entropy, kl_divergence)
+from emorefinery.classifier import TrainConfig
 from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus, to_stacked_dataset
 from emorefinery.decision import ForestConfig, predict_forest, train_forest
@@ -21,7 +20,8 @@ from emorefinery.evaluation import (ConfusionMatrix, confusion_from_predictions,
 from emorefinery.features import (AudioClip, FrameSpec, SegmentSpec, log_mel_spectrogram,
                                   segment_span_ms)
 from emorefinery.manifest import write_synthetic_corpus
-from emorefinery.network import Architecture, ConvNet, batch_cross_entropy, softmax
+from emorefinery.network import (Architecture, ConvNet, batch_cross_entropy, cross_entropy,
+                                 entropy, kl_divergence, softmax)
 from emorefinery.pipeline import (cross_validated_predictions, generation_dir,
                                   run_experiment)
 from emorefinery.refinery import (RefineryConfig, foldout_purity_violations, next_targets,
@@ -63,8 +63,7 @@ def announce(capsys):
 
 
 def dirichlet_distribution(rng, k):
-    return EmotionDistribution(probs=rng.dirichlet(np.ones(k)),
-                               class_names=tuple(f"c{i}" for i in range(k)))
+    return rng.dirichlet(np.ones(k))
 
 
 # --------------------------------------------------------------------- 1 ---
@@ -196,7 +195,7 @@ def test_criterion_03_pepr_combination(announce):
         k = int(rng.integers(2, 9))
         pred = dirichlet_distribution(rng, k)
         hard_class = int(rng.integers(k))
-        out = next_targets(pred.probs[None], [hard_class], [0, 1], "pEPR")[0]
+        out = next_targets(pred[None], [hard_class], [0, 1], "pEPR")[0]
         valid &= bool(np.all(out >= 0.0) and abs(float(out.sum()) - 1.0) <= 1e-12)
         min_hard_mass = min(min_hard_mass, float(out[hard_class]))
 

@@ -8,22 +8,18 @@ import pytest
 
 from emorefinery import classifier
 from emorefinery.classifier import (
-    EmotionDistribution,
     Model,
     TrainConfig,
-    cross_entropy,
-    entropy,
-    kl_divergence,
     _mean_ce,
     _validation_split,
     load_model,
-    one_hot,
     predict_batch,
     save_model,
     train_segment_classifier,
 )
 from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
-from emorefinery.network import Architecture, ConvNet, batch_cross_entropy, softmax
+from emorefinery.network import (Architecture, ConvNet, batch_cross_entropy, cross_entropy,
+                                 entropy, kl_divergence, softmax)
 
 NAMES4 = ("angry", "happy", "neutral", "sad")
 NAMES6 = ("angry", "fear", "happy", "neutral", "sad", "surprise")
@@ -31,11 +27,11 @@ NAMES6 = ("angry", "fear", "happy", "neutral", "sad", "surprise")
 
 def random_distribution(rng, names):
     p = rng.uniform(0.01, 1.0, len(names))
-    return EmotionDistribution(p / p.sum(), names)
+    return p / p.sum()
 
 
 def random_targets(rng, n, names):
-    return np.stack([random_distribution(rng, names).probs for _ in range(n)])
+    return np.stack([random_distribution(rng, names) for _ in range(n)])
 
 
 def make_segments(rng, n, shape=(64, 32)):
@@ -49,43 +45,25 @@ def train(x, targets, cfg, utterance_ids=None, names=NAMES4, **kw):
     return train_segment_classifier(x, targets, utterance_ids, names, cfg, **kw)
 
 
-class TestEmotionDistribution:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(DataError, match="sum"):
-            EmotionDistribution(np.array([0.5, 0.4]), ("a", "b"))
-
-    def test_rejects_negative(self):
-        with pytest.raises(DataError, match="non-negative"):
-            EmotionDistribution(np.array([1.2, -0.2]), ("a", "b"))
-
-    def test_rejects_single_class(self):
-        with pytest.raises(DataError, match="2 classes"):
-            EmotionDistribution(np.array([1.0]), ("a",))
-
-    def test_one_hot(self):
-        d = one_hot(2, NAMES4)
-        np.testing.assert_array_equal(d.probs, [0, 0, 1, 0])
-        assert entropy(d) == 0.0
-
-    def test_uniform(self):
-        d = EmotionDistribution(np.full(6, 1 / 6), NAMES6)
-        np.testing.assert_allclose(d.probs, 1 / 6)
-        assert abs(entropy(d) - math.log(6)) < 1e-12
-
-
 class TestLosses:
+    def test_pure_entropy_is_zero(self):
+        assert entropy(np.eye(4)[2]) == 0.0
+
+    def test_uniform_entropy(self):
+        assert abs(entropy(np.full(6, 1 / 6)) - math.log(6)) < 1e-12
+
     def test_ce_onehot_match_is_zero(self):
-        d = one_hot(1, NAMES4)
+        d = np.eye(4)[1]
         assert cross_entropy(d, d) == 0.0
 
     def test_ce_worked_value(self):
-        pred = EmotionDistribution(np.array([0.8, 0.05, 0.05, 0.1]), NAMES4)
-        target = one_hot(0, NAMES4)
+        pred = np.array([0.8, 0.05, 0.05, 0.1])
+        target = np.eye(4)[0]
         assert cross_entropy(pred, target) == pytest.approx(-math.log(0.8), abs=1e-12)
         assert cross_entropy(pred, target) == pytest.approx(0.22314, abs=5e-6)
 
     def test_ce_uniform_uniform(self):
-        u = EmotionDistribution(np.full(4, 0.25), NAMES4)
+        u = np.full(4, 0.25)
         assert cross_entropy(u, u) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_ce_at_least_target_entropy(self):
@@ -109,10 +87,17 @@ class TestLosses:
             assert lhs == pytest.approx(rhs, abs=1e-9)
             assert lhs >= -1e-12
 
+    def test_float32_loss_stays_float32_until_divided(self):
+        logits = np.random.default_rng(4).standard_normal((5, 4)).astype(np.float32)
+        t = np.eye(4, dtype=np.float32)[[0, 1, 2, 3, 0]]
+        total = cross_entropy(softmax(logits), t)
+        assert total.dtype == np.float32
+        assert batch_cross_entropy(logits, t)[0] == float(total / np.float32(5))
+
     def test_kl_equals_ce_for_onehot_target(self):
         rng = np.random.default_rng(5)
         pred = random_distribution(rng, NAMES4)
-        target = one_hot(3, NAMES4)
+        target = np.eye(4)[3]
         assert kl_divergence(pred, target) == cross_entropy(pred, target)
 
 
@@ -205,7 +190,7 @@ class TestTraining:
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(21)
         segs = make_segments(rng, 12, shape=(16, 8))
-        targets = np.stack([random_distribution(np.random.default_rng(i), NAMES4).probs
+        targets = np.stack([random_distribution(np.random.default_rng(i), NAMES4)
                             for i in range(12)])
         cfg = overfit_config(max_epochs=3)
         m1 = train(segs, targets, cfg)
@@ -231,7 +216,7 @@ class TestTraining:
     def test_overfits_two_segments(self):
         rng = np.random.default_rng(33)
         segs = make_segments(rng, 2, shape=(16, 8))
-        targets = np.stack([one_hot(0, NAMES4).probs, one_hot(2, NAMES4).probs])
+        targets = np.eye(4)[[0, 2]]
         model = train(segs, targets, overfit_config(), ["same_utt"] * 2)
         for seg, tgt in zip(segs, targets):
             np.testing.assert_allclose(predict_batch(model, seg[None])[0], tgt, atol=0.05)
@@ -239,7 +224,7 @@ class TestTraining:
     def test_overfit_argmax_matches_target(self):
         rng = np.random.default_rng(33)
         segs = make_segments(rng, 2, shape=(16, 8))
-        targets = np.stack([one_hot(0, NAMES4).probs, one_hot(2, NAMES4).probs])
+        targets = np.eye(4)[[0, 2]]
         model = train(segs, targets, overfit_config(), ["same_utt"] * 2)
         assert predict_batch(model, segs[:1])[0].argmax() == 0
         assert predict_batch(model, segs[1:])[0].argmax() == 2
@@ -267,7 +252,7 @@ class TestTraining:
         rng = np.random.default_rng(0)
         segs = make_segments(rng, 3, shape=(16, 8))
         with pytest.raises(DataError, match="targets"):
-            train(segs, one_hot(0, NAMES4).probs[None], overfit_config())
+            train(segs, np.eye(4)[:1], overfit_config())
 
     def test_validation_split_is_utterance_level(self):
         # 10 utterances x 4 segments; with fraction 0.25 some utterances
@@ -291,10 +276,10 @@ class TestPredict:
         segs = make_segments(rng, 4, shape=(16, 8))
         targets = random_targets(rng, 4, NAMES4)
         model = train(segs, targets, overfit_config(max_epochs=1))
-        d = EmotionDistribution(predict_batch(model, segs[:1])[0], model.class_names)
-        assert d.k == 4
-        assert abs(d.probs.sum() - 1.0) < 1e-6
-        assert np.all(d.probs >= 0)
+        p = predict_batch(model, segs[:1])[0]
+        assert p.shape == (4,)
+        assert abs(p.sum() - 1.0) < 1e-6
+        assert np.all(p >= 0)
 
     def test_collapsed_model_predicts_uniform(self):
         rng = np.random.default_rng(2)

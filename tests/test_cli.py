@@ -20,6 +20,7 @@ from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec
 from emorefinery.decision import ForestConfig
 from emorefinery.features import FrameSpec, SegmentSpec
+from emorefinery.manifest import read_spectrogram_csv
 
 CORPUS_SPEC = {
     "n_classes": 3, "utterances_per_class": 4, "segments_range": [3, 4],
@@ -227,6 +228,13 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith(f"error: {manifest}")
         assert what in err[0]
 
+    def test_unreadable_manifest_exits_3(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.mkdir()
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(tmp_path), "--out", str(tmp_path / "run")]) == 3
+        assert "cannot be read" in one_error(capsys, manifest)
+
     def test_truncated_eps_csv_exits_3(self, workspace, tmp_path, capsys):
         args = ["run", "--config", str(workspace / "cfg.json"),
                 "--corpus", str(workspace / "corpus"), "--out", str(tmp_path / "run"),
@@ -428,6 +436,20 @@ class TestEvalAndExport:
                      "--utterance", "u0000_c0", "--out", str(tmp_path / "x.csv")]) == 3
         assert "cannot be read" in one_error(capsys, path)
 
+    @pytest.mark.parametrize("damage, what", [
+        (lambda raw: b"", "is empty"),
+        (lambda raw: b"\xff" + raw, "is not UTF-8 text"),
+    ], ids=["empty", "non-utf8"])
+    def test_export_damaged_eps_exits_3(self, finished_run, tmp_path, capsys, damage, what):
+        run_dir = tmp_path / "copy"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "generations" / "gen01" / "eps.csv"
+        path.write_bytes(damage(path.read_bytes()))
+        capsys.readouterr()
+        assert main(["export-ep", "--run", str(run_dir),
+                     "--utterance", "u0000_c0", "--out", str(tmp_path / "x.csv")]) == 3
+        assert what in one_error(capsys, path)
+
     def test_export_ep(self, finished_run, tmp_path, capsys):
         out = tmp_path / "ep.csv"
         assert main(["export-ep", "--run", str(finished_run),
@@ -505,6 +527,77 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, command, make):
     make(path)
     assert main(command.split() + [str(path), "--out", str(tmp_path / "out")]) == 2
     one_error(capsys, path)
+
+
+# Files of a finished run and its corpus, under one case directory, and the
+# commands that read each of them.
+READ_BY = {
+    "corpus/manifest.json": ("run",),
+    "corpus/features/u0000_c0.csv": ("run",),
+    "run/generations/gen01/eps.csv": ("run", "export-ep"),
+    "run/generations/gen02/metrics.json": ("run",),
+    "run/metrics.json": ("eval",),
+    "run/run_manifest.json": ("run",),
+}
+
+
+@pytest.fixture(scope="module")
+def damage_site(tmp_path_factory, workspace):
+    """A finished tiny run of two generations and its corpus, kept in
+    `pristine`; each case works on a copy at `case`, where the run was made,
+    so that resuming it finds the config it records."""
+    root = tmp_path_factory.mktemp("damage")
+    shutil.copytree(workspace / "corpus", root / "case" / "corpus")
+    assert main(["run", "--config", str(workspace / "cfg.json"), "--corpus",
+                 str(root / "case" / "corpus"), "--out", str(root / "case" / "run")]) == 0
+    shutil.copytree(root / "case", root / "pristine")
+    return root
+
+
+def reading_command(command, case, config):
+    if command == "run":
+        return ["run", "--config", str(config), "--corpus", str(case / "corpus"),
+                "--out", str(case / "run")]
+    if command == "eval":
+        return ["eval", "--run", str(case / "run")]
+    return ["export-ep", "--run", str(case / "run"), "--utterance", "u0000_c0",
+            "--out", str(case / "ep.csv")]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_damaged_file_exits_2_or_3_naming_it(damage_site, workspace, data):
+    """A cut, a non-UTF-8 first byte or a directory in place of a run or
+    corpus file ends in exit 0, or in exit 2 or 3 with one error line that
+    names the file. A cut spectrogram that still parses is another corpus,
+    which the run manifest refuses to resume by its fingerprint."""
+    rel = data.draw(st.sampled_from(sorted(READ_BY)))
+    command = data.draw(st.sampled_from(READ_BY[rel]))
+    damage = data.draw(st.sampled_from(["cut", "non-utf8", "directory"]))
+    case = damage_site / "case"
+    shutil.rmtree(case)
+    shutil.copytree(damage_site / "pristine", case)
+    path = case / rel
+    raw = path.read_bytes()
+    if damage == "cut":
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    elif damage == "non-utf8":
+        path.write_bytes(b"\xff" + raw)
+    else:
+        path.unlink()
+        path.mkdir()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(reading_command(command, case, workspace / "cfg.json"))
+    if code == 0:
+        return
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    assert code in (2, 3) and len(errors) == 1, (code, err.getvalue())
+    if "records a different corpus_sha256" in errors[0]:
+        assert rel.startswith("corpus/features/") and damage == "cut"
+        read_spectrogram_csv(path, "u0000_c0")
+    else:
+        assert str(path) in errors[0], errors[0]
 
 
 class TestParser:

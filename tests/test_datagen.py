@@ -55,8 +55,8 @@ class TestPureMode:
         templates = class_templates(spec)
         corpus = generate_synthetic_corpus(spec)
         for u in corpus:
-            for truth in u.segment_truth:
-                assert truth.probs[u.label] == 1.0
+            np.testing.assert_array_equal(u.segment_truth,
+                                          np.eye(spec.n_classes)[[u.label] * u.n_segments])
             blocks = u.spectrogram.values.reshape(spec.n_mels, u.n_segments, spec.seg_frames)
             for s in range(u.n_segments):
                 for f in range(spec.seg_frames):
@@ -65,7 +65,7 @@ class TestPureMode:
     def test_oracle_mean_features_fully_separable(self):
         spec = small_spec(mixture_mode="pure", noise_level=0.0, utterances_per_class=5)
         corpus = generate_synthetic_corpus(spec)
-        x = np.stack([np.mean([t.probs for t in u.segment_truth], axis=0) for u in corpus])
+        x = np.stack([u.segment_truth.mean(axis=0) for u in corpus])
         y = np.array([u.label for u in corpus])
         forest = train_forest(x, y, ForestConfig(n_trees=5, max_depth=3, seed=0),
                               spec.class_names)
@@ -89,8 +89,7 @@ class TestBalanceAndDeterminism:
             assert u1.label == u2.label
             assert u1.observed_label == u2.observed_label
             np.testing.assert_array_equal(u1.spectrogram.values, u2.spectrogram.values)
-            for t1, t2 in zip(u1.segment_truth, u2.segment_truth):
-                np.testing.assert_array_equal(t1.probs, t2.probs)
+            np.testing.assert_array_equal(u1.segment_truth, u2.segment_truth)
 
     def test_different_seed_differs(self):
         c1 = generate_synthetic_corpus(small_spec(seed=1))
@@ -116,18 +115,16 @@ class TestBlendedMode:
         corpus = generate_synthetic_corpus(spec)
         blended_seen = False
         for u in corpus:
-            for truth in u.segment_truth:
-                assert truth.probs[u.label] >= 0.7 - 1e-12
-                if truth.probs[u.label] < 1.0:
-                    blended_seen = True
-                assert truth.argmax() == u.label
+            assert u.segment_truth.shape == (u.n_segments, spec.n_classes)
+            assert np.all(u.segment_truth[:, u.label] >= 0.7 - 1e-12)
+            blended_seen |= bool(np.any(u.segment_truth[:, u.label] < 1.0))
+            assert np.all(u.segment_truth.argmax(axis=1) == u.label)
         assert blended_seen
 
     def test_averaged_truth_peaks_at_label(self):
         corpus = generate_synthetic_corpus(small_spec(off_class_mass=0.45))
         for u in corpus:
-            mean = np.mean([t.probs for t in u.segment_truth], axis=0)
-            assert int(np.argmax(mean)) == u.label
+            assert int(np.argmax(u.segment_truth.mean(axis=0))) == u.label
 
 
 class TestUtteranceNoise:
@@ -148,7 +145,7 @@ class TestUtteranceNoise:
         offsets = []
         for u in corpus:
             blocks = u.spectrogram.values.reshape(spec.n_mels, u.n_segments, spec.seg_frames)
-            deltas = [blocks[:, s, f] - u.segment_truth[s].probs @ templates
+            deltas = [blocks[:, s, f] - u.segment_truth[s] @ templates
                       for s in range(u.n_segments) for f in range(spec.seg_frames)]
             for d in deltas[1:]:
                 np.testing.assert_allclose(d, deltas[0], atol=1e-12)
@@ -210,7 +207,7 @@ class TestToStackedDataset:
         short = SyntheticUtterance(
             utterance_id=u.utterance_id, label=u.label, observed_label=u.label,
             speaker=u.speaker, spectrogram=u.spectrogram,
-            segment_truth=u.segment_truth + u.segment_truth[:1])
+            segment_truth=np.concatenate([u.segment_truth, u.segment_truth[:1]]))
         with pytest.raises(DataError, match="segmentation yields"):
             to_stacked_dataset([short], spec)
 

@@ -336,7 +336,7 @@ class TestTraining:
         x = np.random.default_rng(11).uniform(0, 1, (8, 3))
         with pytest.warns(RuntimeWarning, match="single-class"):
             forest = train_forest(x, [1] * 8, ForestConfig(n_trees=5, seed=0), NAMES3)
-        assert predict_forest(forest, x[0]) == 1
+        assert predict_forest(forest, x[:1]).tolist() == [1]
 
     def test_depth_zero_predicts_majority(self):
         rng = np.random.default_rng(12)
@@ -344,7 +344,7 @@ class TestTraining:
         y = [0] * 3 + [1] * 7 + [2] * 2
         forest = train_forest(x, y, single_tree_config(max_depth=0, max_features=3), NAMES3)
         assert forest.trees[0].is_leaf
-        assert predict_forest(forest, x[0]) == 1
+        assert predict_forest(forest, x[:1]).tolist() == [1]
 
     @pytest.mark.parametrize("values, threshold", [
         # (1+e + 1+2e)/2 rounds up onto 1+2e
@@ -397,17 +397,16 @@ class TestTraining:
 class TestVoting:
     def leaf_forest(self, histograms):
         trees = tuple(TreeNode(histogram=np.asarray(h)) for h in histograms)
-        return Forest(trees=trees, class_names=NAMES3, n_features=2, seed=0)
+        return Forest(trees=trees, class_names=NAMES3, n_features=2)
 
     def test_plurality(self):
         forest = self.leaf_forest([[5, 0, 0], [3, 1, 0], [0, 4, 0]])
         # votes: a, a, b
-        assert predict_forest(forest, np.zeros(2)) == 0
+        assert predict_forest(forest, np.zeros((1, 2))).tolist() == [0]
 
     def test_tie_breaks_to_lowest_class(self):
         forest = self.leaf_forest([[1, 0, 0], [0, 0, 2]])
         # one vote each for a and c
-        assert predict_forest(forest, np.zeros(2)) == 0
         assert predict_forest(forest, np.zeros((3, 2))).tolist() == [0, 0, 0]
 
     def test_batch_matches_row_by_row(self):
@@ -418,14 +417,14 @@ class TestVoting:
         probe = np.concatenate([x, rng.integers(-1, 4, (30, 5)).astype(np.float64)])
         batch = predict_forest(forest, probe)
         assert batch.dtype == np.int64
-        assert batch.tolist() == [predict_forest(forest, row) for row in probe]
+        assert batch.tolist() == [predict_forest(forest, row[None])[0] for row in probe]
         assert predict_forest(forest, probe[:0]).tolist() == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
         forest = self.leaf_forest([[1, 0, 0]])
         with pytest.raises(DataError, match="row 0 holds the non-finite value"):
-            predict_forest(forest, np.array([0.0, bad]))
+            predict_forest(forest, np.array([[0.0, bad]]))
         with pytest.raises(DataError, match="row 2 holds the non-finite value"):
             predict_forest(forest, np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0]]))
 
@@ -442,7 +441,10 @@ class TestVoting:
     def test_dimension_mismatch_rejected(self):
         forest = self.leaf_forest([[1, 0, 0]])
         with pytest.raises(DataError, match="shape"):
-            predict_forest(forest, np.zeros(5))
+            predict_forest(forest, np.zeros((1, 5)))
+        # One row must come as a matrix of one row too.
+        with pytest.raises(DataError, match="shape"):
+            predict_forest(forest, np.zeros(2))
 
 
 class TestPersistence:
