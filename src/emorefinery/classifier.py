@@ -254,12 +254,7 @@ def save_model(m: Model, path) -> None:
     meta = {
         "format": "emorefinery-model",
         "version": 1,
-        "architecture": {
-            "name": m.architecture.name,
-            "conv_stages": [list(stage) for stage in m.architecture.conv_stages],
-            "dense": list(m.architecture.dense),
-            "dtype": m.architecture.dtype,
-        },
+        "architecture": m.architecture.to_json(),
         "input_shape": list(m.input_shape),
         "class_names": list(m.class_names),
         "generation": m.generation,

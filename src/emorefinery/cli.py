@@ -8,17 +8,17 @@ error, 3 data error, 4 diverged training.
 """
 
 import argparse
-import json
 import logging
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .config import _check_types, config_to_dict, load_config, load_json_file
+from .config import config_to_dict, dataclass_from_dict, load_config, load_json_file
 from .datagen import SyntheticCorpusSpec, generate_synthetic_corpus, segmentation_for
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .evaluation import read_metrics_report
 from .features import FrameSpec
+from .fileio import json_document
 from .manifest import load_manifest, write_synthetic_corpus
 from .pipeline import export_ep_evolution, featurize_corpus, run_experiment
 
@@ -30,18 +30,9 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-def _corpus_spec_from_dict(doc) -> SyntheticCorpusSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("corpus spec must be a JSON object")
-    extra = set(doc) - {f.name for f in fields(SyntheticCorpusSpec)}
-    if extra:
-        raise ConfigError(f"unknown corpus spec keys: {sorted(extra)}")
-    _check_types(SyntheticCorpusSpec, doc)
-    return SyntheticCorpusSpec(**doc)
-
-
 def cmd_gen_data(args) -> int:
-    spec = load_json_file(args.spec, _corpus_spec_from_dict, "corpus spec")
+    spec = load_json_file(args.spec, lambda doc: dataclass_from_dict(
+        SyntheticCorpusSpec, doc, "corpus spec"), "corpus spec")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     utterances = generate_synthetic_corpus(spec)
@@ -98,7 +89,7 @@ def cmd_run(args) -> int:
     if args.describe:
         doc = config_to_dict(cfg)
         doc["derived_seeds"] = cfg.derived_seeds()
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json_document(doc), end="")
         return EXIT_OK
     metrics = run_experiment(args.corpus, cfg, resume=not args.no_resume)
     _print_generations(metrics["generations"])

@@ -14,6 +14,7 @@ from .classifier import TrainConfig
 from .decision import ForestConfig
 from .errors import ConfigError
 from .features import FrameSpec, SegmentSpec
+from .fileio import read_json, write_json
 from .network import Architecture, resolve_architecture
 from .refinery import RefineryConfig, derive_seed, normalize_mode
 
@@ -66,13 +67,6 @@ class ExperimentConfig:
                 "eval": self.eval_seed()}
 
 
-def _architecture_to_json(arch):
-    if isinstance(arch, Architecture):
-        return {"name": arch.name, "conv_stages": [list(s) for s in arch.conv_stages],
-                "dense": list(arch.dense), "dtype": arch.dtype}
-    return arch
-
-
 def _architecture_from_json(value):
     if isinstance(value, str):
         return resolve_architecture(value).name
@@ -104,8 +98,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     for section, (cls, excluded) in _SECTIONS.items():
         value = getattr(cfg, section)
         body = {f.name: getattr(value, f.name) for f in fields(cls) if f.name not in excluded}
-        if "architecture" in body:
-            body["architecture"] = _architecture_to_json(body["architecture"])
+        if isinstance(body.get("architecture"), Architecture):
+            body["architecture"] = body["architecture"].to_json()
         doc[section] = body
     return doc
 
@@ -139,19 +133,24 @@ def _check_types(cls, body: dict, prefix: str = "") -> None:
                               f"not {json.dumps(value)}")
 
 
-def _section_from_dict(section: str, body: dict):
-    cls, excluded = _SECTIONS[section]
-    if not isinstance(body, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    allowed = {f.name for f in fields(cls)} - set(excluded)
-    extra = set(body) - allowed
+def dataclass_from_dict(cls, doc, what: str, excluded=(), prefix: str = ""):
+    """cls(**doc) of a JSON object that holds only fields of cls, less
+    `excluded`, each of its declared type; `what` names the object in errors
+    and `prefix` the field in type errors."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    extra = set(doc) - ({f.name for f in fields(cls)} - set(excluded))
     if extra:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
-    _check_types(cls, body, f"{section}.")
-    kwargs = dict(body)
-    if "architecture" in kwargs:
-        kwargs["architecture"] = _architecture_from_json(kwargs["architecture"])
-    return cls(**kwargs)
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    _check_types(cls, doc, prefix)
+    return cls(**doc)
+
+
+def _section_from_dict(section: str, body):
+    cls, excluded = _SECTIONS[section]
+    if isinstance(body, dict) and "architecture" in body:
+        body = {**body, "architecture": _architecture_from_json(body["architecture"])}
+    return dataclass_from_dict(cls, body, f"section {section!r}", excluded, f"{section}.")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -160,15 +159,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
-    extra = set(doc) - {"schema_version", *_TOP_KEYS, *_SECTIONS}
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    _check_types(ExperimentConfig, doc)
-    kwargs = {key: doc[key] for key in _TOP_KEYS if key in doc}
-    for section in _SECTIONS:
-        if section in doc:
-            kwargs[section] = _section_from_dict(section, doc[section])
-    return ExperimentConfig(**kwargs)
+    body = {key: _section_from_dict(key, value) if key in _SECTIONS else value
+            for key, value in doc.items() if key != "schema_version"}
+    return dataclass_from_dict(ExperimentConfig, body, "config")
 
 
 def load_json_file(path, parse, what: str = "config file"):
@@ -176,12 +169,7 @@ def load_json_file(path, parse, what: str = "config file"):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no {what} at {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path} cannot be read ({exc.strerror})") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, ConfigError)
     try:
         return parse(doc)
     except ConfigError as exc:
@@ -193,4 +181,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    write_json(path, config_to_dict(cfg))

@@ -9,7 +9,7 @@ Segments tile the utterance without overlap, so segment i's ground truth
 describes exactly frames [i * seg_frames, (i+1) * seg_frames).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,9 +179,7 @@ def _flip_labels(utterances, spec: SyntheticCorpusSpec) -> list:
         if i in flip_at:
             others = [c for c in range(spec.n_classes) if c != u.label]
             wrong = int(others[rng.integers(0, len(others))])
-            u = SyntheticUtterance(utterance_id=u.utterance_id, label=u.label,
-                                   observed_label=wrong, speaker=u.speaker,
-                                   spectrogram=u.spectrogram, segment_truth=u.segment_truth)
+            u = replace(u, observed_label=wrong)
         out.append(u)
     return out
 

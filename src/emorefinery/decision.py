@@ -18,14 +18,13 @@ pass _STEP_ROWS, and always takes one, which bounds its temporaries
 however many trees and samples the forest has.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fileio import write_csv
 
 
 @dataclass(frozen=True)
@@ -301,8 +300,4 @@ def predict_forest(forest: Forest, x) -> np.ndarray:
 
 def write_predictions_csv(path, records) -> None:
     """Rows of (utterance_id, true class name, predicted class name)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["utterance_id", "true", "pred"])
-        for uid, true_name, pred_name in records:
-            writer.writerow([uid, true_name, pred_name])
+    write_csv(path, ["utterance_id", "true", "pred"], records)

@@ -1,15 +1,12 @@
 """Cross-validation fold planning and utterance-level accuracy metrics."""
 
-import csv
-import json
-import os
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fileio import read_json, write_csv, write_json
 
 
 def kfold_split(utterance_ids, labels, k: int, seed: int, groups=None) -> np.ndarray:
@@ -110,19 +107,13 @@ def unweighted_accuracy(cm: ConfusionMatrix) -> float:
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
     """CSV with true classes as rows, predicted classes as columns."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true"] + list(cm.class_names))
-        for i, name in enumerate(cm.class_names):
-            writer.writerow([name] + [int(v) for v in cm.counts[i]])
+    write_csv(path, ["true"] + list(cm.class_names),
+              ([name] + counts for name, counts in zip(cm.class_names, cm.counts.tolist())))
 
 
 def write_metrics_report(path, report: dict) -> None:
     """Write the report to a temporary file, then move it into place."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    write_json(path, report)
 
 
 def _is_generation_report(report) -> bool:
@@ -140,13 +131,7 @@ def _is_generation_report(report) -> bool:
 def read_metrics_report(path, generation: int | None = None) -> dict:
     """A stored metrics report, checked before it is used: the report of
     `generation`, or without one a run's report of all its generations."""
-    path = Path(path)
-    try:
-        report = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-    except ValueError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    report = read_json(path)
     numbers = ("with numbers for wa, ua and mean_ep_entropy "
                "(and for wa_clean and ua_clean if present)")
     if generation is not None:

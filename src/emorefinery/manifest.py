@@ -3,18 +3,21 @@
 A corpus directory holds manifest.json plus one CSV per utterance. Rows
 point at either raw audio ("audio") or precomputed log-Mel spectrograms
 ("features"); synthetic and real corpora are interchangeable downstream.
+An utterance id names its features file, so it must be a plain file name:
+not empty, "." or "..", and free of "/", "\\" and control characters.
 """
 
 import csv
-import json
 import re
-from dataclasses import dataclass, fields
+import unicodedata
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import LogMelSpectrogram
+from .fileio import read_json, read_text, write_csv, write_json
 
 CORPUS_FORMAT = "emorefinery-corpus"
 CORPUS_VERSION = 1
@@ -37,8 +40,13 @@ class ManifestRow:
             if not isinstance(value, str):
                 raise DataError(f"{self.utterance_id!r}: {f.name} must be a string, "
                                 f"not {value!r}")
+        uid = self.utterance_id
+        if uid in ("", ".", "..") or any(c in "/\\" or unicodedata.category(c) == "Cc"
+                                         for c in uid):
+            raise DataError(f"utterance id {uid!r} is not a file name: it must not be "
+                            "empty, '.' or '..', nor hold '/', '\\' or control characters")
         if self.kind not in ROW_KINDS:
-            raise DataError(f"{self.utterance_id!r}: row kind must be one of {ROW_KINDS}")
+            raise DataError(f"{uid!r}: row kind must be one of {ROW_KINDS}")
 
     @property
     def training_label(self) -> str:
@@ -85,14 +93,10 @@ def save_manifest(manifest: CorpusManifest) -> Path:
         "format": CORPUS_FORMAT,
         "version": CORPUS_VERSION,
         "class_names": list(manifest.class_names),
-        "rows": [
-            {"utterance_id": r.utterance_id, "path": r.path, "kind": r.kind,
-             "label": r.label, "speaker": r.speaker, "observed_label": r.observed_label}
-            for r in sorted(manifest.rows, key=lambda r: r.utterance_id)
-        ],
+        "rows": [asdict(r) for r in sorted(manifest.rows, key=lambda r: r.utterance_id)],
     }
     path = manifest.root / MANIFEST_NAME
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
     return path
 
 
@@ -101,12 +105,7 @@ def load_manifest(corpus_root) -> CorpusManifest:
     path = root / MANIFEST_NAME if root.is_dir() else root
     if not path.exists():
         raise DataError(f"no manifest at {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
         raise DataError(f"{path} is not a corpus manifest")
     if doc.get("version") != CORPUS_VERSION:
@@ -191,12 +190,9 @@ def manifest_from_wav_tree(corpus_root, rule, label_map=None, class_names=None) 
 
 def write_spectrogram_csv(path, s: LogMelSpectrogram) -> None:
     """Frame-per-row CSV at full float precision."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_time_ms"] + [f"m_{i + 1}" for i in range(s.n_mels)])
-        for j in range(s.n_frames):
-            writer.writerow([f"{s.frame_times[j]:.17g}"]
-                            + [f"{v:.17g}" for v in s.values[:, j]])
+    write_csv(path, ["frame_time_ms"] + [f"m_{i + 1}" for i in range(s.n_mels)],
+              ([f"{s.frame_times[j]:.17g}"] + [f"{v:.17g}" for v in s.values[:, j]]
+               for j in range(s.n_frames)))
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -237,12 +233,8 @@ def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
     A row that is not one finite number per header column raises a
     DataError naming the file and the line.
     """
-    try:
-        with Path(path).open() as fh:
-            header = next(csv.reader([fh.readline()]))
-            body = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    head, newline, body = read_text(path).partition("\n")
+    header = next(csv.reader([head + newline]))
     if header[:1] != ["frame_time_ms"]:
         raise DataError(f"{path} is not a spectrogram CSV")
     if not body.strip():
@@ -264,19 +256,27 @@ def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
                              utterance_id=utterance_id)
 
 
-def write_synthetic_corpus(corpus_root, utterances, class_names) -> CorpusManifest:
-    """Persist generated utterances as a features-kind corpus directory."""
+def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> CorpusManifest:
+    """Write each (row, spectrogram) pair's spectrogram to features/<id>.csv
+    and save the features-kind manifest of those rows."""
     root = Path(corpus_root)
     (root / "features").mkdir(parents=True, exist_ok=True)
-    names = tuple(class_names)
     rows = []
-    for u in utterances:
-        rel = f"features/{u.utterance_id}.csv"
-        write_spectrogram_csv(root / rel, u.spectrogram)
-        rows.append(ManifestRow(
-            utterance_id=u.utterance_id, path=rel, kind="features",
-            label=names[u.label], speaker=u.speaker,
-            observed_label=names[u.observed_label] if u.observed_label != u.label else ""))
-    manifest = CorpusManifest(class_names=names, rows=rows, root=root)
+    for row, spectrogram in rows_and_spectrograms:
+        rel = f"features/{row.utterance_id}.csv"
+        write_spectrogram_csv(root / rel, spectrogram)
+        rows.append(replace(row, path=rel, kind="features"))
+    manifest = CorpusManifest(class_names=class_names, rows=rows, root=root)
     save_manifest(manifest)
     return manifest
+
+
+def write_synthetic_corpus(corpus_root, utterances, class_names) -> CorpusManifest:
+    """Persist generated utterances as a features-kind corpus directory."""
+    names = tuple(class_names)
+    return write_features_corpus(corpus_root, names, (
+        (ManifestRow(utterance_id=u.utterance_id, path="", kind="features",
+                     label=names[u.label], speaker=u.speaker,
+                     observed_label=names[u.observed_label] if u.observed_label != u.label
+                     else ""), u.spectrogram)
+        for u in utterances))

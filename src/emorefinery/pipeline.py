@@ -26,8 +26,9 @@ from .evaluation import (confusion_from_predictions, kfold_split, read_metrics_r
                          unweighted_accuracy, weighted_accuracy, write_confusion_csv,
                          write_metrics_report)
 from .features import log_mel_spectrogram, load_wav, segment_spectrogram
+from .fileio import read_csv, read_json, write_csv, write_json
 from .manifest import (CorpusManifest, load_manifest, read_spectrogram_csv,
-                       save_manifest, write_spectrogram_csv)
+                       write_features_corpus)
 from .refinery import StackedDataset, derive_seed, read_ep_csv, run_refinery, write_ep_csv
 from .representation import representations_for, write_representation_csv
 
@@ -40,11 +41,22 @@ METRICS_NAME = "metrics.json"
 GENERATIONS_DIR = "generations"
 
 
-def _read_row_spectrogram(manifest: CorpusManifest, row, frame):
-    src = manifest.root / row.path
-    if row.kind == "audio":
-        return log_mel_spectrogram(load_wav(src, row.utterance_id), frame)
-    return read_spectrogram_csv(src, row.utterance_id)
+def _readable_rows(manifest: CorpusManifest, frame, errors: dict, segment=None):
+    """(row, spectrogram) of each corpus row that can be read, or with a
+    `segment` spec (row, segments); errors[id] is the message of each row
+    that cannot."""
+    for row in manifest.rows:
+        src = manifest.root / row.path
+        try:
+            if row.kind == "audio":
+                s = log_mel_spectrogram(load_wav(src, row.utterance_id), frame)
+            else:
+                s = read_spectrogram_csv(src, row.utterance_id)
+            value = s if segment is None else segment_spectrogram(s, segment, frame)
+        except (EmoRefineryError, OSError, ValueError) as exc:
+            errors[row.utterance_id] = str(exc)
+            continue
+        yield row, value
 
 
 def utterances_from_manifest(manifest: CorpusManifest, frame, segment):
@@ -53,17 +65,11 @@ def utterances_from_manifest(manifest: CorpusManifest, frame, segment):
     The dataset holds the rows that could be segmented, labelled with their
     training labels; it is None when no row could.
     """
-    rows, segments = [], []
     errors = {}
-    for row in manifest.rows:
-        try:
-            s = _read_row_spectrogram(manifest, row, frame)
-            segments.append(segment_spectrogram(s, segment, frame))
-            rows.append(row)
-        except (EmoRefineryError, OSError, ValueError) as exc:
-            errors[row.utterance_id] = str(exc)
-    if not rows:
+    readable = list(_readable_rows(manifest, frame, errors, segment))
+    if not readable:
         return None, errors
+    rows, segments = zip(*readable)
     data = StackedDataset([r.utterance_id for r in rows],
                           [manifest.label_index(r.training_label) for r in rows],
                           [r.speaker for r in rows], manifest.class_names, segments)
@@ -72,24 +78,14 @@ def utterances_from_manifest(manifest: CorpusManifest, frame, segment):
 
 def featurize_corpus(manifest: CorpusManifest, frame, out_root):
     """Write a features-kind copy of a corpus; returns (manifest, errors)."""
-    out_root = Path(out_root)
-    (out_root / "features").mkdir(parents=True, exist_ok=True)
-    rows = []
     errors = {}
-    for row in manifest.rows:
-        try:
-            s = _read_row_spectrogram(manifest, row, frame)
-        except (EmoRefineryError, OSError, ValueError) as exc:
-            errors[row.utterance_id] = str(exc)
-            continue
-        rel = f"features/{row.utterance_id}.csv"
-        write_spectrogram_csv(out_root / rel, s)
-        rows.append(replace(row, path=rel, kind="features"))
-    if not rows:
-        raise DataError("no utterance in the corpus could be featurized")
-    out = CorpusManifest(class_names=manifest.class_names, rows=rows, root=out_root)
-    save_manifest(out)
-    return out, errors
+
+    def readable():
+        yield from _readable_rows(manifest, frame, errors)
+        if len(errors) == len(manifest.rows):
+            raise DataError("no utterance in the corpus could be featurized")
+
+    return write_features_corpus(out_root, manifest.class_names, readable()), errors
 
 
 def cross_validated_predictions(data: StackedDataset, reps, forest_cfg, folds: int,
@@ -157,7 +153,7 @@ def _write_generation_dir(tmp: Path, foldout, data: StackedDataset, reps, report
         "training_segments_per_fold": [len(rows) for rows in foldout.training_rows],
         "violations": [],
     }
-    (tmp / "foldout.json").write_text(json.dumps(audit, indent=2, sort_keys=True) + "\n")
+    write_json(tmp / "foldout.json", audit)
 
 
 def _read_generation_dir(gen_dir: Path, t: int, ids, offsets, names):
@@ -195,11 +191,9 @@ def _check_resumable(path: Path, doc: dict) -> None:
     `doc`'s config and corpus."""
     start_over = "pass a fresh output directory or rerun with --no-resume to start it over"
     try:
-        previous = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"{path} cannot be read ({exc.strerror}); {start_over}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}; {start_over}") from exc
+        previous = read_json(path)
+    except DataError as exc:
+        raise DataError(f"{exc}; {start_over}") from exc
     if not isinstance(previous, dict):
         raise DataError(f"{path} is not a run manifest; {start_over}")
     for key in ("config", "corpus_sha256"):
@@ -291,34 +285,28 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
 def export_ep_evolution(run_dir, utterance_id: str, out_path) -> int:
     """Concatenate one utterance's EP rows across all generations.
 
-    Rows are copied verbatim from the per-generation CSVs, so exported
-    values match the stored profiles byte for byte. Returns the number of
-    rows written.
+    Rows are read with the CSV parsing of read_ep_csv and written back with
+    its quoting and "\\n" line ends, so exported values match the stored
+    profiles byte for byte. Returns the number of rows written.
     """
     run_dir = Path(run_dir)
-    gen_dirs = sorted((run_dir / GENERATIONS_DIR).glob("gen*")) \
-        if (run_dir / GENERATIONS_DIR).exists() else []
+    gen_dirs = sorted((run_dir / GENERATIONS_DIR).glob("gen*"))
     if not gen_dirs:
         raise DataError(f"{run_dir} holds no completed generations")
     header = None
     rows = []
     for gen_dir in gen_dirs:
         path = gen_dir / "eps.csv"
-        try:
-            lines = path.read_text().splitlines()
-        except OSError as exc:
-            raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-        if not lines:
+        records = read_csv(path)
+        top = next(records, (1, None))[1]
+        if top is None:
             raise DataError(f"{path} is empty")
         if header is None:
-            header, first = lines[0], path
-        elif lines[0] != header:
+            header, first = top, path
+        elif top != header:
             raise DataError(f"{path} has another EP header than {first}")
-        rows.extend(line for line in lines[1:]
-                    if line.split(",", 1)[0] == utterance_id)
+        rows.extend(row for _, row in records if row[:1] == [utterance_id])
     if not rows:
         raise DataError(f"utterance {utterance_id!r} not found in {run_dir}")
-    Path(out_path).write_text("\n".join([header] + rows) + "\n")
+    write_csv(out_path, header, rows, line_end="\n")
     return len(rows)

@@ -11,18 +11,16 @@ utterance's one-hot label (pEPR), snap it to a one-hot at its argmax
 (soft-static).
 """
 
-import csv
-import io
 import os
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .classifier import TrainConfig, _single_thread_blas, predict_batch, train_segment_classifier
 from .errors import ConfigError, DataError
 from .evaluation import kfold_split
+from .fileio import read_csv, write_csv
 
 MODES = ("sEPR", "pEPR", "hard-dynamic", "soft-static", "none")
 
@@ -314,13 +312,10 @@ def write_ep_csv(path, eps, utterance_ids, offsets, generation: int) -> None:
     if len(utterance_ids) == 0:
         raise DataError("no emotion profiles to write")
     rows = eps.tolist()
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_EP_HEADER + [f"p_{i + 1}" for i in range(eps.shape[1])])
-        for i in sorted(range(len(utterance_ids)), key=utterance_ids.__getitem__):
-            uid = utterance_ids[i]
-            for index, r in enumerate(range(offsets[i], offsets[i + 1])):
-                writer.writerow([uid, index, generation] + [f"{v:.17g}" for v in rows[r]])
+    write_csv(path, _EP_HEADER + [f"p_{i + 1}" for i in range(eps.shape[1])],
+              ([utterance_ids[i], index, generation] + [f"{v:.17g}" for v in rows[r]]
+               for i in sorted(range(len(utterance_ids)), key=utterance_ids.__getitem__)
+               for index, r in enumerate(range(offsets[i], offsets[i + 1]))))
 
 
 def read_ep_csv(path, class_names, utterance_ids, offsets, generation: int) -> np.ndarray:
@@ -334,20 +329,13 @@ def read_ep_csv(path, class_names, utterance_ids, offsets, generation: int) -> n
     position = {uid: i for i, uid in enumerate(utterance_ids)}
     eps = np.zeros((int(offsets[-1]), k))
     filled = np.zeros(len(eps), dtype=bool)
-    try:
-        with Path(path).open(newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, [])
+    records = read_csv(path)
+    header = next(records, (1, []))[1]
     if header[:3] != _EP_HEADER:
         raise DataError(f"{path} is not an emotion profile CSV")
     if len(header) != 3 + k:
         raise DataError(f"{path} carries {len(header) - 3} classes, expected {k}")
-    for row in reader:
+    for line, row in records:
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields where the header names {len(header)}")
@@ -364,7 +352,7 @@ def read_ep_csv(path, class_names, utterance_ids, offsets, generation: int) -> n
             if gen != generation:
                 raise ValueError(f"generation {gen} in the file of generation {generation}")
         except ValueError as exc:
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+            raise DataError(f"{path}, line {line}: {exc}") from exc
         eps[r] = values
         filled[r] = True
     if not filled.all():

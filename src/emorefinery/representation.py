@@ -6,10 +6,9 @@ The feature vector concatenates them blockwise (all means, then stds, mins,
 maxs, ranges) for a length of exactly 5K.
 """
 
-import csv
-from pathlib import Path
-
 import numpy as np
+
+from .fileio import write_csv
 
 STATISTICS = ("mean", "std", "min", "max", "range")
 
@@ -29,8 +28,6 @@ def representations_for(eps: np.ndarray, offsets) -> np.ndarray:
 
 def write_representation_csv(path, utterance_ids, reps) -> None:
     """One row per utterance of the (n_utterances, 5K) array `reps`, sorted by id."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["utterance_id"] + [f"f_{i + 1}" for i in range(reps.shape[1])])
-        for uid, row in sorted(zip(utterance_ids, reps.tolist())):
-            writer.writerow([uid] + [f"{v:.17g}" for v in row])
+    write_csv(path, ["utterance_id"] + [f"f_{i + 1}" for i in range(reps.shape[1])],
+              ([uid] + [f"{v:.17g}" for v in row]
+               for uid, row in sorted(zip(utterance_ids, reps.tolist()))))

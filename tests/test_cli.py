@@ -1,6 +1,7 @@
 """Command line interface tests: workflows and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -20,7 +21,7 @@ from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec
 from emorefinery.decision import ForestConfig
 from emorefinery.features import FrameSpec, SegmentSpec
-from emorefinery.manifest import read_spectrogram_csv
+from emorefinery.manifest import load_manifest, read_spectrogram_csv
 
 CORPUS_SPEC = {
     "n_classes": 3, "utterances_per_class": 4, "segments_range": [3, 4],
@@ -111,6 +112,16 @@ class TestFeaturize:
         assert code == 3
         assert "failed" in capsys.readouterr().err
         assert len(list((tmp_path / "second" / "features").glob("*.csv"))) == 11
+
+    def test_id_with_a_path_separator_exits_3_naming_the_manifest(self, workspace, tmp_path,
+                                                                  capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        rename_ids(corpus, ["sub/u9"])
+        capsys.readouterr()
+        assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 3
+        assert "'sub/u9' is not a file name" in one_error(capsys, corpus / "manifest.json")
+        assert not (tmp_path / "out").exists()
 
 
 class TestRun:
@@ -439,7 +450,8 @@ class TestEvalAndExport:
     @pytest.mark.parametrize("damage, what", [
         (lambda raw: b"", "is empty"),
         (lambda raw: b"\xff" + raw, "is not UTF-8 text"),
-    ], ids=["empty", "non-utf8"])
+        (lambda raw: raw + b'"' + b"x" * 200_000 + b'"\r\n', "field larger than field limit"),
+    ], ids=["empty", "non-utf8", "oversized-field"])
     def test_export_damaged_eps_exits_3(self, finished_run, tmp_path, capsys, damage, what):
         run_dir = tmp_path / "copy"
         shutil.copytree(finished_run, run_dir)
@@ -457,6 +469,26 @@ class TestEvalAndExport:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("utterance_id,segment_index,generation")
         assert len(lines) > 1
+
+    def test_export_copies_the_stored_rows(self, finished_run, tmp_path):
+        out = tmp_path / "ep.csv"
+        assert main(["export-ep", "--run", str(finished_run),
+                     "--utterance", "u0001_c0", "--out", str(out)]) == 0
+        stored = [(finished_run / "generations" / f"gen0{t}" / "eps.csv").read_bytes()
+                  .split(b"\r\n") for t in (1, 2)]
+        expected = [stored[0][0]] + [line for lines in stored for line in lines
+                                     if line.startswith(b"u0001_c0,")]
+        assert out.read_bytes() == b"\n".join(expected) + b"\n"
+
+    def test_export_finds_ids_that_need_quoting(self, workspace, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        rename_ids(corpus, ["u0,x", 'u1"q'])
+        args = ["run", "--config", str(workspace / "cfg.json"), "--corpus", str(corpus),
+                "--out", str(tmp_path / "run")]
+        assert main(args) == 0 and main(args) == 0  # the second run resumes
+        for uid in ("u0,x", 'u1"q'):
+            assert_exported(tmp_path / "run", uid, tmp_path / "ep.csv")
 
     def test_export_unknown_utterance_exits_3(self, finished_run, tmp_path):
         assert main(["export-ep", "--run", str(finished_run),
@@ -598,6 +630,65 @@ def test_damaged_file_exits_2_or_3_naming_it(damage_site, workspace, data):
         read_spectrogram_csv(path, "u0000_c0")
     else:
         assert str(path) in errors[0], errors[0]
+
+
+def rename_ids(corpus, ids):
+    """Give the first rows of the corpus manifest the utterance ids `ids`."""
+    path = corpus / "manifest.json"
+    doc = json.loads(path.read_text())
+    for row, uid in zip(doc["rows"], ids):
+        row["utterance_id"] = uid
+    path.write_text(json.dumps(doc))
+
+
+def assert_exported(run_dir, uid, out):
+    """export-ep finds the utterance's segments in both generations."""
+    assert main(["export-ep", "--run", str(run_dir), "--utterance", uid,
+                 "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert rows[0][:3] == ["utterance_id", "segment_index", "generation"]
+    assert rows[1:] and {r[0] for r in rows[1:]} == {uid}
+    assert {r[2] for r in rows[1:]} == {"1", "2"}
+
+
+# Characters of utterance ids: the CSV delimiter and quote, a dot, a space and
+# non-ASCII letters, and in half the examples path separators and a newline.
+ID_CHARACTERS = [",", '"', ".", " ", "é", "Ж", "u"]
+NOT_IN_FILE_NAMES = ["/", "\\", "\n"]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_any_utterance_id_runs_or_exits_3_naming_the_manifest(damage_site, workspace, data):
+    """featurize and run on a corpus whose first ids are `ids` both end in
+    exit 0 when the ids are file names, and otherwise both in exit 3 with
+    one error naming manifest.json. After a run export-ep finds every id,
+    and no file is written outside the output directories."""
+    alphabet = ID_CHARACTERS + (NOT_IN_FILE_NAMES if data.draw(st.booleans()) else [])
+    ids = data.draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=4),
+                             min_size=1, max_size=3, unique=True))
+    case = damage_site / "case"
+    shutil.rmtree(case)
+    shutil.copytree(damage_site / "pristine" / "corpus", case / "corpus")
+    rename_ids(case / "corpus", ids)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = [main(["featurize", "--corpus", str(case / "corpus"),
+                       "--out", str(case / "features")]),
+                 main(reading_command("run", case, workspace / "cfg.json"))]
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    file_names = all(uid not in ("", ".", "..") and not set(uid) & set("/\\\n")
+                     for uid in ids)
+    if file_names:
+        assert codes == [0, 0] and not errors, err.getvalue()
+        assert ({p.name for p in (case / "features" / "features").iterdir()}
+                == {f"{r.utterance_id}.csv" for r in load_manifest(case / "corpus").rows})
+        for uid in ids:
+            assert_exported(case / "run", uid, case / "ep.csv")
+    else:
+        assert codes == [3, 3] and len(errors) == 2, err.getvalue()
+        assert all(str(case / "corpus" / "manifest.json") in line for line in errors)
+    assert {p.name for p in case.iterdir()} <= {"corpus", "features", "run", "ep.csv"}
 
 
 class TestParser:

@@ -186,7 +186,7 @@ class TestMetricsReport:
         def interrupted(src, dst):
             raise OSError("interrupted")
 
-        monkeypatch.setattr("emorefinery.evaluation.os.replace", interrupted)
+        monkeypatch.setattr("emorefinery.fileio.os.replace", interrupted)
         with pytest.raises(OSError):
             write_metrics_report(path, run_report(0.75))
         assert read_metrics_report(path) == run_report(0.5)

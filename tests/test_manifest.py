@@ -46,6 +46,16 @@ class TestManifestRow:
         assert row("u").training_label == "angry"
         assert row("u", observed="happy").training_label == "happy"
 
+    @pytest.mark.parametrize("uid", ["", ".", "..", "sub/u0", "../../x", "a\\b", "a\nb",
+                                     "tab\t", "cr\r", "nul\x00", "del\x7f", "c1\x85"])
+    def test_rejects_ids_that_are_not_file_names(self, uid):
+        with pytest.raises(DataError, match="is not a file name"):
+            row(uid)
+
+    @pytest.mark.parametrize("uid", ["u0,x", 'u1"q', "a b", "émotion", "Жy", "...", ".u"])
+    def test_accepts_other_ids(self, uid):
+        assert row(uid).utterance_id == uid
+
 
 class TestCorpusManifest:
     def test_rejects_duplicate_ids(self):
@@ -116,6 +126,9 @@ class TestSaveLoad:
          "'u0': path must be a string, not 5"),
         ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"], '
          '"rows": []}', "has no utterances"),
+        ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"], '
+         '"rows": [{"utterance_id": "sub/u9", "path": "x", "kind": "features", "label": "a"}]}',
+         "utterance id 'sub/u9' is not a file name"),
     ])
     def test_malformed_manifest_names_file(self, tmp_path, text, what):
         path = tmp_path / "manifest.json"
@@ -123,6 +136,18 @@ class TestSaveLoad:
         with pytest.raises(DataError) as err:
             load_manifest(tmp_path)
         assert str(path) in str(err.value) and what in str(err.value)
+
+    def test_failed_save_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        save_manifest(CorpusManifest(class_names=NAMES, rows=[row("u0")], root=tmp_path))
+        before = (tmp_path / "manifest.json").read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr("emorefinery.fileio.os.replace", interrupted)
+        with pytest.raises(OSError):
+            save_manifest(CorpusManifest(class_names=NAMES, rows=[row("u1")], root=tmp_path))
+        assert (tmp_path / "manifest.json").read_bytes() == before
 
     def test_rejects_unknown_version(self, tmp_path):
         (tmp_path / "manifest.json").write_text(

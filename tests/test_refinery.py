@@ -436,6 +436,20 @@ class TestRunRefinery:
         with pytest.raises(DataError, match="stored generation 1"):
             run_refinery(data, cfg, load_generation=lambda t: np.zeros((2, 4)))
 
+    def test_generation_1_is_the_same_in_every_mode(self):
+        """Generation 1 trains on the one-hot labels with seeds of the seed,
+        generation and fold alone, so its EPs and models are byte-equal in
+        every mode; the acceptance fixtures train it once for two modes."""
+        data = tiny_corpus(np.random.default_rng(16))
+        firsts = [run_refinery(data, fast_config(generations=1 if mode == "none" else 2,
+                                                 mode=mode)).foldouts[0]
+                  for mode in ("none", "sEPR", "pEPR")]
+        for other in firsts[1:]:
+            assert_bytes_equal(other.eps, firsts[0].eps)
+            for a, b in zip(other.models, firsts[0].models, strict=True):
+                for pa, pb in zip(a.net.params(), b.net.params(), strict=True):
+                    assert_bytes_equal(pa, pb)
+
     def test_purity_violation_stops_the_run(self, monkeypatch):
         import emorefinery.refinery as refinery
 
@@ -606,6 +620,8 @@ class TestEpCsv:
         (lambda text: TestEpCsv.damage(text, 1, "x"), 2, "invalid literal for int"),
         (lambda text: TestEpCsv.damage(text, 3, "junk"), 2,
          "could not convert string to float: 'junk'"),
+        (lambda text: TestEpCsv.damage(text, 0, '"' + "x" * 200_000 + '"'), 2,
+         "field larger than field limit"),
     ])
     def test_damaged_rows_name_file_and_line(self, tmp_path, damage, line, what):
         path = tmp_path / "eps.csv"
