@@ -166,10 +166,9 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     rng = np.random.default_rng(cfg.seed)
     val_mask = _validation_split(utterance_ids, cfg.validation_fraction, rng)
     x_train, t_train = x[~val_mask], t[~val_mask]
-    x_val, t_val = x[val_mask], t[val_mask]
+    x_val, t_val = x[val_mask], t[val_mask].astype(np.float64)
     if x_train.shape[0] == 0:
         raise DataError("validation split left no training data")
-    t64 = t.astype(np.float64)
 
     net = ConvNet(arch, input_shape, k, rng)
     opt = Adam(net.params())
@@ -202,7 +201,7 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
         epoch_loss /= n_train
 
         if x_val.shape[0] > 0:
-            monitor = _mean_ce(net, x_val, t64[val_mask], cfg.batch_size)
+            monitor = _mean_ce(net, x_val, t_val, cfg.batch_size)
         else:
             monitor = epoch_loss
         if not np.isfinite(monitor):

@@ -1,7 +1,6 @@
 """Cross-validation fold planning and utterance-level accuracy metrics."""
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,64 +50,44 @@ def kfold_split(utterance_ids, labels, k: int, seed: int, groups=None) -> np.nda
     return fold_of
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts with rows = true class, columns = predicted class."""
-
-    counts: np.ndarray
-    class_names: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise DataError("confusion matrix must be square")
-        if self.counts.shape[0] != len(self.class_names):
-            raise DataError("confusion matrix size does not match class names")
-        if np.any(self.counts < 0):
-            raise DataError("confusion matrix entries must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion_from_predictions(y_true, y_pred, class_names) -> ConfusionMatrix:
-    names = tuple(class_names)
-    if len(y_true) != len(y_pred):
+def confusion_from_predictions(y_true, y_pred, class_names) -> np.ndarray:
+    """(K, K) int64 counts with rows = true class, columns = predicted class."""
+    k = len(class_names)
+    y_true, y_pred = np.asarray(y_true, dtype=np.int64), np.asarray(y_pred, dtype=np.int64)
+    if y_true.shape != y_pred.shape:
         raise DataError("prediction and truth lists differ in length")
-    counts = np.zeros((len(names), len(names)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        if not (0 <= t < len(names) and 0 <= p < len(names)):
-            raise DataError(f"class index ({t}, {p}) out of range for {len(names)} classes")
-        counts[t, p] += 1
-    return ConfusionMatrix(counts=counts, class_names=names)
+    bad = (y_true < 0) | (y_true >= k) | (y_pred < 0) | (y_pred >= k)
+    if bad.any():
+        i = np.argmax(bad)
+        raise DataError(f"class index ({y_true[i]}, {y_pred[i]}) out of range for {k} classes")
+    return np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k)
 
 
-def weighted_accuracy(cm: ConfusionMatrix) -> float:
+def weighted_accuracy(counts) -> float:
     """Overall accuracy: trace / total."""
-    if cm.total == 0:
+    total = counts.sum()
+    if total == 0:
         raise DataError("empty confusion matrix")
-    return float(np.trace(cm.counts) / cm.total)
+    return float(np.trace(counts) / total)
 
 
-def unweighted_accuracy(cm: ConfusionMatrix) -> float:
+def unweighted_accuracy(counts, class_names) -> float:
     """Macro-averaged recall; classes with no samples are excluded with a warning."""
-    row_sums = cm.counts.sum(axis=1)
+    row_sums = counts.sum(axis=1)
     present = row_sums > 0
     if not np.any(present):
         raise DataError("confusion matrix has no samples in any class")
     if not np.all(present):
-        missing = [cm.class_names[i] for i in np.flatnonzero(~present)]
+        missing = [class_names[i] for i in np.flatnonzero(~present)]
         warnings.warn(f"classes with no samples excluded from UA: {missing}", RuntimeWarning)
-    recalls = np.diag(cm.counts)[present] / row_sums[present]
+    recalls = np.diag(counts)[present] / row_sums[present]
     return float(recalls.mean())
 
 
-def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
+def write_confusion_csv(path, counts, class_names) -> None:
     """CSV with true classes as rows, predicted classes as columns."""
-    write_csv(path, ["true"] + list(cm.class_names),
-              ([name] + counts for name, counts in zip(cm.class_names, cm.counts.tolist())))
+    write_csv(path, ["true"] + list(class_names),
+              ([name] + row for name, row in zip(class_names, counts.tolist())))
 
 
 def write_metrics_report(path, report: dict) -> None:

@@ -15,24 +15,6 @@ from .errors import ConfigError, DataError
 LOG_FLOOR = 1e-10
 
 
-@dataclass
-class AudioClip:
-    """Mono PCM audio with samples in [-1, 1]."""
-
-    samples: np.ndarray
-    sample_rate: int
-    utterance_id: str
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise DataError(f"{self.utterance_id}: samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError(f"{self.utterance_id}: non-finite samples")
-        if self.sample_rate <= 0:
-            raise DataError(f"{self.utterance_id}: sample_rate must be positive")
-
-
 @dataclass(frozen=True)
 class FrameSpec:
     """Short-time analysis parameters."""
@@ -169,29 +151,36 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
 
 
-def log_mel_spectrogram(clip: AudioClip, spec: FrameSpec) -> LogMelSpectrogram:
-    """Windowed FFT power spectrum through the mel filterbank, natural log.
+def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec,
+                        utterance_id: str) -> LogMelSpectrogram:
+    """Windowed FFT power spectrum of mono samples through the mel
+    filterbank, natural log.
 
     Frames are Hann-windowed, zero-padded to fft_len, and floored at
     LOG_FLOOR before the log so silence maps to ln(1e-10) instead of -inf.
+    A sample rate that rounds the hop below one sample raises a DataError;
+    the window is never shorter than the hop.
     """
-    win = spec.win_samples(clip.sample_rate)
-    hop = spec.hop_samples(clip.sample_rate)
+    win = spec.win_samples(sample_rate)
+    hop = spec.hop_samples(sample_rate)
+    if hop < 1:
+        raise DataError(f"{utterance_id}: sample rate {sample_rate} Hz rounds the "
+                        f"{spec.hop_ms:g} ms hop to {hop} samples")
     if spec.fft_len < win:
         raise ConfigError(f"fft_len={spec.fft_len} shorter than window ({win} samples)")
-    n_frames = frame_count(clip.samples.size, clip.sample_rate, spec)
+    n_frames = frame_count(len(samples), sample_rate, spec)
 
     starts = np.arange(n_frames) * hop
-    frames = clip.samples[starts[:, None] + np.arange(win)[None, :]]
+    frames = np.asarray(samples, dtype=np.float64)[starts[:, None] + np.arange(win)[None, :]]
     frames = frames * hann_window(win)[None, :]
     power = np.abs(np.fft.rfft(frames, n=spec.fft_len, axis=1)) ** 2
 
-    bank = mel_filterbank(spec, clip.sample_rate)
+    bank = mel_filterbank(spec, sample_rate)
     mel_energy = power @ bank.T
     values = np.log(np.maximum(mel_energy, LOG_FLOOR)).T
 
-    frame_times = starts * 1000.0 / clip.sample_rate
-    return LogMelSpectrogram(values=values, frame_times=frame_times, utterance_id=clip.utterance_id)
+    frame_times = starts * 1000.0 / sample_rate
+    return LogMelSpectrogram(values=values, frame_times=frame_times, utterance_id=utterance_id)
 
 
 def segment_span_ms(frame: FrameSpec, seg: SegmentSpec) -> float:
@@ -220,15 +209,16 @@ def segment_spectrogram(
         s.values, (n, s.n_mels, seg.seg_frames), (h * col, row, col), writeable=False)
 
 
-def load_wav(path, utterance_id: str | None = None) -> AudioClip:
-    """Read a mono PCM WAV file (16-bit integer or 32-bit float).
+def load_wav(path) -> tuple:
+    """(samples, sample_rate) of a mono PCM WAV file (16-bit integer or
+    32-bit float), with float64 samples.
 
-    Integer samples are scaled to [-1, 1]; multi-channel or other sample
-    formats are rejected.
+    Integer samples are scaled to [-1, 1]. A file that cannot be read, has
+    more than one channel, another sample format, no samples, a non-finite
+    sample or a rate of 0 raises a DataError naming it.
     """
     from scipy.io import wavfile
 
-    path = str(path)
     try:
         rate, data = wavfile.read(path)
     except Exception as exc:
@@ -245,8 +235,6 @@ def load_wav(path, utterance_id: str | None = None) -> AudioClip:
         raise DataError(f"{path}: empty audio file")
     if not np.all(np.isfinite(samples)):
         raise DataError(f"{path}: non-finite samples")
-    if utterance_id is None:
-        import os
-
-        utterance_id = os.path.splitext(os.path.basename(path))[0]
-    return AudioClip(samples=samples, sample_rate=int(rate), utterance_id=utterance_id)
+    if rate <= 0:
+        raise DataError(f"{path}: sample rate must be positive")
+    return samples, int(rate)

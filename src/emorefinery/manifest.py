@@ -234,7 +234,10 @@ def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
     DataError naming the file and the line.
     """
     head, newline, body = read_text(path).partition("\n")
-    header = next(csv.reader([head + newline]))
+    try:
+        header = next(csv.reader([head + newline]))
+    except csv.Error as exc:
+        raise DataError(f"{path}, line 1: {exc}") from exc
     if header[:1] != ["frame_time_ms"]:
         raise DataError(f"{path} is not a spectrogram CSV")
     if not body.strip():
@@ -258,16 +261,20 @@ def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
 
 def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> CorpusManifest:
     """Write each (row, spectrogram) pair's spectrogram to features/<id>.csv
-    and save the features-kind manifest of those rows."""
+    and save the features-kind manifest of those rows. A file or directory
+    that cannot be written raises one DataError naming it."""
     root = Path(corpus_root)
-    (root / "features").mkdir(parents=True, exist_ok=True)
     rows = []
-    for row, spectrogram in rows_and_spectrograms:
-        rel = f"features/{row.utterance_id}.csv"
-        write_spectrogram_csv(root / rel, spectrogram)
-        rows.append(replace(row, path=rel, kind="features"))
-    manifest = CorpusManifest(class_names=class_names, rows=rows, root=root)
-    save_manifest(manifest)
+    try:
+        (root / "features").mkdir(parents=True, exist_ok=True)
+        for row, spectrogram in rows_and_spectrograms:
+            rel = f"features/{row.utterance_id}.csv"
+            write_spectrogram_csv(root / rel, spectrogram)
+            rows.append(replace(row, path=rel, kind="features"))
+        manifest = CorpusManifest(class_names=class_names, rows=rows, root=root)
+        save_manifest(manifest)
+    except OSError as exc:
+        raise DataError(f"{exc.filename or root} cannot be written ({exc.strerror})") from exc
     return manifest
 
 

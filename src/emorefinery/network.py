@@ -109,8 +109,6 @@ class Conv3x3:
         fan_in = c_in * 9
         self.w = (rng.standard_normal((c_out, c_in, 3, 3)) * np.sqrt(2.0 / fan_in)).astype(dtype)
         self.b = np.zeros(c_out, dtype=dtype)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
         self._x = None
 
     def _im2col(self, x):
@@ -189,12 +187,6 @@ class Conv3x3:
             dxp[:, :, start : start + h * wp] += dcols[:, :, k]
         return dxp[:, :, wp + 1 : wp + 1 + h * wp].reshape(b, c_in, h, wp)[..., :w]
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
 
 class ReLU:
     def __init__(self):
@@ -210,12 +202,6 @@ class ReLU:
         out = g * self._mask
         self._mask = None
         return out
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class MaxPool2x2:
@@ -252,12 +238,6 @@ class MaxPool2x2:
             np.multiply(g_bits, hit, out=dq_bits)
         self._hits = None
         return dx
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 def _window_views(a):
@@ -312,19 +292,11 @@ class Flatten:
     def backward(self, g):
         return g.reshape(self._shape)
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class Dense:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, dtype):
         self.w = (rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)).astype(dtype)
         self.b = np.zeros(n_out, dtype=dtype)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
         self._x = None
 
     def forward(self, x, train: bool):
@@ -337,12 +309,6 @@ class Dense:
         self.db = g.sum(axis=0)
         self._x = None
         return g @ self.w
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
 
 
 class ConvNet:
@@ -386,10 +352,13 @@ class ConvNet:
         self.layers[0].backward(g, need_dx=False)
 
     def params(self) -> list:
-        return [p for layer in self.layers for p in layer.params()]
+        """The w and b of each conv and dense layer in layer order, which is
+        the checkpoint's param_NNN order."""
+        return [p for layer in self.layers if hasattr(layer, "w") for p in (layer.w, layer.b)]
 
     def grads(self) -> list:
-        return [g for layer in self.layers for g in layer.grads()]
+        """The dw and db of the last backward, in the order of params()."""
+        return [g for layer in self.layers if hasattr(layer, "w") for g in (layer.dw, layer.db)]
 
     def snapshot(self) -> list:
         return [p.copy() for p in self.params()]

@@ -44,17 +44,17 @@ GENERATIONS_DIR = "generations"
 def _readable_rows(manifest: CorpusManifest, frame, errors: dict, segment=None):
     """(row, spectrogram) of each corpus row that can be read, or with a
     `segment` spec (row, segments); errors[id] is the message of each row
-    that cannot."""
+    that cannot, which names the row's file once."""
     for row in manifest.rows:
         src = manifest.root / row.path
         try:
             if row.kind == "audio":
-                s = log_mel_spectrogram(load_wav(src, row.utterance_id), frame)
+                s = log_mel_spectrogram(*load_wav(src), frame, row.utterance_id)
             else:
                 s = read_spectrogram_csv(src, row.utterance_id)
             value = s if segment is None else segment_spectrogram(s, segment, frame)
         except (EmoRefineryError, OSError, ValueError) as exc:
-            errors[row.utterance_id] = str(exc)
+            errors[row.utterance_id] = str(exc) if str(src) in str(exc) else f"{src}: {exc}"
             continue
         yield row, value
 
@@ -116,20 +116,21 @@ def _generation_metrics(foldout, reps, data: StackedDataset, clean, cfg: Experim
     predictions = cross_validated_predictions(
         data, reps, cfg.forest_config(), cfg.eval_folds, cfg.eval_seed(),
         groups=data.speakers if cfg.group_by_speaker else None)
-    cm = confusion_from_predictions(data.labels, predictions, data.class_names)
+    names = data.class_names
+    cm = confusion_from_predictions(data.labels, predictions, names)
     report = {
         "generation": generation,
         "mode": cfg.mode,
         "wa": weighted_accuracy(cm),
-        "ua": unweighted_accuracy(cm),
+        "ua": unweighted_accuracy(cm, names),
         "mean_ep_entropy": foldout.mean_entropy(),
         "n_utterances": len(data.utterance_ids),
-        "confusion_matrix": cm.counts.tolist(),
+        "confusion_matrix": cm.tolist(),
     }
     if clean is not None:
-        cm_clean = confusion_from_predictions(clean, predictions, data.class_names)
+        cm_clean = confusion_from_predictions(clean, predictions, names)
         report["wa_clean"] = weighted_accuracy(cm_clean)
-        report["ua_clean"] = unweighted_accuracy(cm_clean)
+        report["ua_clean"] = unweighted_accuracy(cm_clean, names)
     return report, predictions, cm
 
 
@@ -141,7 +142,7 @@ def _write_generation_dir(tmp: Path, foldout, data: StackedDataset, reps, report
     records = [(u, names[t], names[p])
                for u, t, p in sorted(zip(ids, data.labels.tolist(), predictions.tolist()))]
     write_predictions_csv(tmp / "predictions.csv", records)
-    write_confusion_csv(tmp / "confusion.csv", cm)
+    write_confusion_csv(tmp / "confusion.csv", cm, names)
     write_metrics_report(tmp / METRICS_NAME, report)
     (tmp / "models").mkdir()
     for fold, model in enumerate(foldout.models):

@@ -5,15 +5,18 @@ import csv
 import io
 import json
 import shutil
+import struct
 import sys
 import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from emorefinery.classifier import TrainConfig
 from emorefinery.cli import main
@@ -21,7 +24,7 @@ from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec
 from emorefinery.decision import ForestConfig
 from emorefinery.features import FrameSpec, SegmentSpec
-from emorefinery.manifest import load_manifest, read_spectrogram_csv
+from emorefinery.manifest import load_manifest, manifest_from_wav_tree, read_spectrogram_csv
 
 CORPUS_SPEC = {
     "n_classes": 3, "utterances_per_class": 4, "segments_range": [3, 4],
@@ -122,6 +125,22 @@ class TestFeaturize:
         assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 3
         assert "'sub/u9' is not a file name" in one_error(capsys, corpus / "manifest.json")
         assert not (tmp_path / "out").exists()
+
+    def test_id_too_long_for_a_file_name_exits_3_naming_the_file(self, workspace, tmp_path,
+                                                                 capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        rename_ids(corpus, ["a" * 300])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["featurize", "--corpus", str(corpus), "--out", str(out)]) == 3
+        assert "cannot be written" in one_error(capsys, out / "features" / ("a" * 300 + ".csv"))
+
+    def test_out_that_cannot_be_made_exits_3_naming_it(self, workspace, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["featurize", "--corpus", str(workspace / "corpus"), "--out", str(out)]) == 3
+        assert "cannot be written" in one_error(capsys, out / "features")
 
 
 class TestRun:
@@ -284,6 +303,19 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith(f"error: {path}")
         assert what in err[0] and err[0].endswith("rerun with --no-resume to recompute it")
         assert main(args + ["--no-resume"]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "featurize"])
+    def test_oversized_header_field_exits_3_naming_the_file(self, workspace, tmp_path,
+                                                            capsys, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        path = corpus / "features" / "u0000_c0.csv"
+        path.write_text(f'"{"x" * 200_000}",' + path.read_text())
+        args = (reading_command("run", tmp_path, workspace / "cfg.json") if command == "run"
+                else ["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert main(args) == 3
+        assert f"{path}, line 1: field larger than field limit" in capsys.readouterr().err
 
     def test_conflicting_run_dir_exits_3(self, workspace, finished_run):
         assert main(["run", "--config", str(workspace / "cfg.json"),
@@ -689,6 +721,92 @@ def test_any_utterance_id_runs_or_exits_3_naming_the_manifest(damage_site, works
         assert codes == [3, 3] and len(errors) == 2, err.getvalue()
         assert all(str(case / "corpus" / "manifest.json") in line for line in errors)
     assert {p.name for p in case.iterdir()} <= {"corpus", "features", "run", "ep.csv"}
+
+
+# Offset and struct format of the fields of a canonical 44-byte WAV header
+# that the damage test overwrites, besides the rate that set_rate writes.
+WAV_FIELDS = {"channels": (22, "<H"), "bits": (34, "<H"), "data size": (40, "<I")}
+
+
+@pytest.fixture(scope="module")
+def audio_site(tmp_path_factory):
+    """An audio-kind corpus of six 16-bit mono WAVs of 0.25 s at 16 kHz, in
+    `pristine`, that the run config of `workspace` runs on."""
+    root = tmp_path_factory.mktemp("audio")
+    corpus = root / "pristine"
+    corpus.mkdir()
+    rng = np.random.default_rng(0)
+    t = np.arange(4000) / 16000
+    for c, label in enumerate(["ang", "hap", "sad"]):
+        for speaker in range(2):
+            x = 0.3 * np.sin(2 * np.pi * (300 + 200 * c) * t) + 0.05 * rng.standard_normal(t.size)
+            wavfile.write(corpus / f"{label}_s{speaker}_{c}{speaker}.wav", 16000,
+                          (x * 32767).astype(np.int16))
+    manifest_from_wav_tree(corpus, "label_speaker_index")
+    return root
+
+
+def audio_case(audio_site, name):
+    """A fresh copy of the pristine audio corpus; returns (case dir, path of WAV `name`)."""
+    case = audio_site / "case"
+    shutil.rmtree(case, ignore_errors=True)
+    shutil.copytree(audio_site / "pristine", case / "corpus")
+    return case, case / "corpus" / name
+
+
+def featurize_and_run(case, config):
+    """Exit code and stderr of featurize and then run on the case's corpus."""
+    results = []
+    for args in (["featurize", "--corpus", str(case / "corpus"), "--out", str(case / "features")],
+                 reading_command("run", case, config)):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            results.append((main(args), err.getvalue()))
+    return results
+
+
+def set_rate(raw, rate):
+    """Overwrite the rate of a 16-bit mono WAV header, and its byte rate to match."""
+    struct.pack_into("<II", raw, 24, rate, 2 * rate % 2**32)
+
+
+def test_pristine_audio_corpus_runs(audio_site, workspace):
+    case, _ = audio_case(audio_site, "ang_s0_00.wav")
+    assert [code for code, _ in featurize_and_run(case, workspace / "cfg.json")] == [0, 0]
+
+
+@pytest.mark.parametrize("rate", [0, 1, 50, 1_048_576])
+def test_wav_rate_the_front_end_cannot_use_exits_3_naming_the_file_once(audio_site, workspace,
+                                                                        rate):
+    case, path = audio_case(audio_site, "ang_s0_00.wav")
+    raw = bytearray(path.read_bytes())
+    set_rate(raw, rate)
+    path.write_bytes(raw)
+    for code, err in featurize_and_run(case, workspace / "cfg.json"):
+        assert code == 3 and err.count(str(path)) == 1, err
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_damaged_wav_runs_or_exits_2_or_3_naming_it(audio_site, workspace, data):
+    """featurize and run on an audio corpus with one WAV cut at any offset,
+    or with its rate, channel count, bits per sample or data size set to
+    any value, end in exit 0, or in exit 2 or 3 naming the WAV."""
+    names = sorted(p.name for p in (audio_site / "pristine").glob("*.wav"))
+    case, path = audio_case(audio_site, data.draw(st.sampled_from(names)))
+    raw = bytearray(path.read_bytes())
+    field = data.draw(st.sampled_from(["cut", "rate", *sorted(WAV_FIELDS)]))
+    if field == "cut":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif field == "rate":
+        set_rate(raw, data.draw(st.integers(0, 2**32 - 1)))
+    else:
+        offset, fmt = WAV_FIELDS[field]
+        value = data.draw(st.integers(0, 2**(8 * struct.calcsize(fmt)) - 1))
+        struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(raw)
+    for code, err in featurize_and_run(case, workspace / "cfg.json"):
+        assert code == 0 or (code in (2, 3) and str(path) in err), (code, err)
 
 
 class TestParser:

@@ -7,7 +7,6 @@ import pytest
 
 from emorefinery.errors import ConfigError, DataError
 from emorefinery.features import (
-    AudioClip,
     FrameSpec,
     LOG_FLOOR,
     LogMelSpectrogram,
@@ -105,8 +104,7 @@ class TestMelFilterbank:
         # to a 1 kHz tone must be the one whose center is nearest 1 kHz.
         rate = 16000
         t = np.arange(rate) / rate
-        clip = AudioClip(0.5 * np.sin(2 * np.pi * 1000 * t), rate, "tone")
-        spec = log_mel_spectrogram(clip, SPEC)
+        spec = log_mel_spectrogram(0.5 * np.sin(2 * np.pi * 1000 * t), rate, SPEC, "tone")
         centers = hz_to_mel(mel_filter_centers(SPEC, rate))
         expected = int(np.argmin(np.abs(centers - hz_to_mel(1000.0))))
         responding = np.argmax(spec.values, axis=0)
@@ -119,14 +117,12 @@ class TestMelFilterbank:
 
 class TestLogMelSpectrogram:
     def test_all_zero_clip_is_log_floor(self):
-        clip = AudioClip(np.zeros(8000), 16000, "silence")
-        spec = log_mel_spectrogram(clip, SPEC)
+        spec = log_mel_spectrogram(np.zeros(8000), 16000, SPEC, "silence")
         np.testing.assert_array_equal(spec.values, np.log(LOG_FLOOR))
 
     def test_shape_contract(self):
         rng = np.random.default_rng(0)
-        clip = AudioClip(rng.uniform(-1, 1, 12345), 16000, "u")
-        spec = log_mel_spectrogram(clip, SPEC)
+        spec = log_mel_spectrogram(rng.uniform(-1, 1, 12345), 16000, SPEC, "u")
         assert spec.values.shape == (64, frame_count(12345, 16000, SPEC))
         assert spec.frame_times.shape == (spec.n_frames,)
 
@@ -134,14 +130,23 @@ class TestLogMelSpectrogram:
         rng = np.random.default_rng(42)
         for _ in range(5):
             samples = rng.uniform(-1, 1, 8000)
-            clip = AudioClip(samples, 16000, "u")
-            got = log_mel_spectrogram(clip, SPEC).values
+            got = log_mel_spectrogram(samples, 16000, SPEC, "u").values
             want = oracle_log_mel(samples, 16000, SPEC)
             np.testing.assert_allclose(got, want, rtol=1e-6)
 
     def test_propagates_too_short(self):
         with pytest.raises(DataError, match="too short"):
-            log_mel_spectrogram(AudioClip(np.zeros(100), 16000, "x"), SPEC)
+            log_mel_spectrogram(np.zeros(100), 16000, SPEC, "x")
+
+    @pytest.mark.parametrize("rate", [1, 49, 50])
+    def test_rate_that_rounds_the_hop_to_zero_samples_is_data_error(self, rate):
+        with pytest.raises(DataError, match=f"^u: sample rate {rate} Hz rounds the 10 ms hop "
+                                            "to 0 samples$"):
+            log_mel_spectrogram(np.zeros(8000), rate, SPEC, "u")
+
+    def test_lowest_rate_with_a_one_sample_hop_runs(self):
+        spec = log_mel_spectrogram(np.ones(100), 51, SPEC, "u")
+        assert spec.n_frames == 100
 
 
 class TestSegmentation:
@@ -196,10 +201,9 @@ class TestWavLoading:
         data = (rng.uniform(-0.5, 0.5, 4000) * 32768).astype(np.int16)
         path = tmp_path / "clip.wav"
         wavfile.write(path, 16000, data)
-        clip = load_wav(path)
-        assert clip.utterance_id == "clip"
-        assert clip.sample_rate == 16000
-        np.testing.assert_allclose(clip.samples, data / 32768.0)
+        samples, rate = load_wav(path)
+        assert rate == 16000
+        np.testing.assert_allclose(samples, data / 32768.0)
 
     def test_float32_roundtrip(self, tmp_path):
         from scipy.io import wavfile
@@ -207,9 +211,9 @@ class TestWavLoading:
         data = np.linspace(-0.9, 0.9, 2000).astype(np.float32)
         path = tmp_path / "f.wav"
         wavfile.write(path, 22050, data)
-        clip = load_wav(path, utterance_id="custom")
-        assert clip.utterance_id == "custom"
-        np.testing.assert_array_equal(clip.samples, data.astype(np.float64))
+        samples, rate = load_wav(path)
+        assert rate == 22050
+        np.testing.assert_array_equal(samples, data.astype(np.float64))
 
     def test_stereo_rejected(self, tmp_path):
         from scipy.io import wavfile
@@ -234,7 +238,16 @@ class TestWavLoading:
         path = tmp_path / "u7.wav"
         wavfile.write(path, 16000, data)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite samples$"):
-            load_wav(path, utterance_id="u7")
+            load_wav(path)
+
+    def test_zero_rate_names_the_file(self, tmp_path):
+        from scipy.io import wavfile
+
+        path = tmp_path / "u0.wav"
+        wavfile.write(path, 0, np.zeros(2000, dtype=np.int16))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: sample rate must be "
+                                            "positive$"):
+            load_wav(path)
 
 
 class TestHannWindow:

@@ -65,12 +65,6 @@ class OracleConv3x3:
         self._cols = None
         return dxp[:, :, 1:-1, 1:-1]
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
 
 class OracleMaxPool2x2:
     """2x2 max pool, stride 2. Ties go to the first position in row-major
@@ -98,12 +92,6 @@ class OracleMaxPool2x2:
         z = z.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         self._idx = None
         return z.reshape(b, c, h, w)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 def oracle_backward(net, dlogits):
