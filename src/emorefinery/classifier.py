@@ -48,10 +48,9 @@ class TrainConfig:
 
 @dataclass
 class Model:
-    """Trained segment classifier: architecture plus parameter arrays."""
+    """Trained segment classifier: its net, whose `arch` and `input_shape`
+    describe it, plus the classes and provenance."""
 
-    architecture: Architecture
-    input_shape: tuple
     class_names: tuple
     generation: int
     seed: int
@@ -156,7 +155,6 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     if x.ndim != 3 or targets.shape[1:] != (len(class_names),):
         raise DataError(f"segments of shape {x.shape} and targets of shape {targets.shape} "
                         f"are not (n, n_mels, seg_frames) and (n, {len(class_names)})")
-    input_shape = x.shape[1:]
 
     arch = cfg.resolved_architecture()
     x = x.astype(arch.np_dtype, copy=False)
@@ -170,7 +168,7 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     if x_train.shape[0] == 0:
         raise DataError("validation split left no training data")
 
-    net = ConvNet(arch, input_shape, k, rng)
+    net = ConvNet(arch, x.shape[1:], k, rng)
     opt = Adam(net.params())
     best_loss = np.inf
     best_params = net.snapshot()
@@ -225,24 +223,17 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     net.restore(best_params)
     history["best_monitor"] = float(best_loss)
     history["epochs_run"] = len(history["train_ce"])
-    return Model(
-        architecture=arch,
-        input_shape=input_shape,
-        class_names=class_names,
-        generation=generation,
-        seed=cfg.seed,
-        net=net,
-        history=history,
-    )
+    return Model(class_names=class_names, generation=generation, seed=cfg.seed, net=net,
+                 history=history)
 
 
 @_single_thread_blas()
 def predict_batch(m: Model, x, batch_size: int = 256) -> np.ndarray:
     """Class probabilities (n, K), rows normalized, of segments x (n, n_mels, seg_frames)."""
     x = np.asarray(x)
-    if x.shape[1:] != m.input_shape:
-        raise DataError(f"segment shape {x.shape[1:]} != model input {m.input_shape}")
-    x = x.astype(m.architecture.np_dtype, copy=False)
+    if x.shape[1:] != m.net.input_shape:
+        raise DataError(f"segment shape {x.shape[1:]} != model input {m.net.input_shape}")
+    x = x.astype(m.net.arch.np_dtype, copy=False)
     logits = _forward_in_batches(m.net, x, batch_size)
     p = softmax(logits).astype(np.float64)
     return p / p.sum(axis=1, keepdims=True)
@@ -253,8 +244,8 @@ def save_model(m: Model, path) -> None:
     meta = {
         "format": "emorefinery-model",
         "version": 1,
-        "architecture": m.architecture.to_json(),
-        "input_shape": list(m.input_shape),
+        "architecture": m.net.arch.to_json(),
+        "input_shape": list(m.net.input_shape),
         "class_names": list(m.class_names),
         "generation": m.generation,
         "seed": m.seed,
@@ -269,17 +260,9 @@ def load_model(path) -> Model:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format") != "emorefinery-model":
             raise DataError(f"{path}: not a model checkpoint")
-        arch = Architecture(**meta["architecture"])
-        input_shape = tuple(meta["input_shape"])
         class_names = tuple(meta["class_names"])
-        net = ConvNet(arch, input_shape, len(class_names), np.random.default_rng(0))
-        params = [data[f"param_{i:03d}"] for i in range(len(net.params()))]
-        net.restore(params)
-    return Model(
-        architecture=arch,
-        input_shape=input_shape,
-        class_names=class_names,
-        generation=int(meta["generation"]),
-        seed=int(meta["seed"]),
-        net=net,
-    )
+        net = ConvNet(Architecture(**meta["architecture"]), meta["input_shape"],
+                      len(class_names), np.random.default_rng(0))
+        net.restore([data[f"param_{i:03d}"] for i in range(len(net.params()))])
+    return Model(class_names=class_names, generation=int(meta["generation"]),
+                 seed=int(meta["seed"]), net=net)

@@ -87,8 +87,7 @@ _SECTIONS = {
     "train": (TrainConfig, ("seed",)),
     "forest": (ForestConfig, ("seed",)),
 }
-_TOP_KEYS = ("master_seed", "output_dir", "mode", "generations", "folds",
-             "eval_folds", "group_by_speaker")
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _SECTIONS)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -157,12 +157,11 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> list:
             values = np.concatenate(blocks, axis=1)
             hop_ms = FrameSpec().hop_ms
             frame_times = np.arange(values.shape[1], dtype=np.float64) * hop_ms
-            spectrogram = LogMelSpectrogram(values=values, frame_times=frame_times,
-                                            utterance_id=uid)
             utterances.append(SyntheticUtterance(
                 utterance_id=uid, label=label, observed_label=label,
                 speaker=f"spk{index % spec.n_speakers}",
-                spectrogram=spectrogram, segment_truth=np.stack(truths)))
+                spectrogram=LogMelSpectrogram(values=values, frame_times=frame_times),
+                segment_truth=np.stack(truths)))
             index += 1
     if spec.label_noise > 0.0:
         utterances = _flip_labels(utterances, spec)

@@ -6,6 +6,7 @@ The resulting spectrogram is sliced into overlapping fixed-width segments
 that serve as classifier inputs.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +46,16 @@ class LogMelSpectrogram:
 
     values: np.ndarray
     frame_times: np.ndarray  # frame-start offsets in ms
-    utterance_id: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.frame_times = np.asarray(self.frame_times, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] < 1:
-            raise DataError(f"{self.utterance_id}: spectrogram must be 2-D with >= 1 frame")
+            raise DataError("spectrogram must be 2-D with >= 1 frame")
         if not np.all(np.isfinite(self.values)):
-            raise DataError(f"{self.utterance_id}: non-finite spectrogram values")
+            raise DataError("non-finite spectrogram values")
         if self.frame_times.shape != (self.values.shape[1],):
-            raise DataError(f"{self.utterance_id}: frame_times length mismatch")
+            raise DataError("frame_times length mismatch")
 
     @property
     def n_mels(self) -> int:
@@ -111,13 +111,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(spec: FrameSpec, sample_rate: int) -> np.ndarray:
-    """Center frequencies (Hz) of the n_mels filters, equally spaced on the
-    mel scale between 0 Hz and Nyquist."""
-    edges = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), spec.n_mels + 2)
-    return mel_to_hz(edges)[1:-1]
-
-
 def mel_filterbank(spec: FrameSpec, sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, fft_len // 2 + 1).
 
@@ -151,8 +144,7 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
 
 
-def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec,
-                        utterance_id: str) -> LogMelSpectrogram:
+def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpectrogram:
     """Windowed FFT power spectrum of mono samples through the mel
     filterbank, natural log.
 
@@ -164,8 +156,8 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec,
     win = spec.win_samples(sample_rate)
     hop = spec.hop_samples(sample_rate)
     if hop < 1:
-        raise DataError(f"{utterance_id}: sample rate {sample_rate} Hz rounds the "
-                        f"{spec.hop_ms:g} ms hop to {hop} samples")
+        raise DataError(f"sample rate {sample_rate} Hz rounds the {spec.hop_ms:g} ms hop "
+                        f"to {hop} samples")
     if spec.fft_len < win:
         raise ConfigError(f"fft_len={spec.fft_len} shorter than window ({win} samples)")
     n_frames = frame_count(len(samples), sample_rate, spec)
@@ -180,7 +172,7 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec,
     values = np.log(np.maximum(mel_energy, LOG_FLOOR)).T
 
     frame_times = starts * 1000.0 / sample_rate
-    return LogMelSpectrogram(values=values, frame_times=frame_times, utterance_id=utterance_id)
+    return LogMelSpectrogram(values=values, frame_times=frame_times)
 
 
 def segment_span_ms(frame: FrameSpec, seg: SegmentSpec) -> float:
@@ -199,10 +191,8 @@ def segment_spectrogram(
     """
     h = seg.hop_frames(frame)
     if s.n_frames < seg.seg_frames:
-        raise DataError(
-            f"{s.utterance_id}: utterance too short for one segment "
-            f"({s.n_frames} frames < {seg.seg_frames})"
-        )
+        raise DataError("utterance too short for one segment "
+                        f"({s.n_frames} frames < {seg.seg_frames})")
     n = (s.n_frames - seg.seg_frames) // h + 1
     row, col = s.values.strides
     return np.lib.stride_tricks.as_strided(
@@ -215,12 +205,15 @@ def load_wav(path) -> tuple:
 
     Integer samples are scaled to [-1, 1]. A file that cannot be read, has
     more than one channel, another sample format, no samples, a non-finite
-    sample or a rate of 0 raises a DataError naming it.
+    sample or a rate of 0 raises a DataError naming it, and so does one that
+    ends before the size its header gives.
     """
     from scipy.io import wavfile
 
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
     except Exception as exc:
         raise DataError(f"{path}: cannot read WAV file ({exc})") from exc
     if data.ndim != 1:

@@ -227,7 +227,7 @@ def _bad_line(path, lines, width: int) -> str:
     return f"{path} does not hold {width} numbers per line"
 
 
-def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
+def read_spectrogram_csv(path) -> LogMelSpectrogram:
     """Load a CSV written by write_spectrogram_csv, every value bit for bit.
 
     A row that is not one finite number per header column raises a
@@ -255,8 +255,7 @@ def read_spectrogram_csv(path, utterance_id: str) -> LogMelSpectrogram:
         number, line = [(n, text) for n, text in enumerate(lines, start=2) if text][row]
         raise DataError(f"{path}, line {number}: {line.split(',')[column]!r} "
                         "is not a finite number")
-    return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0],
-                             utterance_id=utterance_id)
+    return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0])
 
 
 def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> CorpusManifest:

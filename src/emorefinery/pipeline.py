@@ -49,9 +49,9 @@ def _readable_rows(manifest: CorpusManifest, frame, errors: dict, segment=None):
         src = manifest.root / row.path
         try:
             if row.kind == "audio":
-                s = log_mel_spectrogram(*load_wav(src), frame, row.utterance_id)
+                s = log_mel_spectrogram(*load_wav(src), frame)
             else:
-                s = read_spectrogram_csv(src, row.utterance_id)
+                s = read_spectrogram_csv(src)
             value = s if segment is None else segment_spectrogram(s, segment, frame)
         except (EmoRefineryError, OSError, ValueError) as exc:
             errors[row.utterance_id] = str(exc) if str(src) in str(exc) else f"{src}: {exc}"

@@ -69,7 +69,8 @@ class StackedDataset:
     `segments[i]` is utterance i's (n_i, n_mels, seg_frames) array, such as
     a `features.segment_spectrogram` view; concatenating them into `x` is
     the only copy of the segment values. Utterance i owns rows
-    offsets[i]:offsets[i + 1] of `x` and of every target or EP array.
+    offsets[i]:offsets[i + 1] of `x` and of every target or EP array, and
+    `row_utterance[r]` is the utterance that owns row r.
     """
 
     def __init__(self, utterance_ids, labels, speakers, class_names, segments):
@@ -97,15 +98,13 @@ class StackedDataset:
             if len(a) == 0:
                 raise DataError(f"utterance {uid!r} has no segments")
         self.offsets = np.cumsum([0] + [len(a) for a in segments])
+        self.row_utterance = np.repeat(np.arange(len(ids)), np.diff(self.offsets))
         self.x = np.concatenate(segments, out=np.empty((self.offsets[-1],) + shapes[0]))
         bad = np.flatnonzero(~np.isfinite(self.x).all(axis=(1, 2)))
         if len(bad):
-            i = self.utterance_of_row()[bad[0]]
+            i = self.row_utterance[bad[0]]
             raise DataError(f"utterance {ids[i]!r} segment {bad[0] - self.offsets[i]} "
                             "has non-finite values")
-
-    def utterance_of_row(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.utterance_ids)), np.diff(self.offsets))
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,9 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
 
     Every utterance's EP comes from a model whose training set excluded all
     of that utterance's segments. Folds are planned in order on the calling
-    thread, then trained on up to `_fold_workers` threads; each fold writes
-    only its own EP rows, so the result does not depend on the thread count.
+    thread, then trained on a pool of `_fold_workers` threads; each fold
+    writes only its own EP rows, so the result does not depend on the pool's
+    width.
     """
     class_names = data.class_names
     targets = np.asarray(targets, dtype=np.float64)
@@ -146,7 +146,7 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
     fold_of = kfold_split(data.utterance_ids, data.labels, cfg.folds,
                           derive_seed(cfg.seed, _STREAM_FOLD_PLAN, generation),
                           groups=data.speakers if cfg.group_by_speaker else None)
-    row_utterance = data.utterance_of_row()
+    row_fold = fold_of[data.row_utterance]
 
     training_rows, train_cfgs = [], []
     for fold in range(cfg.folds):
@@ -155,7 +155,7 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
         if missing:
             warnings.warn(f"generation {generation} fold {fold}: no training utterances "
                           f"of class(es) {missing}", RuntimeWarning)
-        training_rows.append(np.flatnonzero(fold_of[row_utterance] != fold))
+        training_rows.append(np.flatnonzero(row_fold != fold))
         train_cfgs.append(replace(cfg.train,
                                   seed=derive_seed(cfg.seed, _STREAM_MODEL, generation, fold)))
 
@@ -163,33 +163,29 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
 
     def train_and_predict(fold):
         rows = training_rows[fold]
-        model = train_segment_classifier(data.x[rows], targets[rows], row_utterance[rows],
+        model = train_segment_classifier(data.x[rows], targets[rows], data.row_utterance[rows],
                                          class_names, train_cfgs[fold], generation=generation)
         for i in np.flatnonzero(fold_of == fold):
             a, b = data.offsets[i], data.offsets[i + 1]
             eps[a:b] = predict_batch(model, data.x[a:b])
         return model
 
-    workers = _fold_workers(cfg, data.x.shape[1:])
-    if workers == 1:
-        models = [train_and_predict(fold) for fold in range(cfg.folds)]
-    else:
-        # Imported here, so that runs which train no fold on threads, such as
-        # a resume, do not hold the module's memory.
-        from concurrent.futures import ThreadPoolExecutor
+    # Imported here, so that runs which train no fold, such as a resume, do
+    # not hold the module's memory.
+    from concurrent.futures import ThreadPoolExecutor
 
-        # Each call pins OpenBLAS to one thread and restores the count it
-        # found; pinning around the pool makes that count 1 while any fold runs.
-        with _single_thread_blas(), ThreadPoolExecutor(workers) as pool:
-            models = list(pool.map(train_and_predict, range(cfg.folds)))
+    # Each call pins OpenBLAS to one thread and restores the count it found;
+    # pinning around the pool makes that count 1 while any fold runs.
+    with _single_thread_blas(), ThreadPoolExecutor(_fold_workers(cfg, data.x.shape[1:])) as pool:
+        models = list(pool.map(train_and_predict, range(cfg.folds)))
     # Rows in prediction order: fold by fold, and by row within a fold.
-    prediction_order = np.argsort(fold_of[row_utterance], kind="stable")
+    prediction_order = np.argsort(row_fold, kind="stable")
     return FoldOutGeneration(generation=generation, eps=eps, fold_of=fold_of,
                              training_rows=tuple(training_rows),
                              prediction_order=prediction_order, models=tuple(models))
 
 
-# Per-segment conv multiply-adds from which folds train on threads. Below
+# Per-segment conv multiply-adds from which folds train two at a time. Below
 # it a fold's numpy calls are too short to release the GIL for long, and
 # two threads mostly contend for it.
 _THREADED_FOLD_MACS = 1_000_000
@@ -211,12 +207,11 @@ def _fold_workers(cfg: RefineryConfig, input_shape) -> int:
 
 def foldout_purity_violations(foldout: FoldOutGeneration, data: StackedDataset) -> list:
     """Utterance ids whose EP model saw any of their segments in training."""
-    row_utterance = data.utterance_of_row()
-    row_fold = foldout.fold_of[row_utterance]
+    row_fold = foldout.fold_of[data.row_utterance]
     leaked = np.zeros(len(row_fold), dtype=bool)
     for fold, rows in enumerate(foldout.training_rows):
         leaked[rows[row_fold[rows] == fold]] = True
-    return [data.utterance_ids[i] for i in sorted(set(row_utterance[leaked].tolist()))]
+    return [data.utterance_ids[i] for i in sorted(set(data.row_utterance[leaked].tolist()))]
 
 
 def next_targets(eps, labels, offsets, mode: str) -> np.ndarray:

@@ -10,8 +10,6 @@ import numpy as np
 
 from .fileio import write_csv
 
-STATISTICS = ("mean", "std", "min", "max", "range")
-
 
 def ep_statistics(profile: np.ndarray) -> np.ndarray:
     """The 5K statistics of a K x N profile, one column per segment."""

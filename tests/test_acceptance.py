@@ -110,7 +110,7 @@ def test_criterion_01_dsp_oracle(announce):
     worst = 0.0
     for i in range(50):
         samples = rng.standard_normal(8000) * 0.1
-        produced = log_mel_spectrogram(samples, 16000, spec, f"clip{i}").values
+        produced = log_mel_spectrogram(samples, 16000, spec).values
         reference = oracle_log_mel(samples, 16000, spec)
         assert produced.shape == reference.shape
         worst = max(worst, float(np.max(np.abs(produced - reference))))

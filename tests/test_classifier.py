@@ -388,7 +388,8 @@ class TestPersistence:
         assert loaded.class_names == model.class_names
         assert loaded.generation == 3
         assert loaded.seed == model.seed
-        assert loaded.architecture == model.architecture
+        assert loaded.net.arch == model.net.arch
+        assert loaded.net.input_shape == model.net.input_shape == (16, 8)
         for p1, p2 in zip(model.net.params(), loaded.net.params()):
             np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(

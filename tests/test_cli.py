@@ -659,7 +659,7 @@ def test_damaged_file_exits_2_or_3_naming_it(damage_site, workspace, data):
     assert code in (2, 3) and len(errors) == 1, (code, err.getvalue())
     if "records a different corpus_sha256" in errors[0]:
         assert rel.startswith("corpus/features/") and damage == "cut"
-        read_spectrogram_csv(path, "u0000_c0")
+        read_spectrogram_csv(path)
     else:
         assert str(path) in errors[0], errors[0]
 
@@ -784,6 +784,40 @@ def test_wav_rate_the_front_end_cannot_use_exits_3_naming_the_file_once(audio_si
     path.write_bytes(raw)
     for code, err in featurize_and_run(case, workspace / "cfg.json"):
         assert code == 3 and err.count(str(path)) == 1, err
+        assert err.replace(str(path), "<file>").count("ang_s0_00") == 1, err
+
+
+@pytest.mark.parametrize("damage", ["cut inside the data", "data size past the end"])
+def test_wav_shorter_than_its_header_exits_3_naming_it(audio_site, workspace, damage):
+    """A WAV that ends before the samples its header announces is an error,
+    not a shorter utterance."""
+    case, path = audio_case(audio_site, "hap_s1_11.wav")
+    raw = bytearray(path.read_bytes())
+    if damage == "cut inside the data":
+        raw = raw[:len(raw) // 2]
+    else:
+        # The RIFF and data sizes agree with each other, but not with the file.
+        extra = 2 * 4000
+        struct.pack_into("<I", raw, 4, struct.unpack_from("<I", raw, 4)[0] + extra)
+        struct.pack_into("<I", raw, 40, struct.unpack_from("<I", raw, 40)[0] + extra)
+    path.write_bytes(raw)
+    for code, err in featurize_and_run(case, workspace / "cfg.json"):
+        assert code == 3 and err.count(str(path)) == 1 and "Reached EOF" in err, err
+
+
+def test_utterance_too_short_for_a_segment_is_named_once(damage_site, workspace, capsys):
+    """run names a failing utterance's id once and its file once:
+    `<id>: <file>: <reason>`."""
+    case = damage_site / "case"
+    shutil.rmtree(case)
+    shutil.copytree(damage_site / "pristine", case)
+    path = case / "corpus" / "features" / "u0000_c0.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+    assert main(reading_command("run", case, workspace / "cfg.json")) == 3
+    err = capsys.readouterr().err
+    assert err.count(str(path)) == 1, err
+    assert err.replace(str(path), "<file>").count("u0000_c0") == 1, err
+    assert f"u0000_c0: {path}: utterance too short for one segment (2 frames < 4)" in err
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

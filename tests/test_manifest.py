@@ -32,9 +32,9 @@ def row(uid, label="angry", observed="", kind="features"):
                        label=label, speaker="spk0", observed_label=observed)
 
 
-def spectrogram(rng, n_mels=5, n_frames=7, uid="u0"):
+def spectrogram(rng, n_mels=5, n_frames=7):
     return LogMelSpectrogram(values=rng.standard_normal((n_mels, n_frames)),
-                             frame_times=np.arange(n_frames) * 10.0, utterance_id=uid)
+                             frame_times=np.arange(n_frames) * 10.0)
 
 
 class TestManifestRow:
@@ -160,23 +160,22 @@ class TestSpectrogramStore:
     def test_exact_float_round_trip(self, tmp_path):
         s = spectrogram(np.random.default_rng(0))
         write_spectrogram_csv(tmp_path / "s.csv", s)
-        loaded = read_spectrogram_csv(tmp_path / "s.csv", "u0")
+        loaded = read_spectrogram_csv(tmp_path / "s.csv")
         np.testing.assert_array_equal(loaded.values, s.values)
         np.testing.assert_array_equal(loaded.frame_times, s.frame_times)
-        assert loaded.utterance_id == "u0"
 
     def test_rejects_foreign_csv(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="not a spectrogram"):
-            read_spectrogram_csv(tmp_path / "s.csv", "u0")
+            read_spectrogram_csv(tmp_path / "s.csv")
 
     def test_rejects_headers_only(self, tmp_path):
         (tmp_path / "s.csv").write_text("frame_time_ms,m_1\n")
         with pytest.raises(DataError, match="no frames"):
-            read_spectrogram_csv(tmp_path / "s.csv", "u0")
+            read_spectrogram_csv(tmp_path / "s.csv")
 
 
-def reference_read_spectrogram_csv(path, utterance_id):
+def reference_read_spectrogram_csv(path):
     """The first reader: the csv module, then float() on every field."""
     with Path(path).open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -185,8 +184,7 @@ def reference_read_spectrogram_csv(path, utterance_id):
     data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
     if data.size == 0:
         raise DataError(f"{path} holds no frames")
-    return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0],
-                             utterance_id=utterance_id)
+    return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0])
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -216,7 +214,7 @@ def spectrogram_files(draw):
     values = draw(st.lists(CSV_VALUES, min_size=n_mels * n_frames, max_size=n_mels * n_frames))
     times = draw(st.lists(CSV_VALUES, min_size=n_frames, max_size=n_frames))
     s = LogMelSpectrogram(values=np.array(values).reshape(n_mels, n_frames),
-                          frame_times=np.array(times), utterance_id="u0")
+                          frame_times=np.array(times))
     return s, draw(st.sampled_from([b"\r\n", b"\n", b"\r"]))
 
 
@@ -225,17 +223,17 @@ class TestReaderOracle:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(spectrogram_files())
-    @example((LogMelSpectrogram(values=np.array([EDGE_VALUES[:8]]).T, frame_times=[-0.0],
-                                utterance_id="u0"), b"\n"))
+    @example((LogMelSpectrogram(values=np.array([EDGE_VALUES[:8]]).T, frame_times=[-0.0]),
+              b"\n"))
     @example((LogMelSpectrogram(values=np.array([[1.5, 2.0], [-3.0, 0.1]]),
-                                frame_times=[0.0, 10.0], utterance_id="u0"), b"\r\n"))
+                                frame_times=[0.0, 10.0]), b"\r\n"))
     def test_bytes_match_reference(self, tmp_path_factory, case):
         s, newline = case
         path = tmp_path_factory.mktemp("oracle") / "s.csv"
         write_spectrogram_csv(path, s)
         path.write_bytes(path.read_bytes().replace(b"\r\n", newline))
-        got = read_spectrogram_csv(path, "u0")
-        want = reference_read_spectrogram_csv(path, "u0")
+        got = read_spectrogram_csv(path)
+        want = reference_read_spectrogram_csv(path)
         assert got.values.tobytes() == want.values.tobytes() == s.values.tobytes()
         assert got.frame_times.tobytes() == want.frame_times.tobytes() == s.frame_times.tobytes()
         assert got.values.shape == want.values.shape
@@ -255,7 +253,7 @@ class TestReaderOracle:
         path = tmp_path / "s.csv"
         path.write_text("frame_time_ms,m_1,m_2\n" + body)
         with pytest.raises(DataError) as err:
-            read_spectrogram_csv(path, "u0")
+            read_spectrogram_csv(path)
         assert str(err.value) == f"{path}, line {line}: {what}"
 
     def test_header_over_narrower_rows_rejected(self, tmp_path):
@@ -263,9 +261,9 @@ class TestReaderOracle:
         # as a one-mel spectrogram.
         path = tmp_path / "s.csv"
         path.write_text("frame_time_ms,m_1,m_2,m_3\n0,1\n10,2\n")
-        assert reference_read_spectrogram_csv(path, "u0").n_mels == 1
+        assert reference_read_spectrogram_csv(path).n_mels == 1
         with pytest.raises(DataError, match=r"line 2: 2 values where the header names 4"):
-            read_spectrogram_csv(path, "u0")
+            read_spectrogram_csv(path)
 
     @pytest.mark.parametrize("body", ["", "\n", "\n\n"])
     def test_headers_only_warns_nothing(self, tmp_path, body):
@@ -274,23 +272,23 @@ class TestReaderOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=f"{path} holds no frames"):
-                read_spectrogram_csv(path, "u0")
+                read_spectrogram_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("frame_time_ms,m_1\n0,1.5\n\n10,2.5\n")
         with pytest.raises(ValueError):
-            reference_read_spectrogram_csv(path, "u0")
-        s = read_spectrogram_csv(path, "u0")
+            reference_read_spectrogram_csv(path)
+        s = read_spectrogram_csv(path)
         assert s.values.tolist() == [[1.5, 2.5]] and s.frame_times.tolist() == [0.0, 10.0]
 
     @pytest.mark.parametrize("field", ['"1.5"', "1_0"])
     def test_fields_float_alone_accepts_rejected(self, tmp_path, field):
         path = tmp_path / "s.csv"
         path.write_text(f"frame_time_ms,m_1\n0,{field}\n")
-        reference_read_spectrogram_csv(path, "u0")
+        reference_read_spectrogram_csv(path)
         with pytest.raises(DataError, match=f"line 2: {field!r} is not a number"):
-            read_spectrogram_csv(path, "u0")
+            read_spectrogram_csv(path)
 
 
 class TestSyntheticCorpusStore:
@@ -308,8 +306,7 @@ class TestSyntheticCorpusStore:
         assert len(loaded.rows) == 6
         assert loaded.class_names == spec.class_names
         for u in utts:
-            s = read_spectrogram_csv(tmp_path / f"features/{u.utterance_id}.csv",
-                                     u.utterance_id)
+            s = read_spectrogram_csv(tmp_path / f"features/{u.utterance_id}.csv")
             np.testing.assert_array_equal(s.values, u.spectrogram.values)
 
     def test_observed_label_stored_only_when_flipped(self, tmp_path):

@@ -70,7 +70,7 @@ class TestUtterancesFromManifest:
         m = load_manifest(corpus)
         data, _ = utterances_from_manifest(m, FrameSpec(), SEGMENT)
         for i, row in enumerate(m.rows):
-            values = read_spectrogram_csv(corpus / row.path, row.utterance_id).values
+            values = read_spectrogram_csv(corpus / row.path).values
             for j, seg in enumerate(data.x[data.offsets[i]:data.offsets[i + 1]]):
                 assert seg.tobytes() == values[:, 4 * j:4 * j + 4].copy().tobytes()
 

@@ -508,7 +508,7 @@ class TestStackedDataset:
         assert data.x.tobytes() == np.concatenate(segments).tobytes()
         assert data.x.flags.c_contiguous
         assert not any(np.shares_memory(data.x, a) for a in segments)
-        np.testing.assert_array_equal(data.utterance_of_row(), [0, 0, 1, 2, 2, 2])
+        np.testing.assert_array_equal(data.row_utterance, [0, 0, 1, 2, 2, 2])
 
     @pytest.mark.parametrize("build, what", [
         (lambda: stacked(ids=(), labels=()), "dataset is empty"),

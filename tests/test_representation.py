@@ -4,12 +4,10 @@ import csv
 
 import numpy as np
 
-from emorefinery.representation import (
-    STATISTICS,
-    ep_statistics,
-    representations_for,
-    write_representation_csv,
-)
+from emorefinery.representation import ep_statistics, representations_for, write_representation_csv
+
+# The five statistics of each profile dimension, in their block order.
+STATISTICS = ("mean", "std", "min", "max", "range")
 
 
 def ep_of(values):
@@ -83,11 +81,6 @@ class TestEpStatistics:
         assert np.all(statistic(rep, "mean") <= statistic(rep, "max") + 1e-15)
         np.testing.assert_allclose(statistic(rep, "range"),
                                    statistic(rep, "max") - statistic(rep, "min"), atol=1e-15)
-
-
-class TestRepresentationType:
-    def test_statistic_names(self):
-        assert STATISTICS == ("mean", "std", "min", "max", "range")
 
 
 class TestRepresentationCsv:
