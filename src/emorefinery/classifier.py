@@ -30,7 +30,6 @@ class TrainConfig:
     batch_size: int = 128
     early_stop_patience: int = 3
     max_epochs: int = 20
-    seed: int = 0
     validation_fraction: float = 0.1
     architecture: object = "compact"  # name or Architecture
 
@@ -136,14 +135,14 @@ def _mean_ce(net: ConvNet, x: np.ndarray, t: np.ndarray, batch_size: int) -> flo
 
 @_single_thread_blas()
 def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainConfig,
-                             generation: int = 1) -> Model:
+                             seed: int, generation: int = 1) -> Model:
     """Train a classifier on segments x (n, n_mels, seg_frames) with soft targets (n, K).
 
     `utterance_ids[j]` names segment j's utterance, so that the validation
     split holds out whole utterances. Returns the parameter snapshot with the
     best monitored loss: validation cross-entropy when an utterance-level
     validation split is possible, otherwise the running training loss.
-    Deterministic given cfg.seed and the input order.
+    Deterministic given the seed and the input order.
     """
     x, targets, utterance_ids = np.asarray(x), np.asarray(targets), np.asarray(utterance_ids)
     class_names = tuple(class_names)
@@ -161,7 +160,7 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     t = targets.astype(arch.np_dtype)
     k = len(class_names)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     val_mask = _validation_split(utterance_ids, cfg.validation_fraction, rng)
     x_train, t_train = x[~val_mask], t[~val_mask]
     x_val, t_val = x[val_mask], t[val_mask].astype(np.float64)
@@ -223,7 +222,7 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     net.restore(best_params)
     history["best_monitor"] = float(best_loss)
     history["epochs_run"] = len(history["train_ce"])
-    return Model(class_names=class_names, generation=generation, seed=cfg.seed, net=net,
+    return Model(class_names=class_names, generation=generation, seed=seed, net=net,
                  history=history)
 
 

@@ -7,7 +7,7 @@ needs to be stated twice.
 
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .classifier import TrainConfig
@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .features import FrameSpec, SegmentSpec
 from .fileio import read_json, write_json
 from .network import Architecture, resolve_architecture
-from .refinery import RefineryConfig, derive_seed, normalize_mode
+from .refinery import derive_seed, normalize_mode
 
 SCHEMA_VERSION = 1
 
@@ -47,24 +47,18 @@ class ExperimentConfig:
         object.__setattr__(self, "mode", normalize_mode(self.mode))
         if self.eval_folds < 2:
             raise ConfigError("eval_folds must be >= 2")
-        self.refinery_config()  # surfaces mode/generations/folds conflicts early
-
-    def refinery_config(self) -> RefineryConfig:
-        return RefineryConfig(
-            generations=self.generations, mode=self.mode, folds=self.folds,
-            seed=derive_seed(self.master_seed, STREAM_REFINERY),
-            train=self.train, group_by_speaker=self.group_by_speaker)
-
-    def forest_config(self) -> ForestConfig:
-        return replace(self.forest, seed=derive_seed(self.master_seed, STREAM_FOREST))
-
-    def eval_seed(self) -> int:
-        return derive_seed(self.master_seed, STREAM_EVAL)
+        if self.generations < 1:
+            raise ConfigError("generations must be >= 1")
+        if self.folds < 2:
+            raise ConfigError("folds must be >= 2")
+        if self.mode == "none" and self.generations != 1:
+            raise ConfigError("mode 'none' performs no refinement; use generations=1")
 
     def derived_seeds(self) -> dict:
-        return {"refinery": self.refinery_config().seed,
-                "forest": self.forest_config().seed,
-                "eval": self.eval_seed()}
+        """The seed of each stream; each layer takes its seed as an argument."""
+        return {"refinery": derive_seed(self.master_seed, STREAM_REFINERY),
+                "forest": derive_seed(self.master_seed, STREAM_FOREST),
+                "eval": derive_seed(self.master_seed, STREAM_EVAL)}
 
 
 def _architecture_from_json(value):
@@ -80,13 +74,8 @@ def _architecture_from_json(value):
     raise ConfigError("architecture must be a name or an inline object")
 
 
-# Per-section (dataclass type, seed-style keys excluded from the schema).
-_SECTIONS = {
-    "frame": (FrameSpec, ()),
-    "segment": (SegmentSpec, ()),
-    "train": (TrainConfig, ("seed",)),
-    "forest": (ForestConfig, ("seed",)),
-}
+_SECTIONS = {"frame": FrameSpec, "segment": SegmentSpec, "train": TrainConfig,
+             "forest": ForestConfig}
 _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _SECTIONS)
 
 
@@ -94,9 +83,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc = {"schema_version": SCHEMA_VERSION}
     for key in _TOP_KEYS:
         doc[key] = getattr(cfg, key)
-    for section, (cls, excluded) in _SECTIONS.items():
+    for section, cls in _SECTIONS.items():
         value = getattr(cfg, section)
-        body = {f.name: getattr(value, f.name) for f in fields(cls) if f.name not in excluded}
+        body = {f.name: getattr(value, f.name) for f in fields(cls)}
         if isinstance(body.get("architecture"), Architecture):
             body["architecture"] = body["architecture"].to_json()
         doc[section] = body
@@ -132,13 +121,13 @@ def _check_types(cls, body: dict, prefix: str = "") -> None:
                               f"not {json.dumps(value)}")
 
 
-def dataclass_from_dict(cls, doc, what: str, excluded=(), prefix: str = ""):
-    """cls(**doc) of a JSON object that holds only fields of cls, less
-    `excluded`, each of its declared type; `what` names the object in errors
-    and `prefix` the field in type errors."""
+def dataclass_from_dict(cls, doc, what: str, prefix: str = ""):
+    """cls(**doc) of a JSON object that holds only fields of cls, each of its
+    declared type; `what` names the object in errors and `prefix` the field
+    in type errors."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    extra = set(doc) - ({f.name for f in fields(cls)} - set(excluded))
+    extra = set(doc) - {f.name for f in fields(cls)}
     if extra:
         raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
     _check_types(cls, doc, prefix)
@@ -146,10 +135,9 @@ def dataclass_from_dict(cls, doc, what: str, excluded=(), prefix: str = ""):
 
 
 def _section_from_dict(section: str, body):
-    cls, excluded = _SECTIONS[section]
     if isinstance(body, dict) and "architecture" in body:
         body = {**body, "architecture": _architecture_from_json(body["architecture"])}
-    return dataclass_from_dict(cls, body, f"section {section!r}", excluded, f"{section}.")
+    return dataclass_from_dict(_SECTIONS[section], body, f"section {section!r}", f"{section}.")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:

@@ -24,6 +24,10 @@ _STREAM_TEMPLATES = 21
 _STREAM_UTTERANCES = 22
 _STREAM_LABEL_NOISE = 23
 
+# numpy's normal draws stay below 13 in magnitude, so spectrogram values, a
+# template value plus two noise terms, stay finite up to this noise level.
+_MAX_NOISE_LEVEL = 1e300
+
 
 @dataclass(frozen=True)
 class SyntheticCorpusSpec:
@@ -60,8 +64,10 @@ class SyntheticCorpusSpec:
             raise ConfigError(f"mixture_mode must be one of {MIXTURE_MODES}")
         if not 0.0 <= self.off_class_mass < 0.5:
             raise ConfigError("off_class_mass must lie in [0, 0.5)")
-        if self.noise_level < 0 or self.utterance_noise_level < 0:
-            raise ConfigError("noise levels must be >= 0")
+        for name in ("noise_level", "utterance_noise_level"):
+            if not 0 <= getattr(self, name) <= _MAX_NOISE_LEVEL:
+                raise ConfigError(f"noise levels must lie in [0, {_MAX_NOISE_LEVEL:g}], "
+                                  f"and {name} is {getattr(self, name):g}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError("label_noise must lie in [0, 1)")
         if self.n_speakers < 1:

@@ -34,7 +34,6 @@ class ForestConfig:
     max_depth: int = -1  # -1 means unlimited
     min_samples_split: int = 2
     bootstrap: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -243,8 +242,9 @@ def _split_step(x, ranks, labels, k, taken) -> None:
         stack.append((node.left, child_rows[lo:mid], hists[2 * i], present[2 * i], depth + 1))
 
 
-def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
-    """Grow n_trees CART trees, each on a bootstrap resample when enabled."""
+def train_forest(X, y, cfg: ForestConfig, class_names, seed: int) -> Forest:
+    """Grow n_trees CART trees, each on a bootstrap resample when enabled;
+    tree t draws from the seed sequence [seed, t]."""
     names = tuple(class_names)
     if len(X) == 0:
         raise DataError("cannot train a forest on no samples")
@@ -263,7 +263,7 @@ def train_forest(X, y, cfg: ForestConfig, class_names) -> Forest:
     n, k = x.shape[0], len(names)
     trees, stacks, rngs = [], [], []
     for t in range(cfg.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
         hist = np.bincount(labels[rows], minlength=k)
         trees.append(TreeNode())

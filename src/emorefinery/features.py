@@ -159,7 +159,8 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
         raise DataError(f"sample rate {sample_rate} Hz rounds the {spec.hop_ms:g} ms hop "
                         f"to {hop} samples")
     if spec.fft_len < win:
-        raise ConfigError(f"fft_len={spec.fft_len} shorter than window ({win} samples)")
+        raise ConfigError(f"frame.fft_len={spec.fft_len} is shorter than the {win}-sample "
+                          f"window at {sample_rate} Hz; set frame.fft_len to at least {win}")
     n_frames = frame_count(len(samples), sample_rate, spec)
 
     starts = np.arange(n_frames) * hop

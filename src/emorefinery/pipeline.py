@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,27 +75,35 @@ def utterances_from_manifest(manifest: CorpusManifest, frame, segment):
     return data, errors
 
 
+def _featurize_failure(errors: dict) -> DataError:
+    """One error naming each failed row as `<id>: <file>: <reason>`."""
+    listing = "; ".join(f"{u}: {msg}" for u, msg in sorted(errors.items()))
+    return DataError(f"{len(errors)} utterance(s) failed to featurize: {listing}")
+
+
 def featurize_corpus(manifest: CorpusManifest, frame, out_root):
-    """Write a features-kind copy of a corpus; returns (manifest, errors)."""
+    """Write a features-kind copy of a corpus; returns (manifest, errors).
+    With no readable row it writes no manifest and raises _featurize_failure."""
     errors = {}
 
     def readable():
         yield from _readable_rows(manifest, frame, errors)
         if len(errors) == len(manifest.rows):
-            raise DataError("no utterance in the corpus could be featurized")
+            raise _featurize_failure(errors)
 
     return write_features_corpus(out_root, manifest.class_names, readable()), errors
 
 
 def cross_validated_predictions(data: StackedDataset, reps, forest_cfg, folds: int,
-                                seed: int, groups=None) -> np.ndarray:
+                                seed: int, forest_seed: int, groups=None) -> np.ndarray:
     """Out-of-fold forest predictions of every utterance, in dataset order.
 
     `reps` holds the (n_utterances, 5K) representations in dataset order.
     The fold plan depends only on the ids, labels, folds and seed, so
     refinement generations evaluated with the same seed share test folds
-    and their accuracies are directly comparable. Each fold's forest trains
-    on its rows in sorted-id order, which fixes its bootstrap draws.
+    and their accuracies are directly comparable. Fold f's forest is seeded
+    derive_seed(forest_seed, f) and trains on its rows in sorted-id order,
+    which fixes its bootstrap draws.
     """
     ids = data.utterance_ids
     fold_of = kfold_split(ids, data.labels, folds, seed, groups=groups)
@@ -104,17 +111,17 @@ def cross_validated_predictions(data: StackedDataset, reps, forest_cfg, folds: i
     predictions = np.empty(len(ids), dtype=np.int64)
     for fold in range(folds):
         train = by_id[fold_of[by_id] != fold]
-        cfg = replace(forest_cfg, seed=derive_seed(forest_cfg.seed, fold))
-        forest = train_forest(reps[train], data.labels[train], cfg, data.class_names)
+        forest = train_forest(reps[train], data.labels[train], forest_cfg, data.class_names,
+                              derive_seed(forest_seed, fold))
         test = fold_of == fold
         predictions[test] = predict_forest(forest, reps[test])
     return predictions
 
 
 def _generation_metrics(foldout, reps, data: StackedDataset, clean, cfg: ExperimentConfig,
-                        generation: int):
+                        seeds: dict, generation: int):
     predictions = cross_validated_predictions(
-        data, reps, cfg.forest_config(), cfg.eval_folds, cfg.eval_seed(),
+        data, reps, cfg.forest, cfg.eval_folds, seeds["eval"], seeds["forest"],
         groups=data.speakers if cfg.group_by_speaker else None)
     names = data.class_names
     cm = confusion_from_predictions(data.labels, predictions, names)
@@ -214,18 +221,18 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
     manifest = load_manifest(corpus_root)
     data, errors = utterances_from_manifest(manifest, cfg.frame, cfg.segment)
     if errors:
-        listing = "; ".join(f"{u}: {msg}" for u, msg in sorted(errors.items()))
-        raise DataError(f"{len(errors)} utterance(s) failed to featurize: {listing}")
+        raise _featurize_failure(errors)
 
     names = manifest.class_names
     clean = manifest.clean_labels() if manifest.has_label_noise() else None
     run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
     path = run_dir / RUN_MANIFEST_NAME
+    seeds = cfg.derived_seeds()
     doc = {
         "format": RUN_FORMAT,
         "version": RUN_VERSION,
         "config": config_to_dict(cfg),
-        "derived_seeds": cfg.derived_seeds(),
+        "derived_seeds": seeds,
         "class_names": list(names),
         "n_utterances": len(manifest.rows),
         "label_noise_present": clean is not None,
@@ -242,11 +249,6 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
     ids, offsets = data.utterance_ids, data.offsets
     gen_reports = []
 
-    def keep(t, report):
-        logger.info("generation %d: WA %.4f UA %.4f entropy %.4f",
-                    t, report["wa"], report["ua"], report["mean_ep_entropy"])
-        gen_reports.append(report)
-
     def load_generation(t):
         gen_dir = generation_dir(run_dir, t)
         if not (resume and gen_dir.exists()):
@@ -255,23 +257,26 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
             return None
         logger.info("generation %d/%d already present, reusing", t, cfg.generations)
         eps, report = _read_generation_dir(gen_dir, t, ids, offsets, names)
-        keep(t, report)
+        gen_reports.append(report)
         return eps
 
-    def on_generation(t, foldout, targets):
-        reps = representations_for(foldout.eps, offsets)
-        report, predictions, cm = _generation_metrics(foldout, reps, data, clean, cfg, t)
-        gen_dir = generation_dir(run_dir, t)
-        tmp = gen_dir.parent / f".gen{t:02d}.tmp"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        _write_generation_dir(tmp, foldout, data, reps, report, predictions, cm)
-        os.replace(tmp, gen_dir)
-        keep(t, report)
-
-    run_refinery(data, cfg.refinery_config(), on_generation=on_generation,
-                 load_generation=load_generation)
+    for t, (_, _, foldout) in enumerate(
+            run_refinery(data, cfg, seeds["refinery"], load_generation), 1):
+        if foldout is not None:
+            reps = representations_for(foldout.eps, offsets)
+            report, predictions, cm = _generation_metrics(foldout, reps, data, clean, cfg,
+                                                          seeds, t)
+            gen_dir = generation_dir(run_dir, t)
+            tmp = gen_dir.parent / f".gen{t:02d}.tmp"
+            if tmp.exists():
+                shutil.rmtree(tmp)
+            tmp.mkdir(parents=True)
+            _write_generation_dir(tmp, foldout, data, reps, report, predictions, cm)
+            os.replace(tmp, gen_dir)
+            gen_reports.append(report)
+        report = gen_reports[-1]
+        logger.info("generation %d: WA %.4f UA %.4f entropy %.4f",
+                    t, report["wa"], report["ua"], report["mean_ep_entropy"])
     metrics = {
         "format": "emorefinery-metrics",
         "version": RUN_VERSION,

@@ -13,11 +13,11 @@ utterance's one-hot label (pEPR), snap it to a one-hot at its argmax
 
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import TrainConfig, _single_thread_blas, predict_batch, train_segment_classifier
+from .classifier import _single_thread_blas, predict_batch, train_segment_classifier
 from .errors import ConfigError, DataError
 from .evaluation import kfold_split
 from .fileio import read_csv, write_csv
@@ -39,27 +39,6 @@ def normalize_mode(mode: str) -> str:
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer coordinates (master, stream, ...)."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class RefineryConfig:
-    generations: int = 1
-    mode: str = "pEPR"
-    folds: int = 10
-    seed: int = 0
-    train: TrainConfig = field(default_factory=TrainConfig)
-    group_by_speaker: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", normalize_mode(self.mode))
-        if self.generations < 1:
-            raise ConfigError("generations must be >= 1")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.mode == "none" and self.generations != 1:
-            raise ConfigError("mode 'none' performs no refinement; use generations=1")
 
 
 class StackedDataset:
@@ -128,15 +107,17 @@ class FoldOutGeneration:
         return mean_ep_entropy(self.eps[self.prediction_order])
 
 
-def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
+def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
                          generation: int = 1) -> FoldOutGeneration:
     """Train one model per fold and predict EPs for that fold's held-out utterances.
 
     Every utterance's EP comes from a model whose training set excluded all
-    of that utterance's segments. Folds are planned in order on the calling
+    of that utterance's segments. `cfg` is the run's `ExperimentConfig`, of
+    which folds, train and group_by_speaker are read, and `seed` its
+    refinery stream's seed. Folds are planned in order on the calling
     thread, then trained on a pool of `_fold_workers` threads; each fold
-    writes only its own EP rows, so the result does not depend on the pool's
-    width.
+    writes only its own EP rows, so the result does not depend on the
+    pool's width.
     """
     class_names = data.class_names
     targets = np.asarray(targets, dtype=np.float64)
@@ -144,11 +125,11 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
         raise DataError(f"targets have shape {targets.shape}, expected "
                         f"({data.offsets[-1]}, {len(class_names)}): one row per segment")
     fold_of = kfold_split(data.utterance_ids, data.labels, cfg.folds,
-                          derive_seed(cfg.seed, _STREAM_FOLD_PLAN, generation),
+                          derive_seed(seed, _STREAM_FOLD_PLAN, generation),
                           groups=data.speakers if cfg.group_by_speaker else None)
     row_fold = fold_of[data.row_utterance]
 
-    training_rows, train_cfgs = [], []
+    training_rows, model_seeds = [], []
     for fold in range(cfg.folds):
         present = set(data.labels[fold_of != fold].tolist())
         missing = [class_names[c] for c in range(len(class_names)) if c not in present]
@@ -156,15 +137,15 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg: RefineryConfig,
             warnings.warn(f"generation {generation} fold {fold}: no training utterances "
                           f"of class(es) {missing}", RuntimeWarning)
         training_rows.append(np.flatnonzero(row_fold != fold))
-        train_cfgs.append(replace(cfg.train,
-                                  seed=derive_seed(cfg.seed, _STREAM_MODEL, generation, fold)))
+        model_seeds.append(derive_seed(seed, _STREAM_MODEL, generation, fold))
 
     eps = np.empty(targets.shape)
 
     def train_and_predict(fold):
         rows = training_rows[fold]
         model = train_segment_classifier(data.x[rows], targets[rows], data.row_utterance[rows],
-                                         class_names, train_cfgs[fold], generation=generation)
+                                         class_names, cfg.train, model_seeds[fold],
+                                         generation=generation)
         for i in np.flatnonzero(fold_of == fold):
             a, b = data.offsets[i], data.offsets[i + 1]
             eps[a:b] = predict_batch(model, data.x[a:b])
@@ -196,7 +177,7 @@ _THREADED_FOLD_MACS = 1_000_000
 _MAX_FOLD_THREADS = 2
 
 
-def _fold_workers(cfg: RefineryConfig, input_shape) -> int:
+def _fold_workers(cfg, input_shape) -> int:
     """How many folds train at once: one per usable CPU, up to
     _MAX_FOLD_THREADS, for a large enough net, else one."""
     if cfg.train.resolved_architecture().conv_macs(input_shape) < _THREADED_FOLD_MACS:
@@ -237,50 +218,32 @@ def next_targets(eps, labels, offsets, mode: str) -> np.ndarray:
     return np.repeat(means, counts, axis=0)
 
 
-@dataclass(frozen=True)
-class RefineryResult:
-    """Per-generation EPs and training targets; a generation that
-    `load_generation` supplied has no foldout (None)."""
+def run_refinery(data: StackedDataset, cfg, seed: int, load_generation=None):
+    """Run cfg.generations generations, yielding (targets, eps, foldout) of each in turn.
 
-    eps_by_generation: tuple
-    targets_by_generation: tuple
-    foldouts: tuple
-
-
-def run_refinery(data: StackedDataset, cfg: RefineryConfig, on_generation=None,
-                 load_generation=None) -> RefineryResult:
-    """Run T generations; generation 1 trains on the utterance labels as one-hot targets.
-
+    Generation 1 trains on the utterance labels as one-hot targets, and
+    generation t + 1 on next_targets of generation t's EPs in cfg.mode.
     `load_generation(t)` may return generation t's stored (n_segments, K)
-    EPs, which are then used instead of training it; None trains it.
-    `on_generation(t, foldout, targets)` is invoked after each trained
-    generation has passed its fold-out purity audit, letting callers
-    persist EPs and models as they appear.
+    EPs, which are then used instead of training it, with foldout None;
+    None trains it. A trained generation is yielded only after it has passed
+    its fold-out purity audit, so callers may persist it as it appears.
     """
     targets = np.eye(len(data.class_names))[np.repeat(data.labels, np.diff(data.offsets))]
-    eps_by_generation, targets_by_generation, foldouts = [], [], []
     for t in range(1, cfg.generations + 1):
         foldout = None
         eps = load_generation(t) if load_generation is not None else None
         if eps is None:
-            foldout = generate_eps_foldout(data, targets, cfg, generation=t)
+            foldout = generate_eps_foldout(data, targets, cfg, seed, generation=t)
             violations = foldout_purity_violations(foldout, data)
             if violations:
                 raise DataError(f"fold-out purity violated for {violations}")
-            if on_generation is not None:
-                on_generation(t, foldout, targets)
             eps = foldout.eps
         elif eps.shape != targets.shape:
             raise DataError(f"stored generation {t} EPs have shape {eps.shape}, "
                             f"expected {targets.shape}")
-        eps_by_generation.append(eps)
-        targets_by_generation.append(targets)
-        foldouts.append(foldout)
+        yield targets, eps, foldout
         if t < cfg.generations:
             targets = next_targets(eps, data.labels, data.offsets, cfg.mode)
-    return RefineryResult(eps_by_generation=tuple(eps_by_generation),
-                          targets_by_generation=tuple(targets_by_generation),
-                          foldouts=tuple(foldouts))
 
 
 def mean_ep_entropy(eps) -> float:

@@ -5,7 +5,6 @@ real terminal (bypassing capture), and then asserts. The refinement and
 label-noise checks train real fold models and take a few minutes.
 """
 
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -24,8 +23,7 @@ from emorefinery.network import (Architecture, ConvNet, batch_cross_entropy, cro
                                  entropy, kl_divergence, softmax)
 from emorefinery.pipeline import (cross_validated_predictions, generation_dir,
                                   run_experiment)
-from emorefinery.refinery import (RefineryConfig, foldout_purity_violations, next_targets,
-                                  run_refinery)
+from emorefinery.refinery import foldout_purity_violations, next_targets, run_refinery
 from emorefinery.representation import representations_for
 
 # ---------------------------------------------------------------------------
@@ -215,18 +213,17 @@ def collapse_runs():
     train = TrainConfig(**COLLAPSE_TRAIN)
     out = {"data": to_stacked_dataset(generate_synthetic_corpus(spec), spec)}
     for mode in ("sEPR", "pEPR"):
-        cfg = RefineryConfig(generations=3, mode=mode, folds=COLLAPSE_FOLDS,
-                             seed=COLLAPSE_SEED, train=train)
+        cfg = ExperimentConfig(generations=3, mode=mode, folds=COLLAPSE_FOLDS, train=train)
         started = time.time()
         if mode == "sEPR":
-            result = run_refinery(out["data"], cfg)
+            result = list(run_refinery(out["data"], cfg, COLLAPSE_SEED))
         else:
-            first = out["sEPR"].foldouts[0]
-            result = run_refinery(out["data"], cfg,
-                                  load_generation=lambda t: first.eps if t == 1 else None)
-            result = dataclasses.replace(result, foldouts=(first,) + result.foldouts[1:])
-        out[mode] = result
-        out[f"{mode}_entropies"] = [f.mean_entropy() for f in result.foldouts]
+            first = out["sEPR"][0]
+            result = list(run_refinery(out["data"], cfg, COLLAPSE_SEED,
+                                       load_generation=lambda t: first[1] if t == 1 else None))
+            result[0] = first
+        out[mode] = result  # (targets, eps, foldout) of each generation
+        out[f"{mode}_entropies"] = [foldout.mean_entropy() for _, _, foldout in result]
         out[f"{mode}_elapsed"] = time.time() - started
     return out
 
@@ -250,7 +247,7 @@ def test_criterion_05_pepr_anti_collapse(collapse_runs, announce):
     data = collapse_runs["data"]
     row_labels = np.repeat(data.labels, np.diff(data.offsets))
     min_mass = 1.0
-    for targets in collapse_runs["pEPR"].targets_by_generation:
+    for targets, _, _ in collapse_runs["pEPR"]:
         min_mass = min(min_mass, float(targets[np.arange(len(targets)), row_labels].min()))
     pepr3 = collapse_runs["pEPR_entropies"][2]
     sepr3 = collapse_runs["sEPR_entropies"][2]
@@ -275,19 +272,18 @@ def noise_runs():
         def clean_wa(eps):
             preds = cross_validated_predictions(
                 data, representations_for(eps, data.offsets),
-                ForestConfig(n_trees=100, seed=master_seed), NOISE_FOLDS, master_seed)
+                ForestConfig(n_trees=100), NOISE_FOLDS, master_seed, master_seed)
             return weighted_accuracy(confusion_from_predictions(clean, preds, data.class_names))
 
         # The mode-none baseline is generation 1, which is the same in every mode.
-        pepr = run_refinery(data,
-                            RefineryConfig(generations=2, mode="pEPR",
-                                           folds=NOISE_FOLDS, seed=master_seed,
-                                           train=train))
+        (_, baseline, _), (_, pepr, _) = run_refinery(
+            data, ExperimentConfig(generations=2, mode="pEPR", folds=NOISE_FOLDS, train=train),
+            master_seed)
         results.append({
             "config": (corpus_seed, master_seed),
             "flips": int(np.count_nonzero(clean != data.labels)),
-            "baseline_wa": clean_wa(pepr.eps_by_generation[0]),
-            "pepr_wa": clean_wa(pepr.eps_by_generation[1]),
+            "baseline_wa": clean_wa(baseline),
+            "pepr_wa": clean_wa(pepr),
         })
     return results
 
@@ -383,21 +379,20 @@ def test_criterion_08_forest_oracle(announce):
         y = rng.integers(0, 3, size=n)
         while len(set(y.tolist())) < 2:
             y = rng.integers(0, 3, size=n)
-        cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=3, max_depth=2, seed=0)
-        forest = train_forest(x, y, cfg, ("a", "b", "c"))
+        cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=3, max_depth=2)
+        forest = train_forest(x, y, cfg, ("a", "b", "c"), 0)
         oracle_matches += same_tree(forest.trees[0], oracle_grow(x, y, 3, 0, 2))
 
     x = rng.standard_normal((30, 3))
     y = rng.integers(0, 3, size=30)
-    tree_cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=3, seed=1)
-    tree = train_forest(x, y, tree_cfg, ("a", "b", "c"))
+    tree_cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=3)
+    tree = train_forest(x, y, tree_cfg, ("a", "b", "c"), 1)
     train_acc = float(np.mean(predict_forest(tree, x) == y))
 
     centers = np.array([[-3.0, -3.0], [3.0, 3.0]])
     labels = rng.integers(0, 2, size=200)
     points = centers[labels] + rng.standard_normal((200, 2)) * 0.5
-    forest = train_forest(points[:100], labels[:100],
-                          ForestConfig(n_trees=50, seed=2), ("neg", "pos"))
+    forest = train_forest(points[:100], labels[:100], ForestConfig(n_trees=50), ("neg", "pos"), 2)
     test_acc = float(np.mean(predict_forest(forest, points[100:]) == labels[100:]))
 
     ok = oracle_matches == trials and train_acc == 1.0 and test_acc >= 0.95
@@ -449,7 +444,7 @@ def test_criterion_10_foldout_purity(collapse_runs, pipeline_twins, announce):
     audited = 0
     violations = []
     for mode in ("sEPR", "pEPR"):
-        for foldout in collapse_runs[mode].foldouts:
+        for _, _, foldout in collapse_runs[mode]:
             violations += foldout_purity_violations(foldout, collapse_runs["data"])
             audited += 1
     for t in (1, 2):

@@ -91,6 +91,11 @@ class TestGenData:
         ('{"noise_level": NaN}', "noise_level must be a finite number"),
         ('{"seg_frames": 1%s}' % ("0" * 400), "seg_frames must be an integer from -2**63"),
         ('{"seg_frames": -1%s}' % ("0" * 400), "seg_frames must be an integer from -2**63"),
+        # Levels whose noise would overflow; pyproject.toml makes numpy's
+        # overflow warning an error, so none may be printed either.
+        ('{"noise_level": 1e308}', "must lie in [0, 1e+300], and noise_level is 1e+308"),
+        ('{"utterance_noise_level": 1e308}',
+         "must lie in [0, 1e+300], and utterance_noise_level is 1e+308"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text, what):
         bad = tmp_path / "bad.json"
@@ -115,6 +120,19 @@ class TestFeaturize:
         assert code == 3
         assert "failed" in capsys.readouterr().err
         assert len(list((tmp_path / "second" / "features").glob("*.csv"))) == 11
+
+    def test_no_row_featurized_names_each_row(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        wavfile.write(corpus / "a.wav", 44100, np.zeros(4410, dtype=np.int16))
+        manifest_from_wav_tree(corpus, lambda rel: ("ang", "s0"), class_names=("ang", "hap"))
+        out = tmp_path / "out"
+        assert main(["featurize", "--corpus", str(corpus), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: 1 utterance(s) failed to featurize: a: {corpus / 'a.wav'}: frame.fft_len=512"
+            " is shorter than the 1102-sample window at 44100 Hz; set frame.fft_len to at"
+            " least 1102"]
+        assert not (out / "manifest.json").exists()
 
     def test_id_with_a_path_separator_exits_3_naming_the_manifest(self, workspace, tmp_path,
                                                                   capsys):
@@ -527,19 +545,17 @@ class TestEvalAndExport:
                      "--utterance", "ghost", "--out", str(tmp_path / "x.csv")]) == 3
 
 
-def typed_fields(cls, excluded=()):
+def typed_fields(cls):
     """(name, type) of the fields of a dataclass that hold one JSON scalar."""
-    return [(f.name, f.type) for f in fields(cls)
-            if f.type in (bool, int, float, str) and f.name not in excluded]
+    return [(f.name, f.type) for f in fields(cls) if f.type in (bool, int, float, str)]
 
 
 SECTIONS = {"frame": FrameSpec, "segment": SegmentSpec, "train": TrainConfig,
             "forest": ForestConfig}
-# (file kind, config section or None, field name, declared type); a section
-# has no seed of its own.
+# (file kind, config section or None, field name, declared type).
 TYPED_FIELDS = ([("config", None, *f) for f in typed_fields(ExperimentConfig)]
                 + [("config", section, *f) for section, cls in SECTIONS.items()
-                   for f in typed_fields(cls, ("seed",))]
+                   for f in typed_fields(cls)]
                 + [("spec", None, *f) for f in typed_fields(SyntheticCorpusSpec)])
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.just(10 ** 400), st.floats(),
@@ -775,7 +791,7 @@ def test_pristine_audio_corpus_runs(audio_site, workspace):
     assert [code for code, _ in featurize_and_run(case, workspace / "cfg.json")] == [0, 0]
 
 
-@pytest.mark.parametrize("rate", [0, 1, 50, 1_048_576])
+@pytest.mark.parametrize("rate", [0, 1, 50, 44_100, 1_048_576])
 def test_wav_rate_the_front_end_cannot_use_exits_3_naming_the_file_once(audio_site, workspace,
                                                                         rate):
     case, path = audio_case(audio_site, "ang_s0_00.wav")
@@ -785,6 +801,9 @@ def test_wav_rate_the_front_end_cannot_use_exits_3_naming_the_file_once(audio_si
     for code, err in featurize_and_run(case, workspace / "cfg.json"):
         assert code == 3 and err.count(str(path)) == 1, err
         assert err.replace(str(path), "<file>").count("ang_s0_00") == 1, err
+        if rate == 44_100:  # SAVEE's rate: the message says how to fix it
+            assert ("frame.fft_len=512 is shorter than the 1102-sample window at 44100 Hz; "
+                    "set frame.fft_len to at least 1102") in err, err
 
 
 @pytest.mark.parametrize("damage", ["cut inside the data", "data size past the end"])

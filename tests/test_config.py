@@ -64,9 +64,9 @@ class TestValidation:
             config_from_dict({"train": {"sgd_momentum": 0.9}})
 
     def test_seed_keys_are_rejected_inside_sections(self):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match=r"^unknown section 'train' keys: \['seed'\]$"):
             config_from_dict({"train": {"seed": 1}})
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match=r"^unknown section 'forest' keys: \['seed'\]$"):
             config_from_dict({"forest": {"seed": 1}})
 
     def test_unknown_schema_version(self):
@@ -76,6 +76,16 @@ class TestValidation:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             ExperimentConfig(mode="forever")
+
+    def test_mode_normalized(self):
+        assert ExperimentConfig(mode="pepr").mode == "pEPR"
+        assert ExperimentConfig(mode="SEPR").mode == "sEPR"
+
+    def test_generation_and_fold_bounds(self):
+        with pytest.raises(ConfigError, match="generations must be >= 1"):
+            ExperimentConfig(generations=0)
+        with pytest.raises(ConfigError, match="folds must be >= 2"):
+            ExperimentConfig(folds=1)
 
     def test_mode_none_needs_single_generation(self):
         ExperimentConfig(mode="none", generations=1)
@@ -137,10 +147,10 @@ class TestValidation:
 
 class TestSeedDerivation:
     def test_streams_match_documented_derivation(self):
-        cfg = ExperimentConfig(master_seed=123)
-        assert cfg.refinery_config().seed == derive_seed(123, STREAM_REFINERY)
-        assert cfg.forest_config().seed == derive_seed(123, STREAM_FOREST)
-        assert cfg.eval_seed() == derive_seed(123, STREAM_EVAL)
+        assert ExperimentConfig(master_seed=123).derived_seeds() == {
+            "refinery": derive_seed(123, STREAM_REFINERY),
+            "forest": derive_seed(123, STREAM_FOREST),
+            "eval": derive_seed(123, STREAM_EVAL)}
 
     def test_streams_are_distinct(self):
         seeds = ExperimentConfig(master_seed=0).derived_seeds()
@@ -156,12 +166,3 @@ class TestSeedDerivation:
         assert "seed" not in doc["train"]
         assert "seed" not in doc["forest"]
         assert json.dumps(doc)  # remains JSON-serializable
-
-    def test_refinery_config_carries_run_settings(self):
-        cfg = ExperimentConfig(generations=2, mode="sEPR", folds=4,
-                               group_by_speaker=True,
-                               train=TrainConfig(max_epochs=3))
-        rcfg = cfg.refinery_config()
-        assert (rcfg.generations, rcfg.mode, rcfg.folds) == (2, "sEPR", 4)
-        assert rcfg.group_by_speaker
-        assert rcfg.train.max_epochs == 3

@@ -67,8 +67,7 @@ class TestPureMode:
         corpus = generate_synthetic_corpus(spec)
         x = np.stack([u.segment_truth.mean(axis=0) for u in corpus])
         y = np.array([u.label for u in corpus])
-        forest = train_forest(x, y, ForestConfig(n_trees=5, max_depth=3, seed=0),
-                              spec.class_names)
+        forest = train_forest(x, y, ForestConfig(n_trees=5, max_depth=3), spec.class_names, 0)
         assert (predict_forest(forest, x) == y).all()
 
 

@@ -82,7 +82,7 @@ def assert_same_tree(node: TreeNode, oracle):
 
 
 def single_tree_config(**kw):
-    args = dict(n_trees=1, bootstrap=False, max_features=0, seed=0)
+    args = dict(n_trees=1, bootstrap=False, max_features=0)
     args.update(kw)
     return ForestConfig(**args)
 
@@ -152,10 +152,10 @@ def reference_grow(x, y, k, cfg, rng, depth):
                     right=reference_grow(x[~mask], y[~mask], k, cfg, rng, depth + 1))
 
 
-def reference_trees(x, y, k, cfg):
+def reference_trees(x, y, k, cfg, seed):
     trees = []
     for t in range(cfg.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         if cfg.bootstrap:
             idx = rng.integers(0, x.shape[0], size=x.shape[0])
             trees.append(reference_grow(x[idx], y[idx], k, cfg, rng, 0))
@@ -190,9 +190,9 @@ def forest_cases(draw):
                        max_features=draw(st.integers(0, d)),
                        max_depth=draw(st.integers(-1, 5)),
                        min_samples_split=draw(st.integers(2, 5)),
-                       bootstrap=draw(st.booleans()),
-                       seed=draw(st.integers(0, 2 ** 32 - 1)))
-    return np.array(columns, dtype=np.float64).T, np.array(y, dtype=np.int64), k, cfg
+                       bootstrap=draw(st.booleans()))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.array(columns, dtype=np.float64).T, np.array(y, dtype=np.int64), k, cfg, seed
 
 
 class TestReferenceEquivalence:
@@ -201,19 +201,19 @@ class TestReferenceEquivalence:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(forest_cases())
     def test_trees_match_reference_node_for_node(self, case):
-        x, y, k, cfg = case
+        x, y, k, cfg, seed = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # single-class draws
-            forest = train_forest(x, y, cfg, tuple("abcdef")[:k])
+            forest = train_forest(x, y, cfg, tuple("abcdef")[:k], seed)
         assert ([tree_signature(t) for t in forest.trees]
-                == [tree_signature(t) for t in reference_trees(x, y, k, cfg)])
+                == [tree_signature(t) for t in reference_trees(x, y, k, cfg, seed)])
 
     # A small row budget splits the steps, down to one node per step; a step
     # passes the budget only when it holds a single node.
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(forest_cases(), st.integers(1, 100))
     def test_split_steps_match_reference_node_for_node(self, case, step_rows):
-        x, y, k, cfg = case
+        x, y, k, cfg, seed = case
         steps = []
         search = decision._best_splits
 
@@ -225,10 +225,10 @@ class TestReferenceEquivalence:
             mp.setattr(decision, "_STEP_ROWS", step_rows)
             mp.setattr(decision, "_best_splits", recording_search)
             warnings.simplefilter("ignore", RuntimeWarning)  # single-class draws
-            forest = train_forest(x, y, cfg, tuple("abcdef")[:k])
+            forest = train_forest(x, y, cfg, tuple("abcdef")[:k], seed)
         assert all(nodes == 1 or laid <= step_rows for nodes, laid in steps)
         assert ([tree_signature(t) for t in forest.trees]
-                == [tree_signature(t) for t in reference_trees(x, y, k, cfg)])
+                == [tree_signature(t) for t in reference_trees(x, y, k, cfg, seed)])
 
 
 class TestOracleEquivalence:
@@ -236,7 +236,7 @@ class TestOracleEquivalence:
         x = np.array([[0.0, 0.0], [0.1, 0.2], [1.0, 1.1], [1.2, 0.9]])
         y = [0, 0, 1, 1]
         cfg = single_tree_config(max_features=2)
-        forest = train_forest(x, y, cfg, ("a", "b"))
+        forest = train_forest(x, y, cfg, ("a", "b"), 0)
         assert predict_forest(forest, x).tolist() == y
         assert_same_tree(forest.trees[0], oracle_grow(x, np.array(y), 2, 0, -1))
 
@@ -251,7 +251,7 @@ class TestOracleEquivalence:
             if len(set(y.tolist())) < 2:
                 continue
             cfg = single_tree_config(max_features=d, max_depth=2)
-            forest = train_forest(x, y, cfg, tuple("abc")[:k])
+            forest = train_forest(x, y, cfg, tuple("abc")[:k], 0)
             assert_same_tree(forest.trees[0], oracle_grow(x, y, k, 0, 2))
 
     def test_tied_splits_match_oracle(self):
@@ -266,7 +266,7 @@ class TestOracleEquivalence:
             if len(set(y.tolist())) < 2:
                 continue
             cfg = single_tree_config(max_features=3, max_depth=2)
-            forest = train_forest(x, y, cfg, NAMES3)
+            forest = train_forest(x, y, cfg, NAMES3, 0)
             assert_same_tree(forest.trees[0], oracle_grow(x, y, 3, 0, 2))
 
 
@@ -275,7 +275,7 @@ class TestTraining:
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, (40, 5))
         y = rng.integers(0, 3, 40)
-        forest = train_forest(x, y, single_tree_config(max_features=5), NAMES3)
+        forest = train_forest(x, y, single_tree_config(max_features=5), NAMES3, 0)
         assert (predict_forest(forest, x) == y).all()
 
     def test_chain_deeper_than_the_recursion_limit(self):
@@ -283,7 +283,7 @@ class TestTraining:
         # an end, so the tree is a chain 1,499 splits deep.
         x = np.arange(1500, dtype=np.float64)[:, None]
         y = np.arange(1500) % 2
-        forest = train_forest(x, y, single_tree_config(max_features=1), ("a", "b"))
+        forest = train_forest(x, y, single_tree_config(max_features=1), ("a", "b"), 0)
         deepest, stack = 0, [(forest.trees[0], 0)]
         while stack:
             node, depth = stack.pop()
@@ -297,7 +297,7 @@ class TestTraining:
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, (60, 4))
         y = rng.integers(0, 3, 60)
-        forest = train_forest(x, y, single_tree_config(max_features=4), NAMES3)
+        forest = train_forest(x, y, single_tree_config(max_features=4), NAMES3, 0)
 
         def walk(node, x_node, y_node):
             if node.is_leaf:
@@ -318,9 +318,9 @@ class TestTraining:
         x = rng.uniform(0, 1, (30, 6))
         y = rng.integers(0, 3, 30)
         probe = rng.uniform(0, 1, (10, 6))
-        cfg = ForestConfig(n_trees=15, seed=5)
-        f1 = train_forest(x, y, cfg, NAMES3)
-        f2 = train_forest(x, y, cfg, NAMES3)
+        cfg = ForestConfig(n_trees=15)
+        f1 = train_forest(x, y, cfg, NAMES3, 5)
+        f2 = train_forest(x, y, cfg, NAMES3, 5)
         np.testing.assert_array_equal(predict_forest(f1, probe),
                                       predict_forest(f2, probe))
 
@@ -328,21 +328,21 @@ class TestTraining:
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 1, (40, 6))
         y = rng.integers(0, 3, 40)
-        f1 = train_forest(x, y, ForestConfig(n_trees=10, seed=1), NAMES3)
-        f2 = train_forest(x, y, ForestConfig(n_trees=10, seed=2), NAMES3)
+        f1 = train_forest(x, y, ForestConfig(n_trees=10), NAMES3, 1)
+        f2 = train_forest(x, y, ForestConfig(n_trees=10), NAMES3, 2)
         assert [tree_signature(t) for t in f1.trees] != [tree_signature(t) for t in f2.trees]
 
     def test_single_class_degenerates_with_warning(self):
         x = np.random.default_rng(11).uniform(0, 1, (8, 3))
         with pytest.warns(RuntimeWarning, match="single-class"):
-            forest = train_forest(x, [1] * 8, ForestConfig(n_trees=5, seed=0), NAMES3)
+            forest = train_forest(x, [1] * 8, ForestConfig(n_trees=5), NAMES3, 0)
         assert predict_forest(forest, x[:1]).tolist() == [1]
 
     def test_depth_zero_predicts_majority(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(0, 1, (12, 3))
         y = [0] * 3 + [1] * 7 + [2] * 2
-        forest = train_forest(x, y, single_tree_config(max_depth=0, max_features=3), NAMES3)
+        forest = train_forest(x, y, single_tree_config(max_depth=0, max_features=3), NAMES3, 0)
         assert forest.trees[0].is_leaf
         assert predict_forest(forest, x[:1]).tolist() == [1]
 
@@ -356,7 +356,7 @@ class TestTraining:
     def test_midpoint_outside_the_gap_falls_back_to_lower_value(self, values, threshold):
         x = np.array(values)[:, None]
         y = [0] * (len(values) // 2) + [1] * (len(values) - len(values) // 2)
-        forest = train_forest(x, y, single_tree_config(), ("a", "b"))
+        forest = train_forest(x, y, single_tree_config(), ("a", "b"), 0)
         root = forest.trees[0]
         assert root.threshold == threshold
         assert root.left.is_leaf and root.right.is_leaf
@@ -366,15 +366,15 @@ class TestTraining:
     def test_non_finite_features_rejected(self, bad):
         x = np.array([[0.0], [bad], [1.0], [2.0]])
         with pytest.raises(DataError, match="sample 1 holds the non-finite value"):
-            train_forest(x, [0, 0, 1, 1], single_tree_config(), ("a", "b"))
+            train_forest(x, [0, 0, 1, 1], single_tree_config(), ("a", "b"), 0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="no samples"):
-            train_forest([], [], ForestConfig(), NAMES3)
+            train_forest([], [], ForestConfig(), NAMES3, 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="length"):
-            train_forest(np.zeros((3, 2)), [0, 1], ForestConfig(), NAMES3)
+            train_forest(np.zeros((3, 2)), [0, 1], ForestConfig(), NAMES3, 0)
 
     def test_default_max_features_is_sqrt(self):
         assert ForestConfig().resolved_max_features(30) == 5
@@ -389,7 +389,7 @@ class TestTraining:
         x = np.concatenate([centers[c] + 0.3 * rng.standard_normal((20, 2))
                             for c in range(3)])
         y = np.repeat(np.arange(3), 20)
-        forest = train_forest(x, y, ForestConfig(n_trees=25, seed=3), NAMES3)
+        forest = train_forest(x, y, ForestConfig(n_trees=25), NAMES3, 3)
         acc = (predict_forest(forest, x) == y).mean()
         assert acc >= 0.95
 
@@ -413,7 +413,7 @@ class TestVoting:
         rng = np.random.default_rng(16)
         x = rng.integers(0, 3, (40, 5)).astype(np.float64)
         y = rng.integers(0, 3, 40)
-        forest = train_forest(x, y, ForestConfig(n_trees=9, seed=6), NAMES3)
+        forest = train_forest(x, y, ForestConfig(n_trees=9), NAMES3, 6)
         probe = np.concatenate([x, rng.integers(-1, 4, (30, 5)).astype(np.float64)])
         batch = predict_forest(forest, probe)
         assert batch.dtype == np.int64
@@ -432,8 +432,8 @@ class TestVoting:
         rng = np.random.default_rng(14)
         x = rng.uniform(0, 1, (20, 4))
         y = rng.integers(0, 3, 20)
-        single = train_forest(x, y, single_tree_config(max_features=4), NAMES3)
-        many = train_forest(x, y, single_tree_config(n_trees=7, max_features=4), NAMES3)
+        single = train_forest(x, y, single_tree_config(max_features=4), NAMES3, 0)
+        many = train_forest(x, y, single_tree_config(n_trees=7, max_features=4), NAMES3, 0)
         probe = rng.uniform(0, 1, (15, 4))
         np.testing.assert_array_equal(predict_forest(single, probe),
                                       predict_forest(many, probe))

@@ -251,11 +251,11 @@ def test_two_epochs_of_compact_training_match_oracle(monkeypatch):
     probs = rng.uniform(0.01, 1.0, (40, 4))
     targets = probs / probs.sum(axis=1, keepdims=True)
     names = ("a", "b", "c", "d")
-    cfg = TrainConfig(max_epochs=2, batch_size=16, seed=5, validation_fraction=0.2,
+    cfg = TrainConfig(max_epochs=2, batch_size=16, validation_fraction=0.2,
                       architecture="compact")
-    new = train_segment_classifier(segs, targets, ids, names, cfg)
+    new = train_segment_classifier(segs, targets, ids, names, cfg, 5)
     with oracle_layers(monkeypatch):
-        old = train_segment_classifier(segs, targets, ids, names, cfg)
+        old = train_segment_classifier(segs, targets, ids, names, cfg, 5)
     assert new.history == old.history
     for p_new, p_old in zip(new.net.params(), old.net.params(), strict=True):
         assert_bytes_equal(p_new, p_old)

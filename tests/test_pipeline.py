@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from emorefinery.classifier import TrainConfig
+from emorefinery import pipeline
+from emorefinery.classifier import TrainConfig, load_model
 from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus
 from emorefinery.decision import ForestConfig
@@ -22,7 +23,7 @@ from emorefinery.pipeline import (
     run_experiment,
     utterances_from_manifest,
 )
-from emorefinery.refinery import StackedDataset, read_ep_csv
+from emorefinery.refinery import _STREAM_MODEL, StackedDataset, derive_seed, read_ep_csv
 from emorefinery.representation import representations_for
 
 SPEC = SyntheticCorpusSpec(n_classes=3, utterances_per_class=4, segments_range=(3, 4),
@@ -126,8 +127,8 @@ def dataset_and_reps(corpus):
 class TestCrossValidatedPredictions:
     def test_every_utterance_predicted_once_and_deterministically(self, corpus):
         data, reps = dataset_and_reps(corpus)
-        first = cross_validated_predictions(data, reps, ForestConfig(n_trees=10, seed=3), 3, 17)
-        second = cross_validated_predictions(data, reps, ForestConfig(n_trees=10, seed=3), 3, 17)
+        first = cross_validated_predictions(data, reps, ForestConfig(n_trees=10), 3, 17, 3)
+        second = cross_validated_predictions(data, reps, ForestConfig(n_trees=10), 3, 17, 3)
         assert first.dtype == np.int64 and first.shape == (len(data.utterance_ids),)
         assert set(first.tolist()) <= set(range(len(data.class_names)))
         np.testing.assert_array_equal(first, second)
@@ -142,11 +143,11 @@ class TestCrossValidatedPredictions:
             [data.utterance_ids[i] for i in perm], data.labels[perm],
             [data.speakers[i] for i in perm], data.class_names,
             [data.x[data.offsets[i]:data.offsets[i + 1]] for i in perm])
-        cfg = ForestConfig(n_trees=10, seed=3)
+        cfg = ForestConfig(n_trees=10)
         expected = cross_validated_predictions(
-            data, reps, cfg, 2, 17, groups=data.speakers if by_speaker else None)
+            data, reps, cfg, 2, 17, 3, groups=data.speakers if by_speaker else None)
         got = cross_validated_predictions(
-            permuted, reps[perm], cfg, 2, 17, groups=permuted.speakers if by_speaker else None)
+            permuted, reps[perm], cfg, 2, 17, 3, groups=permuted.speakers if by_speaker else None)
         np.testing.assert_array_equal(got, expected[perm])
 
 
@@ -200,6 +201,29 @@ class TestRunExperiment:
                     "generations/gen01/eps.csv", "generations/gen02/eps.csv",
                     "generations/gen01/metrics.json", "generations/gen02/metrics.json"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+    def test_each_layer_gets_its_stream_seed(self, corpus, tmp_path, monkeypatch):
+        """Fold f of generation t trains with derive_seed(refinery, _STREAM_MODEL,
+        t, f), and evaluation fold f's forest with derive_seed(forest, f)."""
+        cfg = fast_config(folds=2)
+        seeds = cfg.derived_seeds()
+        forest_seeds = []
+        train_forest = pipeline.train_forest
+
+        def recording(x, y, forest_cfg, class_names, seed):
+            forest_seeds.append(seed)
+            return train_forest(x, y, forest_cfg, class_names, seed)
+
+        monkeypatch.setattr(pipeline, "train_forest", recording)
+        run_dir = tmp_path / "r"
+        run_experiment(corpus, cfg, run_dir=run_dir)
+        assert json.loads((run_dir / "run_manifest.json").read_text())["derived_seeds"] == seeds
+        for t in (1, 2):
+            for fold in (0, 1):
+                model = load_model(generation_dir(run_dir, t) / "models" / f"fold{fold:02d}.npz")
+                assert model.seed == derive_seed(seeds["refinery"], _STREAM_MODEL, t, fold)
+        assert forest_seeds == [derive_seed(seeds["forest"], fold)
+                                for fold in range(cfg.eval_folds)] * 2
 
     def test_resume_skips_training(self, corpus, tmp_path, monkeypatch):
         cfg = fast_config()

@@ -1,5 +1,7 @@
 """README code stays in step with the package: every fenced python block
-compiles, and every name it imports from emorefinery exists."""
+compiles, every name it imports from emorefinery exists, and the
+`run_refinery` example runs. The `run_experiment` example reads
+`corpora/demo`, so it is only compiled."""
 
 import ast
 import importlib
@@ -25,3 +27,9 @@ def test_block_compiles_and_its_imports_exist(block):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"
+
+
+def test_run_refinery_block_runs(tmp_path, monkeypatch):
+    [block] = [b for b in BLOCKS if "run_refinery(" in b]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})

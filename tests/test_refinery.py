@@ -13,10 +13,10 @@ import pytest
 
 from emorefinery import classifier, refinery
 from emorefinery.classifier import TrainConfig, predict_batch
+from emorefinery.config import ExperimentConfig
 from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
 from emorefinery.network import Architecture, ConvNet
 from emorefinery.refinery import (
-    RefineryConfig,
     StackedDataset,
     foldout_purity_violations,
     generate_eps_foldout,
@@ -64,11 +64,15 @@ def tiny_corpus(rng, n_utts=9, n_segments=2, n_classes=4, names=NAMES4):
                           [rng.standard_normal((n_segments, 16, 8)) for _ in range(n_utts)])
 
 
+# The refinery stream's seed of every test run.
+SEED = 7
+
+
 def fast_config(**kw):
-    args = dict(generations=1, mode="pEPR", folds=3, seed=7,
-                train=TrainConfig(max_epochs=1, batch_size=16, architecture=TINY, seed=0))
+    args = dict(generations=1, mode="pEPR", folds=3,
+                train=TrainConfig(max_epochs=1, batch_size=16, architecture=TINY))
     args.update(kw)
-    return RefineryConfig(**args)
+    return ExperimentConfig(**args)
 
 
 def initial_targets(labels, n_segments, names):
@@ -77,10 +81,10 @@ def initial_targets(labels, n_segments, names):
     data = StackedDataset([f"u{i}" for i in range(len(labels))], labels, [""] * len(labels),
                           names, [rng.standard_normal((n_segments, 4, 4)) for _ in labels])
     stored = np.full((len(labels) * n_segments, len(names)), 1 / len(names))
-    result = run_refinery(data, fast_config(),
-                          load_generation=lambda t: stored)
-    assert result.foldouts == (None,)
-    return result.targets_by_generation[0]
+    [(targets, eps, foldout)] = run_refinery(data, fast_config(), SEED,
+                                             load_generation=lambda t: stored)
+    assert foldout is None and eps is stored
+    return targets
 
 
 class TestInitialLabels:
@@ -171,27 +175,6 @@ class TestEmotionProfile:
             self.load(tmp_path, [[0.5, 0.5]], names=("a", "b", "c"))
 
 
-class TestRefineryConfig:
-    def test_mode_normalized(self):
-        assert RefineryConfig(mode="pepr", train=TrainConfig()).mode == "pEPR"
-        assert RefineryConfig(mode="SEPR", train=TrainConfig()).mode == "sEPR"
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError, match="mode"):
-            RefineryConfig(mode="bogus")
-
-    def test_none_mode_requires_single_generation(self):
-        RefineryConfig(mode="none", generations=1)
-        with pytest.raises(ConfigError, match="none"):
-            RefineryConfig(mode="none", generations=2)
-
-    def test_bounds(self):
-        with pytest.raises(ConfigError):
-            RefineryConfig(generations=0)
-        with pytest.raises(ConfigError):
-            RefineryConfig(folds=1)
-
-
 def initial(data):
     return data, np.eye(len(data.class_names))[np.repeat(data.labels, np.diff(data.offsets))]
 
@@ -201,14 +184,14 @@ class TestFoldOutGeneration:
         rng = np.random.default_rng(4)
         data, targets = initial(tiny_corpus(rng, n_utts=10, n_classes=2,
                                             names=("angry", "happy")))
-        result = generate_eps_foldout(data, targets, fast_config(folds=10))
+        result = generate_eps_foldout(data, targets, fast_config(folds=10), SEED)
         np.testing.assert_array_equal(np.bincount(result.fold_of, minlength=10), np.ones(10))
         assert len(result.models) == 10
 
     def test_ep_columns_valid_and_cover_corpus(self):
         rng = np.random.default_rng(5)
         data, targets = initial(tiny_corpus(rng))
-        result = generate_eps_foldout(data, targets, fast_config())
+        result = generate_eps_foldout(data, targets, fast_config(), SEED)
         assert result.eps.shape == (18, 4)
         np.testing.assert_allclose(result.eps.sum(axis=1), 1.0, atol=1e-6)
         assert sorted(result.prediction_order) == list(range(len(result.eps)))
@@ -220,7 +203,7 @@ class TestFoldOutGeneration:
     def test_foldout_purity(self):
         rng = np.random.default_rng(6)
         data, targets = initial(tiny_corpus(rng))
-        result = generate_eps_foldout(data, targets, fast_config())
+        result = generate_eps_foldout(data, targets, fast_config(), SEED)
         assert foldout_purity_violations(result, data) == []
         # held-out segment rows must not appear in that fold's training set
         for i in range(len(data.utterance_ids)):
@@ -233,8 +216,8 @@ class TestFoldOutGeneration:
     def test_determinism(self):
         rng = np.random.default_rng(7)
         data, targets = initial(tiny_corpus(rng))
-        r1 = generate_eps_foldout(data, targets, fast_config())
-        r2 = generate_eps_foldout(data, targets, fast_config())
+        r1 = generate_eps_foldout(data, targets, fast_config(), SEED)
+        r2 = generate_eps_foldout(data, targets, fast_config(), SEED)
         np.testing.assert_array_equal(r1.fold_of, r2.fold_of)
         assert r1.eps.tobytes() == r2.eps.tobytes()
 
@@ -242,7 +225,7 @@ class TestFoldOutGeneration:
         rng = np.random.default_rng(8)
         data, targets = initial(tiny_corpus(rng))
         with pytest.raises(DataError, match="one row per segment"):
-            generate_eps_foldout(data, targets[:-1], fast_config())
+            generate_eps_foldout(data, targets[:-1], fast_config(), SEED)
 
 
 class TestFoldThreads:
@@ -253,8 +236,8 @@ class TestFoldThreads:
         # out the only "neutral" or "sad" utterance warn about coverage.
         data, targets = initial(tiny_corpus(np.random.default_rng(16), n_utts=6))
         cfg = fast_config(folds=4, train=TrainConfig(max_epochs=2, batch_size=4,
-                                                     architecture=TINY, seed=0))
-        return data, targets, cfg
+                                                     architecture=TINY))
+        return data, targets, cfg, SEED
 
     def run(self, monkeypatch, width, spy=None):
         monkeypatch.setattr(refinery, "_fold_workers", lambda cfg, input_shape: width)
@@ -305,13 +288,13 @@ class TestFoldThreads:
 
     def test_worker_divergence_reaches_caller_as_itself(self, monkeypatch):
         error = TrainingDivergedError("fold 2 diverged")
-        fold2_seed = refinery.derive_seed(7, refinery._STREAM_MODEL, 1, 2)
+        fold2_seed = refinery.derive_seed(SEED, refinery._STREAM_MODEL, 1, 2)
         train = refinery.train_segment_classifier
 
-        def diverge(x, targets, ids, names, cfg, **kwargs):
-            if cfg.seed == fold2_seed:
+        def diverge(x, targets, ids, names, cfg, seed, **kwargs):
+            if seed == fold2_seed:
                 raise error
-            return train(x, targets, ids, names, cfg, **kwargs)
+            return train(x, targets, ids, names, cfg, seed, **kwargs)
 
         with pytest.raises(TrainingDivergedError) as raised:
             self.run(monkeypatch, 2, diverge)
@@ -335,19 +318,19 @@ class TestFoldThreads:
         # Fold 1 starts training once fold 0 has, and runs its first forward
         # pass only after fold 0's training call has returned and restored
         # the thread count it found on entry. That count must still be 1.
-        fold_of_seed = {refinery.derive_seed(7, refinery._STREAM_MODEL, 1, f): f
+        fold_of_seed = {refinery.derive_seed(SEED, refinery._STREAM_MODEL, 1, f): f
                         for f in range(4)}
         fold_of_thread = {}
         started, returned = threading.Event(), threading.Event()
         seen = []
         train, forward = refinery.train_segment_classifier, ConvNet.forward
 
-        def ordered_train(x, targets, ids, names, cfg, **kwargs):
-            fold = fold_of_seed[cfg.seed]
+        def ordered_train(x, targets, ids, names, cfg, seed, **kwargs):
+            fold = fold_of_seed[seed]
             fold_of_thread[threading.get_ident()] = fold
             if fold == 1:
                 assert started.wait(30)
-            model = train(x, targets, ids, names, cfg, **kwargs)
+            model = train(x, targets, ids, names, cfg, seed, **kwargs)
             if fold == 0:
                 returned.set()
             return model
@@ -392,57 +375,61 @@ class TestRunRefinery:
         rng = np.random.default_rng(9)
         data = tiny_corpus(rng)
         cfg = fast_config(generations=1)
-        result = run_refinery(data, cfg)
-        direct = generate_eps_foldout(*initial(data), cfg, generation=1)
-        assert len(result.eps_by_generation) == 1
-        assert result.eps_by_generation[0].tobytes() == direct.eps.tobytes()
+        [(_, eps, _)] = run_refinery(data, cfg, SEED)
+        direct = generate_eps_foldout(*initial(data), cfg, SEED, generation=1)
+        assert eps.tobytes() == direct.eps.tobytes()
 
     def test_pepr_targets_keep_half_mass_on_label(self):
         rng = np.random.default_rng(10)
         data = tiny_corpus(rng)
-        result = run_refinery(data, fast_config(generations=2, mode="pEPR"))
-        gen2 = result.targets_by_generation[1]
+        _, (gen2, _, _) = run_refinery(data, fast_config(generations=2, mode="pEPR"), SEED)
         row_labels = np.repeat(data.labels, np.diff(data.offsets))
         assert np.all(gen2[np.arange(len(gen2)), row_labels] >= 0.5)
 
     def test_trains_generations_times_folds_models(self):
         rng = np.random.default_rng(11)
         cfg = fast_config(generations=2, folds=3)
-        result = run_refinery(tiny_corpus(rng), cfg)
-        assert sum(len(f.models) for f in result.foldouts) == 6
+        assert sum(len(f.models) for _, _, f in run_refinery(tiny_corpus(rng), cfg, SEED)) == 6
 
-    def test_generation_callback(self):
-        rng = np.random.default_rng(12)
-        seen = []
-        result = run_refinery(
-            tiny_corpus(rng), fast_config(generations=2),
-            on_generation=lambda t, fo, targets: seen.append((t, fo.generation, targets)))
-        assert [(t, g) for t, g, _ in seen] == [(1, 1), (2, 2)]
-        assert all(s[2] is tg for s, tg in zip(seen, result.targets_by_generation))
+    def test_each_item_taken_trains_one_generation(self, monkeypatch):
+        data = tiny_corpus(np.random.default_rng(12))
+        trained = []
+        real = refinery.generate_eps_foldout
+
+        def spy(*args, **kwargs):
+            trained.append(kwargs["generation"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(refinery, "generate_eps_foldout", spy)
+        stream = run_refinery(data, fast_config(generations=2), SEED)
+        assert trained == []
+        targets, eps, foldout = next(stream)
+        assert trained == [1] and foldout.generation == 1 and eps is foldout.eps
+        assert_bytes_equal(targets, initial(data)[1])
+        targets, _, foldout = next(stream)
+        assert trained == [1, 2] and foldout.generation == 2
+        assert_bytes_equal(targets, next_targets(eps, data.labels, data.offsets, "pEPR"))
+        assert next(stream, None) is None and trained == [1, 2]
 
     def test_loaded_generation_replaces_training(self):
         rng = np.random.default_rng(12)
         data = tiny_corpus(rng)
         cfg = fast_config(generations=2)
-        full = run_refinery(data, cfg)
-        seen = []
-        resumed = run_refinery(
-            data, cfg,
-            on_generation=lambda t, fo, targets: seen.append(t),
-            load_generation=lambda t: full.eps_by_generation[0] if t == 1 else None)
-        assert seen == [2]
-        assert resumed.foldouts[0] is None
-        assert resumed.eps_by_generation[1].tobytes() == full.eps_by_generation[1].tobytes()
+        full = list(run_refinery(data, cfg, SEED))
+        resumed = list(run_refinery(data, cfg, SEED,
+                                    load_generation=lambda t: full[0][1] if t == 1 else None))
+        assert [foldout is None for _, _, foldout in resumed] == [True, False]
+        assert resumed[1][1].tobytes() == full[1][1].tobytes()
         with pytest.raises(DataError, match="stored generation 1"):
-            run_refinery(data, cfg, load_generation=lambda t: np.zeros((2, 4)))
+            next(run_refinery(data, cfg, SEED, load_generation=lambda t: np.zeros((2, 4))))
 
     def test_generation_1_is_the_same_in_every_mode(self):
         """Generation 1 trains on the one-hot labels with seeds of the seed,
         generation and fold alone, so its EPs and models are byte-equal in
         every mode; the acceptance fixtures train it once for two modes."""
         data = tiny_corpus(np.random.default_rng(16))
-        firsts = [run_refinery(data, fast_config(generations=1 if mode == "none" else 2,
-                                                 mode=mode)).foldouts[0]
+        firsts = [next(run_refinery(data, fast_config(generations=1 if mode == "none" else 2,
+                                                      mode=mode), SEED))[2]
                   for mode in ("none", "sEPR", "pEPR")]
         for other in firsts[1:]:
             assert_bytes_equal(other.eps, firsts[0].eps)
@@ -451,8 +438,6 @@ class TestRunRefinery:
                     assert_bytes_equal(pa, pb)
 
     def test_purity_violation_stops_the_run(self, monkeypatch):
-        import emorefinery.refinery as refinery
-
         real = refinery.generate_eps_foldout
 
         def leaky(data, *args, **kwargs):
@@ -461,28 +446,24 @@ class TestRunRefinery:
             return dataclasses.replace(result, training_rows=(everything,) * 3)
 
         monkeypatch.setattr(refinery, "generate_eps_foldout", leaky)
-        seen = []
+        stream = run_refinery(tiny_corpus(np.random.default_rng(12)), fast_config(), SEED)
         with pytest.raises(DataError, match="purity violated"):
-            run_refinery(tiny_corpus(np.random.default_rng(12)), fast_config(),
-                         on_generation=lambda *args: seen.append(args))
-        assert seen == []
+            next(stream)
 
     def test_soft_static_targets_shared_within_utterance(self):
         rng = np.random.default_rng(13)
-        result = run_refinery(tiny_corpus(rng, n_segments=3),
-                              fast_config(generations=2, mode="soft-static"))
-        gen2 = result.targets_by_generation[1]
+        _, (gen2, _, _) = run_refinery(tiny_corpus(rng, n_segments=3),
+                                       fast_config(generations=2, mode="soft-static"), SEED)
         for i in range(9):
             block = gen2[3 * i:3 * i + 3]
             np.testing.assert_array_equal(block, np.tile(block[0], (3, 1)))
 
     def test_hard_dynamic_targets_are_one_hot(self):
         rng = np.random.default_rng(14)
-        result = run_refinery(tiny_corpus(rng), fast_config(generations=2, mode="hard-dynamic"))
-        gen2 = result.targets_by_generation[1]
+        _, (gen2, _, _) = run_refinery(tiny_corpus(rng),
+                                       fast_config(generations=2, mode="hard-dynamic"), SEED)
         assert np.all(np.count_nonzero(gen2, axis=1) == 1)
         assert np.all(gen2.max(axis=1) == 1.0)
-
 
 
 def stacked(ids=("a", "b"), labels=(0, 1), segments=None):
