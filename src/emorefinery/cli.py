@@ -20,7 +20,7 @@ from .evaluation import read_metrics_report
 from .features import FrameSpec
 from .fileio import json_document
 from .manifest import load_manifest, write_synthetic_corpus
-from .pipeline import export_ep_evolution, featurize_corpus, run_experiment
+from .pipeline import METRICS_NAME, export_ep_evolution, featurize_corpus, run_experiment
 
 logger = logging.getLogger(__name__)
 
@@ -61,18 +61,9 @@ def cmd_featurize(args) -> int:
 
 
 def _apply_run_overrides(cfg, args):
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.generations is not None:
-        updates["generations"] = args.generations
-    if args.folds is not None:
-        updates["folds"] = args.folds
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.out is not None:
-        updates["output_dir"] = str(args.out)
-    return replace(cfg, **updates) if updates else cfg
+    overrides = {"master_seed": args.seed, "generations": args.generations,
+                 "folds": args.folds, "mode": args.mode, "output_dir": args.out}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _print_generations(reports) -> None:
@@ -98,7 +89,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    path = Path(args.run) / "metrics.json"
+    path = Path(args.run) / METRICS_NAME
     if not path.exists():
         raise DataError(f"no metrics report at {path}; has the run finished?")
     metrics = read_metrics_report(path)

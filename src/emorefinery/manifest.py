@@ -265,8 +265,9 @@ def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> Co
     root = Path(corpus_root)
     rows = []
     try:
-        (root / "features").mkdir(parents=True, exist_ok=True)
         for row, spectrogram in rows_and_spectrograms:
+            if not rows:
+                (root / "features").mkdir(parents=True, exist_ok=True)
             rel = f"features/{row.utterance_id}.csv"
             write_spectrogram_csv(root / rel, spectrogram)
             rows.append(replace(row, path=rel, kind="features"))

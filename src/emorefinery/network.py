@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDivergedError
 
 
 def _positive_ints(value) -> bool:
@@ -427,8 +427,15 @@ class Adam:
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v, strict=True):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            # An infinite moment would zero every later update while loss and
+            # parameters stay finite, so overflow here ends training.
+            try:
+                with np.errstate(over="raise"):
+                    m *= self.beta1
+                    m += (1.0 - self.beta1) * g
+                    v *= self.beta2
+                    v += (1.0 - self.beta2) * g * g
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(
+                    f"optimizer moments overflowed at step {self.t} ({exc})") from exc
             p -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -118,32 +118,34 @@ def cross_validated_predictions(data: StackedDataset, reps, forest_cfg, folds: i
     return predictions
 
 
-def _generation_metrics(foldout, reps, data: StackedDataset, clean, cfg: ExperimentConfig,
-                        seeds: dict, generation: int):
+def _write_generation(gen_dir: Path, foldout, data: StackedDataset, clean,
+                      cfg: ExperimentConfig, seeds: dict) -> dict:
+    """Score a trained generation and write its directory, through a temporary
+    directory beside it that is then moved into place; returns its report."""
+    ids, names = data.utterance_ids, data.class_names
+    reps = representations_for(foldout.eps, data.offsets)
     predictions = cross_validated_predictions(
         data, reps, cfg.forest, cfg.eval_folds, seeds["eval"], seeds["forest"],
         groups=data.speakers if cfg.group_by_speaker else None)
-    names = data.class_names
     cm = confusion_from_predictions(data.labels, predictions, names)
     report = {
-        "generation": generation,
+        "generation": foldout.generation,
         "mode": cfg.mode,
         "wa": weighted_accuracy(cm),
         "ua": unweighted_accuracy(cm, names),
         "mean_ep_entropy": foldout.mean_entropy(),
-        "n_utterances": len(data.utterance_ids),
+        "n_utterances": len(ids),
         "confusion_matrix": cm.tolist(),
     }
     if clean is not None:
         cm_clean = confusion_from_predictions(clean, predictions, names)
         report["wa_clean"] = weighted_accuracy(cm_clean)
         report["ua_clean"] = unweighted_accuracy(cm_clean, names)
-    return report, predictions, cm
 
-
-def _write_generation_dir(tmp: Path, foldout, data: StackedDataset, reps, report,
-                          predictions, cm):
-    ids, names = data.utterance_ids, data.class_names
+    tmp = gen_dir.with_name(f".{gen_dir.name}.tmp")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    (tmp / "models").mkdir(parents=True)
     write_ep_csv(tmp / "eps.csv", foldout.eps, ids, data.offsets, foldout.generation)
     write_representation_csv(tmp / "representations.csv", ids, reps)
     records = [(u, names[t], names[p])
@@ -151,7 +153,6 @@ def _write_generation_dir(tmp: Path, foldout, data: StackedDataset, reps, report
     write_predictions_csv(tmp / "predictions.csv", records)
     write_confusion_csv(tmp / "confusion.csv", cm, names)
     write_metrics_report(tmp / METRICS_NAME, report)
-    (tmp / "models").mkdir()
     for fold, model in enumerate(foldout.models):
         save_model(model, tmp / "models" / f"fold{fold:02d}.npz")
     audit = {
@@ -162,17 +163,8 @@ def _write_generation_dir(tmp: Path, foldout, data: StackedDataset, reps, report
         "violations": [],
     }
     write_json(tmp / "foldout.json", audit)
-
-
-def _read_generation_dir(gen_dir: Path, t: int, ids, offsets, names):
-    """Generation t's stored EPs and report, checked before they are reused."""
-    try:
-        eps = read_ep_csv(gen_dir / "eps.csv", names, ids, offsets, t)
-        report = read_metrics_report(gen_dir / METRICS_NAME, generation=t)
-    except DataError as exc:
-        raise DataError(f"{exc}; generation {t} cannot be reused, "
-                        "rerun with --no-resume to recompute it") from exc
-    return eps, report
+    os.replace(tmp, gen_dir)
+    return report
 
 
 def generation_dir(run_dir, t: int) -> Path:
@@ -244,10 +236,9 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
     elif not resume and generations.exists():
         shutil.rmtree(generations)
     generations.mkdir(parents=True, exist_ok=True)
-    write_metrics_report(path, doc)
+    write_json(path, doc)
 
-    ids, offsets = data.utterance_ids, data.offsets
-    gen_reports = []
+    reports = {}
 
     def load_generation(t):
         gen_dir = generation_dir(run_dir, t)
@@ -256,33 +247,27 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
                         t, cfg.generations, cfg.folds)
             return None
         logger.info("generation %d/%d already present, reusing", t, cfg.generations)
-        eps, report = _read_generation_dir(gen_dir, t, ids, offsets, names)
-        gen_reports.append(report)
+        try:
+            eps = read_ep_csv(gen_dir / "eps.csv", names, data.utterance_ids, data.offsets, t)
+            reports[t] = read_metrics_report(gen_dir / METRICS_NAME, generation=t)
+        except DataError as exc:
+            raise DataError(f"{exc}; generation {t} cannot be reused, "
+                            "rerun with --no-resume to recompute it") from exc
         return eps
 
     for t, (_, _, foldout) in enumerate(
             run_refinery(data, cfg, seeds["refinery"], load_generation), 1):
         if foldout is not None:
-            reps = representations_for(foldout.eps, offsets)
-            report, predictions, cm = _generation_metrics(foldout, reps, data, clean, cfg,
-                                                          seeds, t)
-            gen_dir = generation_dir(run_dir, t)
-            tmp = gen_dir.parent / f".gen{t:02d}.tmp"
-            if tmp.exists():
-                shutil.rmtree(tmp)
-            tmp.mkdir(parents=True)
-            _write_generation_dir(tmp, foldout, data, reps, report, predictions, cm)
-            os.replace(tmp, gen_dir)
-            gen_reports.append(report)
-        report = gen_reports[-1]
+            reports[t] = _write_generation(generation_dir(run_dir, t), foldout, data, clean,
+                                           cfg, seeds)
         logger.info("generation %d: WA %.4f UA %.4f entropy %.4f",
-                    t, report["wa"], report["ua"], report["mean_ep_entropy"])
+                    t, reports[t]["wa"], reports[t]["ua"], reports[t]["mean_ep_entropy"])
     metrics = {
         "format": "emorefinery-metrics",
         "version": RUN_VERSION,
         "mode": cfg.mode,
         "class_names": list(names),
-        "generations": gen_reports,
+        "generations": list(reports.values()),
     }
     write_metrics_report(run_dir / METRICS_NAME, metrics)
     return metrics

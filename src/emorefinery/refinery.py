@@ -146,6 +146,9 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
         model = train_segment_classifier(data.x[rows], targets[rows], data.row_utterance[rows],
                                          class_names, cfg.train, model_seeds[fold],
                                          generation=generation)
+        # One call per utterance, not one over the fold's rows: a longer
+        # batch changes how BLAS rounds the float64 dense layer's matrix
+        # product, which moved `wide`'s EPs and so every later generation.
         for i in np.flatnonzero(fold_of == fold):
             a, b = data.offsets[i], data.offsets[i + 1]
             eps[a:b] = predict_batch(model, data.x[a:b])

@@ -132,7 +132,7 @@ class TestFeaturize:
             f"error: 1 utterance(s) failed to featurize: a: {corpus / 'a.wav'}: frame.fft_len=512"
             " is shorter than the 1102-sample window at 44100 Hz; set frame.fft_len to at"
             " least 1102"]
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_id_with_a_path_separator_exits_3_naming_the_manifest(self, workspace, tmp_path,
                                                                   capsys):
@@ -244,6 +244,28 @@ class TestRun:
                          "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")])
         assert code == 4
         assert "parameters became non-finite" in capsys.readouterr().err
+
+    def test_overflowing_optimizer_moments_exit_4(self, tmp_path, capsys):
+        # Features near float64's limit square past it in Adam's second
+        # moment, while loss and parameters stay finite.
+        spec = {"n_classes": 3, "utterances_per_class": 4, "segments_range": [3, 4],
+                "n_mels": 8, "seg_frames": 4, "noise_level": 1e300, "seed": 9}
+        cfg = {"generations": 1, "folds": 2, "eval_folds": 2,
+               "segment": {"seg_frames": 4, "seg_hop_ms": 40.0},
+               "train": {"max_epochs": 1, "architecture": "tiny"},
+               "forest": {"n_trees": 2}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["gen-data", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "corpus")]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(tmp_path / "cfg.json"),
+                         "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: optimizer moments overflowed at step 1 (overflow encountered in multiply)"]
 
     def test_damaged_run_manifest_exits_3(self, workspace, tmp_path, capsys):
         args = ["run", "--config", str(workspace / "cfg.json"),

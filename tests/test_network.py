@@ -14,6 +14,7 @@ import pytest
 
 from emorefinery import network
 from emorefinery.classifier import TrainConfig, train_segment_classifier
+from emorefinery.errors import ConfigError
 from emorefinery.network import ARCHITECTURES, Conv3x3, ConvNet, MaxPool2x2
 
 
@@ -173,6 +174,12 @@ def test_conv_shapes_walk_the_layers_convnet_builds(arch):
     dense = next(layer for layer in net.layers if isinstance(layer, network.Dense))
     h, w, _ = arch.conv_shapes((32, 16))[-1]
     assert dense.w.shape[1] == walk[-1][1] * (h // 2) * (w // 2)
+
+
+def test_pools_that_reach_odd_dims_are_refused():
+    with pytest.raises(ConfigError, match=r"^architecture 'tiny' pools 3x3 below "
+                                          r"even dims for input \(6, 6\)$"):
+        ConvNet(ARCHITECTURES["tiny"], (6, 6), 3, np.random.default_rng(0))
 
 
 def test_conv_macs_per_segment():

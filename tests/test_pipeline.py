@@ -255,6 +255,20 @@ class TestRunExperiment:
         for p in files:
             assert (gen2 / p).read_bytes() == uninterrupted[p], p
 
+    def test_resume_discards_an_interrupted_generation_write(self, corpus, tmp_path):
+        cfg = fast_config()
+        run_experiment(corpus, cfg, run_dir=tmp_path / "r")
+        gen2 = generation_dir(tmp_path / "r", 2)
+        uninterrupted = {p.relative_to(gen2): p.read_bytes()
+                         for p in gen2.rglob("*") if p.is_file()}
+        leftover = gen2.with_name(".gen02.tmp")
+        gen2.rename(leftover)
+        (leftover / "eps.csv").write_text("cut short")
+        run_experiment(corpus, cfg, run_dir=tmp_path / "r")
+        assert not leftover.exists()
+        assert {p.relative_to(gen2): p.read_bytes()
+                for p in gen2.rglob("*") if p.is_file()} == uninterrupted
+
     def test_config_change_on_existing_run_dir_rejected(self, corpus, tmp_path):
         run_experiment(corpus, fast_config(), run_dir=tmp_path / "r")
         with pytest.raises(DataError, match="different config"):
@@ -332,6 +346,17 @@ class TestExportEp:
         assert lines[0].startswith("utterance_id,segment_index,generation,")
         generations = {line.split(",")[2] for line in lines[1:]}
         assert generations == {"1", "2"}
+
+    def test_generations_with_other_headers_are_refused(self, finished_run, tmp_path):
+        import shutil
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run[0], run_dir)
+        eps = generation_dir(run_dir, 2) / "eps.csv"
+        eps.write_bytes(eps.read_bytes().replace(b"p_3", b"p_9", 1))
+        first = generation_dir(run_dir, 1) / "eps.csv"
+        message = f"{eps} has another EP header than {first}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            export_ep_evolution(run_dir, "u", tmp_path / "x.csv")
 
     def test_unknown_utterance(self, finished_run, tmp_path):
         run_dir, _ = finished_run

@@ -524,6 +524,11 @@ class TestNextTargets:
         with pytest.raises(ConfigError):
             next_targets(np.zeros((0, 4)), [], [0], "none")
 
+    def test_eps_that_miss_the_offsets_rejected(self):
+        with pytest.raises(DataError, match=r"^EPs of shape \(5, 3\) do not match 2 "
+                                            r"utterances of 4 segments$"):
+            next_targets(np.full((5, 3), 1 / 3), [0, 1], [0, 2, 4], "pEPR")
+
 
 class TestMeanEpEntropy:
     def test_one_hot_columns(self):
