@@ -11,7 +11,8 @@ import ctypes
 import functools
 import json
 import logging
-from dataclasses import dataclass, field
+import threading
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class TrainConfig:
     early_stop_patience: int = 3
     max_epochs: int = 20
     validation_fraction: float = 0.1
-    architecture: object = "compact"  # name or Architecture
+    architecture: object = "compact"  # name, Architecture, or its JSON object
 
     def __post_init__(self):
         if min(self.initial_lr, self.lr_decay, self.batch_size, self.max_epochs) <= 0:
@@ -40,6 +41,18 @@ class TrainConfig:
             raise ConfigError("lr_decay_every and early_stop_patience must be >= 1")
         if not 0.0 < self.validation_fraction <= 0.5:
             raise ConfigError("validation_fraction must be in (0, 0.5]")
+        arch = self.architecture
+        if isinstance(arch, str):
+            resolve_architecture(arch)
+        elif isinstance(arch, dict):
+            extra = set(arch) - {f.name for f in fields(Architecture)}
+            if extra:
+                raise ConfigError(f"unknown architecture keys {sorted(extra)}")
+            if "name" not in arch or "conv_stages" not in arch:
+                raise ConfigError("inline architecture needs name and conv_stages")
+            object.__setattr__(self, "architecture", Architecture(**arch))
+        elif not isinstance(arch, Architecture):
+            raise ConfigError("architecture must be a name or an inline object")
 
     def resolved_architecture(self) -> Architecture:
         return resolve_architecture(self.architecture)
@@ -102,6 +115,13 @@ def _openblas():
     return None
 
 
+# The thread count is process-wide, so blocks open on any thread share one
+# pin: the first block in saves the count and the last one out restores it.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
 @contextlib.contextmanager
 def _single_thread_blas():
     """Run OpenBLAS on one thread inside the block, then restore its count.
@@ -110,17 +130,24 @@ def _single_thread_blas():
     would only spin and double the CPU time. The count does not change
     results. Without OpenBLAS this does nothing.
     """
+    global _pin_depth, _pin_saved
     lib = _openblas()
     if lib is None:
         yield
         return
     get, set_ = lib
-    previous = get()
-    set_(1)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
 
 
 def _forward_in_batches(net: ConvNet, x: np.ndarray, batch_size: int) -> np.ndarray:
@@ -243,7 +270,7 @@ def save_model(m: Model, path) -> None:
     meta = {
         "format": "emorefinery-model",
         "version": 1,
-        "architecture": m.net.arch.to_json(),
+        "architecture": asdict(m.net.arch),
         "input_shape": list(m.net.input_shape),
         "class_names": list(m.class_names),
         "generation": m.generation,

@@ -7,7 +7,7 @@ needs to be stated twice.
 
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .classifier import TrainConfig
@@ -15,7 +15,6 @@ from .decision import ForestConfig
 from .errors import ConfigError
 from .features import FrameSpec, SegmentSpec
 from .fileio import read_json, write_json
-from .network import Architecture, resolve_architecture
 from .refinery import derive_seed, normalize_mode
 
 SCHEMA_VERSION = 1
@@ -53,6 +52,7 @@ class ExperimentConfig:
             raise ConfigError("folds must be >= 2")
         if self.mode == "none" and self.generations != 1:
             raise ConfigError("mode 'none' performs no refinement; use generations=1")
+        self.segment.hop_frames(self.frame)
 
     def derived_seeds(self) -> dict:
         """The seed of each stream; each layer takes its seed as an argument."""
@@ -61,35 +61,9 @@ class ExperimentConfig:
                 "eval": derive_seed(self.master_seed, STREAM_EVAL)}
 
 
-def _architecture_from_json(value):
-    if isinstance(value, str):
-        return resolve_architecture(value).name
-    if isinstance(value, dict):
-        extra = set(value) - {"name", "conv_stages", "dense", "dtype"}
-        if extra:
-            raise ConfigError(f"unknown architecture keys {sorted(extra)}")
-        if "name" not in value or "conv_stages" not in value:
-            raise ConfigError("inline architecture needs name and conv_stages")
-        return Architecture(**value)
-    raise ConfigError("architecture must be a name or an inline object")
-
-
-_SECTIONS = {"frame": FrameSpec, "segment": SegmentSpec, "train": TrainConfig,
-             "forest": ForestConfig}
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _SECTIONS)
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION}
-    for key in _TOP_KEYS:
-        doc[key] = getattr(cfg, key)
-    for section, cls in _SECTIONS.items():
-        value = getattr(cfg, section)
-        body = {f.name: getattr(value, f.name) for f in fields(cls)}
-        if isinstance(body.get("architecture"), Architecture):
-            body["architecture"] = body["architecture"].to_json()
-        doc[section] = body
-    return doc
+    """The config as the JSON document it is stored as, its tuples as lists."""
+    return {"schema_version": SCHEMA_VERSION, **json.loads(json.dumps(asdict(cfg)))}
 
 
 _JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
@@ -123,21 +97,19 @@ def _check_types(cls, body: dict, prefix: str = "") -> None:
 
 def dataclass_from_dict(cls, doc, what: str, prefix: str = ""):
     """cls(**doc) of a JSON object that holds only fields of cls, each of its
-    declared type; `what` names the object in errors and `prefix` the field
-    in type errors."""
+    declared type; a field whose type is a dataclass is read as a section
+    object of its own. `what` names the object in errors and `prefix` the
+    field in type errors."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     extra = set(doc) - {f.name for f in fields(cls)}
     if extra:
         raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
     _check_types(cls, doc, prefix)
-    return cls(**doc)
-
-
-def _section_from_dict(section: str, body):
-    if isinstance(body, dict) and "architecture" in body:
-        body = {**body, "architecture": _architecture_from_json(body["architecture"])}
-    return dataclass_from_dict(_SECTIONS[section], body, f"section {section!r}", f"{section}.")
+    sections = {f.name: dataclass_from_dict(f.type, doc[f.name], f"section {f.name!r}",
+                                            f"{prefix}{f.name}.")
+                for f in fields(cls) if is_dataclass(f.type) and f.name in doc}
+    return cls(**{**doc, **sections})
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -146,9 +118,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
-    body = {key: _section_from_dict(key, value) if key in _SECTIONS else value
-            for key, value in doc.items() if key != "schema_version"}
-    return dataclass_from_dict(ExperimentConfig, body, "config")
+    return dataclass_from_dict(ExperimentConfig, {key: value for key, value in doc.items()
+                                                  if key != "schema_version"}, "config")
 
 
 def load_json_file(path, parse, what: str = "config file"):

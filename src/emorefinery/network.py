@@ -51,11 +51,6 @@ class Architecture:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
-    def to_json(self) -> dict:
-        """The JSON object config files and model checkpoints store."""
-        return {"name": self.name, "conv_stages": [list(s) for s in self.conv_stages],
-                "dense": list(self.dense), "dtype": self.dtype}
-
     def conv_shapes(self, input_shape) -> list:
         """The conv stack's walk over one input of (h, w): per stage, the h
         and w its convolutions see and the (c_in, c_out) of each of them."""

@@ -20,7 +20,7 @@ import numpy as np
 from .classifier import save_model
 from .config import ExperimentConfig, config_to_dict
 from .decision import predict_forest, train_forest, write_predictions_csv
-from .errors import DataError, EmoRefineryError
+from .errors import ConfigError, DataError, EmoRefineryError
 from .evaluation import (confusion_from_predictions, kfold_split, read_metrics_report,
                          unweighted_accuracy, weighted_accuracy, write_confusion_csv,
                          write_metrics_report)
@@ -214,6 +214,17 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
     data, errors = utterances_from_manifest(manifest, cfg.frame, cfg.segment)
     if errors:
         raise _featurize_failure(errors)
+    # Limits the corpus sets, checked before anything is trained or written.
+    unit = "speakers" if cfg.group_by_speaker else "utterances"
+    groups = len(set(data.speakers if cfg.group_by_speaker else data.utterance_ids))
+    for key, value in (("folds", cfg.folds), ("eval_folds", cfg.eval_folds)):
+        if value > groups:
+            raise ConfigError(f"{key}={value}, but the corpus at {manifest.root} has only "
+                              f"{groups} {unit}")
+    width = 5 * len(data.class_names)
+    if cfg.forest.max_features > width:
+        raise ConfigError(f"forest.max_features={cfg.forest.max_features}, but the corpus at "
+                          f"{manifest.root} has {width} representation features (5 per class)")
 
     names = manifest.class_names
     clean = manifest.clean_labels() if manifest.has_label_noise() else None

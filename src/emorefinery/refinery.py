@@ -158,8 +158,8 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
     # not hold the module's memory.
     from concurrent.futures import ThreadPoolExecutor
 
-    # Each call pins OpenBLAS to one thread and restores the count it found;
-    # pinning around the pool makes that count 1 while any fold runs.
+    # Each call pins OpenBLAS to one thread; pinning around the pool as well
+    # holds the pin from the first fold to the last, not fold by fold.
     with _single_thread_blas(), ThreadPoolExecutor(_fold_workers(cfg, data.x.shape[1:])) as pool:
         models = list(pool.map(train_and_predict, range(cfg.folds)))
     # Rows in prediction order: fold by fold, and by row within a fold.

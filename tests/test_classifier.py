@@ -1,7 +1,10 @@
 """Classifier tests: loss identities, gradient checks against finite
 differences, training determinism, and checkpoint round-trips."""
 
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -369,6 +372,60 @@ class TestBlasThreads:
             train(segs, targets, self.config(), seed=4)
         assert openblas() == 2
 
+    def test_overlapping_pins_on_two_threads(self, openblas):
+        # Thread A pins, then B pins, then A leaves while B is still inside:
+        # B must still run on one thread, and once both have left the count
+        # must be the 2 that A found.
+        pin = classifier._single_thread_blas
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with pin():
+                a_in.set()
+                b_in.wait(30)
+            a_out.set()
+
+        def b():
+            a_in.wait(30)
+            with pin():
+                b_in.set()
+                a_out.wait(30)
+                seen["inside"] = openblas()
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"inside": 1}
+        assert openblas() == 2
+
+    def test_many_threads_share_one_pin(self, openblas):
+        # More threads than cores pin and unpin at every switch point: each
+        # one inside sees one thread, and the count is restored at the end.
+        seen = []
+
+        def work():
+            for _ in range(200):
+                with classifier._single_thread_blas():
+                    seen.append(openblas())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 1600 and set(seen) == {1}
+        assert openblas() == 2
+
     def test_without_openblas_same_parameters(self, monkeypatch):
         segs, targets = self.data()
         pinned = train(segs, targets, self.config(), seed=4)
@@ -399,6 +456,23 @@ class TestPersistence:
             predict_batch(model, segs), predict_batch(loaded, segs)
         )
 
+    def test_meta_document_is_pinned(self, tmp_path):
+        # The checkpoint's meta JSON as it has been written: a renamed or
+        # reordered key makes old checkpoints another format.
+        rng = np.random.default_rng(0)
+        model = train_segment_classifier(
+            rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"],
+            ("neg", "pos"), TrainConfig(max_epochs=1, architecture="tiny"), 3, generation=2)
+        save_model(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            meta = bytes(data["meta"]).decode()
+        assert meta == (
+            '{"format": "emorefinery-model", "version": 1, "architecture": {"name": "tiny", '
+            '"conv_stages": [[2], [2]], "dense": [], "dtype": "float64"}, "input_shape": [8, 4], '
+            '"class_names": ["neg", "pos"], "generation": 2, "seed": 3}')
+        assert json.loads(meta)["architecture"] == {"name": "tiny", "conv_stages": [[2], [2]],
+                                                    "dense": [], "dtype": "float64"}
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, meta=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
@@ -417,4 +491,18 @@ class TestConfigValidation:
 
     def test_unknown_architecture(self):
         with pytest.raises(ConfigError, match="unknown architecture"):
-            TrainConfig(architecture="nope").resolved_architecture()
+            TrainConfig(architecture="nope")
+
+    @pytest.mark.parametrize("architecture, what", [
+        ({"name": "x", "conv_stages": [[4]], "pool": 3}, r"unknown architecture keys \['pool'\]"),
+        ({"conv_stages": [[4]]}, "inline architecture needs name and conv_stages"),
+        (7, "architecture must be a name or an inline object"),
+    ])
+    def test_inline_architecture_checked_when_built(self, architecture, what):
+        with pytest.raises(ConfigError, match=what):
+            TrainConfig(architecture=architecture)
+
+    def test_inline_object_becomes_architecture(self):
+        cfg = TrainConfig(architecture={"name": "x", "conv_stages": [[4], [8]]})
+        assert cfg.architecture == Architecture(name="x", conv_stages=((4,), (8,)))
+        assert TrainConfig(architecture="tiny").architecture == "tiny"

@@ -224,6 +224,41 @@ class TestRun:
                      "--out", str(tmp_path / "run")]) == 2
         assert what in one_error(capsys, bad)
 
+    def test_segment_hop_off_the_frame_hop_exits_2_naming_the_config(self, workspace, tmp_path,
+                                                                     capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**RUN_CONFIG, "segment": {"seg_frames": 4,
+                                                              "seg_hop_ms": 25.0}}))
+        assert main(["run", "--config", str(bad), "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert one_error(capsys, bad) == (
+            f"error: {bad}: seg_hop_ms=25.0 is not a positive multiple of hop_ms=10.0")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, what", [
+        ({"folds": 13}, "folds=13, but the corpus at {corpus} has only 12 utterances"),
+        ({"eval_folds": 13}, "eval_folds=13, but the corpus at {corpus} has only 12 utterances"),
+        ({"group_by_speaker": True},
+         "folds=3, but the corpus at {corpus} has only 2 speakers"),
+        ({"forest": {"max_features": 16}},
+         "forest.max_features=16, but the corpus at {corpus} has 15 representation features "
+         "(5 per class)"),
+    ])
+    def test_limits_the_corpus_sets_exit_2_before_training(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, override, what):
+        def never(*args, **kwargs):
+            raise AssertionError("a fold trained")
+
+        monkeypatch.setattr("emorefinery.refinery.train_segment_classifier", never)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**RUN_CONFIG, **override}))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(bad), "--corpus", str(workspace / "corpus"),
+                     "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: " + what.format(corpus=workspace / "corpus")]
+        assert not (run_dir / "run_manifest.json").exists()
+
     def test_diverging_training_exits_4(self, tmp_path, capsys):
         # Too few utterances per fold for a validation split: the monitored
         # loss is the epoch's loss before its last step, which overflows.

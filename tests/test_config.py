@@ -16,6 +16,7 @@ from emorefinery.config import (
     save_config,
 )
 from emorefinery.errors import ConfigError
+from emorefinery.fileio import json_document
 from emorefinery.network import Architecture
 from emorefinery.refinery import derive_seed
 
@@ -52,6 +53,79 @@ class TestRoundTrip:
         assert cfg.master_seed == 3
         assert cfg.train.max_epochs == 2
         assert cfg.folds == 10
+
+
+# The stored form of the default config, as run_manifest.json and
+# `run --describe` have held it: a renamed key or a changed value makes
+# every earlier run directory unresumable.
+DEFAULT_DOCUMENT = """{
+  "eval_folds": 10,
+  "folds": 10,
+  "forest": {
+    "bootstrap": true,
+    "max_depth": -1,
+    "max_features": 0,
+    "min_samples_split": 2,
+    "n_trees": 100
+  },
+  "frame": {
+    "fft_len": 512,
+    "hop_ms": 10.0,
+    "n_mels": 64,
+    "win_ms": 25.0
+  },
+  "generations": 3,
+  "group_by_speaker": false,
+  "master_seed": 0,
+  "mode": "pEPR",
+  "output_dir": "runs/default",
+  "schema_version": 1,
+  "segment": {
+    "seg_frames": 32,
+    "seg_hop_ms": 30.0
+  },
+  "train": {
+    "architecture": "compact",
+    "batch_size": 128,
+    "early_stop_patience": 3,
+    "initial_lr": 0.001,
+    "lr_decay": 0.8,
+    "lr_decay_every": 2,
+    "max_epochs": 20,
+    "validation_fraction": 0.1
+  }
+}
+"""
+INLINE_ARCHITECTURE = """  "train": {
+    "architecture": {
+      "conv_stages": [
+        [
+          4
+        ],
+        [
+          8
+        ]
+      ],
+      "dense": [
+        16
+      ],
+      "dtype": "float64",
+      "name": "custom"
+    },
+"""
+
+
+class TestStoredForm:
+    def test_default_document(self):
+        assert json_document(config_to_dict(ExperimentConfig())) == DEFAULT_DOCUMENT
+
+    def test_inline_architecture_document(self):
+        arch = Architecture(name="custom", conv_stages=((4,), (8,)), dense=(16,),
+                            dtype="float64")
+        text = json_document(config_to_dict(ExperimentConfig(train=TrainConfig(architecture=arch))))
+        assert text == DEFAULT_DOCUMENT.replace('  "train": {\n    "architecture": "compact",\n',
+                                                INLINE_ARCHITECTURE)
+        assert INLINE_ARCHITECTURE in text
 
 
 class TestValidation:
@@ -129,6 +203,28 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert str(err.value).startswith(f"{path}: {key}, not ")
+
+    def test_segment_hop_checked_against_frame_hop(self):
+        with pytest.raises(ConfigError, match=r"^seg_hop_ms=25.0 is not a positive multiple "
+                                              r"of hop_ms=10.0$"):
+            config_from_dict({"segment": {"seg_hop_ms": 25.0}})
+        assert config_from_dict({"frame": {"hop_ms": 5.0}, "segment": {"seg_hop_ms": 25.0}})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"train": 5}, "section 'train' must be a JSON object"),
+        ({"segment": {"seg_frames": 2, "x": 1}}, "unknown section 'segment' keys: ['x']"),
+        ({"frame": {"hop_ms": "10"}}, 'frame.hop_ms must be a number, not "10"'),
+        ({"train": {"architecture": {"name": "x", "conv_stages": [[4]], "pool": 3}}},
+         "unknown architecture keys ['pool']"),
+        ({"train": {"architecture": {"conv_stages": [[4]]}}},
+         "inline architecture needs name and conv_stages"),
+        ({"train": {"architecture": 3}}, "architecture must be a name or an inline object"),
+        ([], "config must be a JSON object"),
+    ])
+    def test_single_error_messages(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc)
+        assert str(err.value) == message
 
     def test_integers_stand_for_floats(self):
         cfg = config_from_dict({"frame": {"win_ms": 30, "hop_ms": 10},

@@ -1,7 +1,9 @@
 """The benchmark's traced names still name the package's code: every span a
 workload expects and every span the tracer summarizes is a public function
 of the emorefinery module it names, or a traced method of a network layer
-class. A rename that misses perfbench/ fails here, not only in a traced run."""
+class, and each summary still reads that function's arguments and result.
+A rename or a changed return type that misses perfbench/ fails here, not
+only in a traced run."""
 
 import importlib
 import importlib.util
@@ -9,7 +11,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from emorefinery import classifier, decision, features, manifest, network
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +55,56 @@ def test_traced_name_resolves(name):
         fn = getattr(module, attr, None)
         assert not attr.startswith("_") and inspect.isfunction(fn), f"{name} is no public function"
         assert fn.__module__ == module.__name__, f"{name} is defined in {fn.__module__}"
+
+
+def _conv_backward_call():
+    conv = network.Conv3x3(1, 2, np.random.default_rng(1), np.float64)
+    conv.forward(np.random.default_rng(2).standard_normal((2, 1, 4, 4)), True)
+    return network.Conv3x3.backward, (conv, np.ones((2, 2, 4, 4)))
+
+
+def _spectrogram():
+    return features.LogMelSpectrogram(np.random.default_rng(3).standard_normal((8, 12)),
+                                      np.arange(12) * 10.0)
+
+
+def _read_spectrogram_call(tmp_path):
+    manifest.write_spectrogram_csv(tmp_path / "s.csv", _spectrogram())
+    return manifest.read_spectrogram_csv, (tmp_path / "s.csv",)
+
+
+SEGMENTS = np.random.default_rng(0).standard_normal((4, 8, 4))
+TRAIN_ARGS = (SEGMENTS, np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"], ("neg", "pos"),
+              classifier.TrainConfig(max_epochs=2, architecture="tiny"), 3)
+# Each summarized name's function and the arguments of one tiny call of it.
+CALLS = {
+    "classifier.train_segment_classifier": lambda tmp_path: (
+        classifier.train_segment_classifier, TRAIN_ARGS),
+    "classifier.predict_batch": lambda tmp_path: (
+        classifier.predict_batch, (classifier.train_segment_classifier(*TRAIN_ARGS), SEGMENTS)),
+    "decision.train_forest": lambda tmp_path: (
+        decision.train_forest, (np.random.default_rng(4).standard_normal((6, 3)),
+                                np.array([0, 1, 0, 1, 0, 1]), decision.ForestConfig(n_trees=2),
+                                ("neg", "pos"), 5)),
+    "manifest.read_spectrogram_csv": _read_spectrogram_call,
+    "features.segment_spectrogram": lambda tmp_path: (
+        features.segment_spectrogram, (_spectrogram(), features.SegmentSpec(4, 20.0))),
+    "network.Conv3x3.forward": lambda tmp_path: (
+        network.Conv3x3.forward, (network.Conv3x3(1, 2, np.random.default_rng(1), np.float64),
+                                  np.ones((2, 1, 4, 4)), False)),
+    "network.Conv3x3.backward": lambda tmp_path: _conv_backward_call(),
+}
+
+
+def test_every_summary_has_a_call():
+    assert set(CALLS) == set(tracer.SUMMARIES)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_summary_reads_a_real_call(name, tmp_path):
+    fn, args = CALLS[name](tmp_path)
+    summary = tracer.SUMMARIES[name](args, {}, fn(*args))
+    assert summary, name
+    for key, value in summary.items():
+        assert isinstance(value, (int, np.integer)) and not isinstance(value, bool), (key, value)
+        assert value >= 0, (key, value)
