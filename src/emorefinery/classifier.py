@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .network import (Adam, Architecture, ConvNet, batch_cross_entropy, cross_entropy,
-                      resolve_architecture, softmax)
+from .network import (ARCHITECTURES, Adam, Architecture, ConvNet, batch_cross_entropy,
+                      cross_entropy, softmax)
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +43,9 @@ class TrainConfig:
             raise ConfigError("validation_fraction must be in (0, 0.5]")
         arch = self.architecture
         if isinstance(arch, str):
-            resolve_architecture(arch)
+            if arch not in ARCHITECTURES:
+                raise ConfigError(f"unknown architecture {arch!r}; "
+                                  f"known: {sorted(ARCHITECTURES)}")
         elif isinstance(arch, dict):
             extra = set(arch) - {f.name for f in fields(Architecture)}
             if extra:
@@ -55,7 +57,8 @@ class TrainConfig:
             raise ConfigError("architecture must be a name or an inline object")
 
     def resolved_architecture(self) -> Architecture:
-        return resolve_architecture(self.architecture)
+        arch = self.architecture
+        return ARCHITECTURES[arch] if isinstance(arch, str) else arch
 
 
 @dataclass
@@ -191,8 +194,6 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     val_mask = _validation_split(utterance_ids, cfg.validation_fraction, rng)
     x_train, t_train = x[~val_mask], t[~val_mask]
     x_val, t_val = x[val_mask], t[val_mask].astype(np.float64)
-    if x_train.shape[0] == 0:
-        raise DataError("validation split left no training data")
 
     net = ConvNet(arch, x.shape[1:], k, rng)
     opt = Adam(net.params())

@@ -79,6 +79,8 @@ class SyntheticCorpusSpec:
         names = tuple(self.class_names) or tuple(f"class_{c}" for c in range(self.n_classes))
         if len(names) != self.n_classes:
             raise ConfigError(f"{len(names)} class names for {self.n_classes} classes")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"class_names must be distinct, not {list(names)}")
         object.__setattr__(self, "class_names", names)
 
 

@@ -40,30 +40,14 @@ class FrameSpec:
         return int(round(self.hop_ms * sample_rate / 1000.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogMelSpectrogram:
-    """n_mels x F matrix of natural-log mel filterbank energies."""
+    """n_mels x F matrix of natural-log mel filterbank energies, checked by
+    the function that made it: float64, at least one frame, finite, and one
+    frame time per column."""
 
     values: np.ndarray
     frame_times: np.ndarray  # frame-start offsets in ms
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.frame_times = np.asarray(self.frame_times, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] < 1:
-            raise DataError("spectrogram must be 2-D with >= 1 frame")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("non-finite spectrogram values")
-        if self.frame_times.shape != (self.values.shape[1],):
-            raise DataError("frame_times length mismatch")
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -150,8 +134,9 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
 
     Frames are Hann-windowed, zero-padded to fft_len, and floored at
     LOG_FLOOR before the log so silence maps to ln(1e-10) instead of -inf.
-    A sample rate that rounds the hop below one sample raises a DataError;
-    the window is never shorter than the hop.
+    A sample rate that rounds the hop below one sample raises a DataError,
+    and so do samples that give a non-finite value, such as NaN; the window
+    is never shorter than the hop.
     """
     win = spec.win_samples(sample_rate)
     hop = spec.hop_samples(sample_rate)
@@ -171,6 +156,8 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
     bank = mel_filterbank(spec, sample_rate)
     mel_energy = power @ bank.T
     values = np.log(np.maximum(mel_energy, LOG_FLOOR)).T
+    if not np.all(np.isfinite(values)):
+        raise DataError("non-finite spectrogram values")
 
     frame_times = starts * 1000.0 / sample_rate
     return LogMelSpectrogram(values=values, frame_times=frame_times)
@@ -191,13 +178,14 @@ def segment_spectrogram(
     dropped.
     """
     h = seg.hop_frames(frame)
-    if s.n_frames < seg.seg_frames:
+    n_mels, n_frames = s.values.shape
+    if n_frames < seg.seg_frames:
         raise DataError("utterance too short for one segment "
-                        f"({s.n_frames} frames < {seg.seg_frames})")
-    n = (s.n_frames - seg.seg_frames) // h + 1
+                        f"({n_frames} frames < {seg.seg_frames})")
+    n = (n_frames - seg.seg_frames) // h + 1
     row, col = s.values.strides
     return np.lib.stride_tricks.as_strided(
-        s.values, (n, s.n_mels, seg.seg_frames), (h * col, row, col), writeable=False)
+        s.values, (n, n_mels, seg.seg_frames), (h * col, row, col), writeable=False)
 
 
 def load_wav(path) -> tuple:

@@ -66,6 +66,8 @@ class CorpusManifest:
         object.__setattr__(self, "root", Path(self.root))
         if len(self.class_names) < 2:
             raise DataError("manifest needs at least 2 classes")
+        if len(set(self.class_names)) != len(self.class_names):
+            raise DataError(f"class names must be distinct, not {list(self.class_names)}")
         if not self.rows:
             raise DataError("manifest has no utterances")
         seen = set()
@@ -190,9 +192,9 @@ def manifest_from_wav_tree(corpus_root, rule, label_map=None, class_names=None) 
 
 def write_spectrogram_csv(path, s: LogMelSpectrogram) -> None:
     """Frame-per-row CSV at full float precision."""
-    write_csv(path, ["frame_time_ms"] + [f"m_{i + 1}" for i in range(s.n_mels)],
-              ([f"{s.frame_times[j]:.17g}"] + [f"{v:.17g}" for v in s.values[:, j]]
-               for j in range(s.n_frames)))
+    write_csv(path, ["frame_time_ms"] + [f"m_{i + 1}" for i in range(len(s.values))],
+              ([f"{t:.17g}"] + [f"{v:.17g}" for v in s.values[:, j]]
+               for j, t in enumerate(s.frame_times)))
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -230,8 +232,9 @@ def _bad_line(path, lines, width: int) -> str:
 def read_spectrogram_csv(path) -> LogMelSpectrogram:
     """Load a CSV written by write_spectrogram_csv, every value bit for bit.
 
-    A row that is not one finite number per header column raises a
-    DataError naming the file and the line.
+    A header that names no mel column raises a DataError naming the file,
+    and a row that is not one finite number per header column one naming
+    the file and the line.
     """
     head, newline, body = read_text(path).partition("\n")
     try:
@@ -240,6 +243,8 @@ def read_spectrogram_csv(path) -> LogMelSpectrogram:
         raise DataError(f"{path}, line 1: {exc}") from exc
     if header[:1] != ["frame_time_ms"]:
         raise DataError(f"{path} is not a spectrogram CSV")
+    if len(header) < 2:
+        raise DataError(f"{path} names no mel column after frame_time_ms")
     if not body.strip():
         raise DataError(f"{path} holds no frames")
     lines = body.split("\n")

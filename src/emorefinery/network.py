@@ -82,15 +82,6 @@ ARCHITECTURES = {
 }
 
 
-def resolve_architecture(arch) -> Architecture:
-    if isinstance(arch, Architecture):
-        return arch
-    try:
-        return ARCHITECTURES[arch]
-    except KeyError:
-        raise ConfigError(f"unknown architecture {arch!r}; known: {sorted(ARCHITECTURES)}") from None
-
-
 # Samples per im2col block. Both passes rebuild the columns of one block at
 # a time from the layer's input, so a layer holds one block's columns, not
 # the batch's, and a block's columns stay in cache for its GEMM.
@@ -207,9 +198,6 @@ class MaxPool2x2:
         self._hits = None
 
     def forward(self, x, train: bool):
-        b, c, h, w = x.shape
-        if h % 2 or w % 2:
-            raise ConfigError(f"max pool needs even spatial dims, got {h}x{w}")
         q00, q01, q10, q11 = _window_views(x)
         out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
         # np.maximum leaves open which of two equal operands it returns. Equal

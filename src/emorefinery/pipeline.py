@@ -43,7 +43,9 @@ GENERATIONS_DIR = "generations"
 def _readable_rows(manifest: CorpusManifest, frame, errors: dict, segment=None):
     """(row, spectrogram) of each corpus row that can be read, or with a
     `segment` spec (row, segments); errors[id] is the message of each row
-    that cannot, which names the row's file once."""
+    that cannot, which names the row's file once. A spectrogram with another
+    number of mel bands than the first one read cannot be read."""
+    first = None
     for row in manifest.rows:
         src = manifest.root / row.path
         try:
@@ -51,6 +53,10 @@ def _readable_rows(manifest: CorpusManifest, frame, errors: dict, segment=None):
                 s = log_mel_spectrogram(*load_wav(src), frame)
             else:
                 s = read_spectrogram_csv(src)
+            if first is None:
+                first = (row.utterance_id, len(s.values))
+            elif len(s.values) != first[1]:
+                raise DataError(f"{len(s.values)} mel bands, where {first[0]!r} has {first[1]}")
             value = s if segment is None else segment_spectrogram(s, segment, frame)
         except (EmoRefineryError, OSError, ValueError) as exc:
             errors[row.utterance_id] = str(exc) if str(src) in str(exc) else f"{src}: {exc}"

@@ -65,20 +65,23 @@ class StackedDataset:
                             f"{len(self.speakers)} speakers and {len(segments)} segment arrays")
         if len(set(ids)) != len(ids):
             raise DataError(f"duplicate utterance id {next(u for u in ids if ids.count(u) > 1)!r}")
-        shapes = sorted({a.shape[1:] for a in segments})
-        if len(shapes) != 1 or len(shapes[0]) != 2:
-            raise DataError(f"segment arrays must share one (n_mels, seg_frames) shape, "
-                            f"not {shapes}")
         k = len(self.class_names)
+        shape = segments[0].shape[1:]
         for uid, label, a in zip(ids, self.labels.tolist(), segments):
             if not 0 <= label < k:
                 raise DataError(f"utterance {uid!r} has label {label}, "
                                 f"not a class index 0..{k - 1}")
+            if a.ndim != 3:
+                raise DataError(f"utterance {uid!r} has segments of shape {a.shape}, "
+                                "not (n, n_mels, seg_frames)")
+            if a.shape[1:] != shape:
+                raise DataError(f"segment arrays must share one (n_mels, seg_frames) shape, "
+                                f"but utterance {uid!r} has {a.shape[1:]} and {ids[0]!r} {shape}")
             if len(a) == 0:
                 raise DataError(f"utterance {uid!r} has no segments")
         self.offsets = np.cumsum([0] + [len(a) for a in segments])
         self.row_utterance = np.repeat(np.arange(len(ids)), np.diff(self.offsets))
-        self.x = np.concatenate(segments, out=np.empty((self.offsets[-1],) + shapes[0]))
+        self.x = np.concatenate(segments, out=np.empty((self.offsets[-1],) + shape))
         bad = np.flatnonzero(~np.isfinite(self.x).all(axis=(1, 2)))
         if len(bad):
             i = self.row_utterance[bad[0]]
@@ -270,8 +273,6 @@ _EP_HEADER = ["utterance_id", "segment_index", "generation"]
 def write_ep_csv(path, eps, utterance_ids, offsets, generation: int) -> None:
     """EP export: one row per segment, utterances sorted by id, probabilities
     at full float precision."""
-    if len(utterance_ids) == 0:
-        raise DataError("no emotion profiles to write")
     rows = eps.tolist()
     write_csv(path, _EP_HEADER + [f"p_{i + 1}" for i in range(eps.shape[1])],
               ([utterance_ids[i], index, generation] + [f"{v:.17g}" for v in rows[r]]

@@ -260,6 +260,17 @@ class TestTraining:
         with pytest.raises(DataError, match="targets"):
             train(segs, np.eye(4)[:1], overfit_config())
 
+    @pytest.mark.parametrize("shape, k, what", [
+        ((4, 16), 4, "segments of shape (4, 16) and targets of shape (4, 4) are not "
+                     "(n, n_mels, seg_frames) and (n, 4)"),
+        ((4, 16, 8), 3, "segments of shape (4, 16, 8) and targets of shape (4, 3) are not "
+                        "(n, n_mels, seg_frames) and (n, 4)"),
+    ])
+    def test_malformed_shapes_rejected(self, shape, k, what):
+        with pytest.raises(DataError) as err:
+            train(np.zeros(shape), np.eye(k)[[0, 1, 2, 0]], overfit_config())
+        assert str(err.value) == what
+
     def test_validation_split_is_utterance_level(self):
         # 10 utterances x 4 segments; with fraction 0.25 some utterances
         # must be fully held out, never partially.

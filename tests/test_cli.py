@@ -96,12 +96,15 @@ class TestGenData:
         ('{"noise_level": 1e308}', "must lie in [0, 1e+300], and noise_level is 1e+308"),
         ('{"utterance_noise_level": 1e308}',
          "must lie in [0, 1e+300], and utterance_noise_level is 1e+308"),
+        ('{"n_classes": 3, "class_names": ["a", "a", "b"]}',
+         "class_names must be distinct, not ['a', 'a', 'b']"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text, what):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["gen-data", "--spec", str(bad), "--out", str(tmp_path / "c")]) == 2
         assert what in one_error(capsys, bad)
+        assert not (tmp_path / "c").exists()
 
 
 class TestFeaturize:
@@ -332,6 +335,44 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {manifest}")
         assert what in err[0]
+
+    def test_repeated_class_name_exits_3_naming_the_manifest(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+        manifest = tmp_path / "corpus" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["class_names"] = ["class_0", "class_0", "class_1", "class_2"]
+        manifest.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
+        assert one_error(capsys, manifest) == (
+            f"error: {manifest}: class names must be distinct, "
+            "not ['class_0', 'class_0', 'class_1', 'class_2']")
+        assert not (tmp_path / "run").exists()
+
+    def test_spectrograms_without_mel_columns_exit_3_naming_each_file(self, workspace,
+                                                                       tmp_path, capsys):
+        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+        paths = sorted((tmp_path / "corpus" / "features").glob("*.csv"))
+        for path in paths:
+            path.write_text("".join(line.split(",")[0] + "\n"
+                                    for line in path.read_text().splitlines()))
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {len(paths)} utterance(s) failed")
+        for path in paths:
+            assert f"{path.stem}: {path} names no mel column after frame_time_ms" in err[0]
+
+    def test_mismatched_mel_count_exits_3_naming_the_file(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+        path = tmp_path / "corpus" / "features" / "u0005_c1.csv"
+        path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
+                                for line in path.read_text().splitlines()))
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: 1 utterance(s) failed to featurize: "
+            f"u0005_c1: {path}: 6 mel bands, where 'u0000_c0' has 8"]
 
     def test_unreadable_manifest_exits_3(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -219,6 +219,22 @@ class TestValidation:
         ({"train": {"architecture": {"conv_stages": [[4]]}}},
          "inline architecture needs name and conv_stages"),
         ({"train": {"architecture": 3}}, "architecture must be a name or an inline object"),
+        ({"train": {"architecture": {"name": "x", "conv_stages": [[4]], "dtype": "float16"}}},
+         "unsupported dtype 'float16'"),
+        ({"train": {"lr_decay_every": 0}}, "lr_decay_every and early_stop_patience must be >= 1"),
+        ({"train": {"early_stop_patience": 0}},
+         "lr_decay_every and early_stop_patience must be >= 1"),
+        ({"frame": {"win_ms": 0}}, "window and hop must be positive"),
+        ({"frame": {"hop_ms": -10.0}}, "window and hop must be positive"),
+        ({"frame": {"hop_ms": 30.0}}, "hop must not exceed the window length"),
+        ({"frame": {"n_mels": 1}}, "n_mels must be at least 2"),
+        ({"segment": {"seg_frames": 0}}, "seg_frames must be >= 1"),
+        ({"segment": {"seg_hop_ms": 0}}, "seg_hop_ms must be positive"),
+        ({"forest": {"n_trees": 0}}, "n_trees must be >= 1"),
+        ({"forest": {"max_features": -1}},
+         "max_features must be positive, or 0 for floor(sqrt(d))"),
+        ({"forest": {"min_samples_split": 1}}, "min_samples_split must be >= 2"),
+        ({"forest": {"max_depth": -2}}, "max_depth must be >= 0, or -1 for unlimited"),
         ([], "config must be a JSON object"),
     ])
     def test_single_error_messages(self, doc, message):

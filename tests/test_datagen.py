@@ -4,6 +4,7 @@ pure-mode degenerate corpus."""
 import numpy as np
 import pytest
 
+from emorefinery.config import dataclass_from_dict
 from emorefinery.datagen import (
     SyntheticCorpusSpec,
     SyntheticUtterance,
@@ -43,6 +44,22 @@ class TestSpecValidation:
         assert small_spec().class_names == ("class_0", "class_1", "class_2", "class_3")
         named = small_spec(class_names=("w", "x", "y", "z"))
         assert named.class_names == ("w", "x", "y", "z")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_classes": 1}, "n_classes must be >= 2"),
+        ({"utterances_per_class": 0}, "utterances_per_class must be >= 1"),
+        ({"label_noise": 1.0}, "label_noise must lie in [0, 1)"),
+        ({"label_noise": -0.1}, "label_noise must lie in [0, 1)"),
+        ({"n_speakers": 0}, "n_speakers must be >= 1"),
+        ({"n_mels": 1}, "n_mels must be >= 2 and seg_frames >= 1"),
+        ({"seg_frames": 0}, "n_mels must be >= 2 and seg_frames >= 1"),
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"n_classes": 2, "class_names": ["a", "a"]}, "class_names must be distinct, not ['a', 'a']"),
+    ])
+    def test_spec_document_checks(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            dataclass_from_dict(SyntheticCorpusSpec, doc, "corpus spec")
+        assert str(err.value) == message
 
     def test_class_name_count_must_match(self):
         with pytest.raises(ConfigError, match="class names"):

@@ -372,6 +372,12 @@ class TestTraining:
         with pytest.raises(DataError, match="no samples"):
             train_forest([], [], ForestConfig(), NAMES3, 0)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 3], [0, 1, 4], [-1, 0, 1]])
+    def test_label_outside_the_class_table_rejected(self, labels):
+        with pytest.raises(DataError) as err:
+            train_forest(np.zeros((3, 2)), labels, ForestConfig(), NAMES3, 0)
+        assert str(err.value) == "labels must lie in 0..2"
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="length"):
             train_forest(np.zeros((3, 2)), [0, 1], ForestConfig(), NAMES3, 0)

@@ -129,7 +129,7 @@ class TestLogMelSpectrogram:
         rng = np.random.default_rng(0)
         spec = log_mel_spectrogram(rng.uniform(-1, 1, 12345), 16000, SPEC)
         assert spec.values.shape == (64, frame_count(12345, 16000, SPEC))
-        assert spec.frame_times.shape == (spec.n_frames,)
+        assert spec.frame_times.shape == (spec.values.shape[1],)
 
     def test_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(42)
@@ -149,9 +149,16 @@ class TestLogMelSpectrogram:
                                             "to 0 samples$"):
             log_mel_spectrogram(np.zeros(8000), rate, SPEC)
 
+    @pytest.mark.parametrize("at", [0, 4000, 7919])
+    def test_nan_samples_are_data_error(self, at):
+        samples = np.zeros(8000)
+        samples[at] = np.nan
+        with pytest.raises(DataError, match="^non-finite spectrogram values$"):
+            log_mel_spectrogram(samples, 16000, SPEC)
+
     def test_lowest_rate_with_a_one_sample_hop_runs(self):
         spec = log_mel_spectrogram(np.ones(100), 51, SPEC)
-        assert spec.n_frames == 100
+        assert spec.values.shape[1] == 100
 
 
 class TestSegmentation:
@@ -243,6 +250,19 @@ class TestWavLoading:
         wavfile.write(path, 16000, data)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite samples$"):
             load_wav(path)
+
+    @pytest.mark.parametrize("data, what", [
+        (np.zeros(2000, dtype=np.int32), "unsupported sample format int32; use int16 or float32"),
+        (np.zeros(0, dtype=np.int16), "empty audio file"),
+    ])
+    def test_unusable_samples_name_the_file(self, tmp_path, data, what):
+        from scipy.io import wavfile
+
+        path = tmp_path / "u1.wav"
+        wavfile.write(path, 16000, data)
+        with pytest.raises(DataError) as err:
+            load_wav(path)
+        assert str(err.value) == f"{path}: {what}"
 
     def test_zero_rate_names_the_file(self, tmp_path):
         from scipy.io import wavfile

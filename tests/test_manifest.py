@@ -223,10 +223,10 @@ class TestReaderOracle:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(spectrogram_files())
-    @example((LogMelSpectrogram(values=np.array([EDGE_VALUES[:8]]).T, frame_times=[-0.0]),
+    @example((LogMelSpectrogram(values=np.array([EDGE_VALUES[:8]]).T, frame_times=np.array([-0.0])),
               b"\n"))
     @example((LogMelSpectrogram(values=np.array([[1.5, 2.0], [-3.0, 0.1]]),
-                                frame_times=[0.0, 10.0]), b"\r\n"))
+                                frame_times=np.array([0.0, 10.0])), b"\r\n"))
     def test_bytes_match_reference(self, tmp_path_factory, case):
         s, newline = case
         path = tmp_path_factory.mktemp("oracle") / "s.csv"
@@ -261,7 +261,7 @@ class TestReaderOracle:
         # as a one-mel spectrogram.
         path = tmp_path / "s.csv"
         path.write_text("frame_time_ms,m_1,m_2,m_3\n0,1\n10,2\n")
-        assert reference_read_spectrogram_csv(path).n_mels == 1
+        assert reference_read_spectrogram_csv(path).values.shape[0] == 1
         with pytest.raises(DataError, match=r"line 2: 2 values where the header names 4"):
             read_spectrogram_csv(path)
 
@@ -371,6 +371,25 @@ class TestFilenameManifestBuilders:
         m = manifest_from_wav_tree(tmp_path, rule, class_names=("sad", "neutral", "angry"))
         assert m.class_names == ("sad", "neutral", "angry")
         assert sorted(r.label for r in m.rows) == ["neutral", "sad"]
+
+    @pytest.mark.parametrize("rel, rule, what", [
+        ("03a01F.wav", "speaker_text_letter",
+         "03a01F.wav: expected a speaker_text_letter stem of >= 7 characters"),
+        ("a01.wav", "speaker_dir_prefix",
+         "a01.wav: expected an alphabetic class prefix inside a speaker directory"),
+        ("DC/01.wav", "speaker_dir_prefix",
+         "DC/01.wav: expected an alphabetic class prefix inside a speaker directory"),
+    ])
+    def test_stem_the_rule_cannot_parse(self, tmp_path, rel, rule, what):
+        self.touch(tmp_path, rel)
+        with pytest.raises(DataError) as err:
+            manifest_from_wav_tree(tmp_path, rule)
+        assert str(err.value) == what
+
+    def test_missing_corpus_directory(self, tmp_path):
+        with pytest.raises(DataError) as err:
+            manifest_from_wav_tree(tmp_path / "absent", "label_speaker_index")
+        assert str(err.value) == f"no corpus directory at {tmp_path / 'absent'}"
 
     def test_unknown_rule_name(self, tmp_path):
         self.touch(tmp_path, "a_b_1.wav")

@@ -499,9 +499,10 @@ class TestStackedDataset:
         (lambda: stacked(labels=(0, 4)), "'b' has label 4, not a class index 0..3"),
         (lambda: stacked(labels=(-1, 0)), "'a' has label -1, not a class index 0..3"),
         (lambda: stacked(segments=[np.zeros((2, 4, 3)), np.zeros((2, 4, 2))]),
-         "share one \\(n_mels, seg_frames\\) shape"),
+         "share one \\(n_mels, seg_frames\\) shape, but utterance 'b' has \\(4, 2\\) "
+         "and 'a' \\(4, 3\\)"),
         (lambda: stacked(segments=[np.zeros((2, 4)), np.zeros((2, 4))]),
-         "share one \\(n_mels, seg_frames\\) shape"),
+         "utterance 'a' has segments of shape \\(2, 4\\), not \\(n, n_mels, seg_frames\\)"),
         (lambda: stacked(segments=[np.zeros((2, 4, 3)), with_nan(np.zeros((2, 4, 3)))]),
          "utterance 'b' segment 1 has non-finite values"),
         (lambda: stacked(labels=(0,)), "2 utterance ids for 1 labels"),
