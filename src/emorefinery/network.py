@@ -2,8 +2,9 @@
 
 Layers are implemented directly on numpy so training is deterministic and
 parameter gradients are available for finite-difference verification.
-Convolutions are 3x3 stride-1 with same-padding; every stage ends in a
-2x2 max pool.
+Convolutions are 3x3 stride-1 with same-padding. Every stage ends in its
+last conv, a 2x2 max pool and a ReLU, in that order: ReLU commutes with
+max, so it runs on the pooled quarter of the elements.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ def _positive_ints(value) -> bool:
 class Architecture:
     """Network shape descriptor.
 
-    conv_stages lists the conv channel widths of each stage; a 2x2 max
-    pool follows each stage. dense lists hidden fully-connected widths
+    conv_stages lists the conv channel widths of each stage; a ReLU follows
+    each conv, except that a stage's last conv is followed by a 2x2 max pool
+    and then its ReLU. dense lists hidden fully-connected widths
     before the final class-logit layer.
     """
 
@@ -201,15 +203,14 @@ class MaxPool2x2:
         q00, q01, q10, q11 = _window_views(x)
         out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
         # np.maximum leaves open which of two equal operands it returns. Equal
-        # values differ in bits only as -0.0 against +0.0 or as NaNs, so only
-        # inputs holding those need the slower walk that keeps the first.
-        x_bits = _bits(x)
-        if np.isnan(out).any() or (
-            (x_bits == 0).any() and (x_bits == np.iinfo(x_bits.dtype).min).any()
-        ):
+        # values differ in bits only as -0.0 against +0.0 or as NaNs, and such
+        # a tie decides a window's output only where its maximum is zero or
+        # NaN; only then is the slower walk that keeps the first needed. The
+        # nets pool raw conv output, where such windows are rare.
+        if np.isnan(out).any() or not out.all():
             out = _first_max(x)
         if train:
-            self._hits = _first_hits(x_bits, _bits(out))
+            self._hits = _first_hits(_bits(x), _bits(out))
         return out
 
     def backward(self, g):
@@ -310,7 +311,9 @@ class ConvNet:
                 raise ConfigError(
                     f"architecture {arch.name!r} pools {h}x{w} below even dims for input {input_shape}"
                 )
-            layers.append(MaxPool2x2())
+            # Pool before the stage's last ReLU: max(relu(a), relu(b)) equals
+            # relu(max(a, b)), and the ReLU then sees a quarter of the elements.
+            layers.insert(-1, MaxPool2x2())
         layers.append(Flatten())
         n_in = c_out * (h // 2) * (w // 2)
         for width in arch.dense:

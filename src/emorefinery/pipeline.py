@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,20 @@ METRICS_NAME = "metrics.json"
 GENERATIONS_DIR = "generations"
 
 
-def _readable_rows(manifest: CorpusManifest, frame, errors: dict, segment=None):
-    """(row, spectrogram) of each corpus row that can be read, or with a
-    `segment` spec (row, segments); errors[id] is the message of each row
-    that cannot, which names the row's file once. A spectrogram with another
-    number of mel bands than the first one read cannot be read."""
-    first = None
+def _record_failure(errors: dict, manifest: CorpusManifest, row, exc) -> None:
+    """errors[id] = the message of exc, naming the row's file once."""
+    src = manifest.root / row.path
+    errors[row.utterance_id] = str(exc) if str(src) in str(exc) else f"{src}: {exc}"
+
+
+def _mel_mismatch(s, ref) -> DataError:
+    """The error of a spectrogram whose mel count is not ref's (id, count)."""
+    return DataError(f"{len(s.values)} mel bands, where {ref[0]!r} has {ref[1]}")
+
+
+def _readable_rows(manifest: CorpusManifest, frame, errors: dict):
+    """(row, spectrogram) of each corpus row that can be read; errors[id]
+    is the message of each row that cannot."""
     for row in manifest.rows:
         src = manifest.root / row.path
         try:
@@ -53,28 +62,38 @@ def _readable_rows(manifest: CorpusManifest, frame, errors: dict, segment=None):
                 s = log_mel_spectrogram(*load_wav(src), frame)
             else:
                 s = read_spectrogram_csv(src)
-            if first is None:
-                first = (row.utterance_id, len(s.values))
-            elif len(s.values) != first[1]:
-                raise DataError(f"{len(s.values)} mel bands, where {first[0]!r} has {first[1]}")
-            value = s if segment is None else segment_spectrogram(s, segment, frame)
         except (EmoRefineryError, OSError, ValueError) as exc:
-            errors[row.utterance_id] = str(exc) if str(src) in str(exc) else f"{src}: {exc}"
+            _record_failure(errors, manifest, row, exc)
             continue
-        yield row, value
+        yield row, s
 
 
 def utterances_from_manifest(manifest: CorpusManifest, frame, segment):
     """Segment every corpus row; returns (dataset, per-utterance errors).
 
     The dataset holds the rows that could be segmented, labelled with their
-    training labels; it is None when no row could.
+    training labels; it is None when no row could. The corpus's mel count is
+    the most common one among the readable rows, ties going to the count
+    read first; a row with another count cannot be segmented.
     """
     errors = {}
-    readable = list(_readable_rows(manifest, frame, errors, segment))
-    if not readable:
+    readable = list(_readable_rows(manifest, frame, errors))
+    counts = Counter(len(s.values) for _, s in readable)
+    # A Counter keeps its keys in the order first read; max keeps the first of equals.
+    n_mels = max(counts, key=counts.__getitem__, default=None)
+    ref = next(((row.utterance_id, n_mels) for row, s in readable
+                if len(s.values) == n_mels), None)
+    rows, segments = [], []
+    for row, s in readable:
+        try:
+            if len(s.values) != n_mels:
+                raise _mel_mismatch(s, ref)
+            segments.append(segment_spectrogram(s, segment, frame))
+            rows.append(row)
+        except (EmoRefineryError, ValueError) as exc:
+            _record_failure(errors, manifest, row, exc)
+    if not rows:
         return None, errors
-    rows, segments = zip(*readable)
     data = StackedDataset([r.utterance_id for r in rows],
                           [manifest.label_index(r.training_label) for r in rows],
                           [r.speaker for r in rows], manifest.class_names, segments)
@@ -93,7 +112,15 @@ def featurize_corpus(manifest: CorpusManifest, frame, out_root):
     errors = {}
 
     def readable():
-        yield from _readable_rows(manifest, frame, errors)
+        # Audio rows share one FrameSpec, so the first count read stands for the corpus.
+        first = None
+        for row, s in _readable_rows(manifest, frame, errors):
+            if first is None:
+                first = (row.utterance_id, len(s.values))
+            elif len(s.values) != first[1]:
+                _record_failure(errors, manifest, row, _mel_mismatch(s, first))
+                continue
+            yield row, s
         if len(errors) == len(manifest.rows):
             raise _featurize_failure(errors)
 

@@ -374,6 +374,18 @@ class TestRun:
             f"error: 1 utterance(s) failed to featurize: "
             f"u0005_c1: {path}: 6 mel bands, where 'u0000_c0' has 8"]
 
+    def test_mismatched_first_file_is_the_one_named(self, workspace, tmp_path, capsys):
+        # The corpus's mel count is the most common one, not the first read.
+        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+        path = tmp_path / "corpus" / "features" / "u0000_c0.csv"
+        path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
+                                for line in path.read_text().splitlines()))
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: 1 utterance(s) failed to featurize: "
+            f"u0000_c0: {path}: 6 mel bands, where 'u0001_c0' has 8"]
+
     def test_unreadable_manifest_exits_3(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.mkdir()

@@ -1,10 +1,12 @@
 """Layer kernels against reference copies of their first implementations.
 
-OracleConv3x3 and OracleMaxPool2x2 are the straightforward layers the
-package started with: im2col by nine strided copies into a fresh buffer,
-and max pooling through a transposed copy, argmax and put_along_axis. The
-faster layers must reproduce them bit for bit, so every comparison here is
-on bytes, not within a tolerance.
+OracleConv3x3, OracleReLU and OracleMaxPool2x2 are the straightforward
+layers the package started with: im2col by nine strided copies into a fresh
+buffer, a masked ReLU, and max pooling through a transposed copy, argmax
+and put_along_axis. oracle_init builds a net in the stage order it started
+with, conv -> ReLU -> pool, where ConvNet now pools before a stage's last
+ReLU. The faster layers and the new order must reproduce them bit for bit,
+so every comparison here is on bytes, not within a tolerance.
 """
 
 import contextlib
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from emorefinery import network
-from emorefinery.classifier import TrainConfig, train_segment_classifier
+from emorefinery.classifier import (TrainConfig, load_model, predict_batch, save_model,
+                                    train_segment_classifier)
 from emorefinery.errors import ConfigError
 from emorefinery.network import ARCHITECTURES, Conv3x3, ConvNet, MaxPool2x2
 
@@ -95,6 +98,41 @@ class OracleMaxPool2x2:
         return z.reshape(b, c, h, w)
 
 
+class OracleReLU:
+    def __init__(self):
+        self._mask = None
+
+    def forward(self, x, train: bool):
+        if train:
+            self._mask = x > 0
+            return x * self._mask
+        return np.maximum(x, 0)
+
+    def backward(self, g):
+        out = g * self._mask
+        self._mask = None
+        return out
+
+
+def oracle_init(self, arch, input_shape, k, rng):
+    """ConvNet.__init__ as it first was: a ReLU after every conv, then the
+    stage's pool. It draws the parameters in the same order."""
+    self.arch = arch
+    self.input_shape = tuple(input_shape)
+    dtype = arch.np_dtype
+    self.layers = []
+    for h, w, convs in arch.conv_shapes(input_shape):
+        for c_in, c_out in convs:
+            self.layers += [network.Conv3x3(c_in, c_out, rng, dtype), network.ReLU()]
+        self.layers.append(network.MaxPool2x2())
+    self.layers.append(network.Flatten())
+    n_in = c_out * (h // 2) * (w // 2)
+    for width in arch.dense:
+        self.layers += [network.Dense(n_in, width, rng, dtype), network.ReLU()]
+        n_in = width
+    self.layers.append(network.Dense(n_in, k, rng, dtype))
+
+
 def oracle_backward(net, dlogits):
     """ConvNet.backward as it first was: every layer returns its input gradient."""
     g = dlogits.astype(net.arch.np_dtype, copy=False)
@@ -104,10 +142,13 @@ def oracle_backward(net, dlogits):
 
 @contextlib.contextmanager
 def oracle_layers(monkeypatch):
-    """Inside the block, ConvNet builds and backpropagates through the oracle layers."""
+    """Inside the block, ConvNet builds the oracle layers in the old stage
+    order and backpropagates through them."""
     with monkeypatch.context() as m:
         m.setattr(network, "Conv3x3", OracleConv3x3)
+        m.setattr(network, "ReLU", OracleReLU)
         m.setattr(network, "MaxPool2x2", OracleMaxPool2x2)
+        m.setattr(ConvNet, "__init__", oracle_init)
         m.setattr(ConvNet, "backward", oracle_backward)
         yield
 
@@ -127,21 +168,86 @@ def pool_both(x, g=None):
     return out_new
 
 
-@pytest.mark.parametrize("arch", ["compact", "tiny"])
-def test_net_forward_and_parameter_gradients_match_oracle(arch, monkeypatch):
-    shape = (32, 32) if arch == "compact" else (16, 8)
+@pytest.fixture
+def first_max_calls(monkeypatch):
+    """The shapes network._first_max, the pool's slow path, is called on."""
+    calls = []
+    real = network._first_max
+
+    def spy(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(network, "_first_max", spy)
+    return calls
+
+
+def awkward_segments(rng, n, shape):
+    """Segments holding what decides ties in the pools: exact +0.0 bands,
+    -0.0 columns, constant blocks, all-zero and all-negative segments."""
+    h, w = shape
+    x = rng.standard_normal((n, h, w))
+    x[0::5, 2:6] = 0.0
+    x[0::5, :, 1::3] = -0.0
+    x[1::5, : h // 2, : w // 2] = -1.5
+    x[1::5, h // 2 :, w // 2 :] = 0.75
+    x[2::5] = 0.0
+    x[2::5, :, ::2] = -0.0
+    x[3::5] = -np.abs(x[3::5])
+    return x
+
+
+TWO_STAGES = network.Architecture("two", conv_stages=((4, 5), (6,)), dense=(3,))
+NETS = {"compact": (ARCHITECTURES["compact"], (32, 32)), "tiny": (ARCHITECTURES["tiny"], (16, 8)),
+        "two": (TWO_STAGES, (16, 8))}
+
+
+@pytest.mark.parametrize("arch", NETS)
+def test_net_forward_and_parameter_gradients_match_oracle(arch, monkeypatch, first_max_calls):
+    arch, shape = NETS[arch]
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((24, *shape))
+    x = awkward_segments(rng, 24, shape)
     dlogits = rng.standard_normal((24, 4))
-    new = ConvNet(ARCHITECTURES[arch], shape, 4, np.random.default_rng(9))
+    new = ConvNet(arch, shape, 4, np.random.default_rng(9))
     logits = new.forward(x, train=True)
     new.backward(dlogits)
+    # The inputs reach windows whose maximum is zero.
+    assert first_max_calls
     with oracle_layers(monkeypatch):
-        old = ConvNet(ARCHITECTURES[arch], shape, 4, np.random.default_rng(9))
+        old = ConvNet(arch, shape, 4, np.random.default_rng(9))
         assert_bytes_equal(logits, old.forward(x, train=True))
         old.backward(dlogits)
     for g_new, g_old in zip(new.grads(), old.grads(), strict=True):
         assert_bytes_equal(g_new, g_old)
+    assert_bytes_equal(new.forward(x), old.forward(x))
+
+
+def test_each_stage_pools_before_its_last_relu(monkeypatch):
+    net = ConvNet(TWO_STAGES, (16, 8), 4, np.random.default_rng(0))
+    conv, relu, pool, dense = Conv3x3, network.ReLU, MaxPool2x2, network.Dense
+    assert [type(layer) for layer in net.layers] == [
+        conv, relu, conv, pool, relu, conv, pool, relu, network.Flatten, dense, relu, dense]
+    with monkeypatch.context() as m:
+        m.setattr(ConvNet, "__init__", oracle_init)
+        old = ConvNet(TWO_STAGES, (16, 8), 4, np.random.default_rng(0))
+    for p_new, p_old in zip(net.params(), old.params(), strict=True):
+        assert_bytes_equal(p_new, p_old)
+
+
+def test_old_order_checkpoint_predicts_the_same_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(14)
+    segs = awkward_segments(rng, 30, (32, 32))
+    probs = rng.uniform(0.01, 1.0, (30, 4))
+    cfg = TrainConfig(max_epochs=1, batch_size=8, validation_fraction=0.2,
+                      architecture="compact")
+    with oracle_layers(monkeypatch):
+        old = train_segment_classifier(segs, probs / probs.sum(axis=1, keepdims=True),
+                                       [f"u{i // 3}" for i in range(30)], ("a", "b", "c", "d"),
+                                       cfg, 2)
+        save_model(old, tmp_path / "fold01.npz")
+    new = load_model(tmp_path / "fold01.npz")
+    assert type(old.net.layers[1]) is OracleReLU and type(new.net.layers[1]) is MaxPool2x2
+    assert_bytes_equal(predict_batch(new, segs), predict_batch(old, segs))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -163,9 +269,7 @@ def test_conv_skipping_input_gradient_keeps_parameter_gradients(batch, dtype):
     assert_bytes_equal(layer.db, oracle.db)
 
 
-@pytest.mark.parametrize("arch", [
-    ARCHITECTURES["compact"], ARCHITECTURES["tiny"],
-    network.Architecture("two", conv_stages=((4, 5), (6,)), dense=(3,))])
+@pytest.mark.parametrize("arch", [ARCHITECTURES["compact"], ARCHITECTURES["tiny"], TWO_STAGES])
 def test_conv_shapes_walk_the_layers_convnet_builds(arch):
     net = ConvNet(arch, (32, 16), 4, np.random.default_rng(0))
     convs = [layer for layer in net.layers if isinstance(layer, Conv3x3)]
@@ -242,8 +346,40 @@ def test_pool_nan_windows_match(dtype):
     assert np.isnan(out).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_with_positive_window_maxima_takes_the_fast_path(dtype, first_max_calls):
+    # Conv-like output holding both signed zeros and tied maxima, where every
+    # window's maximum is positive.
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 3, 8, 8)).astype(dtype)
+    x[rng.random(x.shape) < 0.15] = 0.0
+    x[rng.random(x.shape) < 0.15] = -0.0
+    peak = (np.abs(rng.standard_normal((5, 3, 4, 4))) + 0.5).astype(dtype)
+    first, second = rng.integers(0, 4, (2, 5, 3, 4, 4))
+    tied = rng.random((5, 3, 4, 4)) < 0.5
+    for k, q in enumerate(network._window_views(x)):
+        at = (first == k) | (tied & (second == k))
+        q[at] = peak[at]
+    bits = network._bits(x)
+    assert (bits == 0).any() and (bits == np.iinfo(bits.dtype).min).any()
+    pool_both(x, rng.standard_normal((5, 3, 4, 4)).astype(dtype))
+    assert first_max_calls == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("quad", [[-1.0, 0.0, -2.0, -0.0], [-0.0, -3.0, 0.0, -1.0],
+                                  [-0.0, -1.0, -0.0, -2.0], [0.0, 0.0, 0.0, 0.0],
+                                  [-1.0, np.nan, 2.0, 3.0]])
+def test_pool_with_a_zero_or_nan_window_maximum_takes_the_slow_path(dtype, quad,
+                                                                    first_max_calls):
+    x = windows([2.0, -1.0, 0.5, 0.0], quad, [-0.0, 1.0, 3.0, 3.0], dtype=dtype)
+    pool_both(x, np.arange(1.0, 4.0, dtype=dtype).reshape(1, 1, 1, 3))
+    assert len(first_max_calls) == 1
+
+
 def test_pool_relu_output_matches():
-    # ReLU's x * mask leaves -0.0 for negative inputs; mix in exact +0.0 too.
+    # The nets no longer pool ReLU output, but the pool must still match on
+    # it: ReLU's x * mask leaves -0.0 for negative inputs; mix in exact +0.0 too.
     rng = np.random.default_rng(8)
     x = rng.standard_normal((6, 3, 8, 8)).astype(np.float32)
     x[rng.random(x.shape) < 0.1] = 0.0
@@ -253,7 +389,7 @@ def test_pool_relu_output_matches():
 
 def test_two_epochs_of_compact_training_match_oracle(monkeypatch):
     rng = np.random.default_rng(12)
-    segs = np.stack([rng.standard_normal((32, 32)) for _ in range(40)])
+    segs = awkward_segments(rng, 40, (32, 32))
     ids = [f"u{i // 4}" for i in range(40)]
     probs = rng.uniform(0.01, 1.0, (40, 4))
     targets = probs / probs.sum(axis=1, keepdims=True)
