@@ -99,14 +99,25 @@ class Conv3x3:
         self.b = np.zeros(c_out, dtype=dtype)
         self._x = None
 
-    def _im2col(self, x):
+    @staticmethod
+    def _im2col(x):
+        """The (b, c * 9, h * w) columns of x, in (c, dy, dx) row order.
+
+        Built from three column-shifted planes: plane dx holds x shifted by
+        dx - 1 columns, zero-filled, between a zero row above and below. Row
+        y + dy of plane dx is then row y + dy of the zero-padded input, read
+        from column dx, so each (dy, dx) block of the columns is one
+        contiguous run of h * w elements of plane dx, starting at row dy.
+        """
         b, c, h, w = x.shape
-        xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
-        xp[:, :, 1:-1, 1:-1] = x
-        cols = np.empty((b, c, 3, 3, h, w), dtype=x.dtype)
+        s = np.zeros((b, c, 3, h + 2, w), dtype=x.dtype)
+        s[:, :, 0, 1:-1, 1:] = x[..., :-1]
+        s[:, :, 1, 1:-1] = x
+        s[:, :, 2, 1:-1, :-1] = x[..., 1:]
+        s = s.reshape(b, c, 3, (h + 2) * w)
+        cols = np.empty((b, c, 3, 3, h * w), dtype=x.dtype)
         for dy in range(3):
-            for dx in range(3):
-                cols[:, :, dy, dx] = xp[:, :, dy : dy + h, dx : dx + w]
+            cols[:, :, dy] = s[..., dy * w : dy * w + h * w]
         return cols.reshape(b, c * 9, h * w)
 
     def forward(self, x, train: bool):

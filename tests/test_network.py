@@ -10,6 +10,7 @@ so every comparison here is on bytes, not within a tolerance.
 """
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,72 @@ def test_conv_skipping_input_gradient_keeps_parameter_gradients(batch, dtype):
     assert layer.backward(g, need_dx=False) is None
     assert_bytes_equal(layer.dw, oracle.dw)
     assert_bytes_equal(layer.db, oracle.db)
+
+
+def special_values(rng, shape, dtype):
+    """Normal values with a third of the elements replaced by -0.0, NaNs of
+    two payloads, +-inf and subnormals, in random positions."""
+    nan_bits = (0x7FC00001, 0xFFC0ABCD) if dtype == np.float32 else (
+        0x7FF8000000000001, 0xFFF800000000ABCD)
+    nans = np.array(nan_bits, dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.concatenate([np.array([-0.0, np.inf, -np.inf, tiny, -3 * tiny], dtype), nans])
+    x = rng.standard_normal(shape).astype(dtype)
+    flat = x.reshape(-1)
+    at = rng.permutation(flat.size)[: max(1, flat.size // 3)]
+    flat[at] = np.resize(specials, at.size)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("plane", [(1, 1), (1, 4), (4, 1), (2, 3), (5, 7), (16, 16)],
+                         ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_im2col_matches_oracle_bit_for_bit(plane, dtype):
+    # Batches below, at and across the conv's block of 8 samples.
+    rng = np.random.default_rng(plane)
+    oracle = OracleConv3x3(1, 1, rng, dtype)
+    for b in (1, 7, 8, 9, 17):
+        for c in (1, 2, 5):
+            x = special_values(rng, (b, c) + plane, dtype)
+            assert_bytes_equal(Conv3x3._im2col(x), oracle._im2col(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_matches_oracle_on_a_plane_wider_than_tall(dtype):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((13, 2, 5, 7)).astype(dtype)
+    x[:, :, :, ::3] = -0.0
+    g = rng.standard_normal((13, 3, 5, 7)).astype(dtype)
+    layer = Conv3x3(2, 3, np.random.default_rng(2), dtype)
+    oracle = OracleConv3x3(2, 3, np.random.default_rng(2), dtype)
+    assert_bytes_equal(layer.forward(x, True), oracle.forward(x, True))
+    assert_bytes_equal(layer.backward(g), oracle.backward(g))
+    assert_bytes_equal(layer.dw, oracle.dw)
+    assert_bytes_equal(layer.db, oracle.db)
+
+
+def peak_above_result(call, *args):
+    """Bytes that call(*args) allocates at its peak beyond what it still
+    holds on return: its result and whatever it keeps."""
+    tracemalloc.start()
+    try:
+        result = call(*args)  # alive until the traced memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+def test_conv_passes_hold_one_blocks_columns_not_the_batchs():
+    # The compact net's second conv at batch 128: the batch's columns would
+    # be 128 * 144 * 256 float32 values, 18 MiB.
+    rng = np.random.default_rng(6)
+    layer = Conv3x3(16, 32, rng, np.float32)
+    x = rng.standard_normal((128, 16, 16, 16)).astype(np.float32)
+    g = rng.standard_normal((128, 32, 16, 16)).astype(np.float32)
+    quarter_of_batch_columns = 128 * 144 * 256 * 4 // 4
+    assert peak_above_result(layer.forward, x, True) < quarter_of_batch_columns
+    assert peak_above_result(layer.backward, g) < quarter_of_batch_columns
 
 
 @pytest.mark.parametrize("arch", [ARCHITECTURES["compact"], ARCHITECTURES["tiny"], TWO_STAGES])
