@@ -61,6 +61,9 @@ class CorpusManifest:
     root: Path
 
     def __post_init__(self):
+        if not (isinstance(self.class_names, (tuple, list))
+                and all(isinstance(name, str) for name in self.class_names)):
+            raise DataError(f"class_names must be a list of strings, not {self.class_names!r}")
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "root", Path(self.root))
@@ -117,8 +120,7 @@ def load_manifest(corpus_root) -> CorpusManifest:
                             label=r["label"], speaker=r.get("speaker", ""),
                             observed_label=r.get("observed_label", ""))
                 for r in doc["rows"]]
-        return CorpusManifest(class_names=tuple(doc["class_names"]), rows=rows,
-                              root=path.parent)
+        return CorpusManifest(class_names=doc["class_names"], rows=rows, root=path.parent)
     except KeyError as exc:
         raise DataError(f"{path} lacks the key {exc}") from exc
     except (AttributeError, TypeError) as exc:
@@ -270,9 +272,8 @@ def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> Co
     root = Path(corpus_root)
     rows = []
     try:
+        (root / "features").mkdir(parents=True, exist_ok=True)
         for row, spectrogram in rows_and_spectrograms:
-            if not rows:
-                (root / "features").mkdir(parents=True, exist_ok=True)
             rel = f"features/{row.utterance_id}.csv"
             write_spectrogram_csv(root / rel, spectrogram)
             rows.append(replace(row, path=rel, kind="features"))

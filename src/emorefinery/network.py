@@ -55,11 +55,15 @@ class Architecture:
 
     def conv_shapes(self, input_shape) -> list:
         """The conv stack's walk over one input of (h, w): per stage, the h
-        and w its convolutions see and the (c_in, c_out) of each of them."""
+        and w its convolutions see and the (c_in, c_out) of each of them.
+        A stage whose pool would see odd dims raises a ConfigError."""
         h, w = input_shape
         c = 1
         stages = []
         for stage in self.conv_stages:
+            if h % 2 or w % 2:
+                raise ConfigError(f"architecture {self.name!r} pools {h}x{w} below even dims "
+                                  f"for input {tuple(input_shape)}")
             stages.append((h, w, list(zip((c,) + stage[:-1], stage))))
             c = stage[-1]
             h, w = h // 2, w // 2
@@ -318,10 +322,6 @@ class ConvNet:
             for c_in, c_out in convs:
                 layers.append(Conv3x3(c_in, c_out, rng, dtype))
                 layers.append(ReLU())
-            if h % 2 or w % 2:
-                raise ConfigError(
-                    f"architecture {arch.name!r} pools {h}x{w} below even dims for input {input_shape}"
-                )
             # Pool before the stage's last ReLU: max(relu(a), relu(b)) equals
             # relu(max(a, b)), and the ReLU then sees a quarter of the elements.
             layers.insert(-1, MaxPool2x2())

@@ -47,47 +47,44 @@ def _record_failure(errors: dict, manifest: CorpusManifest, row, exc) -> None:
     errors[row.utterance_id] = str(exc) if str(src) in str(exc) else f"{src}: {exc}"
 
 
-def _mel_mismatch(s, ref) -> DataError:
-    """The error of a spectrogram whose mel count is not ref's (id, count)."""
-    return DataError(f"{len(s.values)} mel bands, where {ref[0]!r} has {ref[1]}")
+def _read_corpus(manifest: CorpusManifest, frame):
+    """Read every corpus row once; returns the kept (row, spectrogram)
+    pairs and errors[id], the message of each row not kept.
 
-
-def _readable_rows(manifest: CorpusManifest, frame, errors: dict):
-    """(row, spectrogram) of each corpus row that can be read; errors[id]
-    is the message of each row that cannot."""
+    The corpus's mel count is the most common one among the readable rows,
+    ties going to the count read first; a row with another count is not kept.
+    """
+    errors, readable = {}, []
     for row in manifest.rows:
         src = manifest.root / row.path
         try:
             if row.kind == "audio":
-                s = log_mel_spectrogram(*load_wav(src), frame)
+                readable.append((row, log_mel_spectrogram(*load_wav(src), frame)))
             else:
-                s = read_spectrogram_csv(src)
+                readable.append((row, read_spectrogram_csv(src)))
         except (EmoRefineryError, OSError, ValueError) as exc:
             _record_failure(errors, manifest, row, exc)
-            continue
-        yield row, s
+    counts = Counter(len(s.values) for _, s in readable)
+    # A Counter keeps its keys in the order first read; max keeps the first of equals.
+    n_mels = max(counts, key=counts.__getitem__, default=None)
+    kept = [(row, s) for row, s in readable if len(s.values) == n_mels]
+    for row, s in readable:
+        if len(s.values) != n_mels:
+            _record_failure(errors, manifest, row, DataError(
+                f"{len(s.values)} mel bands, where {kept[0][0].utterance_id!r} has {n_mels}"))
+    return kept, errors
 
 
 def utterances_from_manifest(manifest: CorpusManifest, frame, segment):
     """Segment every corpus row; returns (dataset, per-utterance errors).
 
-    The dataset holds the rows that could be segmented, labelled with their
-    training labels; it is None when no row could. The corpus's mel count is
-    the most common one among the readable rows, ties going to the count
-    read first; a row with another count cannot be segmented.
+    The dataset holds the rows _read_corpus keeps that could be segmented,
+    labelled with their training labels; it is None when no row could.
     """
-    errors = {}
-    readable = list(_readable_rows(manifest, frame, errors))
-    counts = Counter(len(s.values) for _, s in readable)
-    # A Counter keeps its keys in the order first read; max keeps the first of equals.
-    n_mels = max(counts, key=counts.__getitem__, default=None)
-    ref = next(((row.utterance_id, n_mels) for row, s in readable
-                if len(s.values) == n_mels), None)
+    kept, errors = _read_corpus(manifest, frame)
     rows, segments = [], []
-    for row, s in readable:
+    for row, s in kept:
         try:
-            if len(s.values) != n_mels:
-                raise _mel_mismatch(s, ref)
             segments.append(segment_spectrogram(s, segment, frame))
             rows.append(row)
         except (EmoRefineryError, ValueError) as exc:
@@ -107,24 +104,13 @@ def _featurize_failure(errors: dict) -> DataError:
 
 
 def featurize_corpus(manifest: CorpusManifest, frame, out_root):
-    """Write a features-kind copy of a corpus; returns (manifest, errors).
-    With no readable row it writes no manifest and raises _featurize_failure."""
-    errors = {}
-
-    def readable():
-        # Audio rows share one FrameSpec, so the first count read stands for the corpus.
-        first = None
-        for row, s in _readable_rows(manifest, frame, errors):
-            if first is None:
-                first = (row.utterance_id, len(s.values))
-            elif len(s.values) != first[1]:
-                _record_failure(errors, manifest, row, _mel_mismatch(s, first))
-                continue
-            yield row, s
-        if len(errors) == len(manifest.rows):
-            raise _featurize_failure(errors)
-
-    return write_features_corpus(out_root, manifest.class_names, readable()), errors
+    """Write a features-kind copy of the rows _read_corpus keeps; returns
+    (manifest, errors). With no row kept it writes nothing and raises
+    _featurize_failure."""
+    kept, errors = _read_corpus(manifest, frame)
+    if not kept:
+        raise _featurize_failure(errors)
+    return write_features_corpus(out_root, manifest.class_names, kept), errors
 
 
 def cross_validated_predictions(data: StackedDataset, reps, forest_cfg, folds: int,
@@ -258,6 +244,7 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
     if cfg.forest.max_features > width:
         raise ConfigError(f"forest.max_features={cfg.forest.max_features}, but the corpus at "
                           f"{manifest.root} has {width} representation features (5 per class)")
+    cfg.train.resolved_architecture().conv_shapes(data.x.shape[1:])
 
     names = manifest.class_names
     clean = manifest.clean_labels() if manifest.has_label_noise() else None

@@ -262,6 +262,45 @@ class TestRun:
         assert err == ["error: " + what.format(corpus=workspace / "corpus")]
         assert not (run_dir / "run_manifest.json").exists()
 
+    def test_net_that_pools_odd_dims_exits_2_before_writing(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        deep = {"name": "deep", "conv_stages": [[2], [2], [2]], "dtype": "float64"}
+        bad.write_text(json.dumps({**RUN_CONFIG, "train": {**RUN_CONFIG["train"],
+                                                            "architecture": deep}}))
+        run_dir = tmp_path / "run"
+        args = ["--corpus", str(workspace / "corpus"), "--out", str(run_dir),
+                "--generations", "1"]
+        assert main(["run", "--config", str(bad)] + args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: architecture 'deep' pools 2x1 below even dims for input (8, 4)"]
+        assert not run_dir.exists()
+        # Nothing was written, so the corrected config runs in the same directory.
+        assert main(["run", "--config", str(workspace / "cfg.json")] + args) == 0
+
+    @pytest.mark.parametrize("command", ["run", "featurize"])
+    @pytest.mark.parametrize("names", [
+        "01",
+        {"class_0": 1, "class_1": 1, "class_2": 1},
+        ["class_0", "class_1", "class_2", 3],
+    ], ids=["string", "object", "number"])
+    def test_class_names_not_a_list_of_strings_exit_3(self, workspace, tmp_path, capsys,
+                                                      command, names):
+        # The object and the list holding a number were accepted: `run` exited 0.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        doc = json.loads((corpus / "manifest.json").read_text())
+        doc["class_names"] = names
+        (corpus / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = [command, "--corpus", str(corpus), "--out", str(out)]
+        if command == "run":
+            args += ["--config", str(workspace / "cfg.json")]
+        assert main(args) == 3
+        assert one_error(capsys, corpus / "manifest.json") == (
+            f"error: {corpus / 'manifest.json'}: class_names must be a list of strings, "
+            f"not {names!r}")
+        assert not out.exists()
+
     def test_diverging_training_exits_4(self, tmp_path, capsys):
         # Too few utterances per fold for a validation split: the monitored
         # loss is the epoch's loss before its last step, which overflows.
@@ -363,28 +402,35 @@ class TestRun:
         for path in paths:
             assert f"{path.stem}: {path} names no mel column after frame_time_ms" in err[0]
 
-    def test_mismatched_mel_count_exits_3_naming_the_file(self, workspace, tmp_path, capsys):
-        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
-        path = tmp_path / "corpus" / "features" / "u0005_c1.csv"
+    @staticmethod
+    def assert_one_mismatch(workspace, tmp_path, capsys, odd, ref):
+        """Cut the corpus row `odd` to 6 mel columns: `run` and `featurize`
+        each exit 3 naming it alone, and `featurize` writes the 11 others."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        path = corpus / "features" / f"{odd}.csv"
         path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
                                 for line in path.read_text().splitlines()))
-        assert main(["run", "--config", str(workspace / "cfg.json"),
-                     "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
+        reason = f"{path}: 6 mel bands, where {ref!r} has 8"
+        assert main(["run", "--config", str(workspace / "cfg.json"), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run")]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            f"error: 1 utterance(s) failed to featurize: "
-            f"u0005_c1: {path}: 6 mel bands, where 'u0000_c0' has 8"]
+            f"error: 1 utterance(s) failed to featurize: {odd}: {reason}"]
+        assert not (tmp_path / "run").exists()
+        out = tmp_path / "featurized"
+        assert main(["featurize", "--corpus", str(corpus), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"failed {odd}: {reason}", "error: 1 utterance(s) failed"]
+        written = load_manifest(out)
+        assert len(written.rows) == 11 and odd not in {r.utterance_id for r in written.rows}
+        assert len(list((out / "features").glob("*.csv"))) == 11
+
+    def test_mismatched_mel_count_exits_3_naming_the_file(self, workspace, tmp_path, capsys):
+        self.assert_one_mismatch(workspace, tmp_path, capsys, "u0005_c1", "u0000_c0")
 
     def test_mismatched_first_file_is_the_one_named(self, workspace, tmp_path, capsys):
         # The corpus's mel count is the most common one, not the first read.
-        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
-        path = tmp_path / "corpus" / "features" / "u0000_c0.csv"
-        path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
-                                for line in path.read_text().splitlines()))
-        assert main(["run", "--config", str(workspace / "cfg.json"),
-                     "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: 1 utterance(s) failed to featurize: "
-            f"u0000_c0: {path}: 6 mel bands, where 'u0001_c0' has 8"]
+        self.assert_one_mismatch(workspace, tmp_path, capsys, "u0000_c0", "u0001_c0")
 
     def test_unreadable_manifest_exits_3(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

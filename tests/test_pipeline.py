@@ -113,6 +113,24 @@ class TestFeaturizeCorpus:
         assert len(out.rows) == 11
         load_manifest(tmp_path / "second")
 
+    def test_a_tied_mel_count_goes_to_the_count_read_first(self, corpus, tmp_path):
+        # Every other row cut to 6 mel bands, the first row read among them:
+        # run and featurize both keep the 6 rows of 6 and name the 6 of 8.
+        first = tmp_path / "first"
+        m, _ = featurize_corpus(load_manifest(corpus), FrameSpec(), first)
+        for row in m.rows[::2]:
+            path = first / row.path
+            path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
+                                    for line in path.read_text().splitlines()))
+        kept = [r.utterance_id for r in m.rows[::2]]
+        named = {r.utterance_id: f"{first / r.path}: 8 mel bands, where {kept[0]!r} has 6"
+                 for r in m.rows[1::2]}
+        data, errors = utterances_from_manifest(load_manifest(first), FrameSpec(), SEGMENT)
+        assert list(data.utterance_ids) == kept and data.x.shape[1] == 6
+        assert errors == named
+        out, errors = featurize_corpus(load_manifest(first), FrameSpec(), tmp_path / "second")
+        assert [r.utterance_id for r in out.rows] == kept and errors == named
+
 
 def dataset_and_reps(corpus):
     data, _ = utterances_from_manifest(load_manifest(corpus), FrameSpec(), SEGMENT)
