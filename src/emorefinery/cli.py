@@ -4,7 +4,7 @@ Subcommands cover the full workflow: gen-data builds a synthetic corpus,
 featurize converts audio corpora to stored spectrograms, run executes the
 refinement pipeline, eval prints a run's metrics, and export-ep dumps one
 utterance's profile trajectory. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 diverged training.
+error, 3 data error or a file that cannot be written, 4 diverged training.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import config_to_dict, dataclass_from_dict, load_config, load_json_file
 from .datagen import SyntheticCorpusSpec, generate_synthetic_corpus, segmentation_for
-from .errors import ConfigError, DataError, TrainingDivergedError
+from .errors import ConfigError, DataError, EmoRefineryError, TrainingDivergedError
 from .evaluation import read_metrics_report
 from .features import FrameSpec
 from .fileio import json_document
@@ -25,9 +25,8 @@ from .pipeline import METRICS_NAME, export_ep_evolution, featurize_corpus, run_e
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_DIVERGED = 4
+EXIT_CODES = {ConfigError: 2, DataError: EXIT_DATA, TrainingDivergedError: 4}
 
 
 def cmd_gen_data(args) -> int:
@@ -162,15 +161,15 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    except (EmoRefineryError, OSError) as exc:
+        # Every reader turns an OSError into a DataError or ConfigError naming
+        # its file, so an OSError that reaches here comes from a write.
+        message = exc
+        if isinstance(exc, OSError) and exc.filename:
+            message = f"{exc.filename} cannot be written ({exc.strerror})"
+        print(f"error: {message}", file=sys.stderr)
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)),
+                    EXIT_DATA)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FrameSpec, LogMelSpectrogram, SegmentSpec, segment_spectrogram
+from .manifest import check_class_names
 from .refinery import StackedDataset
 
 MIXTURE_MODES = ("pure", "blended")
@@ -49,9 +50,7 @@ class SyntheticCorpusSpec:
         if not (isinstance(self.segments_range, (tuple, list)) and len(self.segments_range) == 2
                 and all(type(v) is int for v in self.segments_range)):
             raise ConfigError(f"segments_range must be two integers, not {self.segments_range!r}")
-        if not (isinstance(self.class_names, (tuple, list))
-                and all(isinstance(name, str) for name in self.class_names)):
-            raise ConfigError(f"class_names must be a list of strings, not {self.class_names!r}")
+        object.__setattr__(self, "class_names", check_class_names(self.class_names, ConfigError))
         object.__setattr__(self, "segments_range", tuple(self.segments_range))
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
@@ -76,11 +75,9 @@ class SyntheticCorpusSpec:
             raise ConfigError("n_mels must be >= 2 and seg_frames >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        names = tuple(self.class_names) or tuple(f"class_{c}" for c in range(self.n_classes))
+        names = self.class_names or tuple(f"class_{c}" for c in range(self.n_classes))
         if len(names) != self.n_classes:
             raise ConfigError(f"{len(names)} class names for {self.n_classes} classes")
-        if len(set(names)) != len(names):
-            raise ConfigError(f"class_names must be distinct, not {list(names)}")
         object.__setattr__(self, "class_names", names)
 
 

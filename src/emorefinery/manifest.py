@@ -4,7 +4,8 @@ A corpus directory holds manifest.json plus one CSV per utterance. Rows
 point at either raw audio ("audio") or precomputed log-Mel spectrograms
 ("features"); synthetic and real corpora are interchangeable downstream.
 An utterance id names its features file, so it must be a plain file name:
-not empty, "." or "..", and free of "/", "\\" and control characters.
+not empty, "." or "..", and free of "/", "\\", control characters and
+surrogates.
 """
 
 import csv
@@ -25,6 +26,21 @@ MANIFEST_NAME = "manifest.json"
 ROW_KINDS = ("audio", "features")
 
 
+def check_class_names(names, error) -> tuple:
+    """`names` as a tuple if it is a list of distinct, non-empty strings with
+    no surrogate, which UTF-8 cannot write; else raises `error`. A row's
+    observed_label uses "" for "none", so no class may be named "".
+    """
+    if not (isinstance(names, (tuple, list)) and all(isinstance(n, str) for n in names)):
+        raise error(f"class_names must be a list of strings, not {names!r}")
+    for name in names:
+        if not name or any(unicodedata.category(c) == "Cs" for c in name):
+            raise error(f"class name {name!r} must not be empty nor hold a surrogate")
+    if len(set(names)) != len(names):
+        raise error(f"class_names must be distinct, not {list(names)}")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class ManifestRow:
     utterance_id: str
@@ -41,10 +57,10 @@ class ManifestRow:
                 raise DataError(f"{self.utterance_id!r}: {f.name} must be a string, "
                                 f"not {value!r}")
         uid = self.utterance_id
-        if uid in ("", ".", "..") or any(c in "/\\" or unicodedata.category(c) == "Cc"
+        if uid in ("", ".", "..") or any(c in "/\\" or unicodedata.category(c) in ("Cc", "Cs")
                                          for c in uid):
-            raise DataError(f"utterance id {uid!r} is not a file name: it must not be "
-                            "empty, '.' or '..', nor hold '/', '\\' or control characters")
+            raise DataError(f"utterance id {uid!r} is not a file name: it must not be empty, "
+                            "'.' or '..', nor hold '/', '\\', control characters or surrogates")
         if self.kind not in ROW_KINDS:
             raise DataError(f"{uid!r}: row kind must be one of {ROW_KINDS}")
 
@@ -61,16 +77,11 @@ class CorpusManifest:
     root: Path
 
     def __post_init__(self):
-        if not (isinstance(self.class_names, (tuple, list))
-                and all(isinstance(name, str) for name in self.class_names)):
-            raise DataError(f"class_names must be a list of strings, not {self.class_names!r}")
-        object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "class_names", check_class_names(self.class_names, DataError))
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "root", Path(self.root))
         if len(self.class_names) < 2:
             raise DataError("manifest needs at least 2 classes")
-        if len(set(self.class_names)) != len(self.class_names):
-            raise DataError(f"class names must be distinct, not {list(self.class_names)}")
         if not self.rows:
             raise DataError("manifest has no utterances")
         seen = set()
@@ -268,19 +279,16 @@ def read_spectrogram_csv(path) -> LogMelSpectrogram:
 def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> CorpusManifest:
     """Write each (row, spectrogram) pair's spectrogram to features/<id>.csv
     and save the features-kind manifest of those rows. A file or directory
-    that cannot be written raises one DataError naming it."""
+    that cannot be written raises the OSError naming it."""
     root = Path(corpus_root)
     rows = []
-    try:
-        (root / "features").mkdir(parents=True, exist_ok=True)
-        for row, spectrogram in rows_and_spectrograms:
-            rel = f"features/{row.utterance_id}.csv"
-            write_spectrogram_csv(root / rel, spectrogram)
-            rows.append(replace(row, path=rel, kind="features"))
-        manifest = CorpusManifest(class_names=class_names, rows=rows, root=root)
-        save_manifest(manifest)
-    except OSError as exc:
-        raise DataError(f"{exc.filename or root} cannot be written ({exc.strerror})") from exc
+    (root / "features").mkdir(parents=True, exist_ok=True)
+    for row, spectrogram in rows_and_spectrograms:
+        rel = f"features/{row.utterance_id}.csv"
+        write_spectrogram_csv(root / rel, spectrogram)
+        rows.append(replace(row, path=rel, kind="features"))
+    manifest = CorpusManifest(class_names=class_names, rows=rows, root=root)
+    save_manifest(manifest)
     return manifest
 
 

@@ -9,6 +9,7 @@ manifest and the run's metrics report are replaced atomically as well.
 """
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -207,7 +208,8 @@ def _corpus_sha256(manifest: CorpusManifest, data: StackedDataset) -> str:
 
 def _check_resumable(path: Path, doc: dict) -> None:
     """Refuse to resume the generations beside `path` unless it records
-    `doc`'s config and corpus."""
+    `doc`'s config and corpus. The config's output_dir says where the run
+    is, not what it computes, so a moved run directory still resumes."""
     start_over = "pass a fresh output directory or rerun with --no-resume to start it over"
     try:
         previous = read_json(path)
@@ -216,7 +218,10 @@ def _check_resumable(path: Path, doc: dict) -> None:
     if not isinstance(previous, dict):
         raise DataError(f"{path} is not a run manifest; {start_over}")
     for key in ("config", "corpus_sha256"):
-        if previous.get(key) != doc[key]:
+        recorded = previous.get(key)
+        if key == "config" and isinstance(recorded, dict):
+            recorded = {**recorded, "output_dir": doc[key]["output_dir"]}
+        if recorded != doc[key]:
             raise DataError(f"{path} records {'a different' if key in previous else 'no'} "
                             f"{key}, so its run cannot be resumed; {start_over}")
 
@@ -305,20 +310,19 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
 
 
 def export_ep_evolution(run_dir, utterance_id: str, out_path) -> int:
-    """Concatenate one utterance's EP rows across all generations.
+    """Concatenate one utterance's EP rows across generation_dir 1, 2, ...
+    up to the first one missing; other entries beside them are not read.
 
     Rows are read with the CSV parsing of read_ep_csv and written back with
     its quoting and "\\n" line ends, so exported values match the stored
     profiles byte for byte. Returns the number of rows written.
     """
-    run_dir = Path(run_dir)
-    gen_dirs = sorted((run_dir / GENERATIONS_DIR).glob("gen*"))
-    if not gen_dirs:
-        raise DataError(f"{run_dir} holds no completed generations")
     header = None
     rows = []
-    for gen_dir in gen_dirs:
-        path = gen_dir / "eps.csv"
+    for t in itertools.count(1):
+        path = generation_dir(run_dir, t) / "eps.csv"
+        if not path.parent.exists():
+            break
         records = read_csv(path)
         top = next(records, (1, None))[1]
         if top is None:
@@ -328,6 +332,8 @@ def export_ep_evolution(run_dir, utterance_id: str, out_path) -> int:
         elif top != header:
             raise DataError(f"{path} has another EP header than {first}")
         rows.extend(row for _, row in records if row[:1] == [utterance_id])
+    if header is None:
+        raise DataError(f"{run_dir} holds no completed generations")
     if not rows:
         raise DataError(f"utterance {utterance_id!r} not found in {run_dir}")
     write_csv(out_path, header, rows, line_end="\n")

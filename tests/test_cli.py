@@ -98,6 +98,12 @@ class TestGenData:
          "must lie in [0, 1e+300], and utterance_noise_level is 1e+308"),
         ('{"n_classes": 3, "class_names": ["a", "a", "b"]}',
          "class_names must be distinct, not ['a', 'a', 'b']"),
+        # An empty name was written as a class; a surrogate, which UTF-8
+        # cannot encode, ended in a traceback.
+        ('{"n_classes": 3, "class_names": ["", "b", "c"]}',
+         "class name '' must not be empty nor hold a surrogate"),
+        ('{"n_classes": 3, "class_names": ["a\\ud800", "b", "c"]}',
+         "class name 'a\\ud800' must not be empty nor hold a surrogate"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text, what):
         bad = tmp_path / "bad.json"
@@ -301,6 +307,29 @@ class TestRun:
             f"not {names!r}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "featurize"])
+    @pytest.mark.parametrize("name", ["", "class_0\ud800"], ids=["empty", "surrogate"])
+    def test_empty_or_surrogate_class_name_exits_3(self, workspace, tmp_path, capsys,
+                                                   command, name):
+        # The empty name ran with exit 0; the surrogate trained generation 1,
+        # then ended in a traceback, leaving its temporary directory behind.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        path = corpus / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["class_names"][0] = name
+        for row in doc["rows"]:
+            row["label"] = name if row["label"] == "class_0" else row["label"]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = [command, "--corpus", str(corpus), "--out", str(out)]
+        if command == "run":
+            args += ["--config", str(workspace / "cfg.json")]
+        assert main(args) == 3
+        assert one_error(capsys, path) == (
+            f"error: {path}: class name {name!r} must not be empty nor hold a surrogate")
+        assert not out.exists()
+
     def test_diverging_training_exits_4(self, tmp_path, capsys):
         # Too few utterances per fold for a validation split: the monitored
         # loss is the epoch's loss before its last step, which overflows.
@@ -384,7 +413,7 @@ class TestRun:
         assert main(["run", "--config", str(workspace / "cfg.json"),
                      "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
         assert one_error(capsys, manifest) == (
-            f"error: {manifest}: class names must be distinct, "
+            f"error: {manifest}: class_names must be distinct, "
             "not ['class_0', 'class_0', 'class_1', 'class_2']")
         assert not (tmp_path / "run").exists()
 
@@ -517,6 +546,22 @@ def one_error(capsys, path):
     return err[0]
 
 
+@pytest.mark.parametrize("command", ["gen-data", "featurize", "run", "export-ep"])
+def test_out_under_a_file_exits_3_naming_it(workspace, finished_run, tmp_path, capsys,
+                                             command):
+    # run and export-ep ended in a traceback.
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    args = {"gen-data": ["--spec", str(workspace / "spec.json")],
+            "featurize": ["--corpus", str(workspace / "corpus")],
+            "run": ["--config", str(workspace / "cfg.json"),
+                    "--corpus", str(workspace / "corpus")],
+            "export-ep": ["--run", str(finished_run), "--utterance", "u0000_c0"]}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 3
+    assert "cannot be written" in one_error(capsys, out)
+
+
 class TestResume:
     def gen_corpus(self, ws, seed):
         spec = ws / "same_shape.json"
@@ -585,6 +630,20 @@ class TestResume:
                     + ["--seed", "6"]) == 3
         assert "records a different config" in one_error(capsys, finished_run / "run_manifest.json")
         assert tree_bytes(finished_run) == before
+
+    def test_moved_run_resumes_without_training(self, workspace, finished_run, tmp_path,
+                                                monkeypatch):
+        # It exited 3: the run manifest recorded the old output_dir.
+        def never(*args, **kwargs):
+            raise AssertionError("a fold trained")
+
+        moved = tmp_path / "moved"
+        shutil.copytree(finished_run, moved)
+        monkeypatch.setattr("emorefinery.refinery.train_segment_classifier", never)
+        assert main(self.run_args(workspace, workspace / "corpus", moved)) == 0
+        for name in ("metrics.json", "generations/gen01/eps.csv", "generations/gen02/eps.csv"):
+            assert (moved / name).read_bytes() == (finished_run / name).read_bytes()
+        assert same_run(finished_run, moved)
 
     def test_damaged_clean_accuracy_exits_3(self, workspace, tmp_path, capsys):
         args = self.run_args(workspace, workspace / "corpus", tmp_path / "run") + [
@@ -667,6 +726,17 @@ class TestEvalAndExport:
         assert main(["export-ep", "--run", str(run_dir),
                      "--utterance", "u0000_c0", "--out", str(tmp_path / "x.csv")]) == 3
         assert what in one_error(capsys, path)
+
+    def test_export_reads_only_the_generation_directories(self, finished_run, tmp_path):
+        # The copy's rows were exported twice and the stray file ended in exit 3.
+        run_dir = tmp_path / "copy"
+        shutil.copytree(finished_run, run_dir)
+        shutil.copytree(run_dir / "generations" / "gen01", run_dir / "generations" / "gen01.bak")
+        (run_dir / "generations" / "gen-notes.txt").write_text("notes\n")
+        for run, out in ((finished_run, "clean.csv"), (run_dir, "strays.csv")):
+            assert main(["export-ep", "--run", str(run), "--utterance", "u0000_c0",
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "strays.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
 
     def test_export_ep(self, finished_run, tmp_path, capsys):
         out = tmp_path / "ep.csv"
@@ -856,9 +926,10 @@ def assert_exported(run_dir, uid, out):
 
 
 # Characters of utterance ids: the CSV delimiter and quote, a dot, a space and
-# non-ASCII letters, and in half the examples path separators and a newline.
+# non-ASCII letters, and in half the examples path separators, a newline and a
+# lone surrogate, which UTF-8 cannot encode.
 ID_CHARACTERS = [",", '"', ".", " ", "é", "Ж", "u"]
-NOT_IN_FILE_NAMES = ["/", "\\", "\n"]
+NOT_IN_FILE_NAMES = ["/", "\\", "\n", "\ud800"]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -881,7 +952,7 @@ def test_any_utterance_id_runs_or_exits_3_naming_the_manifest(damage_site, works
                        "--out", str(case / "features")]),
                  main(reading_command("run", case, workspace / "cfg.json"))]
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
-    file_names = all(uid not in ("", ".", "..") and not set(uid) & set("/\\\n")
+    file_names = all(uid not in ("", ".", "..") and not set(uid) & set(NOT_IN_FILE_NAMES)
                      for uid in ids)
     if file_names:
         assert codes == [0, 0] and not errors, err.getvalue()

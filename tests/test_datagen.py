@@ -55,6 +55,8 @@ class TestSpecValidation:
         ({"seg_frames": 0}, "n_mels must be >= 2 and seg_frames >= 1"),
         ({"seed": -1}, "seed must be non-negative"),
         ({"n_classes": 2, "class_names": ["a", "a"]}, "class_names must be distinct, not ['a', 'a']"),
+        ({"n_classes": 2, "class_names": ["", "a"]},
+         "class name '' must not be empty nor hold a surrogate"),
     ])
     def test_spec_document_checks(self, doc, message):
         with pytest.raises(ConfigError) as err:
