@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
+from .fileio import writing
 from .network import (ARCHITECTURES, Adam, Architecture, ConvNet, batch_cross_entropy,
                       cross_entropy, softmax)
 
@@ -278,7 +279,7 @@ def save_model(m: Model, path) -> None:
         "seed": m.seed,
     }
     arrays = {f"param_{i:03d}": p for i, p in enumerate(m.net.params())}
-    with open(path, "wb") as fh:
+    with writing(path), open(path, "wb") as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 

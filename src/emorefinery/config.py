@@ -6,6 +6,7 @@ needs to be stated twice.
 """
 
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -43,6 +44,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
+        try:
+            os.fsencode(self.output_dir)
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"output_dir {self.output_dir!r} cannot be encoded as a file "
+                              f"name ({exc.reason})") from exc
         object.__setattr__(self, "mode", normalize_mode(self.mode))
         if self.eval_folds < 2:
             raise ConfigError("eval_folds must be >= 2")

@@ -5,9 +5,11 @@ file. CSV files are written with "\\r\\n" line ends, which a reader sees as
 "\\n"; outside quotes the csv reader ends a record at either, so its rows
 equal those read with newline="" unless a quoted field holds a line end, and
 no utterance id holds one. JSON documents are written in one form, through
-a temporary file that is then moved into place.
+a temporary file that is then moved into place. A write error that names
+no file, such as a full disk met on flush, is given the file's name.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -47,12 +49,24 @@ def read_csv(path):
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def writing(path):
+    """Name `path` in an OSError raised in the block that names no file."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
 def write_csv(path, header, rows, line_end: str = "\r\n") -> None:
-    """Write the header and then the rows as CSV."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    """Write the header and then the rows as CSV, each float as %.17g: same bits back."""
+    with writing(path), Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def json_document(doc) -> str:
@@ -64,5 +78,6 @@ def write_json(path, doc) -> None:
     """Write `doc` to a temporary file beside `path`, then move it into place."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(json_document(doc), encoding="utf-8")
+    with writing(path):
+        tmp.write_text(json_document(doc), encoding="utf-8")
     os.replace(tmp, path)

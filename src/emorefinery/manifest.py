@@ -206,8 +206,7 @@ def manifest_from_wav_tree(corpus_root, rule, label_map=None, class_names=None) 
 def write_spectrogram_csv(path, s: LogMelSpectrogram) -> None:
     """Frame-per-row CSV at full float precision."""
     write_csv(path, ["frame_time_ms"] + [f"m_{i + 1}" for i in range(len(s.values))],
-              ([f"{t:.17g}"] + [f"{v:.17g}" for v in s.values[:, j]]
-               for j, t in enumerate(s.frame_times)))
+              ([t] + row for t, row in zip(s.frame_times.tolist(), s.values.T.tolist())))
 
 
 def _parse_rows(lines) -> np.ndarray:

@@ -206,6 +206,18 @@ def _corpus_sha256(manifest: CorpusManifest, data: StackedDataset) -> str:
     return digest.hexdigest()
 
 
+def _differences(run: dict, config: dict, prefix: str = ""):
+    """'key.path: <value> in the run, <value> in the config' of each key whose
+    values differ, in sorted key order; a key that one side lacks reads absent."""
+    for key in sorted(run.keys() | config.keys()):
+        a, b = run.get(key), config.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            yield from _differences(a, b, f"{prefix}{key}.")
+        elif a != b or (key in run) != (key in config):
+            a, b = (json.dumps(d[key]) if key in d else "absent" for d in (run, config))
+            yield f"{prefix}{key}: {a} in the run, {b} in the config"
+
+
 def _check_resumable(path: Path, doc: dict) -> None:
     """Refuse to resume the generations beside `path` unless it records
     `doc`'s config and corpus. The config's output_dir says where the run
@@ -222,8 +234,10 @@ def _check_resumable(path: Path, doc: dict) -> None:
         if key == "config" and isinstance(recorded, dict):
             recorded = {**recorded, "output_dir": doc[key]["output_dir"]}
         if recorded != doc[key]:
+            detail = (f" ({next(_differences(recorded, doc[key]))})"
+                      if key == "config" and isinstance(recorded, dict) else "")
             raise DataError(f"{path} records {'a different' if key in previous else 'no'} "
-                            f"{key}, so its run cannot be resumed; {start_over}")
+                            f"{key}{detail}, so its run cannot be resumed; {start_over}")
 
 
 def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,

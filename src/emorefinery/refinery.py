@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _single_thread_blas, predict_batch, train_segment_classifier
+from .classifier import predict_batch, train_segment_classifier
 from .errors import ConfigError, DataError
 from .evaluation import kfold_split
 from .fileio import read_csv, write_csv
@@ -161,9 +161,7 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
     # not hold the module's memory.
     from concurrent.futures import ThreadPoolExecutor
 
-    # Each call pins OpenBLAS to one thread; pinning around the pool as well
-    # holds the pin from the first fold to the last, not fold by fold.
-    with _single_thread_blas(), ThreadPoolExecutor(_fold_workers(cfg, data.x.shape[1:])) as pool:
+    with ThreadPoolExecutor(_fold_workers(cfg, data.x.shape[1:])) as pool:
         models = list(pool.map(train_and_predict, range(cfg.folds)))
     # Rows in prediction order: fold by fold, and by row within a fold.
     prediction_order = np.argsort(row_fold, kind="stable")
@@ -275,7 +273,7 @@ def write_ep_csv(path, eps, utterance_ids, offsets, generation: int) -> None:
     at full float precision."""
     rows = eps.tolist()
     write_csv(path, _EP_HEADER + [f"p_{i + 1}" for i in range(eps.shape[1])],
-              ([utterance_ids[i], index, generation] + [f"{v:.17g}" for v in rows[r]]
+              ([utterance_ids[i], index, generation] + rows[r]
                for i in sorted(range(len(utterance_ids)), key=utterance_ids.__getitem__)
                for index, r in enumerate(range(offsets[i], offsets[i + 1]))))
 

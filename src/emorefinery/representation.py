@@ -27,5 +27,5 @@ def representations_for(eps: np.ndarray, offsets) -> np.ndarray:
 def write_representation_csv(path, utterance_ids, reps) -> None:
     """One row per utterance of the (n_utterances, 5K) array `reps`, sorted by id."""
     write_csv(path, ["utterance_id"] + [f"f_{i + 1}" for i in range(reps.shape[1])],
-              ([uid] + [f"{v:.17g}" for v in row]
+              ([uid] + row
                for uid, row in sorted(zip(utterance_ids, reps.tolist()))))

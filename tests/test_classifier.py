@@ -1,10 +1,12 @@
 """Classifier tests: loss identities, gradient checks against finite
 differences, training determinism, and checkpoint round-trips."""
 
+import errno
 import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,6 +468,16 @@ class TestPersistence:
         np.testing.assert_array_equal(
             predict_batch(model, segs), predict_batch(loaded, segs)
         )
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_disk_names_the_checkpoint(self):
+        rng = np.random.default_rng(0)
+        model = train_segment_classifier(
+            rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"],
+            ("neg", "pos"), TrainConfig(max_epochs=1, architecture="tiny"), 3)
+        with pytest.raises(OSError) as err:
+            save_model(model, "/dev/full")
+        assert (err.value.filename, err.value.errno) == ("/dev/full", errno.ENOSPC)
 
     def test_meta_document_is_pinned(self, tmp_path):
         # The checkpoint's meta JSON as it has been written: a renamed or

@@ -562,6 +562,28 @@ def test_out_under_a_file_exits_3_naming_it(workspace, finished_run, tmp_path, c
     assert "cannot be written" in one_error(capsys, out)
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_disk_names_the_file(finished_run, capsys):
+    # The write fails on flush, where Python names no file.
+    capsys.readouterr()
+    assert main(["export-ep", "--run", str(finished_run), "--utterance", "u0000_c0",
+                 "--out", "/dev/full"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: /dev/full cannot be written (No space left on device)"]
+
+
+def test_unencodable_output_dir_exits_2_before_reading(tmp_path, capsys, monkeypatch):
+    # It read and segmented the corpus, then ended in a UnicodeEncodeError.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({**RUN_CONFIG, "output_dir": "R\ud800"}))
+    (tmp_path / "good.json").write_text(json.dumps(RUN_CONFIG))
+    assert main(["run", "--config", "bad.json", "--corpus", "missing"]) == 2
+    assert "output_dir 'R\\ud800' cannot be encoded" in one_error(capsys, "bad.json")
+    assert main(["run", "--config", "good.json", "--corpus", "missing", "--out", "R\ud800"]) == 2
+    assert "cannot be encoded" in one_error(capsys, "output_dir")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+
 class TestResume:
     def gen_corpus(self, ws, seed):
         spec = ws / "same_shape.json"
@@ -630,6 +652,34 @@ class TestResume:
                     + ["--seed", "6"]) == 3
         assert "records a different config" in one_error(capsys, finished_run / "run_manifest.json")
         assert tree_bytes(finished_run) == before
+
+    @pytest.mark.parametrize("flags, change", [
+        (["--seed", "6"], "(master_seed: 5 in the run, 6 in the config)"),
+        (["--mode", "sEPR"], '(mode: "pEPR" in the run, "sEPR" in the config)'),
+    ])
+    def test_changed_config_key_is_named_with_both_values(self, workspace, finished_run,
+                                                          capsys, flags, change):
+        capsys.readouterr()
+        assert main(self.run_args(workspace, workspace / "corpus", finished_run) + flags) == 3
+        assert f"records a different config {change}, so" in one_error(
+            capsys, finished_run / "run_manifest.json")
+
+    @pytest.mark.parametrize("edit, change", [
+        (lambda c: c["train"].update(max_epochs=1), "train.max_epochs: 1 in the run, 2 "),
+        (lambda c: c["forest"].pop("n_trees"), "forest.n_trees: absent in the run, 15 "),
+        (lambda c: c.update(extra=[1]), "extra: [1] in the run, absent in the config"),
+    ], ids=["changed", "absent-in-the-run", "absent-in-the-config"])
+    def test_changed_nested_key_is_named_with_both_values(self, workspace, finished_run,
+                                                          tmp_path, capsys, edit, change):
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "run_manifest.json"
+        doc = json.loads(path.read_text())
+        edit(doc["config"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(self.run_args(workspace, workspace / "corpus", run_dir)) == 3
+        assert f"records a different config ({change}" in one_error(capsys, path)
 
     def test_moved_run_resumes_without_training(self, workspace, finished_run, tmp_path,
                                                 monkeypatch):
