@@ -49,6 +49,8 @@ class ExperimentConfig:
         except UnicodeEncodeError as exc:
             raise ConfigError(f"output_dir {self.output_dir!r} cannot be encoded as a file "
                               f"name ({exc.reason})") from exc
+        if "\0" in self.output_dir:
+            raise ConfigError(f"output_dir {self.output_dir!r} holds a NUL character")
         object.__setattr__(self, "mode", normalize_mode(self.mode))
         if self.eval_folds < 2:
             raise ConfigError("eval_folds must be >= 2")

@@ -1,8 +1,11 @@
 """Corpus manifests and the per-utterance spectrogram feature store.
 
-A corpus directory holds manifest.json plus one CSV per utterance. Rows
+A corpus directory holds manifest.json plus one file per utterance. Rows
 point at either raw audio ("audio") or precomputed log-Mel spectrograms
 ("features"); synthetic and real corpora are interchangeable downstream.
+The package writes each spectrogram as features/<id>.npy, one float64
+(1 + n_mels, F) array whose row 0 holds the frame times; the reader also
+takes the frame-per-row CSV layout, for spectrograms made elsewhere.
 An utterance id names its features file, so it must be a plain file name:
 not empty, "." or "..", and free of "/", "\\", control characters and
 surrogates.
@@ -11,6 +14,7 @@ surrogates.
 import csv
 import re
 import unicodedata
+import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import LogMelSpectrogram
-from .fileio import read_json, read_text, write_csv, write_json
+from .fileio import read_json, read_text, write_csv, write_json, writing
 
 CORPUS_FORMAT = "emorefinery-corpus"
 CORPUS_VERSION = 1
@@ -241,13 +245,40 @@ def _bad_line(path, lines, width: int) -> str:
     return f"{path} does not hold {width} numbers per line"
 
 
-def read_spectrogram_csv(path) -> LogMelSpectrogram:
-    """Load a CSV written by write_spectrogram_csv, every value bit for bit.
+def _read_spectrogram_npy(path) -> LogMelSpectrogram:
+    """The spectrogram in a .npy file written by write_features_corpus."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
+    except (ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
+        # A damaged header can claim a shape too large to allocate.
+        raise DataError(f"{path} is not a .npy array: {exc}") from exc
+    if isinstance(data, np.lib.npyio.NpzFile):
+        data.close()
+        raise DataError(f"{path} is a zip archive, not a .npy array")
+    if data.dtype != np.float64 or data.ndim != 2:
+        raise DataError(f"{path} holds a {data.ndim}-D {data.dtype.str} array, "
+                        "not a 2-D float64 one")
+    if len(data) < 2:
+        raise DataError(f"{path} names no mel row after the frame times")
+    if data.shape[1] == 0:
+        raise DataError(f"{path} holds no frames")
+    if not np.isfinite(data).all():
+        raise DataError(f"{path} holds a value that is not a finite number")
+    return LogMelSpectrogram(values=data[1:], frame_times=data[0])
 
-    A header that names no mel column raises a DataError naming the file,
-    and a row that is not one finite number per header column one naming
-    the file and the line.
+
+def read_spectrogram_csv(path) -> LogMelSpectrogram:
+    """Load a spectrogram, every value bit for bit: a .npy file written by
+    write_features_corpus, or else a CSV in write_spectrogram_csv's layout.
+
+    A damaged file raises one DataError naming it; for a CSV, a header that
+    names no mel column raises one naming the file, and a row that is not
+    one finite number per header column one naming the file and the line.
     """
+    if Path(path).suffix == ".npy":
+        return _read_spectrogram_npy(path)
     head, newline, body = read_text(path).partition("\n")
     try:
         header = next(csv.reader([head + newline]))
@@ -276,15 +307,17 @@ def read_spectrogram_csv(path) -> LogMelSpectrogram:
 
 
 def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> CorpusManifest:
-    """Write each (row, spectrogram) pair's spectrogram to features/<id>.csv
-    and save the features-kind manifest of those rows. A file or directory
-    that cannot be written raises the OSError naming it."""
+    """Write each (row, spectrogram) pair's spectrogram to features/<id>.npy,
+    its frame times stacked above its values, and save the features-kind
+    manifest of those rows. A file or directory that cannot be written
+    raises the OSError naming it."""
     root = Path(corpus_root)
     rows = []
     (root / "features").mkdir(parents=True, exist_ok=True)
-    for row, spectrogram in rows_and_spectrograms:
-        rel = f"features/{row.utterance_id}.csv"
-        write_spectrogram_csv(root / rel, spectrogram)
+    for row, s in rows_and_spectrograms:
+        rel = f"features/{row.utterance_id}.npy"
+        with writing(root / rel), (root / rel).open("wb") as fh:
+            np.save(fh, np.ascontiguousarray(np.vstack((s.frame_times, s.values)), np.float64))
         rows.append(replace(row, path=rel, kind="features"))
     manifest = CorpusManifest(class_names=class_names, rows=rows, root=root)
     save_manifest(manifest)

@@ -9,7 +9,7 @@ import struct
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,13 @@ from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec
 from emorefinery.decision import ForestConfig
 from emorefinery.features import FrameSpec, SegmentSpec
-from emorefinery.manifest import load_manifest, manifest_from_wav_tree, read_spectrogram_csv
+from emorefinery.manifest import (
+    load_manifest,
+    manifest_from_wav_tree,
+    read_spectrogram_csv,
+    save_manifest,
+    write_spectrogram_csv,
+)
 
 CORPUS_SPEC = {
     "n_classes": 3, "utterances_per_class": 4, "segments_range": [3, 4],
@@ -61,16 +67,16 @@ def finished_run(workspace):
 class TestGenData:
     def test_corpus_written(self, workspace, capsys):
         assert (workspace / "corpus" / "manifest.json").exists()
-        assert len(list((workspace / "corpus" / "features").glob("*.csv"))) == 12
+        assert len(list((workspace / "corpus" / "features").glob("*.npy"))) == 12
 
     def test_deterministic_and_seed_override_changes_bytes(self, workspace, tmp_path):
         spec = str(workspace / "spec.json")
         assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "again")]) == 0
-        a = (workspace / "corpus" / "features" / "u0000_c0.csv").read_bytes()
-        assert (tmp_path / "again" / "features" / "u0000_c0.csv").read_bytes() == a
+        a = (workspace / "corpus" / "features" / "u0000_c0.npy").read_bytes()
+        assert (tmp_path / "again" / "features" / "u0000_c0.npy").read_bytes() == a
         assert main(["gen-data", "--spec", spec, "--seed", "77",
                      "--out", str(tmp_path / "reseeded")]) == 0
-        assert (tmp_path / "reseeded" / "features" / "u0000_c0.csv").read_bytes() != a
+        assert (tmp_path / "reseeded" / "features" / "u0000_c0.npy").read_bytes() != a
 
     def test_unknown_spec_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -124,11 +130,12 @@ class TestFeaturize:
         first = tmp_path / "first"
         assert main(["featurize", "--corpus", str(workspace / "corpus"),
                      "--out", str(first)]) == 0
+        rewrite_as_csv(first, ["u0000_c0"])
         sorted((first / "features").glob("*.csv"))[0].write_text("junk\n")
         code = main(["featurize", "--corpus", str(first), "--out", str(tmp_path / "second")])
         assert code == 3
         assert "failed" in capsys.readouterr().err
-        assert len(list((tmp_path / "second" / "features").glob("*.csv"))) == 11
+        assert len(list((tmp_path / "second" / "features").glob("*.npy"))) == 11
 
     def test_no_row_featurized_names_each_row(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -161,7 +168,7 @@ class TestFeaturize:
         capsys.readouterr()
         out = tmp_path / "out"
         assert main(["featurize", "--corpus", str(corpus), "--out", str(out)]) == 3
-        assert "cannot be written" in one_error(capsys, out / "features" / ("a" * 300 + ".csv"))
+        assert "cannot be written" in one_error(capsys, out / "features" / ("a" * 300 + ".npy"))
 
     def test_out_that_cannot_be_made_exits_3_naming_it(self, workspace, tmp_path, capsys):
         (tmp_path / "file").write_text("")
@@ -419,27 +426,50 @@ class TestRun:
 
     def test_spectrograms_without_mel_columns_exit_3_naming_each_file(self, workspace,
                                                                        tmp_path, capsys):
-        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
-        paths = sorted((tmp_path / "corpus" / "features").glob("*.csv"))
+        self.assert_no_mel_band_named(workspace, tmp_path, capsys, "csv",
+                                      "names no mel column after frame_time_ms")
+
+    def test_npy_spectrograms_without_mel_rows_exit_3_naming_each_file(self, workspace,
+                                                                       tmp_path, capsys):
+        self.assert_no_mel_band_named(workspace, tmp_path, capsys, "npy",
+                                      "names no mel row after the frame times")
+
+    @staticmethod
+    def assert_no_mel_band_named(workspace, tmp_path, capsys, fmt, what):
+        """Keep only the frame times of every corpus row, stored as `fmt`:
+        `run` exits 3 with one error naming each file."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        if fmt == "csv":
+            rewrite_as_csv(corpus, [r.utterance_id for r in load_manifest(corpus).rows])
+        paths = sorted((corpus / "features").glob(f"*.{fmt}"))
         for path in paths:
-            path.write_text("".join(line.split(",")[0] + "\n"
-                                    for line in path.read_text().splitlines()))
+            if fmt == "csv":
+                path.write_text("".join(line.split(",")[0] + "\n"
+                                        for line in path.read_text().splitlines()))
+            else:
+                np.save(path, np.load(path)[:1])
         assert main(["run", "--config", str(workspace / "cfg.json"),
-                     "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "run")]) == 3
+                     "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {len(paths)} utterance(s) failed")
         for path in paths:
-            assert f"{path.stem}: {path} names no mel column after frame_time_ms" in err[0]
+            assert f"{path.stem}: {path} {what}" in err[0]
 
     @staticmethod
-    def assert_one_mismatch(workspace, tmp_path, capsys, odd, ref):
-        """Cut the corpus row `odd` to 6 mel columns: `run` and `featurize`
-        each exit 3 naming it alone, and `featurize` writes the 11 others."""
+    def assert_one_mismatch(workspace, tmp_path, capsys, odd, ref, fmt):
+        """Cut the corpus row `odd`, stored as `fmt`, to 6 mel bands: `run`
+        and `featurize` each exit 3 naming it alone, and `featurize` writes
+        the 11 others."""
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace / "corpus", corpus)
-        path = corpus / "features" / f"{odd}.csv"
-        path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
-                                for line in path.read_text().splitlines()))
+        if fmt == "csv":
+            (path,) = rewrite_as_csv(corpus, [odd])
+            path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
+                                    for line in path.read_text().splitlines()))
+        else:
+            path = corpus / "features" / f"{odd}.npy"
+            np.save(path, np.load(path)[:7])
         reason = f"{path}: 6 mel bands, where {ref!r} has 8"
         assert main(["run", "--config", str(workspace / "cfg.json"), "--corpus", str(corpus),
                      "--out", str(tmp_path / "run")]) == 3
@@ -452,14 +482,19 @@ class TestRun:
             f"failed {odd}: {reason}", "error: 1 utterance(s) failed"]
         written = load_manifest(out)
         assert len(written.rows) == 11 and odd not in {r.utterance_id for r in written.rows}
-        assert len(list((out / "features").glob("*.csv"))) == 11
+        assert len(list((out / "features").glob("*.npy"))) == 11
 
     def test_mismatched_mel_count_exits_3_naming_the_file(self, workspace, tmp_path, capsys):
-        self.assert_one_mismatch(workspace, tmp_path, capsys, "u0005_c1", "u0000_c0")
+        self.assert_one_mismatch(workspace, tmp_path, capsys, "u0005_c1", "u0000_c0", "csv")
 
     def test_mismatched_first_file_is_the_one_named(self, workspace, tmp_path, capsys):
         # The corpus's mel count is the most common one, not the first read.
-        self.assert_one_mismatch(workspace, tmp_path, capsys, "u0000_c0", "u0001_c0")
+        self.assert_one_mismatch(workspace, tmp_path, capsys, "u0000_c0", "u0001_c0", "csv")
+
+    @pytest.mark.parametrize("odd, ref", [("u0005_c1", "u0000_c0"), ("u0000_c0", "u0001_c0")])
+    def test_mismatched_npy_mel_count_exits_3_naming_the_file(self, workspace, tmp_path,
+                                                              capsys, odd, ref):
+        self.assert_one_mismatch(workspace, tmp_path, capsys, odd, ref, "npy")
 
     def test_unreadable_manifest_exits_3(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -512,7 +547,7 @@ class TestRun:
                                                             capsys, command):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace / "corpus", corpus)
-        path = corpus / "features" / "u0000_c0.csv"
+        (path,) = rewrite_as_csv(corpus, ["u0000_c0"])
         path.write_text(f'"{"x" * 200_000}",' + path.read_text())
         args = (reading_command("run", tmp_path, workspace / "cfg.json") if command == "run"
                 else ["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
@@ -529,6 +564,23 @@ class TestRun:
 def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def rewrite_as_csv(corpus, ids):
+    """Store the corpus rows `ids` as spectrogram CSVs, in place of their
+    .npy files; returns the CSV paths in manifest order."""
+    manifest = load_manifest(corpus)
+    rows, paths = [], []
+    for row in manifest.rows:
+        if row.utterance_id in ids:
+            rel = f"features/{row.utterance_id}.csv"
+            write_spectrogram_csv(corpus / rel, read_spectrogram_csv(corpus / row.path))
+            (corpus / row.path).unlink()
+            row = replace(row, path=rel)
+            paths.append(corpus / rel)
+        rows.append(row)
+    save_manifest(replace(manifest, rows=rows))
+    return paths
 
 
 def same_run(a, b):
@@ -581,6 +633,18 @@ def test_unencodable_output_dir_exits_2_before_reading(tmp_path, capsys, monkeyp
     assert "output_dir 'R\\ud800' cannot be encoded" in one_error(capsys, "bad.json")
     assert main(["run", "--config", "good.json", "--corpus", "missing", "--out", "R\ud800"]) == 2
     assert "cannot be encoded" in one_error(capsys, "output_dir")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+
+def test_output_dir_with_a_nul_exits_2_before_reading(tmp_path, capsys, monkeypatch):
+    # It read and segmented the corpus, then ended in "embedded null byte".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({**RUN_CONFIG, "output_dir": "R\u0000x"}))
+    (tmp_path / "good.json").write_text(json.dumps(RUN_CONFIG))
+    assert main(["run", "--config", "bad.json", "--corpus", "missing"]) == 2
+    assert "output_dir 'R\\x00x' holds a NUL character" in one_error(capsys, "bad.json")
+    assert main(["run", "--config", "good.json", "--corpus", "missing", "--out", "R\0x"]) == 2
+    assert "holds a NUL character" in one_error(capsys, "output_dir")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
 
 
@@ -890,6 +954,7 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, command, make):
 READ_BY = {
     "corpus/manifest.json": ("run",),
     "corpus/features/u0000_c0.csv": ("run",),
+    "corpus/features/u0001_c0.npy": ("run",),
     "run/generations/gen01/eps.csv": ("run", "export-ep"),
     "run/generations/gen02/metrics.json": ("run",),
     "run/metrics.json": ("eval",),
@@ -899,11 +964,13 @@ READ_BY = {
 
 @pytest.fixture(scope="module")
 def damage_site(tmp_path_factory, workspace):
-    """A finished tiny run of two generations and its corpus, kept in
-    `pristine`; each case works on a copy at `case`, where the run was made,
-    so that resuming it finds the config it records."""
+    """A finished tiny run of two generations and its corpus, whose row
+    u0000_c0 is a CSV and the others .npy files, kept in `pristine`; each
+    case works on a copy at `case`, where the run was made, so that resuming
+    it finds the config it records."""
     root = tmp_path_factory.mktemp("damage")
     shutil.copytree(workspace / "corpus", root / "case" / "corpus")
+    rewrite_as_csv(root / "case" / "corpus", ["u0000_c0"])
     assert main(["run", "--config", str(workspace / "cfg.json"), "--corpus",
                  str(root / "case" / "corpus"), "--out", str(root / "case" / "run")]) == 0
     shutil.copytree(root / "case", root / "pristine")
@@ -924,19 +991,36 @@ def reading_command(command, case, config):
 @given(st.data())
 def test_damaged_file_exits_2_or_3_naming_it(damage_site, workspace, data):
     """A cut, a non-UTF-8 first byte or a directory in place of a run or
-    corpus file ends in exit 0, or in exit 2 or 3 with one error line that
-    names the file. A cut spectrogram that still parses is another corpus,
-    which the run manifest refuses to resume by its fingerprint."""
+    corpus file, a CSV or an .npy spectrogram among them, ends in exit 0, or
+    in exit 2 or 3 with one error line that names the file. A cut
+    spectrogram that still parses is another corpus, which the run manifest
+    refuses to resume by its fingerprint."""
     rel = data.draw(st.sampled_from(sorted(READ_BY)))
     command = data.draw(st.sampled_from(READ_BY[rel]))
     damage = data.draw(st.sampled_from(["cut", "non-utf8", "directory"]))
+    run_on_damaged_file(damage_site, workspace, rel, command, damage,
+                        cut_at=lambda size: data.draw(st.integers(0, size - 1)))
+
+
+@pytest.mark.parametrize("rel", ["corpus/features/u0000_c0.csv",
+                                 "corpus/features/u0001_c0.npy"])
+@pytest.mark.parametrize("damage", ["non-utf8", "directory"])
+def test_damaged_spectrogram_of_either_format_exits_3_naming_it(damage_site, workspace,
+                                                                rel, damage):
+    assert run_on_damaged_file(damage_site, workspace, rel, "run", damage, cut_at=None) == 3
+
+
+def run_on_damaged_file(damage_site, workspace, rel, command, damage, cut_at):
+    """Damage the file `rel` of a fresh case, run `command` on it and return
+    its exit code: 0, or 2 or 3 with one error line that names the file. A
+    cut keeps the first cut_at(size) bytes."""
     case = damage_site / "case"
     shutil.rmtree(case)
     shutil.copytree(damage_site / "pristine", case)
     path = case / rel
     raw = path.read_bytes()
     if damage == "cut":
-        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        path.write_bytes(raw[:cut_at(len(raw))])
     elif damage == "non-utf8":
         path.write_bytes(b"\xff" + raw)
     else:
@@ -946,7 +1030,7 @@ def test_damaged_file_exits_2_or_3_naming_it(damage_site, workspace, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(reading_command(command, case, workspace / "cfg.json"))
     if code == 0:
-        return
+        return code
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
     assert code in (2, 3) and len(errors) == 1, (code, err.getvalue())
     if "records a different corpus_sha256" in errors[0]:
@@ -954,6 +1038,7 @@ def test_damaged_file_exits_2_or_3_naming_it(damage_site, workspace, data):
         read_spectrogram_csv(path)
     else:
         assert str(path) in errors[0], errors[0]
+    return code
 
 
 def rename_ids(corpus, ids):
@@ -1007,7 +1092,7 @@ def test_any_utterance_id_runs_or_exits_3_naming_the_manifest(damage_site, works
     if file_names:
         assert codes == [0, 0] and not errors, err.getvalue()
         assert ({p.name for p in (case / "features" / "features").iterdir()}
-                == {f"{r.utterance_id}.csv" for r in load_manifest(case / "corpus").rows})
+                == {f"{r.utterance_id}.npy" for r in load_manifest(case / "corpus").rows})
         for uid in ids:
             assert_exported(case / "run", uid, case / "ep.csv")
     else:
@@ -1104,16 +1189,29 @@ def test_wav_shorter_than_its_header_exits_3_naming_it(audio_site, workspace, da
 def test_utterance_too_short_for_a_segment_is_named_once(damage_site, workspace, capsys):
     """run names a failing utterance's id once and its file once:
     `<id>: <file>: <reason>`."""
+    assert_too_short_named_once(damage_site, workspace, capsys, "u0000_c0.csv")
+
+
+def test_npy_utterance_too_short_for_a_segment_is_named_once(damage_site, workspace, capsys):
+    assert_too_short_named_once(damage_site, workspace, capsys, "u0001_c0.npy")
+
+
+def assert_too_short_named_once(damage_site, workspace, capsys, name):
+    """Cut the corpus file `name` to 2 frames, in its own format, and run."""
     case = damage_site / "case"
     shutil.rmtree(case)
     shutil.copytree(damage_site / "pristine", case)
-    path = case / "corpus" / "features" / "u0000_c0.csv"
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+    path = case / "corpus" / "features" / name
+    if path.suffix == ".csv":
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+    else:
+        np.save(path, np.load(path)[:, :2])
+    uid = path.stem
     assert main(reading_command("run", case, workspace / "cfg.json")) == 3
     err = capsys.readouterr().err
     assert err.count(str(path)) == 1, err
-    assert err.replace(str(path), "<file>").count("u0000_c0") == 1, err
-    assert f"u0000_c0: {path}: utterance too short for one segment (2 frames < 4)" in err
+    assert err.replace(str(path), "<file>").count(uid) == 1, err
+    assert f"{uid}: {path}: utterance too short for one segment (2 frames < 4)" in err
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -1,11 +1,14 @@
 """Corpus manifest and spectrogram store tests."""
 
 import csv
+import io
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
+import numpy.lib.format as npy_format
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from emorefinery.manifest import (
     manifest_from_wav_tree,
     read_spectrogram_csv,
     save_manifest,
+    write_features_corpus,
     write_spectrogram_csv,
     write_synthetic_corpus,
 )
@@ -306,8 +310,9 @@ class TestSyntheticCorpusStore:
         assert len(loaded.rows) == 6
         assert loaded.class_names == spec.class_names
         for u in utts:
-            s = read_spectrogram_csv(tmp_path / f"features/{u.utterance_id}.csv")
+            s = read_spectrogram_csv(tmp_path / f"features/{u.utterance_id}.npy")
             np.testing.assert_array_equal(s.values, u.spectrogram.values)
+            np.testing.assert_array_equal(s.frame_times, u.spectrogram.frame_times)
 
     def test_observed_label_stored_only_when_flipped(self, tmp_path):
         spec = self.spec(label_noise=0.4, utterances_per_class=5)
@@ -324,8 +329,85 @@ class TestSyntheticCorpusStore:
         for d in ("a", "b"):
             write_synthetic_corpus(tmp_path / d, generate_synthetic_corpus(spec),
                                    spec.class_names)
-        for rel in ["manifest.json"] + [f"features/u{i:04d}_c{i // 2}.csv" for i in range(6)]:
+        for rel in ["manifest.json"] + [f"features/u{i:04d}_c{i // 2}.npy" for i in range(6)]:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+class TestSpectrogramNpy:
+    """The .npy store: one float64 (1 + n_mels, F) array per utterance, the
+    frame times above the values; any other file raises one DataError
+    naming it."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        s = spectrogram(np.random.default_rng(3), n_mels=4, n_frames=6)
+        write_features_corpus(tmp_path, NAMES, [(row("u0"), s)])
+        return tmp_path / "features" / "u0.npy", s
+
+    def test_table_is_the_csv_table_transposed(self, stored):
+        path, s = stored
+        table = np.load(path)
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert table.tobytes() == np.vstack((s.frame_times, s.values)).tobytes()
+        loaded = read_spectrogram_csv(path)
+        assert loaded.values.tobytes() == s.values.tobytes()
+        assert loaded.frame_times.tobytes() == s.frame_times.tobytes()
+
+    @staticmethod
+    def one_error(path, match):
+        with pytest.raises(DataError, match=match) as info:
+            read_spectrogram_csv(path)
+        assert str(info.value).count(str(path)) == 1, info.value
+
+    def test_every_cut_is_refused(self, stored):
+        path, _ = stored
+        raw = path.read_bytes()
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            self.one_error(path, "is not a .npy array")
+
+    def test_non_npy_first_byte_and_directory(self, stored):
+        path, _ = stored
+        path.write_bytes(b"\xff" + path.read_bytes())
+        self.one_error(path, "is not a .npy array")
+        path.unlink()
+        path.mkdir()
+        self.one_error(path, "cannot be read")
+
+    @pytest.mark.parametrize("array, what", [
+        (np.zeros((3, 4), dtype=np.float32), "2-D <f4 array"),
+        (np.zeros((3, 4), dtype=np.int64), "2-D <i8 array"),
+        (np.zeros((3, 4), dtype=">f8"), "2-D >f8 array"),
+        (np.zeros(4), "1-D <f8 array"),
+        (np.zeros((3, 4, 2)), "3-D <f8 array"),
+        (np.zeros((1, 4)), "names no mel row after the frame times"),
+        (np.zeros((3, 0)), "holds no frames"),
+        (np.array([[0.0, 10.0], [1.0, np.nan]]), "holds a value that is not a finite number"),
+        (np.array([[0.0, np.inf], [-1.0, 1.0]]), "holds a value that is not a finite number"),
+    ])
+    def test_other_arrays_are_refused(self, tmp_path, array, what):
+        np.save(tmp_path / "s.npy", array)
+        self.one_error(tmp_path / "s.npy", re.escape(what))
+
+    @pytest.mark.parametrize("shape", [(2, 2 ** 20), (2 ** 40, 9), (3, 4, 2 ** 31)])
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, shape):
+        header = io.BytesIO()
+        npy_format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        (tmp_path / "s.npy").write_bytes(header.getvalue() + bytes(96))
+        self.one_error(tmp_path / "s.npy", "is not a .npy array")
+
+    def test_object_array_is_refused(self, tmp_path):
+        np.save(tmp_path / "s.npy", np.array([[0.0, None]], dtype=object))
+        self.one_error(tmp_path / "s.npy", "Object arrays cannot be loaded")
+
+    def test_zip_archive_is_closed_and_refused(self, tmp_path, monkeypatch):
+        with (tmp_path / "s.npy").open("wb") as fh:
+            np.savez(fh, s=np.zeros((3, 4)))
+        loaded, load = [], np.load
+        monkeypatch.setattr(np, "load", lambda *a, **k: loaded.append(load(*a, **k)) or loaded[-1])
+        self.one_error(tmp_path / "s.npy", "is a zip archive")
+        assert loaded[0].fid is None
 
 
 class TestFilenameManifestBuilders:

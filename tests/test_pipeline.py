@@ -3,6 +3,8 @@
 import csv
 import json
 import re
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,13 @@ from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus
 from emorefinery.decision import ForestConfig
 from emorefinery.errors import DataError
 from emorefinery.features import FrameSpec, SegmentSpec
-from emorefinery.manifest import load_manifest, read_spectrogram_csv, write_synthetic_corpus
+from emorefinery.manifest import (
+    load_manifest,
+    read_spectrogram_csv,
+    save_manifest,
+    write_spectrogram_csv,
+    write_synthetic_corpus,
+)
 from emorefinery.pipeline import (
     cross_validated_predictions,
     export_ep_evolution,
@@ -40,6 +48,28 @@ def fast_config(**kw):
         forest=ForestConfig(n_trees=15))
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def rewrite_as_csv(corpus, ids):
+    """Store the corpus rows `ids` as spectrogram CSVs, in place of their
+    .npy files; returns the CSV paths in manifest order."""
+    manifest = load_manifest(corpus)
+    rows, paths = [], []
+    for row in manifest.rows:
+        if row.utterance_id in ids:
+            rel = f"features/{row.utterance_id}.csv"
+            write_spectrogram_csv(corpus / rel, read_spectrogram_csv(corpus / row.path))
+            (corpus / row.path).unlink()
+            row = replace(row, path=rel)
+            paths.append(corpus / rel)
+        rows.append(row)
+    save_manifest(replace(manifest, rows=rows))
+    return paths
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +108,7 @@ class TestUtterancesFromManifest:
     def test_collects_errors_per_utterance(self, corpus, tmp_path):
         out = tmp_path / "broken"
         m, _ = featurize_corpus(load_manifest(corpus), FrameSpec(), out)
-        bad = sorted(out.glob("features/*.csv"))[0]
+        (bad,) = rewrite_as_csv(out, [m.rows[0].utterance_id])
         bad.write_text("frame_time_ms,m_1\n")
         data, errors = utterances_from_manifest(load_manifest(out), FrameSpec(), SEGMENT)
         assert len(data.utterance_ids) == 11 and bad.stem not in data.utterance_ids
@@ -87,8 +117,8 @@ class TestUtterancesFromManifest:
 
     def test_no_readable_row_gives_no_dataset(self, corpus, tmp_path):
         out = tmp_path / "broken"
-        featurize_corpus(load_manifest(corpus), FrameSpec(), out)
-        for path in out.glob("features/*.csv"):
+        m, _ = featurize_corpus(load_manifest(corpus), FrameSpec(), out)
+        for path in rewrite_as_csv(out, [r.utterance_id for r in m.rows]):
             path.write_text("frame_time_ms,m_1\n")
         data, errors = utterances_from_manifest(load_manifest(out), FrameSpec(), SEGMENT)
         assert data is None and len(errors) == 12
@@ -96,17 +126,20 @@ class TestUtterancesFromManifest:
 
 class TestFeaturizeCorpus:
     def test_features_pass_through_exactly(self, corpus, tmp_path):
+        # featurize of an .npy corpus writes the same files and manifest.
         src = load_manifest(corpus)
         out, errors = featurize_corpus(src, FrameSpec(), tmp_path / "copy")
         assert not errors
         assert len(out.rows) == len(src.rows)
-        a = (corpus / "features" / "u0000_c0.csv").read_bytes()
-        b = (tmp_path / "copy" / "features" / "u0000_c0.csv").read_bytes()
+        a = (corpus / "features" / "u0000_c0.npy").read_bytes()
+        b = (tmp_path / "copy" / "features" / "u0000_c0.npy").read_bytes()
         assert a == b
+        assert tree_bytes(tmp_path / "copy") == tree_bytes(corpus)
 
     def test_survivors_written_when_rows_fail(self, corpus, tmp_path):
         first = tmp_path / "first"
         m, _ = featurize_corpus(load_manifest(corpus), FrameSpec(), first)
+        rewrite_as_csv(first, [m.rows[0].utterance_id])
         sorted((first / "features").glob("*.csv"))[0].write_text("junk\n")
         out, errors = featurize_corpus(load_manifest(first), FrameSpec(), tmp_path / "second")
         assert len(errors) == 1
@@ -114,14 +147,24 @@ class TestFeaturizeCorpus:
         load_manifest(tmp_path / "second")
 
     def test_a_tied_mel_count_goes_to_the_count_read_first(self, corpus, tmp_path):
+        self.assert_tied_mel_count(corpus, tmp_path, "csv")
+
+    def test_a_tied_npy_mel_count_goes_to_the_count_read_first(self, corpus, tmp_path):
+        self.assert_tied_mel_count(corpus, tmp_path, "npy")
+
+    @staticmethod
+    def assert_tied_mel_count(corpus, tmp_path, fmt):
         # Every other row cut to 6 mel bands, the first row read among them:
         # run and featurize both keep the 6 rows of 6 and name the 6 of 8.
         first = tmp_path / "first"
         m, _ = featurize_corpus(load_manifest(corpus), FrameSpec(), first)
-        for row in m.rows[::2]:
-            path = first / row.path
-            path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
-                                    for line in path.read_text().splitlines()))
+        if fmt == "csv":
+            for path in rewrite_as_csv(first, [r.utterance_id for r in m.rows[::2]]):
+                path.write_text("".join(",".join(line.split(",")[:7]) + "\n"
+                                        for line in path.read_text().splitlines()))
+        else:
+            for row in m.rows[::2]:
+                np.save(first / row.path, np.load(first / row.path)[:7])
         kept = [r.utterance_id for r in m.rows[::2]]
         named = {r.utterance_id: f"{first / r.path}: 8 mel bands, where {kept[0]!r} has 6"
                  for r in m.rows[1::2]}
@@ -130,6 +173,56 @@ class TestFeaturizeCorpus:
         assert errors == named
         out, errors = featurize_corpus(load_manifest(first), FrameSpec(), tmp_path / "second")
         assert [r.utterance_id for r in out.rows] == kept and errors == named
+
+
+class TestCorpusFormats:
+    """A CSV corpus and its .npy copy are one corpus: featurize converts one
+    to the other bit for bit, and a run cannot tell them apart."""
+
+    @pytest.fixture(scope="class")
+    def csv_corpus(self, corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("csv_corpus")
+        shutil.copytree(corpus, root, dirs_exist_ok=True)
+        rewrite_as_csv(root, [r.utterance_id for r in load_manifest(root).rows])
+        return root
+
+    @pytest.fixture(scope="class")
+    def csv_run(self, csv_corpus, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("csv_run")
+        run_experiment(csv_corpus, fast_config(), run_dir=run_dir)
+        return run_dir
+
+    def test_featurize_of_csv_writes_the_same_values_as_npy(self, corpus, csv_corpus,
+                                                            tmp_path):
+        out, errors = featurize_corpus(load_manifest(csv_corpus), FrameSpec(), tmp_path / "npy")
+        assert not errors
+        for row in out.rows:
+            assert row.path == f"features/{row.utterance_id}.npy"
+            s = read_spectrogram_csv(csv_corpus / "features" / f"{row.utterance_id}.csv")
+            table = np.load(tmp_path / "npy" / row.path)
+            assert table[0].tobytes() == s.frame_times.tobytes()
+            assert table[1:].tobytes() == s.values.tobytes()
+        assert tree_bytes(tmp_path / "npy") == tree_bytes(corpus)
+
+    def test_same_fingerprint_and_run_bytes(self, finished_run, csv_run):
+        run_dir, _ = finished_run
+        fingerprints = [json.loads((d / "run_manifest.json").read_text())["corpus_sha256"]
+                        for d in (run_dir, csv_run)]
+        assert fingerprints[0] == fingerprints[1]
+        assert tree_bytes(run_dir) == tree_bytes(csv_run)
+
+    @pytest.mark.parametrize("made_on", ["npy", "csv"])
+    def test_a_run_resumes_on_the_other_format(self, corpus, csv_corpus, finished_run,
+                                               csv_run, tmp_path, monkeypatch, made_on):
+        def never(*args, **kwargs):
+            raise AssertionError("a fold trained")
+
+        made, other = ((finished_run[0], csv_corpus) if made_on == "npy"
+                       else (csv_run, corpus))
+        shutil.copytree(made, tmp_path / "run")
+        monkeypatch.setattr("emorefinery.refinery.train_segment_classifier", never)
+        run_experiment(other, fast_config(), run_dir=tmp_path / "run")
+        assert tree_bytes(tmp_path / "run") == tree_bytes(made)
 
 
 def dataset_and_reps(corpus):
