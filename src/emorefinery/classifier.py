@@ -159,6 +159,10 @@ def _forward_in_batches(net: ConvNet, x: np.ndarray, batch_size: int) -> np.ndar
     return np.concatenate(outs, axis=0)
 
 
+# Segments per forward pass of predict_batch.
+_PREDICT_BATCH = 256
+
+
 def _mean_ce(net: ConvNet, x: np.ndarray, t: np.ndarray, batch_size: int) -> float:
     logits = _forward_in_batches(net, x, batch_size)
     return float(cross_entropy(softmax(logits).astype(np.float64), t) / x.shape[0])
@@ -256,13 +260,13 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
 
 
 @_single_thread_blas()
-def predict_batch(m: Model, x, batch_size: int = 256) -> np.ndarray:
+def predict_batch(m: Model, x) -> np.ndarray:
     """Class probabilities (n, K), rows normalized, of segments x (n, n_mels, seg_frames)."""
     x = np.asarray(x)
     if x.shape[1:] != m.net.input_shape:
         raise DataError(f"segment shape {x.shape[1:]} != model input {m.net.input_shape}")
     x = x.astype(m.net.arch.np_dtype, copy=False)
-    logits = _forward_in_batches(m.net, x, batch_size)
+    logits = _forward_in_batches(m.net, x, _PREDICT_BATCH)
     p = softmax(logits).astype(np.float64)
     return p / p.sum(axis=1, keepdims=True)
 

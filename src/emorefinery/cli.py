@@ -47,8 +47,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    manifest = load_manifest(args.corpus)
     frame = load_config(args.config).frame if args.config else FrameSpec()
+    manifest = load_manifest(args.corpus)
     out, errors = featurize_corpus(manifest, frame, args.out)
     print(f"featurized {len(out.rows)} utterances to {out.root}")
     if errors:

@@ -51,6 +51,8 @@ class ExperimentConfig:
                               f"name ({exc.reason})") from exc
         if "\0" in self.output_dir:
             raise ConfigError(f"output_dir {self.output_dir!r} holds a NUL character")
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         object.__setattr__(self, "mode", normalize_mode(self.mode))
         if self.eval_folds < 2:
             raise ConfigError("eval_folds must be >= 2")

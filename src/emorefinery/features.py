@@ -6,6 +6,7 @@ The resulting spectrogram is sliced into overlapping fixed-width segments
 that serve as classifier inputs.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -14,6 +15,15 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 LOG_FLOOR = 1e-10
+
+
+def _sample_count(ms: float, what: str, sample_rate: int) -> int:
+    """`ms` milliseconds at `sample_rate`, rounded to whole samples."""
+    n = ms * sample_rate / 1000.0
+    if not math.isfinite(n):
+        raise DataError(f"sample rate {sample_rate} Hz gives the {ms:g} ms {what} "
+                        "too many samples to count")
+    return int(round(n))
 
 
 @dataclass(frozen=True)
@@ -34,10 +44,10 @@ class FrameSpec:
             raise ConfigError("n_mels must be at least 2")
 
     def win_samples(self, sample_rate: int) -> int:
-        return int(round(self.win_ms * sample_rate / 1000.0))
+        return _sample_count(self.win_ms, "window", sample_rate)
 
     def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
+        return _sample_count(self.hop_ms, "hop", sample_rate)
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,7 @@ class SegmentSpec:
 
     def hop_frames(self, frame: FrameSpec) -> int:
         ratio = self.seg_hop_ms / frame.hop_ms
-        h = int(round(ratio))
+        h = int(round(ratio)) if math.isfinite(ratio) else 0
         if h < 1 or abs(ratio - h) > 1e-9:
             raise ConfigError(
                 f"seg_hop_ms={self.seg_hop_ms} is not a positive multiple of hop_ms={frame.hop_ms}"
@@ -184,8 +194,9 @@ def segment_spectrogram(
                         f"({n_frames} frames < {seg.seg_frames})")
     n = (n_frames - seg.seg_frames) // h + 1
     row, col = s.values.strides
+    # A hop past the last frame leaves one segment, and its stride might not fit an index.
     return np.lib.stride_tricks.as_strided(
-        s.values, (n, n_mels, seg.seg_frames), (h * col, row, col), writeable=False)
+        s.values, (n, n_mels, seg.seg_frames), (min(h, n_frames) * col, row, col), writeable=False)
 
 
 def load_wav(path) -> tuple:

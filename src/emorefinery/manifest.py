@@ -14,7 +14,6 @@ surrogates.
 import csv
 import re
 import unicodedata
-import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import LogMelSpectrogram
-from .fileio import read_json, read_text, write_csv, write_json, writing
+from .fileio import read_json, read_text, write_json, writing
 
 CORPUS_FORMAT = "emorefinery-corpus"
 CORPUS_VERSION = 1
@@ -207,12 +206,6 @@ def manifest_from_wav_tree(corpus_root, rule, label_map=None, class_names=None) 
     return manifest
 
 
-def write_spectrogram_csv(path, s: LogMelSpectrogram) -> None:
-    """Frame-per-row CSV at full float precision."""
-    write_csv(path, ["frame_time_ms"] + [f"m_{i + 1}" for i in range(len(s.values))],
-              ([t] + row for t, row in zip(s.frame_times.tolist(), s.values.T.tolist())))
-
-
 def _parse_rows(lines) -> np.ndarray:
     """numpy's C reader over comma-separated lines; blank lines are skipped.
 
@@ -246,17 +239,16 @@ def _bad_line(path, lines, width: int) -> str:
 
 
 def _read_spectrogram_npy(path) -> LogMelSpectrogram:
-    """The spectrogram in a .npy file written by write_features_corpus."""
+    """The spectrogram in a .npy file written by write_features_corpus; any
+    other format, a zip archive or a pickle among them, is not a .npy array."""
     try:
-        data = np.load(path, allow_pickle=False)
+        with open(path, "rb") as fh:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
     except OSError as exc:
         raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-    except (ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
+    except (ValueError, MemoryError) as exc:
         # A damaged header can claim a shape too large to allocate.
         raise DataError(f"{path} is not a .npy array: {exc}") from exc
-    if isinstance(data, np.lib.npyio.NpzFile):
-        data.close()
-        raise DataError(f"{path} is a zip archive, not a .npy array")
     if data.dtype != np.float64 or data.ndim != 2:
         raise DataError(f"{path} holds a {data.ndim}-D {data.dtype.str} array, "
                         "not a 2-D float64 one")
@@ -271,7 +263,8 @@ def _read_spectrogram_npy(path) -> LogMelSpectrogram:
 
 def read_spectrogram_csv(path) -> LogMelSpectrogram:
     """Load a spectrogram, every value bit for bit: a .npy file written by
-    write_features_corpus, or else a CSV in write_spectrogram_csv's layout.
+    write_features_corpus, or else a CSV whose header is frame_time_ms,
+    m_1, ..., m_N and whose lines each hold a frame's time and N values.
 
     A damaged file raises one DataError naming it; for a CSV, a header that
     names no mel column raises one naming the file, and a row that is not

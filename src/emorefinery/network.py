@@ -408,31 +408,32 @@ def batch_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits
 
 
+# Adam's standard moment decays and denominator floor.
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adaptive-moment gradient method, standard defaults."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params):
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params, grads, lr: float) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - _BETA1**self.t
+        b2t = 1.0 - _BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v, strict=True):
             # An infinite moment would zero every later update while loss and
             # parameters stay finite, so overflow here ends training.
             try:
                 with np.errstate(over="raise"):
-                    m *= self.beta1
-                    m += (1.0 - self.beta1) * g
-                    v *= self.beta2
-                    v += (1.0 - self.beta2) * g * g
+                    m *= _BETA1
+                    m += (1.0 - _BETA1) * g
+                    v *= _BETA2
+                    v += (1.0 - _BETA2) * g * g
             except FloatingPointError as exc:
                 raise TrainingDivergedError(
                     f"optimizer moments overflowed at step {self.t} ({exc})") from exc
-            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + _ADAM_EPS)

@@ -283,8 +283,11 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
     generations = run_dir / GENERATIONS_DIR
     if resume and (path.exists() or generations.exists()):
         _check_resumable(path, doc)
-    elif not resume and generations.exists():
-        shutil.rmtree(generations)
+    elif not resume:
+        # The run's metrics.json would report the run being replaced.
+        (run_dir / METRICS_NAME).unlink(missing_ok=True)
+        if generations.exists():
+            shutil.rmtree(generations)
     generations.mkdir(parents=True, exist_ok=True)
     write_json(path, doc)
 

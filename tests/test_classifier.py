@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,25 @@ class TestTraining:
         initial_ce = _mean_ce(untrained, segs[train_rows], targets[train_rows], cfg.batch_size)
         assert model.history["n_train_segments"] == train_rows.sum()
         assert model.history["train_ce"][-1] < initial_ce
+
+    @pytest.mark.parametrize("lr", [0.05, 0.5])
+    def test_early_stop_keeps_the_best_epoch(self, lr):
+        # At these rates the validation loss rises within a few epochs.
+        rng = np.random.default_rng(7)
+        segs = make_segments(rng, 60, shape=(16, 8))
+        targets = random_targets(rng, 60, NAMES4)
+        ids = [f"u{i // 3:02d}" for i in range(60)]
+        cfg = overfit_config(initial_lr=lr, validation_fraction=0.3, early_stop_patience=2,
+                             max_epochs=30)
+        model = train(segs, targets, cfg, ids, seed=7)
+        monitor = model.history["monitor"]
+        best = monitor.index(min(monitor))
+        assert model.history["epochs_run"] == best + 1 + 2 < 30
+        val = _validation_split(np.array(ids), cfg.validation_fraction, np.random.default_rng(7))
+        assert _mean_ce(model.net, segs[val], targets[val], cfg.batch_size) == monitor[best]
+        at_best = train(segs, targets, replace(cfg, max_epochs=best + 1), ids, seed=7)
+        assert [p.tobytes() for p in model.net.params()] == \
+            [p.tobytes() for p in at_best.net.params()]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError, match="empty"):

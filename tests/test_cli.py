@@ -9,7 +9,7 @@ import struct
 import sys
 import tempfile
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +23,10 @@ from emorefinery.cli import main
 from emorefinery.config import ExperimentConfig
 from emorefinery.datagen import SyntheticCorpusSpec
 from emorefinery.decision import ForestConfig
+from emorefinery.errors import TrainingDivergedError
 from emorefinery.features import FrameSpec, SegmentSpec
-from emorefinery.manifest import (
-    load_manifest,
-    manifest_from_wav_tree,
-    read_spectrogram_csv,
-    save_manifest,
-    write_spectrogram_csv,
-)
+from emorefinery.manifest import load_manifest, manifest_from_wav_tree, read_spectrogram_csv
+from spectrogram_csv import rewrite_as_csv
 
 CORPUS_SPEC = {
     "n_classes": 3, "utterances_per_class": 4, "segments_range": [3, 4],
@@ -566,23 +562,6 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def rewrite_as_csv(corpus, ids):
-    """Store the corpus rows `ids` as spectrogram CSVs, in place of their
-    .npy files; returns the CSV paths in manifest order."""
-    manifest = load_manifest(corpus)
-    rows, paths = [], []
-    for row in manifest.rows:
-        if row.utterance_id in ids:
-            rel = f"features/{row.utterance_id}.csv"
-            write_spectrogram_csv(corpus / rel, read_spectrogram_csv(corpus / row.path))
-            (corpus / row.path).unlink()
-            row = replace(row, path=rel)
-            paths.append(corpus / rel)
-        rows.append(row)
-    save_manifest(replace(manifest, rows=rows))
-    return paths
-
-
 def same_run(a, b):
     """Run directories identical byte for byte, but for the output_dir they record."""
     files_a, files_b = tree_bytes(a), tree_bytes(b)
@@ -633,6 +612,19 @@ def test_unencodable_output_dir_exits_2_before_reading(tmp_path, capsys, monkeyp
     assert "output_dir 'R\\ud800' cannot be encoded" in one_error(capsys, "bad.json")
     assert main(["run", "--config", "good.json", "--corpus", "missing", "--out", "R\ud800"]) == 2
     assert "cannot be encoded" in one_error(capsys, "output_dir")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+
+def test_empty_output_dir_exits_2_and_writes_nothing(workspace, tmp_path, capsys, monkeypatch):
+    # It wrote the run into the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({**RUN_CONFIG, "output_dir": ""}))
+    (tmp_path / "good.json").write_text(json.dumps(RUN_CONFIG))
+    corpus = str(workspace / "corpus")
+    assert main(["run", "--config", "bad.json", "--corpus", corpus]) == 2
+    assert "output_dir must not be empty" in one_error(capsys, "bad.json")
+    assert main(["run", "--config", "good.json", "--corpus", corpus, "--out", ""]) == 2
+    one_error(capsys, "output_dir must not be empty")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
 
 
@@ -759,6 +751,23 @@ class TestResume:
             assert (moved / name).read_bytes() == (finished_run / name).read_bytes()
         assert same_run(finished_run, moved)
 
+    def test_start_over_that_fails_leaves_no_metrics_for_eval(self, workspace, finished_run,
+                                                              tmp_path, capsys, monkeypatch):
+        # eval exited 0 and printed the WA of the run that was started over.
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("non-finite loss")
+
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        monkeypatch.setattr("emorefinery.refinery.train_segment_classifier", diverge)
+        capsys.readouterr()
+        args = self.run_args(workspace, workspace / "corpus", run_dir) + ["--no-resume"]
+        assert main(args) == 4
+        one_error(capsys, "non-finite loss")
+        assert list((run_dir / "generations").iterdir()) == []
+        assert main(["eval", "--run", str(run_dir)]) == 3
+        one_error(capsys, f"no metrics report at {run_dir / 'metrics.json'}")
+
     def test_damaged_clean_accuracy_exits_3(self, workspace, tmp_path, capsys):
         args = self.run_args(workspace, workspace / "corpus", tmp_path / "run") + [
             "--generations", "1"]
@@ -770,6 +779,25 @@ class TestResume:
         assert main(args) == 3
         err = one_error(capsys, path)
         assert "is not the report of generation 1" in err and "--no-resume" in err
+
+
+def test_label_noise_is_reported_by_gen_data_run_and_eval(workspace, tmp_path, capsys):
+    spec, corpus, run_dir = tmp_path / "noisy.json", tmp_path / "corpus", tmp_path / "run"
+    spec.write_text(json.dumps({**CORPUS_SPEC, "label_noise": 0.25}))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(corpus)]) == 0
+    flipped = sum(r.observed_label != "" for r in load_manifest(corpus).rows)
+    assert flipped == 3  # a quarter of 12 utterances
+    assert "label noise: 3 observed labels differ from clean labels\n" in capsys.readouterr().out
+    assert main(["run", "--config", str(workspace / "cfg.json"), "--corpus", str(corpus),
+                 "--out", str(run_dir)]) == 0
+    lines = [f"gen {g['generation']}: WA {g['wa']:.4f} UA {g['ua']:.4f} mean EP entropy "
+             f"{g['mean_ep_entropy']:.4f} (clean-label WA {g['wa_clean']:.4f} "
+             f"UA {g['ua_clean']:.4f})"
+             for g in json.loads((run_dir / "metrics.json").read_text())["generations"]]
+    assert len(lines) == 2
+    assert capsys.readouterr().out.splitlines() == lines + [f"run artifacts in {run_dir}"]
+    assert main(["eval", "--run", str(run_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == lines
 
 
 class TestEvalAndExport:
@@ -1166,6 +1194,37 @@ def test_wav_rate_the_front_end_cannot_use_exits_3_naming_the_file_once(audio_si
         if rate == 44_100:  # SAVEE's rate: the message says how to fix it
             assert ("frame.fft_len=512 is shorter than the 1102-sample window at 44100 Hz; "
                     "set frame.fft_len to at least 1102") in err, err
+
+
+@pytest.mark.parametrize("command", ["featurize", "run"])
+def test_segment_hop_past_float_range_exits_2_before_reading(tmp_path, capsys, command):
+    # run ended in an OverflowError from SegmentSpec.hop_frames; featurize
+    # read the corpus before the config.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**RUN_CONFIG, "frame": {"hop_ms": 5e-324, "win_ms": 1},
+                                  "segment": {"seg_hop_ms": 30}}))
+    assert main([command, "--config", str(config), "--corpus", str(tmp_path / "missing"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "seg_hop_ms=30 is not a positive multiple of hop_ms=5e-324" in one_error(capsys,
+                                                                                     config)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["featurize", "run"])
+def test_window_past_float_range_at_the_wav_rate_exits_3_naming_each_file_once(
+        audio_site, capsys, command):
+    # Both ended in an OverflowError from FrameSpec.win_samples.
+    case, _ = audio_case(audio_site, "ang_s0_00.wav")
+    config = case / "cfg.json"
+    config.write_text(json.dumps({**RUN_CONFIG, "frame": {"win_ms": 1e308, "hop_ms": 1e308},
+                                  "segment": {"seg_hop_ms": 1e308, "seg_frames": 1}}))
+    assert main([command, "--config", str(config), "--corpus", str(case / "corpus"),
+                 "--out", str(case / "out")]) == 3
+    err = one_error(capsys, "6 utterance(s) failed to featurize")
+    wavs = sorted((case / "corpus").glob("*.wav"))
+    assert len(wavs) == 6 and all(err.count(str(wav)) == 1 for wav in wavs), err
+    assert err.count("sample rate 16000 Hz gives the 1e+308 ms window too many samples "
+                     "to count") == 6, err
 
 
 @pytest.mark.parametrize("damage", ["cut inside the data", "data size past the end"])

@@ -195,6 +195,14 @@ class TestSegmentation:
         assert np.shares_memory(segs, spec.values)
         assert not segs.flags.writeable
 
+    @pytest.mark.parametrize("seg_hop_ms", [1000.0, 1e300])
+    def test_hop_past_the_last_frame_gives_one_segment(self, seg_hop_ms):
+        # A hop of 1e299 frames ended in an OverflowError from as_strided.
+        spec = self._spec(40)
+        segs = segment_spectrogram(spec, SegmentSpec(seg_hop_ms=seg_hop_ms), SPEC)
+        assert segs.shape == (1, 64, 32)
+        assert segs.tobytes() == spec.values[:, :32].tobytes()
+
     def test_too_few_frames(self):
         with pytest.raises(DataError, match="too short for one segment"):
             segment_spectrogram(self._spec(31), SegmentSpec(), SPEC)

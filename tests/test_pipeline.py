@@ -4,7 +4,6 @@ import csv
 import json
 import re
 import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +15,7 @@ from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus
 from emorefinery.decision import ForestConfig
 from emorefinery.errors import DataError
 from emorefinery.features import FrameSpec, SegmentSpec
-from emorefinery.manifest import (
-    load_manifest,
-    read_spectrogram_csv,
-    save_manifest,
-    write_spectrogram_csv,
-    write_synthetic_corpus,
-)
+from emorefinery.manifest import load_manifest, read_spectrogram_csv, write_synthetic_corpus
 from emorefinery.pipeline import (
     cross_validated_predictions,
     export_ep_evolution,
@@ -33,6 +26,7 @@ from emorefinery.pipeline import (
 )
 from emorefinery.refinery import _STREAM_MODEL, StackedDataset, derive_seed, read_ep_csv
 from emorefinery.representation import representations_for
+from spectrogram_csv import rewrite_as_csv
 
 SPEC = SyntheticCorpusSpec(n_classes=3, utterances_per_class=4, segments_range=(3, 4),
                            n_mels=8, seg_frames=4, n_speakers=2, noise_level=0.4, seed=9)
@@ -48,23 +42,6 @@ def fast_config(**kw):
         forest=ForestConfig(n_trees=15))
     base.update(kw)
     return ExperimentConfig(**base)
-
-
-def rewrite_as_csv(corpus, ids):
-    """Store the corpus rows `ids` as spectrogram CSVs, in place of their
-    .npy files; returns the CSV paths in manifest order."""
-    manifest = load_manifest(corpus)
-    rows, paths = [], []
-    for row in manifest.rows:
-        if row.utterance_id in ids:
-            rel = f"features/{row.utterance_id}.csv"
-            write_spectrogram_csv(corpus / rel, read_spectrogram_csv(corpus / row.path))
-            (corpus / row.path).unlink()
-            row = replace(row, path=rel)
-            paths.append(corpus / rel)
-        rows.append(row)
-    save_manifest(replace(manifest, rows=rows))
-    return paths
 
 
 def tree_bytes(root):

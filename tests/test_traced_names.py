@@ -69,8 +69,9 @@ def _spectrogram():
 
 
 def _read_spectrogram_call(tmp_path):
-    manifest.write_spectrogram_csv(tmp_path / "s.csv", _spectrogram())
-    return manifest.read_spectrogram_csv, (tmp_path / "s.csv",)
+    s = _spectrogram()
+    np.save(tmp_path / "s.npy", np.vstack((s.frame_times, s.values)))
+    return manifest.read_spectrogram_csv, (tmp_path / "s.npy",)
 
 
 SEGMENTS = np.random.default_rng(0).standard_normal((4, 8, 4))
