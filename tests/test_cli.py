@@ -1205,8 +1205,8 @@ def test_segment_hop_past_float_range_exits_2_before_reading(tmp_path, capsys, c
                                   "segment": {"seg_hop_ms": 30}}))
     assert main([command, "--config", str(config), "--corpus", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "out")]) == 2
-    assert "seg_hop_ms=30 is not a positive multiple of hop_ms=5e-324" in one_error(capsys,
-                                                                                     config)
+    err = one_error(capsys, config)
+    assert "seg_hop_ms=30 is not a positive multiple of hop_ms=5e-324" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
