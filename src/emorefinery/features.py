@@ -117,20 +117,17 @@ def mel_filterbank(spec: FrameSpec, sample_rate: int) -> np.ndarray:
     mel_edges = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), spec.n_mels + 2)
     hz_edges = mel_to_hz(mel_edges)
 
-    bank = np.zeros((spec.n_mels, n_bins))
-    for i in range(spec.n_mels):
-        lo, center, hi = hz_edges[i], hz_edges[i + 1], hz_edges[i + 2]
-        rising = (bin_freqs - lo) / (center - lo)
-        falling = (hi - bin_freqs) / (hi - center)
-        bank[i] = np.maximum(0.0, np.minimum(rising, falling))
-        peak = bank[i].max()
-        if peak <= 0.0:
-            raise ConfigError(
-                f"mel filter {i} has no FFT bin support; "
-                f"reduce n_mels or increase fft_len"
-            )
-        bank[i] /= peak
-    return bank
+    # Row i rises from edge i to edge i + 1 and falls to edge i + 2.
+    lo, center, hi = hz_edges[:-2, None], hz_edges[1:-1, None], hz_edges[2:, None]
+    rising = (bin_freqs - lo) / (center - lo)
+    falling = (hi - bin_freqs) / (hi - center)
+    bank = np.maximum(0.0, np.minimum(rising, falling))
+    peak = bank.max(axis=1, keepdims=True)
+    unsupported = np.flatnonzero(peak <= 0.0)
+    if unsupported.size:
+        raise ConfigError(f"mel filter {unsupported[0]} has no FFT bin support; "
+                          "reduce n_mels or increase fft_len")
+    return bank / peak
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -146,7 +143,8 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
     LOG_FLOOR before the log so silence maps to ln(1e-10) instead of -inf.
     A sample rate that rounds the hop below one sample raises a DataError,
     and so do samples that give a non-finite value, such as NaN; the window
-    is never shorter than the hop.
+    is never shorter than the hop. A frame spec whose arrays do not fit in
+    memory at this rate raises a ConfigError.
     """
     win = spec.win_samples(sample_rate)
     hop = spec.hop_samples(sample_rate)
@@ -158,18 +156,19 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
                           f"window at {sample_rate} Hz; set frame.fft_len to at least {win}")
     n_frames = frame_count(len(samples), sample_rate, spec)
 
-    starts = np.arange(n_frames) * hop
-    frames = np.asarray(samples, dtype=np.float64)[starts[:, None] + np.arange(win)[None, :]]
-    frames = frames * hann_window(win)[None, :]
-    power = np.abs(np.fft.rfft(frames, n=spec.fft_len, axis=1)) ** 2
-
-    bank = mel_filterbank(spec, sample_rate)
-    mel_energy = power @ bank.T
-    values = np.log(np.maximum(mel_energy, LOG_FLOOR)).T
+    samples = np.asarray(samples, dtype=np.float64)
+    try:
+        frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop] * hann_window(win)
+        power = np.abs(np.fft.rfft(frames, n=spec.fft_len, axis=1)) ** 2
+        mel_energy = power @ mel_filterbank(spec, sample_rate).T
+        values = np.log(np.maximum(mel_energy, LOG_FLOOR)).T
+    except MemoryError as exc:
+        raise ConfigError(f"frame.fft_len={spec.fft_len} and frame.n_mels={spec.n_mels} "
+                          f"at {sample_rate} Hz need more memory than is free ({exc})") from exc
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite spectrogram values")
 
-    frame_times = starts * 1000.0 / sample_rate
+    frame_times = np.arange(n_frames) * hop * 1000.0 / sample_rate
     return LogMelSpectrogram(values=values, frame_times=frame_times)
 
 

@@ -279,20 +279,10 @@ def _bits(a):
     return a.view(np.dtype(f"i{a.itemsize}"))
 
 
-class Flatten:
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x, train: bool):
-        if train:
-            self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, g):
-        return g.reshape(self._shape)
-
-
 class Dense:
+    """Fully connected layer. It reads each sample's input, conv maps
+    included, as one row, and returns the input gradient in the input's shape."""
+
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, dtype):
         self.w = (rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)).astype(dtype)
         self.b = np.zeros(n_out, dtype=dtype)
@@ -301,13 +291,13 @@ class Dense:
     def forward(self, x, train: bool):
         if train:
             self._x = x
-        return x @ self.w.T + self.b
+        return x.reshape(len(x), -1) @ self.w.T + self.b
 
     def backward(self, g):
-        self.dw = g.T @ self._x
+        x, self._x = self._x, None
+        self.dw = g.T @ x.reshape(len(x), -1)
         self.db = g.sum(axis=0)
-        self._x = None
-        return g @ self.w
+        return (g @ self.w).reshape(x.shape)
 
 
 class ConvNet:
@@ -325,7 +315,6 @@ class ConvNet:
             # Pool before the stage's last ReLU: max(relu(a), relu(b)) equals
             # relu(max(a, b)), and the ReLU then sees a quarter of the elements.
             layers.insert(-1, MaxPool2x2())
-        layers.append(Flatten())
         n_in = c_out * (h // 2) * (w // 2)
         for width in arch.dense:
             layers.append(Dense(n_in, width, rng, dtype))

@@ -166,15 +166,17 @@ def _write_generation(gen_dir: Path, foldout, data: StackedDataset, clean,
     if tmp.exists():
         shutil.rmtree(tmp)
     (tmp / "models").mkdir(parents=True)
-    write_ep_csv(tmp / "eps.csv", foldout.eps, ids, data.offsets, foldout.generation)
-    write_representation_csv(tmp / "representations.csv", ids, reps)
+    eps_path, reps_path, predictions_path, confusion_path, metrics_path, audit_path, *models = (
+        tmp / name for name in _generation_files(len(foldout.models)))
+    write_ep_csv(eps_path, foldout.eps, ids, data.offsets, foldout.generation)
+    write_representation_csv(reps_path, ids, reps)
     records = [(u, names[t], names[p])
                for u, t, p in sorted(zip(ids, data.labels.tolist(), predictions.tolist()))]
-    write_predictions_csv(tmp / "predictions.csv", records)
-    write_confusion_csv(tmp / "confusion.csv", cm, names)
-    write_metrics_report(tmp / METRICS_NAME, report)
-    for fold, model in enumerate(foldout.models):
-        save_model(model, tmp / "models" / f"fold{fold:02d}.npz")
+    write_predictions_csv(predictions_path, records)
+    write_confusion_csv(confusion_path, cm, names)
+    write_metrics_report(metrics_path, report)
+    for model, path in zip(foldout.models, models, strict=True):
+        save_model(model, path)
     audit = {
         "generation": foldout.generation,
         "folds": len(foldout.models),
@@ -182,9 +184,30 @@ def _write_generation(gen_dir: Path, foldout, data: StackedDataset, clean,
         "training_segments_per_fold": [len(rows) for rows in foldout.training_rows],
         "violations": [],
     }
-    write_json(tmp / "foldout.json", audit)
+    write_json(audit_path, audit)
     os.replace(tmp, gen_dir)
     return report
+
+
+def _generation_files(folds: int) -> list:
+    """The files of a generation directory, as _write_generation writes them."""
+    return (["eps.csv", "representations.csv", "predictions.csv", "confusion.csv",
+             METRICS_NAME, "foldout.json"] + [f"models/fold{f:02d}.npz" for f in range(folds)])
+
+
+def _check_generation_files(gen_dir: Path, t: int, folds: int) -> None:
+    """Raise a DataError naming the first file of generation t that is missing,
+    or its foldout.json unless it is the audit of t over `folds` folds with
+    no violations; no other file is read."""
+    for name in _generation_files(folds):
+        if not (gen_dir / name).is_file():
+            raise DataError(f"{gen_dir / name} is missing")
+    path = gen_dir / "foldout.json"
+    audit = read_json(path)
+    if not (isinstance(audit, dict) and audit.get("generation") == t
+            and audit.get("folds") == folds and audit.get("violations") == []):
+        raise DataError(f"{path} is not the audit of generation {t} over {folds} folds "
+                        "with no violations")
 
 
 def generation_dir(run_dir, t: int) -> Path:
@@ -301,6 +324,7 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
             return None
         logger.info("generation %d/%d already present, reusing", t, cfg.generations)
         try:
+            _check_generation_files(gen_dir, t, cfg.folds)
             eps = read_ep_csv(gen_dir / "eps.csv", names, data.utterance_ids, data.offsets, t)
             reports[t] = read_metrics_report(gen_dir / METRICS_NAME, generation=t)
         except DataError as exc:

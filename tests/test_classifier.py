@@ -355,20 +355,6 @@ class TestPredict:
 class TestBlasThreads:
     """Training and prediction run OpenBLAS on one thread, and only while they run."""
 
-    @pytest.fixture
-    def openblas(self):
-        lib = classifier._openblas()
-        if lib is None:
-            pytest.skip("numpy does not use OpenBLAS here")
-        get, set_ = lib
-        before = get()
-        set_(2)
-        if get() != 2:
-            set_(before)
-            pytest.skip("this OpenBLAS cannot run two threads")
-        yield get
-        set_(before)
-
     def data(self):
         rng = np.random.default_rng(31)
         segs = make_segments(rng, 24, shape=(32, 32))

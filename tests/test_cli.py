@@ -26,6 +26,7 @@ from emorefinery.decision import ForestConfig
 from emorefinery.errors import TrainingDivergedError
 from emorefinery.features import FrameSpec, SegmentSpec
 from emorefinery.manifest import load_manifest, manifest_from_wav_tree, read_spectrogram_csv
+from same_bytes import tree_bytes
 from spectrogram_csv import rewrite_as_csv
 
 CORPUS_SPEC = {
@@ -538,6 +539,46 @@ class TestRun:
         assert what in err[0] and err[0].endswith("rerun with --no-resume to recompute it")
         assert main(args + ["--no-resume"]) == 0
 
+    @pytest.mark.parametrize("name", [
+        "eps.csv", "representations.csv", "predictions.csv", "confusion.csv", "metrics.json",
+        "foldout.json", "models/fold00.npz", "models/fold01.npz", "models/fold02.npz"])
+    def test_generation_missing_a_file_exits_3_naming_it(self, workspace, finished_run,
+                                                         tmp_path, capsys, name):
+        # The run reused the generation, printing its old metrics, with exit 0.
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "generations" / "gen01" / name
+        path.unlink()
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(workspace / "corpus"), "--out", str(run_dir)]) == 3
+        assert one_error(capsys, path) == (
+            f"error: {path} is missing; generation 1 cannot be reused, "
+            "rerun with --no-resume to recompute it")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("damage, what", [
+        (lambda audit: "garbage", "is not valid JSON"),
+        (lambda audit: {**audit, "generation": 1}, "is not the audit of generation 2"),
+        (lambda audit: {**audit, "folds": 2}, "is not the audit of generation 2 over 3 folds"),
+        (lambda audit: {**audit, "violations": ["u0000_c0"]}, "with no violations"),
+        (lambda audit: [audit], "is not the audit of generation 2"),
+    ])
+    def test_damaged_foldout_audit_exits_3(self, workspace, finished_run, tmp_path, capsys,
+                                           damage, what):
+        # The run reused the generation, printing its old metrics, with exit 0.
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "generations" / "gen02" / "foldout.json"
+        doc = damage(json.loads(path.read_text()))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(workspace / "corpus"), "--out", str(run_dir)]) == 3
+        err = one_error(capsys, path)
+        assert what in err and err.endswith(
+            "; generation 2 cannot be reused, rerun with --no-resume to recompute it")
+
     @pytest.mark.parametrize("command", ["run", "featurize"])
     def test_oversized_header_field_exits_3_naming_the_file(self, workspace, tmp_path,
                                                             capsys, command):
@@ -555,11 +596,6 @@ class TestRun:
         assert main(["run", "--config", str(workspace / "cfg.json"),
                      "--corpus", str(workspace / "corpus"), "--seed", "6",
                      "--out", str(finished_run)]) == 3
-
-
-def tree_bytes(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def same_run(a, b):
@@ -1225,6 +1261,28 @@ def test_window_past_float_range_at_the_wav_rate_exits_3_naming_each_file_once(
     assert len(wavs) == 6 and all(err.count(str(wav)) == 1 for wav in wavs), err
     assert err.count("sample rate 16000 Hz gives the 1e+308 ms window too many samples "
                      "to count") == 6, err
+
+
+@pytest.mark.parametrize("command", ["featurize", "run"])
+def test_front_end_out_of_memory_exits_3_naming_each_file_once(audio_site, capsys, monkeypatch,
+                                                                command):
+    # Both ended in a MemoryError traceback with exit 1. The FFT's failure
+    # is injected, so nothing near the machine's memory is allocated.
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 184. TiB")
+
+    case, _ = audio_case(audio_site, "ang_s0_00.wav")
+    config = case / "cfg.json"
+    config.write_text(json.dumps({**RUN_CONFIG, "frame": {"fft_len": 2**40}}))
+    monkeypatch.setattr(np.fft, "rfft", unable)
+    assert main([command, "--config", str(config), "--corpus", str(case / "corpus"),
+                 "--out", str(case / "out")]) == 3
+    err = one_error(capsys, "6 utterance(s) failed to featurize")
+    wavs = sorted((case / "corpus").glob("*.wav"))
+    assert len(wavs) == 6 and all(err.count(str(wav)) == 1 for wav in wavs), err
+    assert err.count("frame.fft_len=1099511627776 and frame.n_mels=64 at 16000 Hz need more "
+                     "memory than is free (Unable to allocate 184. TiB)") == 6, err
+    assert not (case / "out").exists()
 
 
 @pytest.mark.parametrize("damage", ["cut inside the data", "data size past the end"])

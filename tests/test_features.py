@@ -1,10 +1,14 @@
 """Feature extraction tests, checked against brute-force DSP oracles."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from emorefinery import features
 from emorefinery.errors import ConfigError, DataError
 from emorefinery.features import (
     FrameSpec,
@@ -21,6 +25,11 @@ from emorefinery.features import (
     segment_span_ms,
     segment_spectrogram,
 )
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 SPEC = FrameSpec()
 
@@ -61,6 +70,25 @@ def oracle_log_mel(samples, rate, spec):
         power = np.abs(dft @ frame) ** 2
         out[:, i] = np.log(np.maximum(bank @ power, LOG_FLOOR))
     return out
+
+
+def per_filter_bank(spec, rate):
+    """mel_filterbank as it was first written, one filter at a time: the
+    bank, or the message refusing the first filter with no FFT-bin support."""
+    n_bins = spec.fft_len // 2 + 1
+    bin_freqs = np.arange(n_bins) * rate / spec.fft_len
+    hz_edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), spec.n_mels + 2))
+    bank = np.zeros((spec.n_mels, n_bins))
+    for i in range(spec.n_mels):
+        lo, center, hi = hz_edges[i], hz_edges[i + 1], hz_edges[i + 2]
+        rising = (bin_freqs - lo) / (center - lo)
+        falling = (hi - bin_freqs) / (hi - center)
+        bank[i] = np.maximum(0.0, np.minimum(rising, falling))
+        peak = bank[i].max()
+        if peak <= 0.0:
+            return f"mel filter {i} has no FFT bin support; reduce n_mels or increase fft_len"
+        bank[i] /= peak
+    return bank
 
 
 class TestFrameCount:
@@ -119,6 +147,20 @@ class TestMelFilterbank:
         with pytest.raises(ConfigError, match="no FFT bin"):
             mel_filterbank(FrameSpec(fft_len=64, n_mels=64), 16000)
 
+    @pytest.mark.parametrize("fft_len, n_mels, rate", [
+        (64, 64, 16000), (128, 100, 16000), (32, 30, 16000), (512, 200, 44100),
+        (1024, 256, 22050), (64, 2, 51), (256, 40, 16000), (512, 64, 16000), (2048, 128, 44100),
+    ])
+    def test_bank_or_refusal_matches_the_per_filter_loop(self, fft_len, n_mels, rate):
+        spec = FrameSpec(fft_len=fft_len, n_mels=n_mels)
+        want = per_filter_bank(spec, rate)
+        if isinstance(want, str):
+            with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+                mel_filterbank(spec, rate)
+        else:
+            got = mel_filterbank(spec, rate)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestLogMelSpectrogram:
     def test_all_zero_clip_is_log_floor(self):
@@ -159,6 +201,56 @@ class TestLogMelSpectrogram:
     def test_lowest_rate_with_a_one_sample_hop_runs(self):
         spec = log_mel_spectrogram(np.ones(100), 51, SPEC)
         assert spec.values.shape[1] == 100
+
+    @pytest.mark.parametrize("rate, n", [(16000, 8000), (22050, 9001), (44100, 12345)])
+    def test_strided_and_float32_samples_give_the_contiguous_float64_bytes(self, rate, n):
+        spec = FrameSpec(fft_len=2048)
+        wide = np.random.default_rng(rate).uniform(-1, 1, 2 * n)
+        narrow = wide[:n].astype(np.float32)
+        for samples, same in ((wide[::2], np.ascontiguousarray(wide[::2])),
+                              (narrow, narrow.astype(np.float64))):
+            got, want = (log_mel_spectrogram(x, rate, spec) for x in (samples, same))
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.frame_times.tobytes() == want.frame_times.tobytes()
+
+    @pytest.mark.parametrize("failing", ["rfft", "filterbank"])
+    def test_memory_error_is_config_error_naming_the_frame_spec(self, monkeypatch, failing):
+        def unable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 184. TiB")
+
+        if failing == "rfft":
+            monkeypatch.setattr(np.fft, "rfft", unable)
+        else:
+            monkeypatch.setattr(features, "mel_filterbank", unable)
+        with pytest.raises(ConfigError, match=r"^frame\.fft_len=512 and frame\.n_mels=64 at "
+                                              r"16000 Hz need more memory than is free "
+                                              r"\(Unable to allocate 184\. TiB\)$"):
+            log_mel_spectrogram(np.zeros(8000), 16000, SPEC)
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize("fft_len, n_mels", [(2**40, 64), (2**20, 2**30)])
+    def test_spec_too_large_for_the_address_space_is_config_error(self, fft_len, n_mels):
+        # A child process caps its own address space at 3 GiB, so the huge
+        # arrays fail to allocate without touching the machine's memory.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "import numpy as np\n"
+            "from emorefinery.errors import ConfigError\n"
+            "from emorefinery.features import FrameSpec, log_mel_spectrogram\n"
+            "try:\n"
+            f"    log_mel_spectrogram(np.zeros(4000), 16000, FrameSpec(fft_len={fft_len}, "
+            f"n_mels={n_mels}))\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert done.stdout.startswith(f"frame.fft_len={fft_len} and frame.n_mels={n_mels} "
+                                      "at 16000 Hz need more memory than is free (")
 
 
 class TestSegmentation:

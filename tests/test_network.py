@@ -1,12 +1,14 @@
 """Layer kernels against reference copies of their first implementations.
 
-OracleConv3x3, OracleReLU and OracleMaxPool2x2 are the straightforward
-layers the package started with: im2col by nine strided copies into a fresh
-buffer, a masked ReLU, and max pooling through a transposed copy, argmax
-and put_along_axis. oracle_init builds a net in the stage order it started
-with, conv -> ReLU -> pool, where ConvNet now pools before a stage's last
-ReLU. The faster layers and the new order must reproduce them bit for bit,
-so every comparison here is on bytes, not within a tolerance.
+OracleConv3x3, OracleReLU, OracleMaxPool2x2 and OracleFlatten are the
+straightforward layers the package started with: im2col by nine strided
+copies into a fresh buffer, a masked ReLU, max pooling through a transposed
+copy, argmax and put_along_axis, and a reshape of the last conv maps into
+rows. oracle_init builds a net in the stage order it started with,
+conv -> ReLU -> pool, then flatten, where ConvNet now pools before a
+stage's last ReLU and its first Dense reads the conv maps itself. The
+faster layers and the new order must reproduce them bit for bit, so every
+comparison here is on bytes, not within a tolerance.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from emorefinery.classifier import (TrainConfig, load_model, predict_batch, save
                                     train_segment_classifier)
 from emorefinery.errors import ConfigError
 from emorefinery.network import ARCHITECTURES, Conv3x3, ConvNet, MaxPool2x2
+from same_bytes import assert_bytes_equal
 
 
 class OracleConv3x3:
@@ -115,9 +118,23 @@ class OracleReLU:
         return out
 
 
+class OracleFlatten:
+    def __init__(self):
+        self._shape = None
+
+    def forward(self, x, train: bool):
+        if train:
+            self._shape = x.shape
+        return x.reshape(x.shape[0], -1)
+
+    def backward(self, g):
+        return g.reshape(self._shape)
+
+
 def oracle_init(self, arch, input_shape, k, rng):
     """ConvNet.__init__ as it first was: a ReLU after every conv, then the
-    stage's pool. It draws the parameters in the same order."""
+    stage's pool, and a flatten before the dense head. It draws the
+    parameters in the same order."""
     self.arch = arch
     self.input_shape = tuple(input_shape)
     dtype = arch.np_dtype
@@ -126,7 +143,7 @@ def oracle_init(self, arch, input_shape, k, rng):
         for c_in, c_out in convs:
             self.layers += [network.Conv3x3(c_in, c_out, rng, dtype), network.ReLU()]
         self.layers.append(network.MaxPool2x2())
-    self.layers.append(network.Flatten())
+    self.layers.append(OracleFlatten())
     n_in = c_out * (h // 2) * (w // 2)
     for width in arch.dense:
         self.layers += [network.Dense(n_in, width, rng, dtype), network.ReLU()]
@@ -152,11 +169,6 @@ def oracle_layers(monkeypatch):
         m.setattr(ConvNet, "__init__", oracle_init)
         m.setattr(ConvNet, "backward", oracle_backward)
         yield
-
-
-def assert_bytes_equal(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 def pool_both(x, g=None):
@@ -227,7 +239,7 @@ def test_each_stage_pools_before_its_last_relu(monkeypatch):
     net = ConvNet(TWO_STAGES, (16, 8), 4, np.random.default_rng(0))
     conv, relu, pool, dense = Conv3x3, network.ReLU, MaxPool2x2, network.Dense
     assert [type(layer) for layer in net.layers] == [
-        conv, relu, conv, pool, relu, conv, pool, relu, network.Flatten, dense, relu, dense]
+        conv, relu, conv, pool, relu, conv, pool, relu, dense, relu, dense]
     with monkeypatch.context() as m:
         m.setattr(ConvNet, "__init__", oracle_init)
         old = ConvNet(TWO_STAGES, (16, 8), 4, np.random.default_rng(0))

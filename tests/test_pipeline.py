@@ -26,6 +26,7 @@ from emorefinery.pipeline import (
 )
 from emorefinery.refinery import _STREAM_MODEL, StackedDataset, derive_seed, read_ep_csv
 from emorefinery.representation import representations_for
+from same_bytes import tree_bytes
 from spectrogram_csv import rewrite_as_csv
 
 SPEC = SyntheticCorpusSpec(n_classes=3, utterances_per_class=4, segments_range=(3, 4),
@@ -42,11 +43,6 @@ def fast_config(**kw):
         forest=ForestConfig(n_trees=15))
     base.update(kw)
     return ExperimentConfig(**base)
-
-
-def tree_bytes(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from emorefinery import classifier, refinery
+from emorefinery import refinery
 from emorefinery.classifier import TrainConfig, predict_batch
 from emorefinery.config import ExperimentConfig
 from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
@@ -26,6 +26,7 @@ from emorefinery.refinery import (
     run_refinery,
     write_ep_csv,
 )
+from same_bytes import assert_bytes_equal
 
 NAMES4 = ("angry", "happy", "neutral", "sad")
 NAMES6 = ("angry", "fear", "happy", "neutral", "sad", "surprise")
@@ -300,20 +301,6 @@ class TestFoldThreads:
             self.run(monkeypatch, 2, diverge)
         assert raised.value is error
 
-    @pytest.fixture
-    def openblas(self):
-        lib = classifier._openblas()
-        if lib is None:
-            pytest.skip("numpy does not use OpenBLAS here")
-        get, set_ = lib
-        before = get()
-        set_(2)
-        if get() != 2:
-            set_(before)
-            pytest.skip("this OpenBLAS cannot run two threads")
-        yield get
-        set_(before)
-
     def test_one_blas_thread_inside_and_restored_after(self, openblas, monkeypatch):
         # Fold 1 starts training once fold 0 has, and runs its first forward
         # pass only after fold 0's training call has returned and restored
@@ -363,11 +350,6 @@ class TestFoldThreads:
         assert refinery._fold_workers(fast_config(), (32, 32)) == 1  # the tiny net
         monkeypatch.setattr(refinery.os, "sched_getaffinity", lambda pid: {0})
         assert refinery._fold_workers(compact, (32, 32)) == 1
-
-
-def assert_bytes_equal(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 class TestRunRefinery:
