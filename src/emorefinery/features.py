@@ -7,6 +7,7 @@ that serve as classifier inputs.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -198,6 +199,25 @@ def segment_spectrogram(
         s.values, (n, n_mels, seg.seg_frames), (min(h, n_frames) * col, row, col), writeable=False)
 
 
+def _check_riff_chunks(path) -> None:
+    """Raise a ValueError unless the chunks of a RIFF file, each an 8-byte
+    id and size, that many bytes and a pad byte to an even size, end where
+    the file ends; the last chunk may lack its pad byte. A data size that is
+    too small leaves samples that do not parse as chunks. RF64 files keep
+    their sizes elsewhere and are not checked."""
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != b"RIFF":
+            return
+        offset, size = 12, 0
+        while offset + 8 <= end:
+            fh.seek(offset + 4)
+            size = int.from_bytes(fh.read(4), "little")
+            offset += 8 + size + size % 2
+    if offset != end and offset != end + size % 2:
+        raise ValueError(f"its chunks take {offset} bytes, but the file holds {end}")
+
+
 def load_wav(path) -> tuple:
     """(samples, sample_rate) of a mono PCM WAV file (16-bit integer or
     32-bit float), with float64 samples.
@@ -205,14 +225,18 @@ def load_wav(path) -> tuple:
     Integer samples are scaled to [-1, 1]. A file that cannot be read, has
     more than one channel, another sample format, no samples, a non-finite
     sample or a rate of 0 raises a DataError naming it, and so does one that
-    ends before the size its header gives.
+    ends before the size its header gives or whose chunk sizes do not add
+    up to its size. Chunks scipy does not know are skipped without a word.
     """
     from scipy.io import wavfile
 
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            warnings.filterwarnings("ignore", r"Chunk \(non-data\) not understood",
+                                    wavfile.WavFileWarning)
             rate, data = wavfile.read(path)
+        _check_riff_chunks(path)
     except Exception as exc:
         raise DataError(f"{path}: cannot read WAV file ({exc})") from exc
     if data.ndim != 1:

@@ -238,16 +238,45 @@ def _bad_line(path, lines, width: int) -> str:
     return f"{path} does not hold {width} numbers per line"
 
 
+# The header np.save writes for a C-order 2-D float64 array: magic, version
+# 1.0, the little-endian length of what follows, the dict, spaces and "\n".
+# Each dimension is a Python int literal that fits int64, and the header
+# stays far below the length numpy's reader refuses.
+_SAVED_HEADER = re.compile(rb"\x93NUMPY\x01\x00(..)"
+                           rb"\{'descr': '<f8', 'fortran_order': False, 'shape': "
+                           rb"\((0|[1-9][0-9]{0,17}), (0|[1-9][0-9]{0,17})\), \} {0,255}\n",
+                           re.DOTALL)
+
+
 def _read_spectrogram_npy(path) -> LogMelSpectrogram:
-    """The spectrogram in a .npy file written by write_features_corpus; any
-    other format, a zip archive or a pickle among them, is not a .npy array."""
+    """The spectrogram in a .npy file written by write_features_corpus.
+
+    The file is read whole. When it is exactly the header np.save writes
+    for a C-order 2-D float64 array followed by that array's bytes, the
+    array is a view of those bytes; any other file goes to
+    np.lib.format.read_array from its first byte. A format that reader does
+    not take, a zip archive or a pickle among them, or bytes after the
+    array, is not a .npy array.
+    """
     try:
         with open(path, "rb") as fh:
-            data = np.lib.format.read_array(fh, allow_pickle=False)
+            raw = fh.read()
+            saved = _SAVED_HEADER.match(raw)
+            rows, cols = (int(saved[2]), int(saved[3])) if saved else (0, 0)
+            if (saved and int.from_bytes(saved[1], "little") == saved.end() - 10
+                    and len(raw) == saved.end() + 8 * rows * cols):
+                data = np.frombuffer(raw, "<f8", rows * cols, saved.end()).reshape(rows, cols)
+            else:
+                fh.seek(0)
+                data = np.lib.format.read_array(fh, allow_pickle=False)
+                if fh.tell() != len(raw):
+                    raise ValueError(f"{len(raw) - fh.tell()} bytes follow the array")
     except OSError as exc:
         raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-    except (ValueError, MemoryError) as exc:
-        # A damaged header can claim a shape too large to allocate.
+    except Exception as exc:
+        # numpy's header parser lets through what ast and tokenize raise on a
+        # damaged header (SyntaxError, TypeError, tokenize.TokenError), and a
+        # damaged shape can overflow int64 or claim more memory than is free.
         raise DataError(f"{path} is not a .npy array: {exc}") from exc
     if data.dtype != np.float64 or data.ndim != 2:
         raise DataError(f"{path} holds a {data.ndim}-D {data.dtype.str} array, "

@@ -1074,6 +1074,32 @@ def test_damaged_spectrogram_of_either_format_exits_3_naming_it(damage_site, wor
     assert run_on_damaged_file(damage_site, workspace, rel, "run", damage, cut_at=None) == 3
 
 
+@pytest.mark.parametrize("damage", ["bytes after the array", "header length 1"])
+@pytest.mark.parametrize("command", ["featurize", "run"])
+def test_damaged_npy_exits_3_naming_the_utterance_once(damage_site, workspace, capsys,
+                                                       command, damage):
+    """A stored spectrogram with bytes after its array, or whose header
+    length leaves numpy's parser an unclosed "{", is listed once, not read
+    as a shorter table or ended in a traceback."""
+    case = damage_site / "case"
+    shutil.rmtree(case)
+    shutil.copytree(damage_site / "pristine", case)
+    path = case / "corpus" / "features" / "u0001_c0.npy"
+    raw = bytearray(path.read_bytes())
+    if damage == "bytes after the array":
+        raw += bytes(29)
+    else:
+        raw[8:10] = (1).to_bytes(2, "little")
+    path.write_bytes(raw)
+    args = (reading_command("run", case, workspace / "cfg.json") if command == "run" else
+            ["featurize", "--corpus", str(case / "corpus"), "--out", str(case / "features")])
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.count(str(path)) == 1, err
+    assert err.replace(str(path), "<file>").count("u0001_c0") == 1, err
+    assert f"u0001_c0: {path} is not a .npy array: " in err, err
+
+
 def run_on_damaged_file(damage_site, workspace, rel, command, damage, cut_at):
     """Damage the file `rel` of a fresh case, run `command` on it and return
     its exit code: 0, or 2 or 3 with one error line that names the file. A
@@ -1301,6 +1327,18 @@ def test_wav_shorter_than_its_header_exits_3_naming_it(audio_site, workspace, da
     path.write_bytes(raw)
     for code, err in featurize_and_run(case, workspace / "cfg.json"):
         assert code == 3 and err.count(str(path)) == 1 and "Reached EOF" in err, err
+
+
+def test_wav_data_size_too_small_exits_3_naming_it_once(audio_site, workspace):
+    """A WAV whose data size field is halved is refused, not read as half
+    its samples followed by an unknown chunk."""
+    case, path = audio_case(audio_site, "sad_s0_20.wav")
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 40, struct.unpack_from("<I", raw, 40)[0] // 2)
+    path.write_bytes(raw)
+    for code, err in featurize_and_run(case, workspace / "cfg.json"):
+        assert code == 3 and err.count(str(path)) == 1, err
+        assert f"{path}: cannot read WAV file (its chunks take " in err, err
 
 
 def test_utterance_too_short_for_a_segment_is_named_once(damage_site, workspace, capsys):

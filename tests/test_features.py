@@ -2,8 +2,10 @@
 
 import os
 import re
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +373,52 @@ class TestWavLoading:
         wavfile.write(path, 0, np.zeros(2000, dtype=np.int16))
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: sample rate must be "
                                             "positive$"):
+            load_wav(path)
+
+
+class TestWavChunks:
+    """A WAV's chunks, each an 8-byte id and size, its bytes and a pad byte
+    to an even size, must end where the file ends."""
+
+    @staticmethod
+    def clip(path, extra=b""):
+        """A 0.6 s 16 kHz 16-bit WAV with `extra` chunk bytes after its data;
+        returns its samples."""
+        from scipy.io import wavfile
+
+        data = (np.sin(np.arange(9600) / 7.0) * 8000).astype(np.int16)
+        wavfile.write(path, 16000, data)
+        raw = bytearray(path.read_bytes() + extra)
+        struct.pack_into("<I", raw, 4, len(raw) - 8)
+        path.write_bytes(raw)
+        return data / 32768.0
+
+    @pytest.mark.parametrize("extra", [
+        b"LIST" + struct.pack("<I", 12) + b"INFOIART\0\0\0\0",
+        b"cue " + struct.pack("<I", 5) + b"abcde\0",
+        b"cue " + struct.pack("<I", 5) + b"abcde",
+    ], ids=["list", "odd-sized", "odd-sized-unpadded-last"])
+    def test_chunks_after_the_data_load(self, tmp_path, extra):
+        path = tmp_path / "u.wav"
+        expected = self.clip(path, extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples, rate = load_wav(path)
+        assert rate == 16000 and samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("damage", ["halved data size", "bytes after the last chunk"])
+    def test_chunks_that_miss_the_end_are_refused_naming_the_file(self, tmp_path, damage):
+        path = tmp_path / "u.wav"
+        self.clip(path)
+        raw = bytearray(path.read_bytes())
+        if damage == "halved data size":
+            struct.pack_into("<I", raw, 40, struct.unpack_from("<I", raw, 40)[0] // 2)
+        else:
+            raw += b"tail"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot read WAV file "
+                                            r"\(its chunks take \d+ bytes, but the file holds "
+                                            f"{len(raw)}\\)$"):
             load_wav(path)
 
 

@@ -13,6 +13,7 @@ import numpy.lib.format as npy_format
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emorefinery.datagen import SyntheticCorpusSpec, generate_synthetic_corpus
 from emorefinery.errors import ConfigError, DataError
@@ -390,7 +391,7 @@ class TestSpectrogramNpy:
         np.save(tmp_path / "s.npy", array)
         self.one_error(tmp_path / "s.npy", re.escape(what))
 
-    @pytest.mark.parametrize("shape", [(2, 2 ** 20), (2 ** 40, 9), (3, 4, 2 ** 31)])
+    @pytest.mark.parametrize("shape", [(2, 2 ** 20), (2 ** 40, 9), (3, 4, 2 ** 31), (10 ** 30, 2)])
     def test_header_claiming_more_than_the_file_holds(self, tmp_path, shape):
         header = io.BytesIO()
         npy_format.write_array_header_1_0(
@@ -410,6 +411,91 @@ class TestSpectrogramNpy:
             self.one_error(tmp_path / "s.npy", "is not a .npy array")
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("write", [
+        np.save,
+        lambda fh, table: np.save(fh, np.asfortranarray(table)),
+        lambda fh, table: npy_format.write_array(fh, table, version=(2, 0)),
+    ], ids=["saved", "fortran", "version-2"])
+    def test_bytes_after_the_array_are_refused(self, tmp_path, write):
+        path = tmp_path / "s.npy"
+        with path.open("wb") as fh:
+            write(fh, np.arange(20.0).reshape(4, 5))
+            fh.write(bytes(29))
+        self.one_error(path, "^" + re.escape(f"{path} is not a .npy array: 29 bytes follow "
+                                             "the array") + "$")
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=hnp.arrays(np.float64, st.tuples(st.integers(2, 9), st.integers(1, 300)),
+                            elements=st.floats(allow_nan=False, allow_infinity=False)),
+           fortran=st.booleans(), version=st.sampled_from([None, (2, 0)]))
+    def test_reads_the_bits_read_array_reads(self, tmp_path_factory, table, fortran, version):
+        path = tmp_path_factory.getbasetemp() / "bits.npy"
+        with path.open("wb") as fh:
+            npy_format.write_array(fh, np.asfortranarray(table) if fortran else table,
+                                   version=version)
+        with path.open("rb") as fh:
+            expected = npy_format.read_array(fh, allow_pickle=False)
+        s = read_spectrogram_csv(path)
+        assert np.vstack((s.frame_times, s.values)).tobytes() == expected.tobytes("C")
+
+    def test_every_cut_and_header_byte_reads_as_read_array_reads_it(self, stored):
+        """Whatever a cut or a changed header byte makes of a stored file,
+        the reader gives the bits or the refusal general_reader gives. The
+        magic, version and length bytes take every value; each byte of the
+        dict text takes every character the header holds and a few others,
+        since numpy tokenizes a dict it cannot parse, which is slow."""
+        path, _ = stored
+        raw = path.read_bytes()
+        header_end = raw.index(b"\n") + 1
+        text = set(raw[10:header_end]) | {0, 1, 0x7f, 0x80, 0xff}
+        cases = [raw[:end] for end in range(len(raw))]
+        cases += [raw[:at] + bytes([value]) + raw[at + 1:] for at in range(header_end)
+                  for value in (range(256) if at < 10 else sorted(text | {raw[at] ^ 1}))
+                  if value != raw[at]]
+        for damaged in cases:
+            path.write_bytes(damaged)
+            assert outcome(read_spectrogram_csv, path) == outcome(general_reader, path), damaged
+
+
+def general_reader(path):
+    """The .npy reader with every file going through np.lib.format.read_array,
+    as it was before the reader matched np.save's header itself, but for two
+    changes: bytes after the array, which read_array leaves unread, are
+    refused, and so is a file on which read_array raises something other
+    than a ValueError or MemoryError (an unclosed "{" gives
+    tokenize.TokenError, a dimension of 10**30 an OverflowError), which the
+    old reader let through."""
+    try:
+        with open(path, "rb") as fh:
+            data = npy_format.read_array(fh, allow_pickle=False)
+            extra = Path(path).stat().st_size - fh.tell()
+    except OSError as exc:
+        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
+    except Exception as exc:
+        raise DataError(f"{path} is not a .npy array: {exc}") from exc
+    if extra:
+        raise DataError(f"{path} is not a .npy array: {extra} bytes follow the array")
+    if data.dtype != np.float64 or data.ndim != 2:
+        raise DataError(f"{path} holds a {data.ndim}-D {data.dtype.str} array, "
+                        "not a 2-D float64 one")
+    if len(data) < 2:
+        raise DataError(f"{path} names no mel row after the frame times")
+    if data.shape[1] == 0:
+        raise DataError(f"{path} holds no frames")
+    if not np.isfinite(data).all():
+        raise DataError(f"{path} holds a value that is not a finite number")
+    return LogMelSpectrogram(values=data[1:], frame_times=data[0])
+
+
+def outcome(read, path):
+    """The bits of the table `read` gives for `path`, or its refusal with the
+    address of any object numpy's message names blanked."""
+    try:
+        s = read(path)
+    except DataError as exc:
+        return re.sub(r" at 0x[0-9a-f]+>", " at 0x...>", str(exc))
+    return np.vstack((s.frame_times, s.values)).tobytes()
 
 
 class TestFilenameManifestBuilders:

@@ -96,6 +96,19 @@ class TestUtterancesFromManifest:
         data, errors = utterances_from_manifest(load_manifest(out), FrameSpec(), SEGMENT)
         assert data is None and len(errors) == 12
 
+    def test_stored_spectrograms_are_read_without_read_array(self, corpus, monkeypatch):
+        """The files gen-data and featurize write are read by matching
+        np.save's header, not by numpy's general .npy reader."""
+        expected, _ = utterances_from_manifest(load_manifest(corpus), FrameSpec(), SEGMENT)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("np.lib.format.read_array was called")
+
+        monkeypatch.setattr(np.lib.format, "read_array", unused)
+        data, errors = utterances_from_manifest(load_manifest(corpus), FrameSpec(), SEGMENT)
+        assert not errors
+        assert data.x.tobytes() == expected.x.tobytes()
+
 
 class TestFeaturizeCorpus:
     def test_features_pass_through_exactly(self, corpus, tmp_path):
