@@ -7,8 +7,7 @@ that serve as classifier inputs.
 """
 
 import math
-import os
-import warnings
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,58 +198,68 @@ def segment_spectrogram(
         s.values, (n, n_mels, seg.seg_frames), (min(h, n_frames) * col, row, col), writeable=False)
 
 
-def _check_riff_chunks(path) -> None:
-    """Raise a ValueError unless the chunks of a RIFF file, each an 8-byte
-    id and size, that many bytes and a pad byte to an even size, end where
-    the file ends; the last chunk may lack its pad byte. A data size that is
-    too small leaves samples that do not parse as chunks. RF64 files keep
-    their sizes elsewhere and are not checked."""
-    with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        if fh.read(4) != b"RIFF":
-            return
-        offset, size = 12, 0
-        while offset + 8 <= end:
-            fh.seek(offset + 4)
-            size = int.from_bytes(fh.read(4), "little")
-            offset += 8 + size + size % 2
-    if offset != end and offset != end + size % 2:
-        raise ValueError(f"its chunks take {offset} bytes, but the file holds {end}")
+# WAVE_FORMAT_EXTENSIBLE's sub-format GUID after its two-byte format tag.
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def load_wav(path) -> tuple:
-    """(samples, sample_rate) of a mono PCM WAV file (16-bit integer or
-    32-bit float), with float64 samples.
+    """(samples, sample_rate) of a mono WAV file, 16-bit PCM scaled to [-1, 1]
+    or 32-bit float, plain or WAVE_FORMAT_EXTENSIBLE, as float64 samples.
 
-    Integer samples are scaled to [-1, 1]. A file that cannot be read, has
-    more than one channel, another sample format, no samples, a non-finite
-    sample or a rate of 0 raises a DataError naming it, and so does one that
-    ends before the size its header gives or whose chunk sizes do not add
-    up to its size. Chunks scipy does not know are skipped without a word.
-    """
-    from scipy.io import wavfile
-
+    Its chunks (an 8-byte id and size, that many bytes and a pad byte to an
+    even size) are walked from byte 12 while they start inside the RIFF size,
+    taken from `ds64` in RF64, and must end where the file ends, the last
+    perhaps unpadded. A file that cannot be read, whose header disagrees with
+    itself or its size, with more than one channel, another sample format, no
+    samples, a non-finite sample or a rate of 0 raises a DataError naming it."""
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-            warnings.filterwarnings("ignore", r"Chunk \(non-data\) not understood",
-                                    wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
-        _check_riff_chunks(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if raw[:4] not in (b"RIFF", b"RF64") or raw[8:12] != b"WAVE":
+            raise ValueError("it is not a little-endian RIFF or RF64 WAVE file")
+        riff_end, sizes = 8 + int.from_bytes(raw[4:8], "little"), {}
+        if raw[:4] == b"RF64" and raw[12:16] == b"ds64":
+            riff_end = 8 + int.from_bytes(raw[20:28], "little")
+            sizes[b"data"] = int.from_bytes(raw[28:36], "little")
+        chunks, offset, size, end = {}, 12, 0, len(raw)
+        while offset < riff_end and offset + 8 <= end:
+            cid = raw[offset:offset + 4]
+            size = sizes.get(cid, int.from_bytes(raw[offset + 4:offset + 8], "little"))
+            chunks[cid] = (offset + 8, size)
+            offset += 8 + size + size % 2
+        if offset != end and offset != end + size % 2:
+            raise ValueError(f"its chunks take {offset} bytes, but the file holds {end}")
+        if riff_end > offset:
+            raise ValueError(f"its RIFF header gives {riff_end} bytes; its chunks take {offset}")
+        if chunks.get(b"fmt ", (0, 0))[1] < 16 or b"data" not in chunks:
+            raise ValueError("it lacks a 'fmt ' chunk of at least 16 bytes or a 'data' chunk")
+        at, fmt_size = chunks[b"fmt "]
+        tag, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", raw, at)
+        if tag == 0xFFFE and fmt_size >= 40 and raw[at + 26:at + 40] == _SUBFORMAT_TAIL:
+            tag = int.from_bytes(raw[at + 24:at + 26], "little")
+        if tag not in (1, 3):
+            raise ValueError(f"format tag {tag:#06x} is neither PCM (1) nor IEEE float (3)")
+        if bits % 8 or align * 8 != channels * bits:
+            raise ValueError(f"block align {align} is not {channels} x {bits} bits / 8")
+        if byte_rate != rate * align:
+            raise ValueError(f"byte rate {byte_rate} is not {rate} x block align {align}")
+        at, size = chunks[b"data"]
+        if not align or size % align:
+            raise ValueError(f"its {size} data bytes are not whole {align}-byte blocks")
+    except (OSError, ValueError) as exc:
         raise DataError(f"{path}: cannot read WAV file ({exc})") from exc
-    if data.ndim != 1:
-        raise DataError(f"{path}: expected mono audio, got {data.shape[1]} channels")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise DataError(f"{path}: unsupported sample format {data.dtype}; use int16 or float32")
+    if channels != 1:
+        raise DataError(f"{path}: expected mono audio, got {channels} channels")
+    fmt = f"{'float' if tag == 3 else 'uint' if bits == 8 else 'int'}{bits}"
+    dtype = {"int16": "<i2", "float32": "<f4"}.get(fmt)
+    if dtype is None:
+        raise DataError(f"{path}: unsupported sample format {fmt}; use int16 or float32")
+    data = np.frombuffer(raw, dtype, size // align, at)
     if data.size == 0:
         raise DataError(f"{path}: empty audio file")
+    samples = data / 32768.0 if fmt == "int16" else data.astype(np.float64)
     if not np.all(np.isfinite(samples)):
         raise DataError(f"{path}: non-finite samples")
     if rate <= 0:
         raise DataError(f"{path}: sample rate must be positive")
-    return samples, int(rate)
+    return samples, rate
