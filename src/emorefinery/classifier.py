@@ -89,10 +89,11 @@ def _validation_split(utterance_ids: np.ndarray, fraction: float, rng: np.random
     return np.isin(utterance_ids, order[rng.permutation(len(order))[:n_val]])
 
 
-# (get, set) thread-count symbols: the scipy-openblas build numpy wheels
-# bundle, then a plain OpenBLAS.
+# (get, set) thread-count symbols: the scipy-openblas build numpy 2 wheels
+# bundle, the 64-bit-integer build numpy 1.x wheels bundle, then a plain OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 

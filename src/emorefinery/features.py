@@ -88,15 +88,6 @@ class SegmentSpec:
         return h
 
 
-def frame_count(n_samples: int, sample_rate: int, spec: FrameSpec) -> int:
-    """Number of full analysis windows that fit; tail samples are dropped."""
-    win = spec.win_samples(sample_rate)
-    hop = spec.hop_samples(sample_rate)
-    if n_samples < win:
-        raise DataError(f"utterance too short: {n_samples} samples < one {win}-sample window")
-    return (n_samples - win) // hop + 1
-
-
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -139,12 +130,12 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
     """Windowed FFT power spectrum of mono samples through the mel
     filterbank, natural log.
 
-    Frames are Hann-windowed, zero-padded to fft_len, and floored at
-    LOG_FLOOR before the log so silence maps to ln(1e-10) instead of -inf.
-    A sample rate that rounds the hop below one sample raises a DataError,
-    and so do samples that give a non-finite value, such as NaN; the window
-    is never shorter than the hop. A frame spec whose arrays do not fit in
-    memory at this rate raises a ConfigError.
+    One frame per hop while a full window fits, Hann-windowed, zero-padded
+    to fft_len, and floored at LOG_FLOOR before the log so silence maps to
+    ln(1e-10) instead of -inf. A hop rounded below one sample, fewer samples
+    than one window, or a non-finite value such as NaN raises a DataError;
+    the window is never shorter than the hop. A frame spec whose arrays do
+    not fit in memory at this rate raises a ConfigError.
     """
     win = spec.win_samples(sample_rate)
     hop = spec.hop_samples(sample_rate)
@@ -154,7 +145,8 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
     if spec.fft_len < win:
         raise ConfigError(f"frame.fft_len={spec.fft_len} is shorter than the {win}-sample "
                           f"window at {sample_rate} Hz; set frame.fft_len to at least {win}")
-    n_frames = frame_count(len(samples), sample_rate, spec)
+    if len(samples) < win:
+        raise DataError(f"utterance too short: {len(samples)} samples < one {win}-sample window")
 
     samples = np.asarray(samples, dtype=np.float64)
     try:
@@ -168,7 +160,7 @@ def log_mel_spectrogram(samples, sample_rate: int, spec: FrameSpec) -> LogMelSpe
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite spectrogram values")
 
-    frame_times = np.arange(n_frames) * hop * 1000.0 / sample_rate
+    frame_times = np.arange(len(frames)) * hop * 1000.0 / sample_rate
     return LogMelSpectrogram(values=values, frame_times=frame_times)
 
 

@@ -328,12 +328,19 @@ def read_spectrogram_csv(path) -> LogMelSpectrogram:
     return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0])
 
 
+def _refuse_existing_corpus(root: Path) -> None:
+    """Refuse a `root` that holds a corpus: writing over it could mix two."""
+    if (root / MANIFEST_NAME).exists() or (root / "features").exists():
+        raise DataError(f"{root} already holds a corpus; write to a new or empty directory")
+
+
 def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> CorpusManifest:
     """Write each (row, spectrogram) pair's spectrogram to features/<id>.npy,
-    its frame times stacked above its values, and save the features-kind
-    manifest of those rows. A file or directory that cannot be written
-    raises the OSError naming it."""
+    its frame times above its values, and the rows' features-kind manifest;
+    a root that holds either already raises a DataError, and a file or
+    directory that cannot be written the OSError naming it."""
     root = Path(corpus_root)
+    _refuse_existing_corpus(root)
     rows = []
     (root / "features").mkdir(parents=True, exist_ok=True)
     for row, s in rows_and_spectrograms:

@@ -28,8 +28,8 @@ from .evaluation import (confusion_from_predictions, kfold_split, read_metrics_r
                          write_metrics_report)
 from .features import log_mel_spectrogram, load_wav, segment_spectrogram
 from .fileio import read_csv, read_json, write_csv, write_json
-from .manifest import (CorpusManifest, load_manifest, read_spectrogram_csv,
-                       write_features_corpus)
+from .manifest import (CorpusManifest, _refuse_existing_corpus, load_manifest,
+                       read_spectrogram_csv, write_features_corpus)
 from .refinery import StackedDataset, derive_seed, read_ep_csv, run_refinery, write_ep_csv
 from .representation import representations_for, write_representation_csv
 
@@ -105,9 +105,10 @@ def _featurize_failure(errors: dict) -> DataError:
 
 
 def featurize_corpus(manifest: CorpusManifest, frame, out_root):
-    """Write a features-kind copy of the rows _read_corpus keeps; returns
-    (manifest, errors). With no row kept it writes nothing and raises
-    _featurize_failure."""
+    """Write a features-kind copy of the rows _read_corpus keeps into an
+    `out_root` holding no corpus, checked first; returns (manifest, errors).
+    With no row kept it writes nothing and raises _featurize_failure."""
+    _refuse_existing_corpus(Path(out_root))
     kept, errors = _read_corpus(manifest, frame)
     if not kept:
         raise _featurize_failure(errors)
@@ -153,7 +154,7 @@ def _write_generation(gen_dir: Path, foldout, data: StackedDataset, clean,
         "mode": cfg.mode,
         "wa": weighted_accuracy(cm),
         "ua": unweighted_accuracy(cm, names),
-        "mean_ep_entropy": foldout.mean_entropy(),
+        "mean_ep_entropy": foldout.mean_entropy,
         "n_utterances": len(ids),
         "confusion_matrix": cm.tolist(),
     }
@@ -204,8 +205,9 @@ def _check_generation_files(gen_dir: Path, t: int, folds: int) -> None:
             raise DataError(f"{gen_dir / name} is missing")
     path = gen_dir / "foldout.json"
     audit = read_json(path)
-    if not (isinstance(audit, dict) and audit.get("generation") == t
-            and audit.get("folds") == folds and audit.get("violations") == []):
+    if not (isinstance(audit, dict) and type(audit.get("generation")) is int
+            and type(audit.get("folds")) is int and audit["generation"] == t
+            and audit["folds"] == folds and audit.get("violations") == []):
         raise DataError(f"{path} is not the audit of generation {t} over {folds} folds "
                         "with no violations")
 

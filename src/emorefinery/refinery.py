@@ -94,20 +94,17 @@ class FoldOutGeneration:
     """EPs for one generation plus the bookkeeping proving fold-out purity.
 
     `fold_of[i]` is the fold that held out utterance i, `training_rows[f]`
-    the segment rows fold f's model trained on, and `prediction_order` the
-    rows in the order their EPs were predicted: fold by fold, utterances in
-    dataset order within a fold.
+    the segment rows fold f's model trained on, and `mean_entropy` the
+    mean_ep_entropy of the EPs in the order they were predicted: fold by
+    fold, utterances in dataset order within a fold.
     """
 
     generation: int
     eps: np.ndarray
     fold_of: np.ndarray
     training_rows: tuple
-    prediction_order: np.ndarray
+    mean_entropy: float
     models: tuple
-
-    def mean_entropy(self) -> float:
-        return mean_ep_entropy(self.eps[self.prediction_order])
 
 
 def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
@@ -163,11 +160,11 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
 
     with ThreadPoolExecutor(_fold_workers(cfg, data.x.shape[1:])) as pool:
         models = list(pool.map(train_and_predict, range(cfg.folds)))
-    # Rows in prediction order: fold by fold, and by row within a fold.
-    prediction_order = np.argsort(row_fold, kind="stable")
+    # Averaged in prediction order: fold by fold, and by row within a fold.
+    mean_entropy = mean_ep_entropy(eps[np.argsort(row_fold, kind="stable")])
     return FoldOutGeneration(generation=generation, eps=eps, fold_of=fold_of,
                              training_rows=tuple(training_rows),
-                             prediction_order=prediction_order, models=tuple(models))
+                             mean_entropy=mean_entropy, models=tuple(models))
 
 
 # Per-segment conv multiply-adds from which folds train two at a time. Below
@@ -253,8 +250,8 @@ def run_refinery(data: StackedDataset, cfg, seed: int, load_generation=None):
 def mean_ep_entropy(eps) -> float:
     """Mean Shannon entropy (nats) over the rows of an (n_segments, K) EP array.
 
-    The mean's rounding depends on the row order; the pipeline averages in
-    prediction order (FoldOutGeneration.mean_entropy).
+    The mean's rounding depends on the row order; a trained generation
+    averages in prediction order (FoldOutGeneration.mean_entropy).
     """
     if eps.ndim != 2 or eps.shape[0] == 0:
         raise DataError("no emotion profiles")

@@ -223,7 +223,7 @@ def collapse_runs():
                                        load_generation=lambda t: first[1] if t == 1 else None))
             result[0] = first
         out[mode] = result  # (targets, eps, foldout) of each generation
-        out[f"{mode}_entropies"] = [foldout.mean_entropy() for _, _, foldout in result]
+        out[f"{mode}_entropies"] = [foldout.mean_entropy for _, _, foldout in result]
         out[f"{mode}_elapsed"] = time.time() - started
     return out
 

@@ -2,12 +2,14 @@
 differences, training determinism, and checkpoint round-trips."""
 
 import errno
+import io
 import json
 import math
 import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -444,6 +446,20 @@ class TestBlasThreads:
         assert not any(t.is_alive() for t in threads)
         assert len(seen) == 1600 and set(seen) == {1}
         assert openblas() == 2
+
+    def test_finds_the_numpy_1_wheel_symbols(self, monkeypatch):
+        # numpy 1.x wheels bundle an OpenBLAS whose symbols end in "64_".
+        lib = SimpleNamespace(openblas_get_num_threads64_=SimpleNamespace(),
+                              openblas_set_num_threads64_=SimpleNamespace())
+        maps = "7f00-7f01 r-xp 00000000 08:01 7 /site-packages/numpy.libs/libopenblas64_p.so\n"
+        monkeypatch.setattr(classifier, "open", lambda path: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(classifier.ctypes, "CDLL", lambda path: lib)
+        classifier._openblas.cache_clear()
+        try:
+            found = classifier._openblas()
+        finally:
+            classifier._openblas.cache_clear()
+        assert found == (lib.openblas_get_num_threads64_, lib.openblas_set_num_threads64_)
 
     def test_without_openblas_same_parameters(self, monkeypatch):
         segs, targets = self.data()

@@ -117,13 +117,49 @@ class TestGenData:
         assert what in one_error(capsys, bad)
         assert not (tmp_path / "c").exists()
 
+    def test_existing_corpus_refused_and_kept(self, workspace, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", out)
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main(["gen-data", "--spec", str(workspace / "spec.json"), "--seed", "77",
+                     "--out", str(out)]) == 3
+        assert one_error(capsys, out) == (
+            f"error: {out} already holds a corpus; write to a new or empty directory")
+        assert tree_bytes(out) == before
+
 
 class TestFeaturize:
     def test_copies_feature_corpus(self, workspace, tmp_path):
-        code = main(["featurize", "--corpus", str(workspace / "corpus"),
-                     "--out", str(tmp_path / "feats")])
+        out = tmp_path / "feats"
+        out.mkdir()  # an empty directory is fresh
+        code = main(["featurize", "--corpus", str(workspace / "corpus"), "--out", str(out)])
         assert code == 0
-        assert (tmp_path / "feats" / "manifest.json").exists()
+        assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("held", ["manifest.json and features/", "features/"])
+    def test_existing_corpus_refused_before_reading(self, audio_site, tmp_path, capsys,
+                                                    monkeypatch, held):
+        # Featurizing again with another hop once rewrote the files one by
+        # one, and an interrupt left files of both hops under one manifest.
+        case, _ = audio_case(audio_site, "ang_s0_00.wav")
+        out = case / "features"
+        assert main(["featurize", "--corpus", str(case / "corpus"), "--out", str(out)]) == 0
+        if held == "features/":
+            (out / "manifest.json").unlink()
+        before = tree_bytes(out)
+        (tmp_path / "cfg.json").write_text(json.dumps({"frame": {"hop_ms": 5.0}}))
+
+        def unread(*args):
+            raise AssertionError("the corpus must not be read")
+
+        monkeypatch.setattr("emorefinery.pipeline._read_corpus", unread)
+        capsys.readouterr()
+        assert main(["featurize", "--corpus", str(case / "corpus"), "--out", str(out),
+                     "--config", str(tmp_path / "cfg.json")]) == 3
+        assert one_error(capsys, out) == (
+            f"error: {out} already holds a corpus; write to a new or empty directory")
+        assert tree_bytes(out) == before
 
     def test_partial_failure_exits_3(self, workspace, tmp_path, capsys):
         first = tmp_path / "first"
@@ -581,6 +617,21 @@ class TestRun:
         assert what in err and err.endswith(
             "; generation 2 cannot be reused, rerun with --no-resume to recompute it")
 
+    @pytest.mark.parametrize("field, value", [("generation", True), ("folds", 3.0)])
+    def test_foldout_audit_of_equal_non_integers_exits_3(self, workspace, finished_run,
+                                                         tmp_path, capsys, field, value):
+        # true == 1 and 3.0 == 3, but neither is the integer JSON the audit holds.
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / "generations" / "gen01" / "foldout.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(workspace / "cfg.json"),
+                     "--corpus", str(workspace / "corpus"), "--out", str(run_dir)]) == 3
+        assert one_error(capsys, path) == (
+            f"error: {path} is not the audit of generation 1 over 3 folds with no violations; "
+            "generation 1 cannot be reused, rerun with --no-resume to recompute it")
+
     @pytest.mark.parametrize("command", ["run", "featurize"])
     def test_oversized_header_field_exits_3_naming_the_file(self, workspace, tmp_path,
                                                             capsys, command):
@@ -702,8 +753,7 @@ class TestResume:
         assert "records a different corpus_sha256" in err and "--no-resume" in err
         assert sorted(p.name for p in (run_dir / "generations").iterdir()) == ["gen01"]
         assert main(other + ["--no-resume"]) == 0
-        assert main(self.run_args(workspace, self.gen_corpus(tmp_path, 10),
-                                  tmp_path / "fresh")) == 0
+        assert main(self.run_args(workspace, tmp_path / "corpus10", tmp_path / "fresh")) == 0
         assert same_run(run_dir, tmp_path / "fresh")
 
     def test_refuses_a_run_manifest_without_fingerprint(self, workspace, tmp_path, capsys):

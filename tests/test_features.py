@@ -17,7 +17,6 @@ from emorefinery.features import (
     LOG_FLOOR,
     LogMelSpectrogram,
     SegmentSpec,
-    frame_count,
     hann_window,
     hz_to_mel,
     load_wav,
@@ -94,25 +93,36 @@ def per_filter_bank(spec, rate):
 
 
 class TestFrameCount:
+    """log_mel_spectrogram keeps one frame per full window at each hop."""
+
+    @staticmethod
+    def frames(n, rate, spec=SPEC):
+        return log_mel_spectrogram(np.zeros(n), rate, spec).values.shape[1]
+
     def test_one_second_at_16k(self):
-        assert frame_count(16000, 16000, SPEC) == 98
+        assert self.frames(16000, 16000) == 98
 
     def test_exactly_one_window(self):
-        assert frame_count(400, 16000, SPEC) == 1
+        assert self.frames(400, 16000) == 1
 
     def test_too_short(self):
-        with pytest.raises(DataError, match="too short"):
-            frame_count(399, 16000, SPEC)
+        with pytest.raises(DataError, match="^utterance too short: 399 samples < one "
+                                            "400-sample window$"):
+            log_mel_spectrogram(np.zeros(399), 16000, SPEC)
+        # The hop and fft_len checks come first.
+        with pytest.raises(ConfigError, match="fft_len=256 is shorter"):
+            log_mel_spectrogram(np.zeros(399), 16000, FrameSpec(fft_len=256))
 
     def test_matches_window_enumeration(self):
         rng = np.random.default_rng(7)
+        spec = FrameSpec(fft_len=2048)
         for _ in range(200):
             rate = int(rng.choice([8000, 16000, 22050, 44100]))
             win = SPEC.win_samples(rate)
             hop = SPEC.hop_samples(rate)
             n = int(rng.integers(win, win + 5000))
             placed = sum(1 for start in range(0, n, hop) if start + win <= n)
-            assert frame_count(n, rate, SPEC) == placed
+            assert self.frames(n, rate, spec) == placed
 
 
 class TestMelFilterbank:
@@ -172,7 +182,7 @@ class TestLogMelSpectrogram:
     def test_shape_contract(self):
         rng = np.random.default_rng(0)
         spec = log_mel_spectrogram(rng.uniform(-1, 1, 12345), 16000, SPEC)
-        assert spec.values.shape == (64, frame_count(12345, 16000, SPEC))
+        assert spec.values.shape == (64, (12345 - 400) // 160 + 1)
         assert spec.frame_times.shape == (spec.values.shape[1],)
 
     def test_matches_direct_dft_oracle(self):
