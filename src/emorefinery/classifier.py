@@ -201,8 +201,13 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     x_train, t_train = x[~val_mask], t[~val_mask]
     x_val, t_val = x[val_mask], t[val_mask].astype(np.float64)
 
-    net = ConvNet(arch, x.shape[1:], k, rng)
-    opt = Adam(net.params())
+    try:
+        net = ConvNet(arch, x.shape[1:], k, rng)
+        opt = Adam(net.params())
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError for an array of more than 2**63 bytes.
+        raise ConfigError(f"architecture {arch.name!r} cannot be allocated for "
+                          f"{x.shape[1]}x{x.shape[2]} segments ({exc})") from exc
     best_loss = np.inf
     best_params = net.snapshot()
     epochs_since_best = 0
@@ -266,7 +271,6 @@ def predict_batch(m: Model, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[1:] != m.net.input_shape:
         raise DataError(f"segment shape {x.shape[1:]} != model input {m.net.input_shape}")
-    x = x.astype(m.net.arch.np_dtype, copy=False)
     logits = _forward_in_batches(m.net, x, _PREDICT_BATCH)
     p = softmax(logits).astype(np.float64)
     return p / p.sum(axis=1, keepdims=True)

@@ -34,7 +34,11 @@ def cmd_gen_data(args) -> int:
         SyntheticCorpusSpec, doc, "corpus spec"), "corpus spec")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    utterances = generate_synthetic_corpus(spec)
+    try:
+        utterances = generate_synthetic_corpus(spec)
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError for an array of more than 2**63 bytes.
+        raise ConfigError(f"{args.spec}: its corpus cannot be allocated ({exc})") from exc
     manifest = write_synthetic_corpus(args.out, utterances, spec.class_names)
     seg = segmentation_for(spec)
     flipped = sum(1 for u in utterances if u.observed_label != u.label)

@@ -126,7 +126,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
     return dataclass_from_dict(ExperimentConfig, {key: value for key, value in doc.items()
                                                   if key != "schema_version"}, "config")

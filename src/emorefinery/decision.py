@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import write_csv
 
 
 @dataclass(frozen=True)
@@ -296,8 +295,3 @@ def predict_forest(forest: Forest, x) -> np.ndarray:
     votes = (leaf_classes.reshape(len(rows), len(forest.trees))[:, :, None]
              == np.arange(len(forest.class_names))).sum(axis=1)
     return np.argmax(votes, axis=1)
-
-
-def write_predictions_csv(path, records) -> None:
-    """Rows of (utterance_id, true class name, predicted class name)."""
-    write_csv(path, ["utterance_id", "true", "pred"], records)

@@ -1,5 +1,6 @@
 """Cross-validation fold planning and utterance-level accuracy metrics."""
 
+import math
 import warnings
 
 import numpy as np
@@ -96,15 +97,16 @@ def write_metrics_report(path, report: dict) -> None:
 
 
 def _is_generation_report(report) -> bool:
-    """An object with an integer generation and numbers for wa, ua and
-    mean_ep_entropy, and for wa_clean and ua_clean if either is present."""
+    """An object with an integer generation and finite numbers for wa, ua
+    and mean_ep_entropy, and for wa_clean and ua_clean if either is present."""
     if not isinstance(report, dict):
         return False
     keys = ["wa", "ua", "mean_ep_entropy"]
     if "wa_clean" in report or "ua_clean" in report:
         keys += ["wa_clean", "ua_clean"]
+    values = [report.get(key) for key in keys]
     return type(report.get("generation")) is int and all(
-        type(report.get(key)) in (int, float) for key in keys)
+        type(v) is int or (type(v) is float and math.isfinite(v)) for v in values)
 
 
 def read_metrics_report(path, generation: int | None = None) -> dict:

@@ -99,12 +99,12 @@ class CorpusManifest:
     def label_index(self, name: str) -> int:
         return self.class_names.index(name)
 
-    def clean_labels(self) -> np.ndarray:
-        """The clean label's class index of each row, in row order."""
+    def clean_labels(self) -> np.ndarray | None:
+        """The clean label's class index of each row, in row order, or None
+        when every row trains on its clean label."""
+        if all(r.training_label == r.label for r in self.rows):
+            return None
         return np.array([self.label_index(r.label) for r in self.rows], dtype=np.int64)
-
-    def has_label_noise(self) -> bool:
-        return any(r.training_label != r.label for r in self.rows)
 
 
 def save_manifest(manifest: CorpusManifest) -> Path:
@@ -127,7 +127,7 @@ def load_manifest(corpus_root) -> CorpusManifest:
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
         raise DataError(f"{path} is not a corpus manifest")
-    if doc.get("version") != CORPUS_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != CORPUS_VERSION:
         raise DataError(f"{path}: unsupported corpus manifest version {doc.get('version')!r}")
     try:
         rows = [ManifestRow(utterance_id=r["utterance_id"], path=r["path"], kind=r["kind"],
@@ -216,15 +216,9 @@ def _parse_rows(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
 
-def _is_number(field: str) -> bool:
-    try:
-        return bool(field) and _parse_rows([field]).size == 1
-    except ValueError:
-        return False
-
-
 def _bad_line(path, lines, width: int) -> str:
-    """Name the first of `lines` (file line 2 onward) that is not `width` numbers."""
+    """Name the first of `lines` (file line 2 onward) that is not `width`
+    finite numbers, and in it the first field that is not one."""
     for number, line in enumerate(lines, start=2):
         if not line:
             continue
@@ -233,8 +227,14 @@ def _bad_line(path, lines, width: int) -> str:
             return (f"{path}, line {number}: {len(values)} values where the header "
                     f"names {width} columns")
         for field in values:
-            if not _is_number(field):
+            try:
+                value = _parse_rows([field]) if field else np.empty(0)
+            except ValueError:
+                value = np.empty(0)
+            if value.size != 1:
                 return f"{path}, line {number}: {field!r} is not a number"
+            if not np.isfinite(value).all():
+                return f"{path}, line {number}: {field!r} is not a finite number"
     return f"{path} does not hold {width} numbers per line"
 
 
@@ -317,14 +317,8 @@ def read_spectrogram_csv(path) -> LogMelSpectrogram:
         data = _parse_rows(lines)
     except ValueError:
         data = None
-    if data is None or data.shape[1] != len(header):
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
         raise DataError(_bad_line(path, lines, len(header)))
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, column = np.argwhere(~finite)[0]
-        number, line = [(n, text) for n, text in enumerate(lines, start=2) if text][row]
-        raise DataError(f"{path}, line {number}: {line.split(',')[column]!r} "
-                        "is not a finite number")
     return LogMelSpectrogram(values=data[:, 1:].T, frame_times=data[:, 0])
 
 

@@ -366,10 +366,12 @@ PROB_EPS = 1e-12
 
 
 def entropy(p: np.ndarray):
-    """Shannon entropy in nats of a distribution, summed over rows if p
-    holds several; 0*ln(0) counts as 0."""
+    """Shannon entropy in nats of each distribution along p's last axis;
+    0*ln(0) counts as 0."""
+    plogp = np.zeros(p.shape)
     nz = p > 0
-    return -np.sum(p[nz] * np.log(p[nz]))
+    plogp[nz] = p[nz] * np.log(p[nz])
+    return -plogp.sum(axis=-1)
 
 
 def cross_entropy(pred: np.ndarray, target: np.ndarray):

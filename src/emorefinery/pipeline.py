@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifier import save_model
 from .config import ExperimentConfig, config_to_dict
-from .decision import predict_forest, train_forest, write_predictions_csv
+from .decision import predict_forest, train_forest
 from .errors import ConfigError, DataError, EmoRefineryError
 from .evaluation import (confusion_from_predictions, kfold_split, read_metrics_report,
                          unweighted_accuracy, weighted_accuracy, write_confusion_csv,
@@ -173,7 +173,7 @@ def _write_generation(gen_dir: Path, foldout, data: StackedDataset, clean,
     write_representation_csv(reps_path, ids, reps)
     records = [(u, names[t], names[p])
                for u, t, p in sorted(zip(ids, data.labels.tolist(), predictions.tolist()))]
-    write_predictions_csv(predictions_path, records)
+    write_csv(predictions_path, ["utterance_id", "true", "pred"], records)
     write_confusion_csv(confusion_path, cm, names)
     write_metrics_report(metrics_path, report)
     for model, path in zip(foldout.models, models, strict=True):
@@ -291,7 +291,7 @@ def run_experiment(corpus_root, cfg: ExperimentConfig, run_dir=None,
     cfg.train.resolved_architecture().conv_shapes(data.x.shape[1:])
 
     names = manifest.class_names
-    clean = manifest.clean_labels() if manifest.has_label_noise() else None
+    clean = manifest.clean_labels()
     run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
     path = run_dir / RUN_MANIFEST_NAME
     seeds = cfg.derived_seeds()

@@ -21,6 +21,7 @@ from .classifier import predict_batch, train_segment_classifier
 from .errors import ConfigError, DataError
 from .evaluation import kfold_split
 from .fileio import read_csv, write_csv
+from .network import entropy
 
 MODES = ("sEPR", "pEPR", "hard-dynamic", "soft-static", "none")
 
@@ -94,8 +95,8 @@ class FoldOutGeneration:
     """EPs for one generation plus the bookkeeping proving fold-out purity.
 
     `fold_of[i]` is the fold that held out utterance i, `training_rows[f]`
-    the segment rows fold f's model trained on, and `mean_entropy` the
-    mean_ep_entropy of the EPs in the order they were predicted: fold by
+    the segment rows fold f's model trained on, and `mean_entropy` the mean
+    entropy of the EPs' rows in the order they were predicted: fold by
     fold, utterances in dataset order within a fold.
     """
 
@@ -161,7 +162,7 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
     with ThreadPoolExecutor(_fold_workers(cfg, data.x.shape[1:])) as pool:
         models = list(pool.map(train_and_predict, range(cfg.folds)))
     # Averaged in prediction order: fold by fold, and by row within a fold.
-    mean_entropy = mean_ep_entropy(eps[np.argsort(row_fold, kind="stable")])
+    mean_entropy = float(entropy(eps[np.argsort(row_fold, kind="stable")]).mean())
     return FoldOutGeneration(generation=generation, eps=eps, fold_of=fold_of,
                              training_rows=tuple(training_rows),
                              mean_entropy=mean_entropy, models=tuple(models))
@@ -245,21 +246,6 @@ def run_refinery(data: StackedDataset, cfg, seed: int, load_generation=None):
         yield targets, eps, foldout
         if t < cfg.generations:
             targets = next_targets(eps, data.labels, data.offsets, cfg.mode)
-
-
-def mean_ep_entropy(eps) -> float:
-    """Mean Shannon entropy (nats) over the rows of an (n_segments, K) EP array.
-
-    The mean's rounding depends on the row order; a trained generation
-    averages in prediction order (FoldOutGeneration.mean_entropy).
-    """
-    if eps.ndim != 2 or eps.shape[0] == 0:
-        raise DataError("no emotion profiles")
-    cols = eps.T
-    plogp = np.zeros_like(cols)
-    nz = cols > 0
-    plogp[nz] = cols[nz] * np.log(cols[nz])
-    return float(-plogp.sum(axis=0).mean())
 
 
 _EP_HEADER = ["utterance_id", "segment_index", "generation"]

@@ -117,6 +117,18 @@ class TestGenData:
         assert what in one_error(capsys, bad)
         assert not (tmp_path / "c").exists()
 
+    # It ended in a traceback with exit 1. The first array would take
+    # petabytes, or more bytes than numpy can count, so its allocation
+    # fails before any memory is touched.
+    @pytest.mark.parametrize("n_mels", [10 ** 15, 2 ** 63 - 1])
+    def test_corpus_too_large_to_allocate_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                                  n_mels):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({**CORPUS_SPEC, "n_mels": n_mels}))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "c")]) == 2
+        assert "its corpus cannot be allocated" in one_error(capsys, f"{spec}: ")
+        assert not (tmp_path / "c").exists()
+
     def test_existing_corpus_refused_and_kept(self, workspace, tmp_path, capsys):
         out = tmp_path / "corpus"
         shutil.copytree(workspace / "corpus", out)
@@ -325,6 +337,24 @@ class TestRun:
         # Nothing was written, so the corrected config runs in the same directory.
         assert main(["run", "--config", str(workspace / "cfg.json")] + args) == 0
 
+    # It ended in a traceback from a fold thread, with exit 1. The dense
+    # layer would take petabytes, or more bytes than numpy can count, so
+    # its allocation fails before any memory is touched.
+    @pytest.mark.parametrize("width", [10 ** 15, 10 ** 18])
+    def test_net_too_large_to_allocate_exits_2_naming_it(self, workspace, tmp_path, capsys,
+                                                         width):
+        bad = tmp_path / "bad.json"
+        huge = {"name": "huge", "conv_stages": [[2]], "dense": [width], "dtype": "float64"}
+        bad.write_text(json.dumps({**RUN_CONFIG, "train": {**RUN_CONFIG["train"],
+                                                            "architecture": huge}}))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(bad), "--corpus", str(workspace / "corpus"),
+                     "--out", str(run_dir)]) == 2
+        assert one_error(capsys, "architecture 'huge' cannot be allocated for 8x4 segments (")
+        # The net is allocated in training, after the run manifest is written.
+        assert (run_dir / "run_manifest.json").exists()
+        assert list((run_dir / "generations").iterdir()) == []
+
     @pytest.mark.parametrize("command", ["run", "featurize"])
     @pytest.mark.parametrize("names", [
         "01",
@@ -436,6 +466,11 @@ class TestRun:
         ('{"format": "emorefinery-corpus", "version": 1, "rows": [', "is not valid JSON"),
         ('{"format": "emorefinery-corpus", "version": 1, "class_names": ["a", "b"]}',
          "lacks the key 'rows'"),
+        # true and 1.0 equal 1 in Python, and were taken for version 1.
+        ('{"format": "emorefinery-corpus", "version": true}',
+         ": unsupported corpus manifest version True"),
+        ('{"format": "emorefinery-corpus", "version": 1.0}',
+         ": unsupported corpus manifest version 1.0"),
     ])
     def test_malformed_manifest_exits_3(self, workspace, tmp_path, capsys, text, what):
         manifest = tmp_path / "manifest.json"
@@ -445,6 +480,17 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {manifest}")
         assert what in err[0]
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_that_only_equals_1_exits_2_naming_the_config(
+            self, workspace, tmp_path, capsys, version):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**RUN_CONFIG, "schema_version": version}))
+        assert main(["run", "--config", str(bad), "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert one_error(capsys, bad) == (
+            f"error: {bad}: unsupported config schema_version {version!r}")
+        assert not (tmp_path / "run").exists()
 
     def test_repeated_class_name_exits_3_naming_the_manifest(self, workspace, tmp_path, capsys):
         shutil.copytree(workspace / "corpus", tmp_path / "corpus")
@@ -558,6 +604,12 @@ class TestRun:
         ("metrics.json", lambda text: json.dumps({"wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1}),
          "is not the report of generation 1"),
         ("metrics.json", lambda text: text.replace('"wa": ', '"wa": "x", "_": '),
+         "is not the report of generation 1"),
+        # Resume reused the generation and wrote its NaN into the run's metrics.json.
+        ("metrics.json", lambda text: text.replace('"wa": ', '"wa": NaN, "_": '),
+         "is not the report of generation 1"),
+        ("metrics.json",
+         lambda text: text.replace('"mean_ep_entropy": ', '"mean_ep_entropy": -Infinity, "_": '),
          "is not the report of generation 1"),
         ("eps.csv", lambda text: "".join(line for line in text.splitlines(keepends=True)
                                          if not line.startswith("u0001_c0,")),
@@ -911,7 +963,11 @@ class TestEvalAndExport:
         lambda text: text.replace('"mode": ', '"mode": 1, "_": '),
         lambda text: text.replace('"generations": [', '"generations": [{}, '),
         lambda text: text.replace('"wa": ', '"wa": "x", "_": ', 1),
-    ], ids=["truncated", "empty-list", "numeric-mode", "empty-generation", "string-wa"])
+        # eval printed "WA nan" and exited 0.
+        lambda text: text.replace('"wa": ', '"wa": NaN, "_": ', 1),
+        lambda text: text.replace('"ua": ', '"ua": Infinity, "_": ', 1),
+    ], ids=["truncated", "empty-list", "numeric-mode", "empty-generation", "string-wa",
+            "nan-wa", "infinite-ua"])
     def test_eval_damaged_report_exits_3(self, finished_run, tmp_path, capsys, damage):
         run_dir = tmp_path / "copy"
         shutil.copytree(finished_run, run_dir)

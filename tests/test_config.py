@@ -143,9 +143,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"^unknown section 'forest' keys: \['seed'\]$"):
             config_from_dict({"forest": {"seed": 1}})
 
-    def test_unknown_schema_version(self):
-        with pytest.raises(ConfigError, match="schema_version"):
-            config_from_dict({"schema_version": 99})
+    # true and 1.0 equal 1 in Python, and were taken for schema version 1.
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1", None])
+    def test_unknown_schema_version(self, version):
+        with pytest.raises(ConfigError, match="^unsupported config schema_version"):
+            config_from_dict({"schema_version": version})
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):

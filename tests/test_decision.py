@@ -1,8 +1,7 @@
 """Forest tests: an exhaustive split-search oracle, a property test against
-the first Fraction-ranked implementation, determinism, voting, degenerate
-cases, and the predictions CSV."""
+the first Fraction-ranked implementation, determinism, voting and
+degenerate cases."""
 
-import csv
 import struct
 import warnings
 from fractions import Fraction
@@ -19,7 +18,6 @@ from emorefinery.decision import (
     TreeNode,
     predict_forest,
     train_forest,
-    write_predictions_csv,
 )
 from emorefinery.errors import ConfigError, DataError
 
@@ -452,12 +450,3 @@ class TestVoting:
         with pytest.raises(DataError, match="shape"):
             predict_forest(forest, np.zeros(2))
 
-
-class TestPersistence:
-    def test_predictions_csv_round_trip(self, tmp_path):
-        records = [("u1", "a", "a"), ("u2", "b", "c")]
-        path = tmp_path / "preds.csv"
-        write_predictions_csv(path, records)
-        with path.open(newline="") as fh:
-            assert [tuple(row) for row in csv.reader(fh)][1:] == records
-        assert path.read_text().splitlines()[0] == "utterance_id,true,pred"

@@ -215,6 +215,12 @@ class TestMetricsReport:
         ({**run_report(0.5), "class_names": "ab"}, None),
         ({**run_report(0.5), "mode": None}, None),
         (run_report("x"), None),
+        # json reads NaN and Infinity, which no report is written with.
+        ({"generation": 1, "wa": float("nan"), "ua": 0.5, "mean_ep_entropy": 1}, 1),
+        ({"generation": 1, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": float("inf")}, 1),
+        ({"generation": 1, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1,
+          "wa_clean": 0.5, "ua_clean": -float("inf")}, 1),
+        (run_report(float("nan")), None),
     ])
     def test_rejects_malformed_reports(self, tmp_path, report, generation):
         path = tmp_path / "metrics.json"

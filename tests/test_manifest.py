@@ -88,7 +88,12 @@ class TestCorpusManifest:
                            root=".")
         assert m.clean_labels().tolist() == [0, 1]
         assert [m.label_index(r.training_label) for r in m.rows] == [0, 2]
-        assert m.has_label_noise()
+
+    def test_no_clean_labels_without_label_noise(self):
+        m = CorpusManifest(class_names=NAMES,
+                           rows=[row("u0"), row("u1", label="happy", observed="happy")],
+                           root=".")
+        assert m.clean_labels() is None
 
 
 class TestSaveLoad:
@@ -155,10 +160,15 @@ class TestSaveLoad:
             save_manifest(CorpusManifest(class_names=NAMES, rows=[row("u1")], root=tmp_path))
         assert (tmp_path / "manifest.json").read_bytes() == before
 
-    def test_rejects_unknown_version(self, tmp_path):
-        (tmp_path / "manifest.json").write_text(
-            json.dumps({"format": "emorefinery-corpus", "version": 99}))
-        with pytest.raises(DataError, match="version"):
+    # true and 1.0 equal 1 in Python, and were taken for version 1.
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1", None])
+    def test_rejects_unknown_version(self, tmp_path, version):
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"format": "emorefinery-corpus", "version": version, "class_names": NAMES,
+             "rows": [{"utterance_id": "u0", "path": "u0.npy", "kind": "features",
+                       "label": NAMES[0]}]}))
+        with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path / 'manifest.json'))}: "
+                                            "unsupported corpus manifest version"):
             load_manifest(tmp_path)
 
 
@@ -254,6 +264,10 @@ class TestReaderOracle:
         ("0,1,2\n\n10,3,-inf\n", 4, "'-inf' is not a finite number"),
         ("inf,1,2\n", 2, "'inf' is not a finite number"),
         ("0,1,2\n10,1e999,4\n", 3, "'1e999' is not a finite number"),
+        # The earlier fault is named, whichever kind it is.
+        ("0,1,2\n10,inf,4\n20,x,6\n", 3, "'inf' is not a finite number"),
+        ("0,nan,x\n", 2, "'nan' is not a finite number"),
+        ("0,x,2\n10,inf,4\n", 2, "'x' is not a number"),
     ])
     def test_malformed_rows_name_file_and_line(self, tmp_path, body, line, what):
         path = tmp_path / "s.csv"
@@ -324,7 +338,7 @@ class TestSyntheticCorpusStore:
         assert flipped
         stored = {r.utterance_id for r in m.rows if r.observed_label}
         assert stored == flipped
-        assert load_manifest(tmp_path).has_label_noise()
+        assert load_manifest(tmp_path).clean_labels() is not None
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         spec = self.spec()

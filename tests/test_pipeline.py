@@ -405,7 +405,8 @@ class TestRunExperiment:
     def test_predictions_csv_uses_class_names(self, finished_run):
         run_dir, _ = finished_run
         with (generation_dir(run_dir, 1) / "predictions.csv").open(newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
+            header, *rows = csv.reader(fh)
+        assert header == ["utterance_id", "true", "pred"]
         assert len(rows) == 12
         names = {"class_0", "class_1", "class_2"}
         assert {r[1] for r in rows} <= names

@@ -15,12 +15,11 @@ from emorefinery import refinery
 from emorefinery.classifier import TrainConfig, predict_batch
 from emorefinery.config import ExperimentConfig
 from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
-from emorefinery.network import Architecture, ConvNet
+from emorefinery.network import Architecture, ConvNet, entropy
 from emorefinery.refinery import (
     StackedDataset,
     foldout_purity_violations,
     generate_eps_foldout,
-    mean_ep_entropy,
     next_targets,
     read_ep_csv,
     run_refinery,
@@ -96,7 +95,7 @@ class TestInitialLabels:
         np.testing.assert_array_equal(initial_targets([2], 1, NAMES6), [[0, 0, 1, 0, 0, 0]])
 
     def test_entropy_zero(self):
-        assert mean_ep_entropy(initial_targets([1, 3], 5, NAMES4)) == 0.0
+        assert np.all(entropy(initial_targets([1, 3], 5, NAMES4)) == 0.0)
 
     def test_bad_class_index(self):
         with pytest.raises(DataError, match="not a class index"):
@@ -195,7 +194,7 @@ class TestFoldOutGeneration:
         result = generate_eps_foldout(data, targets, fast_config(), SEED)
         assert result.eps.shape == (18, 4)
         np.testing.assert_allclose(result.eps.sum(axis=1), 1.0, atol=1e-6)
-        assert result.mean_entropy == pytest.approx(mean_ep_entropy(result.eps), abs=1e-12)
+        assert result.mean_entropy == pytest.approx(entropy(result.eps).mean(), abs=1e-12)
         for i in range(9):
             a, b = data.offsets[i], data.offsets[i + 1]
             model = result.models[result.fold_of[i]]
@@ -286,10 +285,10 @@ class TestFoldThreads:
         data = self.inputs()[0]
         expected = [np.arange(data.offsets[i], data.offsets[i + 1])
                     for fold in range(4) for i in np.flatnonzero(result.fold_of == fold)]
-        in_fold_order = mean_ep_entropy(result.eps[np.concatenate(expected)])
+        in_fold_order = float(entropy(result.eps[np.concatenate(expected)]).mean())
         assert result.mean_entropy.hex() == in_fold_order.hex()
         # Averaged in dataset order, the same EPs round differently.
-        assert mean_ep_entropy(result.eps).hex() != in_fold_order.hex()
+        assert float(entropy(result.eps).mean()).hex() != in_fold_order.hex()
 
     def test_worker_divergence_reaches_caller_as_itself(self, monkeypatch):
         error = TrainingDivergedError("fold 2 diverged")
@@ -517,28 +516,34 @@ class TestNextTargets:
             next_targets(np.full((5, 3), 1 / 3), [0, 1], [0, 2, 4], "pEPR")
 
 
-class TestMeanEpEntropy:
-    def test_one_hot_columns(self):
-        assert mean_ep_entropy(np.eye(4)[:3]) == 0.0
+class TestRowEntropy:
+    """network.entropy gives one value per EP row; FoldOutGeneration's
+    mean_entropy is their mean."""
+
+    def test_one_hot_rows(self):
+        assert entropy(np.eye(4)[:3]).tolist() == [0.0, 0.0, 0.0]
 
     def test_uniform_six_classes(self):
-        eps = np.full((5, 6), 1 / 6)
-        assert mean_ep_entropy(eps) == pytest.approx(math.log(6), abs=1e-12)
-        assert mean_ep_entropy(eps) == pytest.approx(1.79176, abs=5e-6)
+        h = entropy(np.full((5, 6), 1 / 6))
+        assert h.shape == (5,)
+        assert h == pytest.approx([math.log(6)] * 5, abs=1e-12)
+        assert h.mean() == pytest.approx(1.79176, abs=5e-6)
 
     def test_near_uniform_within_two_hundredths_of_max(self):
         rng = np.random.default_rng(17)
         v = 1 / 6 + rng.uniform(-0.007, 0.007, (6, 40))
         v /= v.sum(axis=0)
-        assert mean_ep_entropy(v.T.copy()) > math.log(6) - 0.02
+        assert entropy(v.T.copy()).mean() > math.log(6) - 0.02
 
-    def test_mixed_hand_value(self):
-        eps = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert mean_ep_entropy(eps) == pytest.approx(math.log(2) / 2, abs=1e-12)
+    def test_hand_values_per_row(self):
+        eps = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.25, 0.25]])
+        assert entropy(eps) == pytest.approx(
+            [0.0, math.log(2), 1.5 * math.log(2)], abs=1e-12)
+        assert entropy(eps).mean() == pytest.approx(5 * math.log(2) / 6, abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            mean_ep_entropy(np.zeros((0, 4)))
+    def test_one_distribution_gives_one_value(self):
+        h = entropy(np.array([0.5, 0.0, 0.5]))
+        assert np.ndim(h) == 0 and h == pytest.approx(math.log(2), abs=1e-12)
 
 
 class TestEpCsv:
