@@ -12,6 +12,7 @@ import functools
 import json
 import logging
 import threading
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -293,13 +294,23 @@ def save_model(m: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != "emorefinery-model":
-            raise DataError(f"{path}: not a model checkpoint")
-        class_names = tuple(meta["class_names"])
-        net = ConvNet(Architecture(**meta["architecture"]), meta["input_shape"],
-                      len(class_names), np.random.default_rng(0))
-        net.restore([data[f"param_{i:03d}"] for i in range(len(net.params()))])
-    return Model(class_names=class_names, generation=int(meta["generation"]),
-                 seed=int(meta["seed"]), net=net)
+    """The model in a checkpoint written by save_model; any other file raises
+    one DataError naming it."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if not (isinstance(meta, dict) and meta.get("format") == "emorefinery-model"
+                    and type(meta.get("version")) is int and meta["version"] == 1):
+                raise ValueError("its meta is not an emorefinery-model version 1 document")
+            class_names = tuple(meta["class_names"])
+            net = ConvNet(Architecture(**meta["architecture"]), meta["input_shape"],
+                          len(class_names), np.random.default_rng(0))
+            net.restore([data[f"param_{i:03d}"] for i in range(len(net.params()))])
+            return Model(class_names=class_names, generation=int(meta["generation"]),
+                         seed=int(meta["seed"]), net=net)
+    except OSError as exc:
+        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
+    except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError, ConfigError) as exc:
+        # np.load raises BadZipFile on a cut archive, EOFError on an empty file,
+        # ValueError on one it would unpickle and TypeError on a bare .npy.
+        raise DataError(f"{path} is not a model checkpoint: {exc}") from exc

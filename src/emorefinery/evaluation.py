@@ -121,8 +121,10 @@ def read_metrics_report(path, generation: int | None = None) -> dict:
     elif not (isinstance(report, dict) and isinstance(report.get("mode"), str)
               and isinstance(report.get("class_names"), list)
               and all(isinstance(name, str) for name in report["class_names"])
-              and isinstance(report.get("generations"), list)
-              and all(_is_generation_report(g) for g in report["generations"])):
+              and isinstance(report.get("generations"), list) and report["generations"]
+              and all(_is_generation_report(g) for g in report["generations"])
+              and [g["generation"] for g in report["generations"]]
+              == list(range(1, len(report["generations"]) + 1))):
         raise DataError(f"{path} is not a run's report: a mode, class_names and a "
-                        f"list of generation reports {numbers}")
+                        f"list of the reports of generations 1..n in order {numbers}")
     return report

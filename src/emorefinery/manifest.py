@@ -238,10 +238,10 @@ def _bad_line(path, lines, width: int) -> str:
     return f"{path} does not hold {width} numbers per line"
 
 
-# The header np.save writes for a C-order 2-D float64 array: magic, version
-# 1.0, the little-endian length of what follows, the dict, spaces and "\n".
-# Each dimension is a Python int literal that fits int64, and the header
-# stays far below the length numpy's reader refuses.
+# The header np.save writes for a C-order 2-D little-endian float64 array:
+# magic, version 1.0, the little-endian length of what follows, the dict,
+# spaces and "\n". Each dimension is a Python int literal that fits int64,
+# so the array's reshape takes it.
 _SAVED_HEADER = re.compile(rb"\x93NUMPY\x01\x00(..)"
                            rb"\{'descr': '<f8', 'fortran_order': False, 'shape': "
                            rb"\((0|[1-9][0-9]{0,17}), (0|[1-9][0-9]{0,17})\), \} {0,255}\n",
@@ -249,38 +249,26 @@ _SAVED_HEADER = re.compile(rb"\x93NUMPY\x01\x00(..)"
 
 
 def _read_spectrogram_npy(path) -> LogMelSpectrogram:
-    """The spectrogram in a .npy file written by write_features_corpus.
-
-    The file is read whole. When it is exactly the header np.save writes
-    for a C-order 2-D float64 array followed by that array's bytes, the
-    array is a view of those bytes; any other file goes to
-    np.lib.format.read_array from its first byte. A format that reader does
-    not take, a zip archive or a pickle among them, or bytes after the
-    array, is not a .npy array.
+    """The spectrogram in a .npy file written by write_features_corpus: the
+    header np.save writes for a C-order 2-D '<f8' array, then exactly that
+    array's bytes, of which the array is a view. Any other file is not a
+    .npy array of the store.
     """
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-            saved = _SAVED_HEADER.match(raw)
-            rows, cols = (int(saved[2]), int(saved[3])) if saved else (0, 0)
-            if (saved and int.from_bytes(saved[1], "little") == saved.end() - 10
-                    and len(raw) == saved.end() + 8 * rows * cols):
-                data = np.frombuffer(raw, "<f8", rows * cols, saved.end()).reshape(rows, cols)
-            else:
-                fh.seek(0)
-                data = np.lib.format.read_array(fh, allow_pickle=False)
-                if fh.tell() != len(raw):
-                    raise ValueError(f"{len(raw) - fh.tell()} bytes follow the array")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-    except Exception as exc:
-        # numpy's header parser lets through what ast and tokenize raise on a
-        # damaged header (SyntaxError, TypeError, tokenize.TokenError), and a
-        # damaged shape can overflow int64 or claim more memory than is free.
-        raise DataError(f"{path} is not a .npy array: {exc}") from exc
-    if data.dtype != np.float64 or data.ndim != 2:
-        raise DataError(f"{path} holds a {data.ndim}-D {data.dtype.str} array, "
-                        "not a 2-D float64 one")
+    saved = _SAVED_HEADER.match(raw)
+    if not saved or int.from_bytes(saved[1], "little") != saved.end() - 10:
+        raise DataError(f"{path} is not a .npy array: it lacks the header np.save "
+                        "writes for a C-order 2-D '<f8' array")
+    rows, cols = int(saved[2]), int(saved[3])
+    extra = len(raw) - saved.end() - 8 * rows * cols
+    if extra:
+        raise DataError(f"{path} is not a .npy array: " + (
+            f"{extra} bytes follow the array" if extra > 0
+            else f"{-extra} bytes of the array are missing"))
+    data = np.frombuffer(raw, "<f8", rows * cols, saved.end()).reshape(rows, cols)
     if len(data) < 2:
         raise DataError(f"{path} names no mel row after the frame times")
     if data.shape[1] == 0:
@@ -340,7 +328,7 @@ def write_features_corpus(corpus_root, class_names, rows_and_spectrograms) -> Co
     for row, s in rows_and_spectrograms:
         rel = f"features/{row.utterance_id}.npy"
         with writing(root / rel), (root / rel).open("wb") as fh:
-            np.save(fh, np.ascontiguousarray(np.vstack((s.frame_times, s.values)), np.float64))
+            np.save(fh, np.ascontiguousarray(np.vstack((s.frame_times, s.values)), "<f8"))
         rows.append(replace(row, path=rel, kind="features"))
     manifest = CorpusManifest(class_names=class_names, rows=rows, root=root)
     save_manifest(manifest)

@@ -251,57 +251,55 @@ def run_refinery(data: StackedDataset, cfg, seed: int, load_generation=None):
 _EP_HEADER = ["utterance_id", "segment_index", "generation"]
 
 
+def _ep_rows(utterance_ids, offsets, generation: int):
+    """Each eps.csv row in file order, as its key fields [id, str(index),
+    str(generation)] and the dataset row of its EP: utterances sorted by id,
+    then segments in order."""
+    for i in sorted(range(len(utterance_ids)), key=utterance_ids.__getitem__):
+        for index, r in enumerate(range(offsets[i], offsets[i + 1])):
+            yield [utterance_ids[i], str(index), str(generation)], r
+
+
 def write_ep_csv(path, eps, utterance_ids, offsets, generation: int) -> None:
-    """EP export: one row per segment, utterances sorted by id, probabilities
-    at full float precision."""
+    """EP export: one row per segment in _ep_rows order, probabilities at
+    full float precision."""
     rows = eps.tolist()
     write_csv(path, _EP_HEADER + [f"p_{i + 1}" for i in range(eps.shape[1])],
-              ([utterance_ids[i], index, generation] + rows[r]
-               for i in sorted(range(len(utterance_ids)), key=utterance_ids.__getitem__)
-               for index, r in enumerate(range(offsets[i], offsets[i + 1]))))
+              (key + rows[r] for key, r in _ep_rows(utterance_ids, offsets, generation)))
 
 
 def read_ep_csv(path, class_names, utterance_ids, offsets, generation: int) -> np.ndarray:
     """The (n_segments, K) EPs written by write_ep_csv, in dataset order.
 
-    The file must hold exactly one row for every segment of the given
-    utterances, every row tagged with `generation`, and every row a
-    distribution: finite, non-negative and summing to 1 within 1e-6.
+    The file must hold exactly the rows write_ep_csv writes, in its order,
+    and every row a distribution: finite, non-negative and summing to 1
+    within 1e-6.
     """
     k = len(class_names)
-    position = {uid: i for i, uid in enumerate(utterance_ids)}
-    eps = np.zeros((int(offsets[-1]), k))
-    filled = np.zeros(len(eps), dtype=bool)
+    eps = np.empty((int(offsets[-1]), k))
     records = read_csv(path)
     header = next(records, (1, []))[1]
     if header[:3] != _EP_HEADER:
         raise DataError(f"{path} is not an emotion profile CSV")
     if len(header) != 3 + k:
         raise DataError(f"{path} carries {len(header) - 3} classes, expected {k}")
+    expected = _ep_rows(utterance_ids, offsets, generation)
     for line, row in records:
+        key, r = next(expected, (None, None))
         try:
+            if key is None:
+                raise ValueError("a row after the last segment")
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields where the header names {len(header)}")
-            uid, index, gen = row[0], int(row[1]), int(row[2])
-            values = [float(v) for v in row[3:]]
-            if uid not in position:
-                raise ValueError(f"utterance {uid!r} is not in the dataset")
-            i = position[uid]
-            if not 0 <= index < offsets[i + 1] - offsets[i]:
-                raise ValueError(f"utterance {uid!r} has no segment {index}")
-            r = offsets[i] + index
-            if filled[r]:
-                raise ValueError(f"segment {index} of {uid!r} appears twice")
-            if gen != generation:
-                raise ValueError(f"generation {gen} in the file of generation {generation}")
+            if row[:3] != key:
+                raise ValueError(f"expected segment {key[1]} of {key[0]!r} in generation "
+                                 f"{key[2]}, found {row[:3]}")
+            eps[r] = [float(v) for v in row[3:]]
         except ValueError as exc:
             raise DataError(f"{path}, line {line}: {exc}") from exc
-        eps[r] = values
-        filled[r] = True
-    if not filled.all():
-        r = int(np.argmin(filled))
-        i = int(np.searchsorted(offsets, r, side="right")) - 1
-        raise DataError(f"{path}: no row for segment {r - offsets[i]} of {utterance_ids[i]!r}")
+    key, _ = next(expected, (None, None))
+    if key:
+        raise DataError(f"{path}: no row for segment {key[1]} of {key[0]!r}")
     if not np.all(np.isfinite(eps)) or np.any(eps < 0):
         raise DataError(f"{path}: profile entries must be finite and non-negative")
     if np.any(np.abs(eps.sum(axis=1) - 1.0) > 1e-6):

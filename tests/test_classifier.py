@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -518,11 +519,65 @@ class TestPersistence:
         assert json.loads(meta)["architecture"] == {"name": "tiny", "conv_stages": [[2], [2]],
                                                     "dense": [], "dtype": "float64"}
 
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, meta=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
-        with pytest.raises(DataError, match="not a model checkpoint"):
+    @staticmethod
+    def checkpoint(tmp_path):
+        """A saved tiny model's checkpoint bytes and its members."""
+        rng = np.random.default_rng(0)
+        model = train_segment_classifier(
+            rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"],
+            ("neg", "pos"), TrainConfig(max_epochs=1, architecture="tiny"), 3)
+        save_model(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            return (tmp_path / "m.npz").read_bytes(), dict(data)
+
+    @staticmethod
+    def with_meta(members, **change):
+        meta = {**json.loads(bytes(members["meta"]).decode()), **change}
+        meta = {k: v for k, v in meta.items() if v is not None}
+        return {**members, "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+
+    @pytest.mark.parametrize("damage, what", [
+        (lambda raw, members: raw[:len(raw) // 2], "File is not a zip file"),
+        (lambda raw, members: b"", "No data left in file"),
+        (lambda raw, members: b"fold 1\n", "pickled"),
+        (lambda raw, members: {"x": np.zeros(3)}, "'meta is not a file in the archive'"),
+        (lambda raw, members: np.zeros(3), "context manager"),
+        (lambda raw, members: {"meta": np.frombuffer(b"[1]", dtype=np.uint8)},
+         "its meta is not an emorefinery-model version 1 document"),
+        (lambda raw, members: TestPersistence.with_meta(members, format="other"),
+         "its meta is not an emorefinery-model version 1 document"),
+        (lambda raw, members: TestPersistence.with_meta(members, version=2),
+         "its meta is not an emorefinery-model version 1 document"),
+        (lambda raw, members: TestPersistence.with_meta(members, version=True),
+         "its meta is not an emorefinery-model version 1 document"),
+        (lambda raw, members: TestPersistence.with_meta(members, version=None),
+         "its meta is not an emorefinery-model version 1 document"),
+        (lambda raw, members: TestPersistence.with_meta(members, generation=None),
+         "'generation'"),
+        (lambda raw, members: {k: v for k, v in members.items() if k != "param_001"},
+         "'param_001 is not a file in the archive'"),
+    ], ids=["cut", "empty", "text", "other-npz", "npy", "meta-list", "format", "version-2",
+            "version-true", "no-version", "no-generation", "no-param"])
+    def test_other_files_raise_one_error_naming_the_file(self, tmp_path, damage, what):
+        damaged = damage(*self.checkpoint(tmp_path))
+        path = tmp_path / "damaged.npz"
+        if isinstance(damaged, bytes):
+            path.write_bytes(damaged)
+        elif isinstance(damaged, dict):
+            np.savez(path, **damaged)
+        else:
+            with path.open("wb") as fh:
+                np.save(fh, damaged)
+        with pytest.raises(DataError) as err:
             load_model(path)
+        message = str(err.value)
+        assert message.startswith(f"{path} is not a model checkpoint: ") and what in message
+        assert message.count(str(path)) == 1
+
+    def test_unreadable_file_is_named(self, tmp_path):
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"{tmp_path / 'absent.npz'} cannot be read (No such file or directory)") + "$"):
+            load_model(tmp_path / "absent.npz")
 
 
 class TestConfigValidation:

@@ -613,7 +613,7 @@ class TestRun:
          "is not the report of generation 1"),
         ("eps.csv", lambda text: "".join(line for line in text.splitlines(keepends=True)
                                          if not line.startswith("u0001_c0,")),
-         ": no row for segment 0 of 'u0001_c0'"),
+         ": expected segment 0 of 'u0001_c0' in generation 1, found "),
     ])
     def test_damaged_generation_exits_3(self, workspace, tmp_path, capsys, name, damage, what):
         args = ["run", "--config", str(workspace / "cfg.json"),
@@ -940,6 +940,12 @@ def test_label_noise_is_reported_by_gen_data_run_and_eval(workspace, tmp_path, c
     assert capsys.readouterr().out.splitlines()[1:] == lines
 
 
+def with_generations(text, change):
+    """A run's metrics.json text with its list of generation reports changed."""
+    doc = json.loads(text)
+    return json.dumps({**doc, "generations": change(doc["generations"])})
+
+
 class TestEvalAndExport:
     def test_eval_prints_generations(self, finished_run, capsys):
         assert main(["eval", "--run", str(finished_run)]) == 0
@@ -966,8 +972,14 @@ class TestEvalAndExport:
         # eval printed "WA nan" and exited 0.
         lambda text: text.replace('"wa": ', '"wa": NaN, "_": ', 1),
         lambda text: text.replace('"ua": ', '"ua": Infinity, "_": ', 1),
+        # eval printed only the mode line, or "gen 2" twice, and exited 0.
+        lambda text: with_generations(text, lambda g: []),
+        lambda text: with_generations(text, lambda g: [g[1], g[1]]),
+        lambda text: with_generations(text, lambda g: g[::-1]),
+        lambda text: with_generations(text, lambda g: g[1:]),
     ], ids=["truncated", "empty-list", "numeric-mode", "empty-generation", "string-wa",
-            "nan-wa", "infinite-ua"])
+            "nan-wa", "infinite-ua", "no-generations", "gen-2-twice", "out-of-order",
+            "gen-1-missing"])
     def test_eval_damaged_report_exits_3(self, finished_run, tmp_path, capsys, damage):
         run_dir = tmp_path / "copy"
         shutil.copytree(finished_run, run_dir)
@@ -1187,8 +1199,8 @@ def test_damaged_spectrogram_of_either_format_exits_3_naming_it(damage_site, wor
 def test_damaged_npy_exits_3_naming_the_utterance_once(damage_site, workspace, capsys,
                                                        command, damage):
     """A stored spectrogram with bytes after its array, or whose header
-    length leaves numpy's parser an unclosed "{", is listed once, not read
-    as a shorter table or ended in a traceback."""
+    length field is wrong, is listed once, not read as a shorter table or
+    ended in a traceback."""
     case = damage_site / "case"
     shutil.rmtree(case)
     shutil.copytree(damage_site / "pristine", case)

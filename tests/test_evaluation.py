@@ -199,6 +199,9 @@ class TestMetricsReport:
         ({"generation": 1, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1,
           "wa_clean": 0.25, "ua_clean": 0.5}, 1),
         (run_report(1), None),
+        ({**run_report(1), "generations": [
+            {"generation": t, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1} for t in (1, 2)]},
+         None),
     ])
     def test_accepts_reports(self, tmp_path, report, generation):
         path = tmp_path / "metrics.json"
@@ -221,6 +224,10 @@ class TestMetricsReport:
         ({"generation": 1, "wa": 0.5, "ua": 0.5, "mean_ep_entropy": 1,
           "wa_clean": 0.5, "ua_clean": -float("inf")}, 1),
         (run_report(float("nan")), None),
+        ({**run_report(0.5), "generations": []}, None),
+        ({**run_report(0.5), "generations": run_report(0.5)["generations"] * 2}, None),
+        ({**run_report(0.5), "generations": [
+            {**run_report(0.5)["generations"][0], "generation": 2}]}, None),
     ])
     def test_rejects_malformed_reports(self, tmp_path, report, generation):
         path = tmp_path / "metrics.json"

@@ -382,6 +382,15 @@ class TestSpectrogramNpy:
             path.write_bytes(raw[:end])
             self.one_error(path, "is not a .npy array")
 
+    def test_every_header_byte_change_is_refused(self, stored):
+        path, _ = stored
+        raw = path.read_bytes()
+        for at in range(raw.index(b"\n") + 1):
+            for value in range(256):
+                if value != raw[at]:
+                    path.write_bytes(raw[:at] + bytes([value]) + raw[at + 1:])
+                    self.one_error(path, "is not a .npy array")
+
     def test_non_npy_first_byte_and_directory(self, stored):
         path, _ = stored
         path.write_bytes(b"\xff" + path.read_bytes())
@@ -390,12 +399,26 @@ class TestSpectrogramNpy:
         path.mkdir()
         self.one_error(path, "cannot be read")
 
+    @pytest.mark.parametrize("write", [
+        lambda fh: np.save(fh, np.asfortranarray(np.zeros((3, 4)))),
+        lambda fh: npy_format.write_array(fh, np.zeros((3, 4)), version=(2, 0)),
+        lambda fh: npy_format.write_array(fh, np.zeros((3, 4)), version=(3, 0)),
+        lambda fh: np.save(fh, np.zeros((3, 4), dtype=">f8")),
+        lambda fh: np.save(fh, np.zeros((3, 4), dtype=np.float32)),
+        lambda fh: np.save(fh, np.zeros((3, 4), dtype=np.int64)),
+        lambda fh: np.save(fh, np.zeros(4)),
+        lambda fh: np.save(fh, np.zeros((3, 4, 2))),
+        lambda fh: np.save(fh, np.array([[0.0, None]], dtype=object)),
+    ], ids=["fortran", "version-2", "version-3", "big-endian", "float32", "int64", "1-D", "3-D",
+            "object"])
+    def test_other_layouts_are_refused(self, tmp_path, write):
+        with (tmp_path / "s.npy").open("wb") as fh:
+            write(fh)
+        self.one_error(tmp_path / "s.npy", "^" + re.escape(
+            f"{tmp_path / 's.npy'} is not a .npy array: it lacks the header np.save writes "
+            "for a C-order 2-D '<f8' array") + "$")
+
     @pytest.mark.parametrize("array, what", [
-        (np.zeros((3, 4), dtype=np.float32), "2-D <f4 array"),
-        (np.zeros((3, 4), dtype=np.int64), "2-D <i8 array"),
-        (np.zeros((3, 4), dtype=">f8"), "2-D >f8 array"),
-        (np.zeros(4), "1-D <f8 array"),
-        (np.zeros((3, 4, 2)), "3-D <f8 array"),
         (np.zeros((1, 4)), "names no mel row after the frame times"),
         (np.zeros((3, 0)), "holds no frames"),
         (np.array([[0.0, 10.0], [1.0, np.nan]]), "holds a value that is not a finite number"),
@@ -413,10 +436,6 @@ class TestSpectrogramNpy:
         (tmp_path / "s.npy").write_bytes(header.getvalue() + bytes(96))
         self.one_error(tmp_path / "s.npy", "is not a .npy array")
 
-    def test_object_array_is_refused(self, tmp_path):
-        np.save(tmp_path / "s.npy", np.array([[0.0, None]], dtype=object))
-        self.one_error(tmp_path / "s.npy", "Object arrays cannot be loaded")
-
     def test_zip_archive_is_closed_and_refused(self, tmp_path):
         with (tmp_path / "s.npy").open("wb") as fh:
             np.savez(fh, s=np.zeros((3, 4)))
@@ -426,90 +445,24 @@ class TestSpectrogramNpy:
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    @pytest.mark.parametrize("write", [
-        np.save,
-        lambda fh, table: np.save(fh, np.asfortranarray(table)),
-        lambda fh, table: npy_format.write_array(fh, table, version=(2, 0)),
-    ], ids=["saved", "fortran", "version-2"])
-    def test_bytes_after_the_array_are_refused(self, tmp_path, write):
+    @pytest.mark.parametrize("change, what", [
+        (lambda raw: raw + bytes(29), "29 bytes follow the array"),
+        (lambda raw: raw[:-20], "20 bytes of the array are missing"),
+    ], ids=["after", "missing"])
+    def test_bytes_after_or_missing_from_the_array_are_named(self, tmp_path, change, what):
         path = tmp_path / "s.npy"
-        with path.open("wb") as fh:
-            write(fh, np.arange(20.0).reshape(4, 5))
-            fh.write(bytes(29))
-        self.one_error(path, "^" + re.escape(f"{path} is not a .npy array: 29 bytes follow "
-                                             "the array") + "$")
+        np.save(path, np.arange(20.0).reshape(4, 5))
+        path.write_bytes(change(path.read_bytes()))
+        self.one_error(path, "^" + re.escape(f"{path} is not a .npy array: {what}") + "$")
 
     @settings(max_examples=60, deadline=None)
     @given(table=hnp.arrays(np.float64, st.tuples(st.integers(2, 9), st.integers(1, 300)),
-                            elements=st.floats(allow_nan=False, allow_infinity=False)),
-           fortran=st.booleans(), version=st.sampled_from([None, (2, 0)]))
-    def test_reads_the_bits_read_array_reads(self, tmp_path_factory, table, fortran, version):
+                            elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_saved_tables_read_back_bit_exact(self, tmp_path_factory, table):
         path = tmp_path_factory.getbasetemp() / "bits.npy"
-        with path.open("wb") as fh:
-            npy_format.write_array(fh, np.asfortranarray(table) if fortran else table,
-                                   version=version)
-        with path.open("rb") as fh:
-            expected = npy_format.read_array(fh, allow_pickle=False)
+        np.save(path, table)
         s = read_spectrogram_csv(path)
-        assert np.vstack((s.frame_times, s.values)).tobytes() == expected.tobytes("C")
-
-    def test_every_cut_and_header_byte_reads_as_read_array_reads_it(self, stored):
-        """Whatever a cut or a changed header byte makes of a stored file,
-        the reader gives the bits or the refusal general_reader gives. The
-        magic, version and length bytes take every value; each byte of the
-        dict text takes every character the header holds and a few others,
-        since numpy tokenizes a dict it cannot parse, which is slow."""
-        path, _ = stored
-        raw = path.read_bytes()
-        header_end = raw.index(b"\n") + 1
-        text = set(raw[10:header_end]) | {0, 1, 0x7f, 0x80, 0xff}
-        cases = [raw[:end] for end in range(len(raw))]
-        cases += [raw[:at] + bytes([value]) + raw[at + 1:] for at in range(header_end)
-                  for value in (range(256) if at < 10 else sorted(text | {raw[at] ^ 1}))
-                  if value != raw[at]]
-        for damaged in cases:
-            path.write_bytes(damaged)
-            assert outcome(read_spectrogram_csv, path) == outcome(general_reader, path), damaged
-
-
-def general_reader(path):
-    """The .npy reader with every file going through np.lib.format.read_array,
-    as it was before the reader matched np.save's header itself, but for two
-    changes: bytes after the array, which read_array leaves unread, are
-    refused, and so is a file on which read_array raises something other
-    than a ValueError or MemoryError (an unclosed "{" gives
-    tokenize.TokenError, a dimension of 10**30 an OverflowError), which the
-    old reader let through."""
-    try:
-        with open(path, "rb") as fh:
-            data = npy_format.read_array(fh, allow_pickle=False)
-            extra = Path(path).stat().st_size - fh.tell()
-    except OSError as exc:
-        raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
-    except Exception as exc:
-        raise DataError(f"{path} is not a .npy array: {exc}") from exc
-    if extra:
-        raise DataError(f"{path} is not a .npy array: {extra} bytes follow the array")
-    if data.dtype != np.float64 or data.ndim != 2:
-        raise DataError(f"{path} holds a {data.ndim}-D {data.dtype.str} array, "
-                        "not a 2-D float64 one")
-    if len(data) < 2:
-        raise DataError(f"{path} names no mel row after the frame times")
-    if data.shape[1] == 0:
-        raise DataError(f"{path} holds no frames")
-    if not np.isfinite(data).all():
-        raise DataError(f"{path} holds a value that is not a finite number")
-    return LogMelSpectrogram(values=data[1:], frame_times=data[0])
-
-
-def outcome(read, path):
-    """The bits of the table `read` gives for `path`, or its refusal with the
-    address of any object numpy's message names blanked."""
-    try:
-        s = read(path)
-    except DataError as exc:
-        return re.sub(r" at 0x[0-9a-f]+>", " at 0x...>", str(exc))
-    return np.vstack((s.frame_times, s.values)).tobytes()
+        assert np.vstack((s.frame_times, s.values)).tobytes() == table.tobytes()
 
 
 class TestFilenameManifestBuilders:

@@ -287,7 +287,7 @@ class TestRunExperiment:
             path = generation_dir(run_dir, t) / "eps.csv"
             eps = read_ep_csv(path, names, ids, offsets, t)
             assert eps.shape == (offsets[-1], 3)
-            with pytest.raises(DataError, match=f"generation {t} in the file of generation"):
+            with pytest.raises(DataError, match=f"in generation {3 - t}, found .*'{t}'\\]$"):
                 read_ep_csv(path, names, ids, offsets, 3 - t)
 
     def test_twin_runs_byte_identical(self, corpus, tmp_path):

@@ -575,6 +575,21 @@ class TestEpCsv:
         assert [line[:9] for line in lines[1:]] == [
             "utt_a,0,2", "utt_a,1,2", "utt_b,0,2", "utt_b,1,2", "utt_b,2,2"]
 
+    def test_reads_and_rewrites_the_pinned_layout(self, tmp_path):
+        # The bytes of an eps.csv that earlier versions wrote: runs they left
+        # still resume, and a rewrite gives the same bytes.
+        pinned = (b"utterance_id,segment_index,generation,p_1,p_2\r\n"
+                  b"utt_a,0,1,0.33333333333333331,0.66666666666666663\r\n"
+                  b"utt_b,0,1,0.25,0.75\r\n"
+                  b"utt_b,1,1,0.10000000000000001,0.90000000000000002\r\n")
+        eps = np.array([[0.25, 0.75], [0.1, 0.9], [1 / 3, 2 / 3]])
+        path = tmp_path / "eps.csv"
+        path.write_bytes(pinned)
+        read = read_ep_csv(path, ("x", "y"), ("utt_b", "utt_a"), (0, 2, 3), 1)
+        assert read.tobytes() == eps.tobytes()
+        write_ep_csv(path, eps, ("utt_b", "utt_a"), (0, 2, 3), 1)
+        assert path.read_bytes() == pinned
+
     def test_rewrite_byte_identical(self, tmp_path):
         eps = self.make_eps(np.random.default_rng(20))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -595,7 +610,8 @@ class TestEpCsv:
         (lambda text: text[:text.rindex(",")], 6, "6 fields where the header names 7"),
         (lambda text: text[:text.rindex("\n", 0, -2) + 1] + "utt_b", 6,
          "1 fields where the header names 7"),
-        (lambda text: TestEpCsv.damage(text, 1, "x"), 2, "invalid literal for int"),
+        (lambda text: TestEpCsv.damage(text, 1, "x"), 2,
+         "expected segment 0 of 'utt_a' in generation 2, found ['utt_a', 'x', '2']"),
         (lambda text: TestEpCsv.damage(text, 3, "junk"), 2,
          "could not convert string to float: 'junk'"),
         (lambda text: TestEpCsv.damage(text, 0, '"' + "x" * 200_000 + '"'), 2,
@@ -610,18 +626,32 @@ class TestEpCsv:
         assert str(err.value).startswith(f"{path}, line {line}: ")
         assert what in str(err.value)
 
+    @staticmethod
+    def swap(text, a, b):
+        """Swap lines `a` and `b` (1-based) of `text`."""
+        lines = text.split("\n")
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+        return "\n".join(lines)
+
     @pytest.mark.parametrize("damage, what", [
         (lambda text: text.replace("utt_a,1,2", "utt_c,1,2"),
-         "line 3: utterance 'utt_c' is not in the dataset"),
+         "line 3: expected segment 1 of 'utt_a' in generation 2, found ['utt_c', '1', '2']"),
         (lambda text: text.replace("utt_a,1,2", "utt_a,2,2"),
-         "line 3: utterance 'utt_a' has no segment 2"),
+         "line 3: expected segment 1 of 'utt_a' in generation 2, found ['utt_a', '2', '2']"),
         (lambda text: text.replace("utt_a,1,2", "utt_a,0,2"),
-         "line 3: segment 0 of 'utt_a' appears twice"),
+         "line 3: expected segment 1 of 'utt_a' in generation 2, found ['utt_a', '0', '2']"),
         (lambda text: text.replace("utt_b,2,2", "utt_b,2,1"),
-         "line 6: generation 1 in the file of generation 2"),
+         "line 6: expected segment 2 of 'utt_b' in generation 2, found ['utt_b', '2', '1']"),
+        (lambda text: TestEpCsv.swap(text, 3, 5),
+         "line 3: expected segment 1 of 'utt_a' in generation 2, found ['utt_b', '1', '2']"),
         (lambda text: "\n".join(line for line in text.split("\n") if "utt_b,1," not in line),
-         ": no row for segment 1 of 'utt_b'"),
-    ])
+         "line 5: expected segment 1 of 'utt_b' in generation 2, found ['utt_b', '2', '2']"),
+        (lambda text: text[:text.rindex("\n", 0, -2) + 1],
+         ": no row for segment 2 of 'utt_b'"),
+        (lambda text: text + text[text.rindex("\n", 0, -2) + 1:],
+         "line 7: a row after the last segment"),
+    ], ids=["unknown-id", "segment-out-of-range", "duplicate", "generation", "swapped",
+            "skipped", "short", "long"])
     def test_rows_must_cover_the_dataset(self, tmp_path, damage, what):
         path = tmp_path / "eps.csv"
         self.write(path, self.make_eps(np.random.default_rng(22)))
