@@ -12,8 +12,6 @@ own src/ first on PYTHONPATH, through the package's command line:
                             and 11: corpora/, then run directories with
                             their fold models
   runs/noise-13             wide's corpus at seed 13 with label_noise 0.3
-  resume/wide-5             perfbench's resume fixture: runs/wide-5 copied
-                            and run again on its own directory
   featurize/wav-R           WAVs written with the wave module at R = 8000,
                             16000, 22050 and 44100 Hz, featurized
   featurize/csv             corpora/demo-5 stored as spectrogram CSVs,
@@ -21,6 +19,8 @@ own src/ first on PYTHONPATH, through the package's command line:
   stdout/                   what each command printed, and its exit code
 
 and finally resumed/<run>: the other side's runs/<run>, copied and resumed.
+resumed/wide-5 is perfbench's resume fixture, wide's config run again on a
+completed run.
 Corpus specs and configs come from perfbench/workloads.py, which is only
 read. The trees are compared file by file, with the output_dir of each
 run_manifest.json masked, as it names where a run directory is. Each
@@ -116,9 +116,6 @@ def build(out: Path, runs: dict) -> None:
                  "--out", f"corpora/{name}")
         _command(f"run-{name}", "run", "--config", str(inputs / "config.json"),
                  "--corpus", f"corpora/{name}", "--out", f"runs/{name}")
-    shutil.copytree("runs/wide-5", "resume/wide-5")
-    _command("resume-wide-5", "run", "--config", "inputs/wide-5/config.json",
-             "--corpus", "corpora/wide-5", "--out", "resume/wide-5")
 
     from emorefinery.manifest import manifest_from_wav_tree
 

@@ -297,7 +297,10 @@ def load_model(path) -> Model:
     """The model in a checkpoint written by save_model; any other file raises
     one DataError naming it."""
     try:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("it is not an .npz archive")
+        with data:
             meta = json.loads(bytes(data["meta"]).decode())
             if not (isinstance(meta, dict) and meta.get("format") == "emorefinery-model"
                     and type(meta.get("version")) is int and meta["version"] == 1):
@@ -311,6 +314,6 @@ def load_model(path) -> Model:
     except OSError as exc:
         raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
     except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError, ConfigError) as exc:
-        # np.load raises BadZipFile on a cut archive, EOFError on an empty file,
-        # ValueError on one it would unpickle and TypeError on a bare .npy.
+        # np.load raises BadZipFile on a cut archive, EOFError on an empty file
+        # and ValueError on one it would unpickle.
         raise DataError(f"{path} is not a model checkpoint: {exc}") from exc

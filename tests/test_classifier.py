@@ -541,7 +541,7 @@ class TestPersistence:
         (lambda raw, members: b"", "No data left in file"),
         (lambda raw, members: b"fold 1\n", "pickled"),
         (lambda raw, members: {"x": np.zeros(3)}, "'meta is not a file in the archive'"),
-        (lambda raw, members: np.zeros(3), "context manager"),
+        (lambda raw, members: np.zeros(3), "it is not an .npz archive"),
         (lambda raw, members: {"meta": np.frombuffer(b"[1]", dtype=np.uint8)},
          "its meta is not an emorefinery-model version 1 document"),
         (lambda raw, members: TestPersistence.with_meta(members, format="other"),
