@@ -12,6 +12,14 @@ own src/ first on PYTHONPATH, through the package's command line:
                             and 11: corpora/, then run directories with
                             their fold models
   runs/noise-13             wide's corpus at seed 13 with label_noise 0.3
+  runs/wide-5-M             wide at seed 5 in refinery mode M = sEPR,
+                            hard-dynamic, soft-static and none (one
+                            generation)
+  runs/wide-5-speaker       wide at seed 5 with group_by_speaker
+  runs/demo-5-val           demo at seed 5 with validation_fraction 0.5, so
+                            that the compact float32 net trains with a
+                            validation split: at the default 0.1, demo's 8
+                            training utterances per fold hold out none
   featurize/wav-R           WAVs written with the wave module at R = 8000,
                             16000, 22050 and 44100 Hz, featurized
   featurize/csv             corpora/demo-5 stored as spectrogram CSVs,
@@ -59,6 +67,18 @@ def plan() -> dict:
             for name in ("demo", "wide") for seed in SEEDS}
     spec, config = inputs(WORKLOADS["wide"], 13)
     runs["noise-13"] = (dict(spec, label_noise=0.3), config)
+    demo_train = WORKLOADS["demo"].config["train"]
+    variants = {
+        "wide-5-sEPR": ("wide", {"mode": "sEPR"}),
+        "wide-5-hard-dynamic": ("wide", {"mode": "hard-dynamic"}),
+        "wide-5-soft-static": ("wide", {"mode": "soft-static"}),
+        "wide-5-none": ("wide", {"mode": "none", "generations": 1}),
+        "wide-5-speaker": ("wide", {"group_by_speaker": True}),
+        "demo-5-val": ("demo", {"train": dict(demo_train, validation_fraction=0.5)}),
+    }
+    for run, (name, change) in variants.items():
+        spec, config = inputs(WORKLOADS[name], 5)
+        runs[run] = (spec, dict(config, **change))
     return runs
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .fileio import writing
+from .manifest import check_class_names
 from .network import (ARCHITECTURES, Adam, Architecture, ConvNet, batch_cross_entropy,
                       cross_entropy, softmax)
 
@@ -193,13 +194,12 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
                         f"are not (n, n_mels, seg_frames) and (n, {len(class_names)})")
 
     arch = cfg.resolved_architecture()
-    x = x.astype(arch.np_dtype, copy=False)
     t = targets.astype(arch.np_dtype)
     k = len(class_names)
 
     rng = np.random.default_rng(seed)
     val_mask = _validation_split(utterance_ids, cfg.validation_fraction, rng)
-    x_train, t_train = x[~val_mask], t[~val_mask]
+    train_rows = np.flatnonzero(~val_mask)
     x_val, t_val = x[val_mask], t[val_mask].astype(np.float64)
 
     try:
@@ -212,7 +212,7 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     best_loss = np.inf
     best_params = net.snapshot()
     epochs_since_best = 0
-    n_train = x_train.shape[0]
+    n_train = train_rows.size
     history = {
         "train_ce": [],
         "monitor": [],
@@ -225,9 +225,9 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
         perm = rng.permutation(n_train)
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            logits = net.forward(x_train[idx], train=True)
-            loss, dlogits = batch_cross_entropy(logits, t_train[idx])
+            idx = train_rows[perm[start : start + cfg.batch_size]]
+            logits = net.forward(x[idx], train=True)
+            loss, dlogits = batch_cross_entropy(logits, t[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start} (lr={lr:g})"
@@ -305,12 +305,15 @@ def load_model(path) -> Model:
             if not (isinstance(meta, dict) and meta.get("format") == "emorefinery-model"
                     and type(meta.get("version")) is int and meta["version"] == 1):
                 raise ValueError("its meta is not an emorefinery-model version 1 document")
-            class_names = tuple(meta["class_names"])
+            class_names = check_class_names(meta["class_names"], ValueError)
+            generation, seed = meta["generation"], meta["seed"]
+            if type(generation) is not int or type(seed) is not int:
+                raise ValueError(f"its generation {generation!r} and seed {seed!r} "
+                                 "are not both integers")
             net = ConvNet(Architecture(**meta["architecture"]), meta["input_shape"],
                           len(class_names), np.random.default_rng(0))
             net.restore([data[f"param_{i:03d}"] for i in range(len(net.params()))])
-            return Model(class_names=class_names, generation=int(meta["generation"]),
-                         seed=int(meta["seed"]), net=net)
+            return Model(class_names=class_names, generation=generation, seed=seed, net=net)
     except OSError as exc:
         raise DataError(f"{path} cannot be read ({exc.strerror})") from exc
     except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError, ConfigError) as exc:

@@ -181,7 +181,7 @@ def _write_generation(gen_dir: Path, foldout, data: StackedDataset, clean,
     audit = {
         "generation": foldout.generation,
         "folds": len(foldout.models),
-        "fold_of": dict(sorted(zip(ids, foldout.fold_of.tolist()))),
+        "fold_of": dict(zip(ids, foldout.fold_of.tolist())),
         "training_segments_per_fold": [len(rows) for rows in foldout.training_rows],
         "violations": [],
     }

@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -311,6 +312,25 @@ class TestTraining:
         assert model.history["n_val_segments"] == 8  # 2 of 10 utterances
         assert model.history["n_train_segments"] == 32
 
+    def test_training_holds_no_copy_of_the_segments(self):
+        # The net casts each batch it is given, so training gathers one batch
+        # of rows at a time and copies only the validation rows, a tenth of x.
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((4000, 8, 8))
+        targets = np.eye(4)[rng.integers(4, size=4000)]
+        ids = np.array([f"u{i:04d}" for i in range(4000)])
+        cfg = TrainConfig(max_epochs=1,
+                          architecture=Architecture(name="one-stage", conv_stages=((2,),)))
+        # numpy imports and caches some of what training calls on first use.
+        train(x, targets, cfg, ids)
+        tracemalloc.start()
+        try:
+            train(x, targets, cfg, ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes
+
 
 class TestPredict:
     def test_valid_distribution(self):
@@ -554,10 +574,17 @@ class TestPersistence:
          "its meta is not an emorefinery-model version 1 document"),
         (lambda raw, members: TestPersistence.with_meta(members, generation=None),
          "'generation'"),
+        (lambda raw, members: TestPersistence.with_meta(members, class_names="np"),
+         "class_names must be a list of strings, not 'np'"),
+        (lambda raw, members: TestPersistence.with_meta(members, generation="2"),
+         "its generation '2' and seed 3 are not both integers"),
+        (lambda raw, members: TestPersistence.with_meta(members, seed=2.9),
+         "its generation 1 and seed 2.9 are not both integers"),
         (lambda raw, members: {k: v for k, v in members.items() if k != "param_001"},
          "'param_001 is not a file in the archive'"),
     ], ids=["cut", "empty", "text", "other-npz", "npy", "meta-list", "format", "version-2",
-            "version-true", "no-version", "no-generation", "no-param"])
+            "version-true", "no-version", "no-generation", "classes-string",
+            "generation-string", "seed-float", "no-param"])
     def test_other_files_raise_one_error_naming_the_file(self, tmp_path, damage, what):
         damaged = damage(*self.checkpoint(tmp_path))
         path = tmp_path / "damaged.npz"
