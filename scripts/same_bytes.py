@@ -20,6 +20,10 @@ own src/ first on PYTHONPATH, through the package's command line:
                             that the compact float32 net trains with a
                             validation split: at the default 0.1, demo's 8
                             training utterances per fold hold out none
+  runs/demo-5-folds5        demo at seed 5 with 5 folds: the compact net
+                            trains in rounds of 2, 2 and 1 on the two-thread
+                            pool, and each fold holds out 1 of its 12-13
+                            training utterances for validation
   featurize/wav-R           WAVs written with the wave module at R = 8000,
                             16000, 22050 and 44100 Hz, featurized
   featurize/csv             corpora/demo-5 stored as spectrogram CSVs,
@@ -75,6 +79,7 @@ def plan() -> dict:
         "wide-5-none": ("wide", {"mode": "none", "generations": 1}),
         "wide-5-speaker": ("wide", {"group_by_speaker": True}),
         "demo-5-val": ("demo", {"train": dict(demo_train, validation_fraction=0.5)}),
+        "demo-5-folds5": ("demo", {"folds": 5}),
     }
     for run, (name, change) in variants.items():
         spec, config = inputs(WORKLOADS[name], 5)

@@ -172,43 +172,39 @@ def _mean_ce(net: ConvNet, x: np.ndarray, t: np.ndarray, batch_size: int) -> flo
 
 
 @_single_thread_blas()
-def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainConfig,
-                             seed: int, generation: int = 1) -> Model:
-    """Train a classifier on segments x (n, n_mels, seg_frames) with soft targets (n, K).
+def train_segment_classifier(data, targets, rows, cfg: TrainConfig, seed: int,
+                             generation: int = 1) -> Model:
+    """Train a classifier on segments `rows` of the StackedDataset `data`,
+    with soft targets from `targets`, the dataset's (n_segments, K) array.
 
-    `utterance_ids[j]` names segment j's utterance, so that the validation
-    split holds out whole utterances. Returns the parameter snapshot with the
-    best monitored loss: validation cross-entropy when an utterance-level
-    validation split is possible, otherwise the running training loss.
-    Deterministic given the seed and the input order.
+    The validation split holds out whole utterances. Returns the parameter
+    snapshot with the best monitored loss: validation cross-entropy when an
+    utterance-level validation split is possible, otherwise the running
+    training loss. Deterministic given the seed and the order of `rows`.
     """
-    x, targets, utterance_ids = np.asarray(x), np.asarray(targets), np.asarray(utterance_ids)
-    class_names = tuple(class_names)
-    if x.shape[0] == 0:
+    targets, rows = np.asarray(targets), np.asarray(rows)
+    k = len(data.class_names)
+    if rows.size == 0:
         raise DataError("empty training set")
-    if not len(targets) == len(utterance_ids) == x.shape[0]:
-        raise DataError(f"{x.shape[0]} segments but {len(targets)} targets "
-                        f"and {len(utterance_ids)} utterance ids")
-    if x.ndim != 3 or targets.shape[1:] != (len(class_names),):
-        raise DataError(f"segments of shape {x.shape} and targets of shape {targets.shape} "
-                        f"are not (n, n_mels, seg_frames) and (n, {len(class_names)})")
+    if targets.shape != (len(data.x), k):
+        raise DataError(f"targets have shape {targets.shape}, expected "
+                        f"({len(data.x)}, {k}): one row per segment")
 
     arch = cfg.resolved_architecture()
     t = targets.astype(arch.np_dtype)
-    k = len(class_names)
 
     rng = np.random.default_rng(seed)
-    val_mask = _validation_split(utterance_ids, cfg.validation_fraction, rng)
-    train_rows = np.flatnonzero(~val_mask)
-    x_val, t_val = x[val_mask], t[val_mask].astype(np.float64)
+    val_mask = _validation_split(data.row_utterance[rows], cfg.validation_fraction, rng)
+    train_rows, val_rows = rows[~val_mask], rows[val_mask]
+    x_val, t_val = data.x[val_rows], t[val_rows].astype(np.float64)
 
     try:
-        net = ConvNet(arch, x.shape[1:], k, rng)
+        net = ConvNet(arch, data.x.shape[1:], k, rng)
         opt = Adam(net.params())
     except (MemoryError, ValueError) as exc:
         # numpy raises ValueError for an array of more than 2**63 bytes.
         raise ConfigError(f"architecture {arch.name!r} cannot be allocated for "
-                          f"{x.shape[1]}x{x.shape[2]} segments ({exc})") from exc
+                          f"{data.x.shape[1]}x{data.x.shape[2]} segments ({exc})") from exc
     best_loss = np.inf
     best_params = net.snapshot()
     epochs_since_best = 0
@@ -226,7 +222,7 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = train_rows[perm[start : start + cfg.batch_size]]
-            logits = net.forward(x[idx], train=True)
+            logits = net.forward(data.x[idx], train=True)
             loss, dlogits = batch_cross_entropy(logits, t[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -262,7 +258,7 @@ def train_segment_classifier(x, targets, utterance_ids, class_names, cfg: TrainC
     net.restore(best_params)
     history["best_monitor"] = float(best_loss)
     history["epochs_run"] = len(history["train_ce"])
-    return Model(class_names=class_names, generation=generation, seed=seed, net=net,
+    return Model(class_names=data.class_names, generation=generation, seed=seed, net=net,
                  history=history)
 
 

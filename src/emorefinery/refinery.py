@@ -48,9 +48,10 @@ class StackedDataset:
 
     `segments[i]` is utterance i's (n_i, n_mels, seg_frames) array, such as
     a `features.segment_spectrogram` view; concatenating them into `x` is
-    the only copy of the segment values. Utterance i owns rows
-    offsets[i]:offsets[i + 1] of `x` and of every target or EP array, and
-    `row_utterance[r]` is the utterance that owns row r.
+    the one full copy of the segment values, which folds train on by row
+    index. Utterance i owns rows offsets[i]:offsets[i + 1] of `x` and of
+    every target or EP array, and `row_utterance[r]` is the utterance that
+    owns row r.
     """
 
     def __init__(self, utterance_ids, labels, speakers, class_names, segments):
@@ -121,10 +122,6 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
     pool's width.
     """
     class_names = data.class_names
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (data.offsets[-1], len(class_names)):
-        raise DataError(f"targets have shape {targets.shape}, expected "
-                        f"({data.offsets[-1]}, {len(class_names)}): one row per segment")
     fold_of = kfold_split(data.utterance_ids, data.labels, cfg.folds,
                           derive_seed(seed, _STREAM_FOLD_PLAN, generation),
                           groups=data.speakers if cfg.group_by_speaker else None)
@@ -140,13 +137,11 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
         training_rows.append(np.flatnonzero(row_fold != fold))
         model_seeds.append(derive_seed(seed, _STREAM_MODEL, generation, fold))
 
-    eps = np.empty(targets.shape)
+    eps = np.empty((len(data.x), len(class_names)))
 
     def train_and_predict(fold):
-        rows = training_rows[fold]
-        model = train_segment_classifier(data.x[rows], targets[rows], data.row_utterance[rows],
-                                         class_names, cfg.train, model_seeds[fold],
-                                         generation=generation)
+        model = train_segment_classifier(data, targets, training_rows[fold], cfg.train,
+                                         model_seeds[fold], generation=generation)
         # One call per utterance, not one over the fold's rows: a longer
         # batch changes how BLAS rounds the float64 dense layer's matrix
         # product, which moved `wide`'s EPs and so every later generation.
@@ -174,8 +169,8 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
 _THREADED_FOLD_MACS = 1_000_000
 # The most folds in flight; there are always at least two folds. Wall time,
 # CPU time and peak memory have been measured at two. Each fold in flight
-# holds its own training copy, net and optimizer state, so a wider pool
-# needs its own measurement first.
+# holds a copy of its validation rows, its net and its optimizer state, so
+# a wider pool needs its own measurement first.
 _MAX_FOLD_THREADS = 2
 
 

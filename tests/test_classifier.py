@@ -3,6 +3,7 @@ differences, training determinism, and checkpoint round-trips."""
 
 import errno
 import io
+import itertools
 import json
 import math
 import re
@@ -30,6 +31,7 @@ from emorefinery.classifier import (
 from emorefinery.errors import ConfigError, DataError, TrainingDivergedError
 from emorefinery.network import (Architecture, ConvNet, batch_cross_entropy, cross_entropy,
                                  entropy, kl_divergence, softmax)
+from emorefinery.refinery import StackedDataset
 
 NAMES4 = ("angry", "happy", "neutral", "sad")
 NAMES6 = ("angry", "fear", "happy", "neutral", "sad", "surprise")
@@ -52,11 +54,21 @@ def make_segments(rng, n, shape=(64, 32)):
 SEED = 123
 
 
-def train(x, targets, cfg, utterance_ids=None, names=NAMES4, seed=SEED, **kw):
-    """Train on segments x; by default every segment is its own utterance."""
+def stacked(x, utterance_ids=None, names=NAMES4):
+    """Segments x as a StackedDataset: each run of equal utterance ids is one
+    utterance, and by default every segment is its own."""
     if utterance_ids is None:
         utterance_ids = [f"u{i:03d}" for i in range(len(x))]
-    return train_segment_classifier(x, targets, utterance_ids, names, cfg, seed, **kw)
+    runs = [(uid, len(list(group))) for uid, group in itertools.groupby(utterance_ids)]
+    ends = np.cumsum([n for _, n in runs])
+    return StackedDataset([uid for uid, _ in runs], [0] * len(runs), ["s"] * len(runs), names,
+                          np.split(x, ends[:-1]))
+
+
+def train(x, targets, cfg, utterance_ids=None, names=NAMES4, seed=SEED, **kw):
+    """Train on every segment of x; by default each is its own utterance."""
+    return train_segment_classifier(stacked(x, utterance_ids, names), targets,
+                                    np.arange(len(x)), cfg, seed, **kw)
 
 
 class TestLosses:
@@ -276,9 +288,24 @@ class TestTraining:
         assert [p.tobytes() for p in model.net.params()] == \
             [p.tobytes() for p in at_best.net.params()]
 
+    def test_rows_train_as_a_dataset_of_only_those_rows(self):
+        rng = np.random.default_rng(23)
+        segs = make_segments(rng, 30, shape=(16, 8))
+        targets = random_targets(rng, 30, NAMES4)
+        ids = [f"u{i // 3:02d}" for i in range(30)]
+        rows = np.flatnonzero(np.arange(30) // 3 % 4 != 1)  # 7 of the 10 utterances
+        cfg = overfit_config(max_epochs=3, validation_fraction=0.3)
+        part = train_segment_classifier(stacked(segs, ids), targets, rows, cfg, SEED)
+        alone = train(segs[rows], targets[rows], cfg, [ids[r] for r in rows])
+        assert part.history == alone.history and part.history["n_val_segments"] == 6
+        assert [p.tobytes() for p in part.net.params()] == \
+            [p.tobytes() for p in alone.net.params()]
+
     def test_empty_dataset_rejected(self):
+        segs = make_segments(np.random.default_rng(0), 2, shape=(16, 8))
         with pytest.raises(DataError, match="empty"):
-            train(np.zeros((0, 16, 8)), np.zeros((0, 4)), overfit_config())
+            train_segment_classifier(stacked(segs), np.eye(4)[:2], np.array([], dtype=np.int64),
+                                     overfit_config(), SEED)
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(0)
@@ -286,16 +313,11 @@ class TestTraining:
         with pytest.raises(DataError, match="targets"):
             train(segs, np.eye(4)[:1], overfit_config())
 
-    @pytest.mark.parametrize("shape, k, what", [
-        ((4, 16), 4, "segments of shape (4, 16) and targets of shape (4, 4) are not "
-                     "(n, n_mels, seg_frames) and (n, 4)"),
-        ((4, 16, 8), 3, "segments of shape (4, 16, 8) and targets of shape (4, 3) are not "
-                        "(n, n_mels, seg_frames) and (n, 4)"),
-    ])
-    def test_malformed_shapes_rejected(self, shape, k, what):
+    def test_malformed_shapes_rejected(self):
         with pytest.raises(DataError) as err:
-            train(np.zeros(shape), np.eye(k)[[0, 1, 2, 0]], overfit_config())
-        assert str(err.value) == what
+            train(np.zeros((4, 16, 8)), np.eye(3)[[0, 1, 2, 0]], overfit_config())
+        assert str(err.value) == ("targets have shape (4, 3), expected (4, 4): "
+                                  "one row per segment")
 
     def test_validation_split_is_utterance_level(self):
         # 10 utterances x 4 segments; with fraction 0.25 some utterances
@@ -321,15 +343,16 @@ class TestTraining:
         ids = np.array([f"u{i:04d}" for i in range(4000)])
         cfg = TrainConfig(max_epochs=1,
                           architecture=Architecture(name="one-stage", conv_stages=((2,),)))
+        data, rows = stacked(x, ids), np.arange(4000)
         # numpy imports and caches some of what training calls on first use.
-        train(x, targets, cfg, ids)
+        train_segment_classifier(data, targets, rows, cfg, SEED)
         tracemalloc.start()
         try:
-            train(x, targets, cfg, ids)
+            train_segment_classifier(data, targets, rows, cfg, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * x.nbytes
+        assert peak < 0.5 * data.x.nbytes
 
 
 class TestPredict:
@@ -515,9 +538,9 @@ class TestPersistence:
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     def test_full_disk_names_the_checkpoint(self):
         rng = np.random.default_rng(0)
-        model = train_segment_classifier(
-            rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"],
-            ("neg", "pos"), TrainConfig(max_epochs=1, architecture="tiny"), 3)
+        model = train(rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]],
+                      TrainConfig(max_epochs=1, architecture="tiny"), ["a", "a", "b", "b"],
+                      ("neg", "pos"), seed=3)
         with pytest.raises(OSError) as err:
             save_model(model, "/dev/full")
         assert (err.value.filename, err.value.errno) == ("/dev/full", errno.ENOSPC)
@@ -526,9 +549,9 @@ class TestPersistence:
         # The checkpoint's meta JSON as it has been written: a renamed or
         # reordered key makes old checkpoints another format.
         rng = np.random.default_rng(0)
-        model = train_segment_classifier(
-            rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"],
-            ("neg", "pos"), TrainConfig(max_epochs=1, architecture="tiny"), 3, generation=2)
+        model = train(rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]],
+                      TrainConfig(max_epochs=1, architecture="tiny"), ["a", "a", "b", "b"],
+                      ("neg", "pos"), seed=3, generation=2)
         save_model(model, tmp_path / "m.npz")
         with np.load(tmp_path / "m.npz") as data:
             meta = bytes(data["meta"]).decode()
@@ -543,9 +566,9 @@ class TestPersistence:
     def checkpoint(tmp_path):
         """A saved tiny model's checkpoint bytes and its members."""
         rng = np.random.default_rng(0)
-        model = train_segment_classifier(
-            rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"],
-            ("neg", "pos"), TrainConfig(max_epochs=1, architecture="tiny"), 3)
+        model = train(rng.standard_normal((4, 8, 4)), np.eye(2)[[0, 1, 0, 1]],
+                      TrainConfig(max_epochs=1, architecture="tiny"), ["a", "a", "b", "b"],
+                      ("neg", "pos"), seed=3)
         save_model(model, tmp_path / "m.npz")
         with np.load(tmp_path / "m.npz") as data:
             return (tmp_path / "m.npz").read_bytes(), dict(data)

@@ -22,6 +22,7 @@ from emorefinery.classifier import (TrainConfig, load_model, predict_batch, save
                                     train_segment_classifier)
 from emorefinery.errors import ConfigError
 from emorefinery.network import ARCHITECTURES, Conv3x3, ConvNet, MaxPool2x2
+from emorefinery.refinery import StackedDataset
 from same_bytes import assert_bytes_equal
 
 
@@ -253,10 +254,11 @@ def test_old_order_checkpoint_predicts_the_same_bytes(tmp_path, monkeypatch):
     probs = rng.uniform(0.01, 1.0, (30, 4))
     cfg = TrainConfig(max_epochs=1, batch_size=8, validation_fraction=0.2,
                       architecture="compact")
+    data = StackedDataset([f"u{i}" for i in range(10)], [0] * 10, ["s"] * 10,
+                          ("a", "b", "c", "d"), np.split(segs, 10))
     with oracle_layers(monkeypatch):
-        old = train_segment_classifier(segs, probs / probs.sum(axis=1, keepdims=True),
-                                       [f"u{i // 3}" for i in range(30)], ("a", "b", "c", "d"),
-                                       cfg, 2)
+        old = train_segment_classifier(data, probs / probs.sum(axis=1, keepdims=True),
+                                       np.arange(30), cfg, 2)
         save_model(old, tmp_path / "fold01.npz")
     new = load_model(tmp_path / "fold01.npz")
     assert type(old.net.layers[1]) is OracleReLU and type(new.net.layers[1]) is MaxPool2x2
@@ -469,15 +471,15 @@ def test_pool_relu_output_matches():
 def test_two_epochs_of_compact_training_match_oracle(monkeypatch):
     rng = np.random.default_rng(12)
     segs = awkward_segments(rng, 40, (32, 32))
-    ids = [f"u{i // 4}" for i in range(40)]
+    data = StackedDataset([f"u{i}" for i in range(10)], [0] * 10, ["s"] * 10,
+                          ("a", "b", "c", "d"), np.split(segs, 10))
     probs = rng.uniform(0.01, 1.0, (40, 4))
     targets = probs / probs.sum(axis=1, keepdims=True)
-    names = ("a", "b", "c", "d")
     cfg = TrainConfig(max_epochs=2, batch_size=16, validation_fraction=0.2,
                       architecture="compact")
-    new = train_segment_classifier(segs, targets, ids, names, cfg, 5)
+    new = train_segment_classifier(data, targets, np.arange(40), cfg, 5)
     with oracle_layers(monkeypatch):
-        old = train_segment_classifier(segs, targets, ids, names, cfg, 5)
+        old = train_segment_classifier(data, targets, np.arange(40), cfg, 5)
     assert new.history == old.history
     for p_new, p_old in zip(new.net.params(), old.net.params(), strict=True):
         assert_bytes_equal(p_new, p_old)

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -227,6 +228,24 @@ class TestFoldOutGeneration:
         with pytest.raises(DataError, match="one row per segment"):
             generate_eps_foldout(data, targets[:-1], fast_config(), SEED)
 
+    def test_folds_train_on_rows_of_the_one_segment_array(self):
+        # A fold trains on its rows of data.x by index and copies only its
+        # validation rows; a gather of its training rows would be 0.8 of x.
+        rng = np.random.default_rng(17)
+        data, targets = initial(StackedDataset(
+            [f"u{i:04d}" for i in range(1000)], [i % 4 for i in range(1000)], ["s"] * 1000,
+            NAMES4, rng.standard_normal((1000, 4, 16, 16))))
+        cfg = fast_config(folds=5, train=TrainConfig(max_epochs=1, architecture="tiny"))
+        # numpy imports and caches some of what training calls on first use.
+        generate_eps_foldout(data, targets, cfg, SEED)
+        tracemalloc.start()
+        try:
+            generate_eps_foldout(data, targets, cfg, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * data.x.nbytes
+
 
 class TestFoldThreads:
     """Folds trained on two threads give the bytes, models and warnings of one."""
@@ -295,10 +314,10 @@ class TestFoldThreads:
         fold2_seed = refinery.derive_seed(SEED, refinery._STREAM_MODEL, 1, 2)
         train = refinery.train_segment_classifier
 
-        def diverge(x, targets, ids, names, cfg, seed, **kwargs):
+        def diverge(data, targets, rows, cfg, seed, **kwargs):
             if seed == fold2_seed:
                 raise error
-            return train(x, targets, ids, names, cfg, seed, **kwargs)
+            return train(data, targets, rows, cfg, seed, **kwargs)
 
         with pytest.raises(TrainingDivergedError) as raised:
             self.run(monkeypatch, 2, diverge)
@@ -315,12 +334,12 @@ class TestFoldThreads:
         seen = []
         train, forward = refinery.train_segment_classifier, ConvNet.forward
 
-        def ordered_train(x, targets, ids, names, cfg, seed, **kwargs):
+        def ordered_train(data, targets, rows, cfg, seed, **kwargs):
             fold = fold_of_seed[seed]
             fold_of_thread[threading.get_ident()] = fold
             if fold == 1:
                 assert started.wait(30)
-            model = train(x, targets, ids, names, cfg, seed, **kwargs)
+            model = train(data, targets, rows, cfg, seed, **kwargs)
             if fold == 0:
                 returned.set()
             return model

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emorefinery import classifier, decision, features, manifest, network
+from emorefinery import classifier, decision, features, manifest, network, refinery
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,7 +75,9 @@ def _read_spectrogram_call(tmp_path):
 
 
 SEGMENTS = np.random.default_rng(0).standard_normal((4, 8, 4))
-TRAIN_ARGS = (SEGMENTS, np.eye(2)[[0, 1, 0, 1]], ["a", "a", "b", "b"], ("neg", "pos"),
+TRAIN_ARGS = (refinery.StackedDataset(["a", "b"], [0, 1], ["s", "s"], ("neg", "pos"),
+                                      [SEGMENTS[:2], SEGMENTS[2:]]),
+              np.eye(2)[[0, 1, 0, 1]], np.arange(4),
               classifier.TrainConfig(max_epochs=2, architecture="tiny"), 3)
 # Each summarized name's function and the arguments of one tiny call of it.
 CALLS = {
