@@ -24,6 +24,10 @@ own src/ first on PYTHONPATH, through the package's command line:
                             trains in rounds of 2, 2 and 1 on the two-thread
                             pool, and each fold holds out 1 of its 12-13
                             training utterances for validation
+  runs/demo-5-folds5-1cpu   demo-5-folds5 built with the process pinned to
+                            one CPU of its set (os.sched_setaffinity), so the
+                            compact net takes the one-worker path: every
+                            fold trains on the calling thread
   featurize/wav-R           WAVs written with the wave module at R = 8000,
                             16000, 22050 and 44100 Hz, featurized
   featurize/csv             corpora/demo-5 stored as spectrogram CSVs,
@@ -80,6 +84,7 @@ def plan() -> dict:
         "wide-5-speaker": ("wide", {"group_by_speaker": True}),
         "demo-5-val": ("demo", {"train": dict(demo_train, validation_fraction=0.5)}),
         "demo-5-folds5": ("demo", {"folds": 5}),
+        "demo-5-folds5-1cpu": ("demo", {"folds": 5}),
     }
     for run, (name, change) in variants.items():
         spec, config = inputs(WORKLOADS[name], 5)
@@ -130,6 +135,17 @@ def _as_csv_corpus(src: Path, dst: Path) -> None:
     (dst / "manifest.json").write_text(json.dumps(manifest))
 
 
+@contextlib.contextmanager
+def _one_cpu():
+    """Pin this process to one CPU of its set inside the block, then restore the set."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def build(out: Path, runs: dict) -> None:
     os.chdir(out)
     for name, (spec, config) in runs.items():
@@ -137,10 +153,11 @@ def build(out: Path, runs: dict) -> None:
         inputs.mkdir(parents=True)
         (inputs / "spec.json").write_text(json.dumps(spec))
         (inputs / "config.json").write_text(json.dumps(config))
-        _command(f"gen-data-{name}", "gen-data", "--spec", str(inputs / "spec.json"),
-                 "--out", f"corpora/{name}")
-        _command(f"run-{name}", "run", "--config", str(inputs / "config.json"),
-                 "--corpus", f"corpora/{name}", "--out", f"runs/{name}")
+        with _one_cpu() if name.endswith("-1cpu") else contextlib.nullcontext():
+            _command(f"gen-data-{name}", "gen-data", "--spec", str(inputs / "spec.json"),
+                     "--out", f"corpora/{name}")
+            _command(f"run-{name}", "run", "--config", str(inputs / "config.json"),
+                     "--corpus", f"corpora/{name}", "--out", f"runs/{name}")
 
     from emorefinery.manifest import manifest_from_wav_tree
 

@@ -12,6 +12,7 @@ utterance's one-hot label (pEPR), snap it to a one-hot at its argmax
 """
 
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -117,9 +118,9 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
     of that utterance's segments. `cfg` is the run's `ExperimentConfig`, of
     which folds, train and group_by_speaker are read, and `seed` its
     refinery stream's seed. Folds are planned in order on the calling
-    thread, then trained on a pool of `_fold_workers` threads; each fold
-    writes only its own EP rows, so the result does not depend on the
-    pool's width.
+    thread, then trained by `_train_folds` on that thread and up to
+    `_fold_workers` - 1 more; each fold writes only its own EP rows, so the
+    result does not depend on how many threads train.
     """
     class_names = data.class_names
     fold_of = kfold_split(data.utterance_ids, data.labels, cfg.folds,
@@ -150,12 +151,7 @@ def generate_eps_foldout(data: StackedDataset, targets, cfg, seed: int,
             eps[a:b] = predict_batch(model, data.x[a:b])
         return model
 
-    # Imported here, so that runs which train no fold, such as a resume, do
-    # not hold the module's memory.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(_fold_workers(cfg, data.x.shape[1:])) as pool:
-        models = list(pool.map(train_and_predict, range(cfg.folds)))
+    models = _train_folds(train_and_predict, cfg.folds, _fold_workers(cfg, data.x.shape[1:]))
     # Averaged in prediction order: fold by fold, and by row within a fold.
     mean_entropy = float(entropy(eps[np.argsort(row_fold, kind="stable")]).mean())
     return FoldOutGeneration(generation=generation, eps=eps, fold_of=fold_of,
@@ -170,7 +166,7 @@ _THREADED_FOLD_MACS = 1_000_000
 # The most folds in flight; there are always at least two folds. Wall time,
 # CPU time and peak memory have been measured at two. Each fold in flight
 # holds a copy of its validation rows, its net and its optimizer state, so
-# a wider pool needs its own measurement first.
+# more folds in flight need their own measurement first.
 _MAX_FOLD_THREADS = 2
 
 
@@ -181,6 +177,40 @@ def _fold_workers(cfg, input_shape) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cpus or 1, _MAX_FOLD_THREADS)
+
+
+def _train_folds(train_and_predict, folds: int, width: int) -> list:
+    """train_and_predict(f) for f in range(folds), on the caller and width - 1
+    helper threads. After a fold raises, even KeyboardInterrupt, none starts;
+    the caller joins the helpers and raises the lowest failed fold's error."""
+    models, errors = [None] * folds, {}
+    queue = list(range(folds))[::-1]  # popped from the end: fold 0 first
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if errors or not queue:
+                    return
+                fold = queue.pop()
+            try:
+                models[fold] = train_and_predict(fold)
+            except BaseException as error:  # raised again by the caller
+                errors[fold] = error
+
+    helpers = [threading.Thread(target=work) for _ in range(width - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        with lock:
+            queue.clear()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return models
 
 
 def foldout_purity_violations(foldout: FoldOutGeneration, data: StackedDataset) -> list:

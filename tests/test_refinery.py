@@ -323,6 +323,61 @@ class TestFoldThreads:
             self.run(monkeypatch, 2, diverge)
         assert raised.value is error
 
+    def test_one_wide_trains_every_fold_on_the_caller(self, monkeypatch):
+        trainers, started = [], []
+        train, start = refinery.train_segment_classifier, threading.Thread.start
+
+        def spy(*args, **kwargs):
+            trainers.append(threading.get_ident())
+            return train(*args, **kwargs)
+
+        def count_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", count_start)
+        self.run(monkeypatch, 1, spy)
+        assert trainers == [threading.get_ident()] * 4 and started == []
+
+    def test_two_wide_caller_trains_beside_one_helper(self, monkeypatch):
+        # Each pair of folds meets at the barrier, so two threads train.
+        barrier = threading.Barrier(2, timeout=30)
+        trainers = []
+        train = refinery.train_segment_classifier
+
+        def meet(*args, **kwargs):
+            trainers.append(threading.get_ident())
+            barrier.wait()
+            return train(*args, **kwargs)
+
+        self.run(monkeypatch, 2, meet)
+        assert len(trainers) == 4 and threading.get_ident() in trainers
+        assert len(set(trainers)) == 2
+
+    def test_no_fold_starts_after_one_raises(self, monkeypatch):
+        # Fold 1 fails at once, while fold 0 gives a later fold a second to
+        # start on the thread that fold 1 has freed.
+        error = TrainingDivergedError("fold 1 diverged")
+        fold_of_seed = {refinery.derive_seed(SEED, refinery._STREAM_MODEL, 1, f): f
+                        for f in range(4)}
+        started, later = [], threading.Event()
+        train = refinery.train_segment_classifier
+
+        def spy(data, targets, rows, cfg, seed, **kwargs):
+            fold = fold_of_seed[seed]
+            started.append(fold)
+            if fold == 1:
+                raise error
+            if fold == 0:
+                later.wait(1)
+            else:
+                later.set()
+            return train(data, targets, rows, cfg, seed, **kwargs)
+
+        with pytest.raises(TrainingDivergedError) as raised:
+            self.run(monkeypatch, 2, spy)
+        assert raised.value is error and sorted(started) == [0, 1]
+
     def test_one_blas_thread_inside_and_restored_after(self, openblas, monkeypatch):
         # Fold 1 starts training once fold 0 has, and runs its first forward
         # pass only after fold 0's training call has returned and restored
@@ -363,6 +418,42 @@ class TestFoldThreads:
 
         with pytest.raises(TrainingDivergedError):
             self.run(monkeypatch, 2, diverge)
+        assert openblas() == 2
+
+        # A Ctrl-C in the caller's fold, once the helper's fold is in flight,
+        # ends the caller's fold at once. The helper's fold, held until the
+        # caller's has left training, still finishes, on one BLAS thread.
+        caller = threading.get_ident()
+        helper_in, caller_out = threading.Event(), threading.Event()
+        started, finished, seen = [], [], []
+
+        def interrupted_train(*args, **kwargs):
+            me = threading.get_ident()
+            started.append(me)
+            if me != caller:
+                helper_in.set()
+            try:
+                model = train(*args, **kwargs)
+            finally:
+                if me == caller:
+                    caller_out.set()
+            finished.append(me)
+            return model
+
+        def interrupt(net, x, train=False):
+            if threading.get_ident() == caller:
+                assert helper_in.wait(30)
+                raise KeyboardInterrupt
+            assert caller_out.wait(30)
+            seen.append(openblas())
+            return forward(net, x, train)
+
+        monkeypatch.setattr(ConvNet, "forward", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(monkeypatch, 2, interrupted_train)
+        assert len(started) == 2 and caller in started
+        assert finished == [t for t in started if t != caller]
+        assert seen and set(seen) == {1}
         assert openblas() == 2
 
     def test_width_follows_net_size_and_cpus_up_to_two(self, monkeypatch):
